@@ -180,7 +180,13 @@ def load_stream_file(path: str | Path) -> StreamFile:
         forecasts = tuple(
             Forecast(np.asarray(p, dtype=float)) for p in row["forecasts"]
         )
-        steps.append(StreamStep(forecasts, int(row["outcome"])))
+        outcome = row["outcome"]
+        # bool is an int subclass; neither it nor a float names an outcome
+        if isinstance(outcome, bool) or not isinstance(outcome, int):
+            raise ValueError(
+                f"step {k}: outcome must be an integer, got {outcome!r}"
+            )
+        steps.append(StreamStep(forecasts, outcome))
     return StreamFile(tuple(steps))
 
 

@@ -17,15 +17,14 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .optim import projected_gradient
-from .pooling import _invert_fast
+from .pooling import _invert_rows
 from .rules import (
     Forecast,
     RuleSpec,
     as_forecast,
     exposure,
     exposure_norm_bound,
-    _expected,
-    _gradient,
+    _score_rows,
 )
 from .simplex import canonicalize, project_simplex, uniform_point
 
@@ -186,67 +185,28 @@ class _StreamEvaluator:
     def exposure_sup(self) -> float:
         return float(np.linalg.norm(self.E, axis=2).max())
 
-    # -- single step ---------------------------------------------------
-
-    def pool_probs(self, t: int, w: np.ndarray) -> np.ndarray:
-        target = canonicalize(w @ self.E[t])
-        x, _ = _invert_fast(self.rule, target)
-        return x
-
-    def step_loss(self, t: int, w: np.ndarray) -> float:
-        return -_score_raw(self.rule, self.pool_probs(t, w), self.J[t])
+    def pools(self, w: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """Pools of the (k, m, n) exposure rows E under weights w."""
+        targets = w @ E
+        targets -= targets.sum(axis=1, keepdims=True) / self.n
+        return _invert_rows(self.rule, targets)
 
     def step_loss_and_grad(self, t: int, w: np.ndarray) -> tuple[float, np.ndarray]:
-        x = self.pool_probs(t, w)
-        loss = -_score_raw(self.rule, x, self.J[t])
-        d = x.copy()
-        d[self.J[t]] -= 1.0
-        return loss, canonicalize(self.E[t] @ d)
-
-    # -- whole stream ----------------------------------------------------
-
-    def _batch_pools(self, w: np.ndarray) -> np.ndarray:
-        targets = np.einsum("m,tmn->tn", w, self.E)
-        targets -= targets.mean(axis=1, keepdims=True)
-        fam = self.rule.family
-        if fam == "quadratic":
-            return 0.5 * targets + 1.0 / self.n
-        if fam == "log":
-            z = np.exp(targets - targets.max(axis=1, keepdims=True))
-            return z / z.sum(axis=1, keepdims=True)
-        out = np.empty((self.T, self.n))
-        for t in range(self.T):
-            out[t], _ = _invert_fast(self.rule, targets[t])
-        return out
+        x = self.pools(w, self.E[t : t + 1])
+        loss = -float(_score_rows(self.rule, x, self.J[t])[0])
+        x[0, self.J[t]] -= 1.0  # x - e_j, the loss gradient's direction
+        return loss, canonicalize(self.E[t] @ x[0])
 
     def per_step_losses(self, w: np.ndarray) -> np.ndarray:
-        X = self._batch_pools(w)
-        fam = self.rule.family
-        rows = np.arange(self.T)
-        if fam == "quadratic":
-            scores = 2.0 * X[rows, self.J] - np.einsum("tn,tn->t", X, X)
-        elif fam == "log":
-            scores = np.log(X[rows, self.J])
-        else:
-            scores = np.array(
-                [_score_raw(self.rule, X[t], self.J[t]) for t in range(self.T)]
-            )
-        return -scores
+        return -_score_rows(self.rule, self.pools(w, self.E), self.J)
 
     def total_loss(self, w: np.ndarray) -> float:
         return float(self.per_step_losses(w).sum())
 
     def total_grad(self, w: np.ndarray) -> np.ndarray:
-        X = self._batch_pools(w)
-        D = X.copy()
+        D = self.pools(w, self.E)
         D[np.arange(self.T), self.J] -= 1.0
         return canonicalize(np.einsum("tmn,tn->m", self.E, D))
-
-
-def _score_raw(rule: RuleSpec, probs: np.ndarray, j0: int) -> float:
-    """Score with a 0-based outcome index, skipping Forecast wrapping."""
-    g = canonicalize(_gradient(rule, probs))
-    return _expected(rule, probs) + g[j0] - float(np.dot(g, probs))
 
 
 # --------------------------------------------------------------------------
@@ -260,7 +220,7 @@ def weight_score(rule: RuleSpec, forecasts, w, j: int) -> float:
     if len(fs) != wv.m:
         raise ValueError("one weight per forecast required")
     ev = _StreamEvaluator(rule, [(fs, j)])
-    return -ev.step_loss(0, wv.weights)
+    return -float(ev.per_step_losses(wv.weights)[0])
 
 
 def loss_gradient(rule: RuleSpec, forecasts, w, j: int) -> np.ndarray:

@@ -6,10 +6,14 @@ sum-zero space, i.e. modulo the all-ones direction).  Weights are
 normalized internally, so scaling all weights leaves the pool fixed.
 
 Inversion dispatch: quadratic and log invert in closed form (affine map
-and softmax); neglog, power, hs, tsallis and spherical reduce to a
-one-dimensional monotone root-find for the additive constant that the
-all-ones quotient leaves free; a generic convex-minimization fallback
-covers everything and doubles as a cross-check oracle.
+and softmax); neglog, power, hs, tsallis and spherical reduce to one
+monotone equation per target for the additive constant that the
+all-ones quotient leaves free, with a closed-form bracket per family.
+One safeguarded Newton kernel solves that equation for a whole (k, n)
+array of targets at once (a single pool is a one-row batch) and raises
+SolverError when it runs out of iterations.  A generic
+convex-minimization fallback covers everything and doubles as a
+cross-check oracle.
 
 The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the closed simplex of the weighted sum of Bregman
@@ -62,11 +66,6 @@ CLOSED_FORM = "closed_form"
 ROOT_FIND = "root_find"
 CONVEX_MIN = "convex_min"
 BREGMAN_MIN = "bregman_min"
-
-# scalar root-find: bracket halves until narrower than this (relative)
-_BISECT_RTOL = 1e-14
-_BISECT_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class WeightedForecast:
@@ -143,180 +142,133 @@ def _residual(rule: RuleSpec, pooled: Forecast, target: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
-# scalar root-finding
+# row-batched inversion of canonical (sum-zero) exposure targets
 # --------------------------------------------------------------------------
 
-def _bisect(f, lo: float, hi: float) -> float:
-    """Root of a monotone f on [lo, hi] with f(lo), f(hi) of opposite sign."""
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(_BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= _BISECT_RTOL * max(1.0, abs(mid)):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# safeguarded Newton: iteration cap per call, and the relative step or
+# bracket width below which a row's shift counts as converged
+_ROOT_MAX_ITER = 200
+_ROOT_XTOL = 4.0 * np.finfo(float).eps
 
 
-def _expand_down(f, start: float, predicate) -> float:
-    """Halve start until predicate(f(x)) holds; x stays positive."""
-    x = start
-    for _ in range(2000):
-        if predicate(f(x)):
-            return x
-        x *= 0.5
-    raise SolverError("bracket expansion toward zero failed")
+def _solve_shift(rule: RuleSpec, a: np.ndarray, p: float, lo, hi) -> np.ndarray:
+    """Per-row shift c in [lo, hi] with sum_j z_j^p = 1, z = a + c.
 
-
-def _expand_up(f, start: float, predicate) -> float:
-    x = start
-    for _ in range(2000):
-        if predicate(f(x)):
-            return x
-        x *= 2.0
-    raise SolverError("bracket expansion toward infinity failed")
-
-
-# --------------------------------------------------------------------------
-# per-family inversion of a canonical (sum-zero) exposure target
-# --------------------------------------------------------------------------
-
-def _invert_quadratic(t: np.ndarray) -> np.ndarray:
-    x = 0.5 * t + 1.0 / t.size
-    if x.min() < -1e-12:
-        raise ExposureRangeError(
-            "target exposure lies outside the quadratic rule's range"
+    At p = 0 the equation is sum_j log z_j = 0.  Either side is monotone
+    in c, so the sign of each Newton step tells which end of the bracket
+    the iterate replaces.  A step that leaves the bracket is replaced by
+    bisection.  Rows leave the iteration as they converge.
+    """
+    k = a.shape[0]
+    lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
+    # start at the end from which Newton approaches the root without
+    # overshooting: hi when sum z^p is convex and increasing (p >= 1),
+    # lo when it is concave and increasing or convex and decreasing
+    out = (hi if p >= 1.0 else lo).copy()
+    rows = np.flatnonzero(hi - lo > _ROOT_XTOL * np.abs(out))
+    a, lo, hi, c = a[rows], lo[rows], hi[rows], out[rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            if rows.size == 0:
+                return out
+            z = a + c[:, None]
+            if p == 0.0:
+                terms = np.log(z)
+                f, df = terms.sum(axis=1), (1.0 / z).sum(axis=1)
+                size = np.abs(terms).sum(axis=1)
+            else:
+                terms = z**p
+                size = terms.sum(axis=1)
+                f, df = size - 1.0, p * (terms / z).sum(axis=1)
+            step = f / df  # positive when c lies past the root
+            hi = np.where(step > 0.0, c, hi)
+            lo = np.where(step < 0.0, c, lo)
+            # converged once the step, or the bracket, is below the larger
+            # of the relative tolerance and the rounding error of f
+            tol = _ROOT_XTOL * (np.abs(c) + size / np.abs(df))
+            done = (np.abs(step) <= tol) | (hi - lo <= tol)
+            c = c - step
+            c = np.where((c > lo) & (c < hi) | done, c, 0.5 * (lo + hi))
+            if np.count_nonzero(done):
+                out[rows[done]] = c[done]
+                keep = ~done
+                rows, a, lo, hi, c = rows[keep], a[keep], lo[keep], hi[keep], c[keep]
+    if rows.size:
+        raise SolverError(
+            f"root-find for rule {rule.label} did not converge in "
+            f"{_ROOT_MAX_ITER} iterations"
         )
-    x = np.maximum(x, 0.0)
-    return x / x.sum()
+    return out
 
 
-def _invert_log(t: np.ndarray) -> np.ndarray:
-    e = np.exp(t - t.max())
-    return e / e.sum()
+def _shift_problem(rule: RuleSpec, T: np.ndarray):
+    """Offsets a, exponents p and q, and bracket [lo, hi] per target row.
 
-
-def _invert_neglog(t: np.ndarray) -> np.ndarray:
-    # g = -1/x; solve sum_j 1/(u_j + d) = 1 with u_j = max(t) - t_j >= 0
-    u = t.max() - t
-
-    def h(d: float) -> float:
-        return float((1.0 / (u + d)).sum())
-
-    lo = 1.0  # h(1) >= 1/(u_min + 1) = 1
-    hi = _expand_up(h, 2.0, lambda v: v < 1.0)
-    d = _bisect(lambda v: h(v) - 1.0, lo, hi)
-    x = 1.0 / (u + d)
-    return x / x.sum()
-
-
-def _invert_power(t: np.ndarray, gamma: float) -> np.ndarray:
-    # g = sign * gamma * x^(gamma-1); x_j = ((u_j + d)/|gamma|)^(1/(gamma-1))
-    u = t.max() - t
-    ag = abs(gamma)
-    expo = 1.0 / (gamma - 1.0)  # negative for both admissible ranges
-
-    def h(d: float) -> float:
-        return float(np.power((u + d) / ag, expo).sum())
-
-    lo = _expand_down(h, 1.0, lambda v: v >= 1.0)
-    hi = _expand_up(h, 2.0 * lo, lambda v: v < 1.0)
-    d = _bisect(lambda v: 1.0 - h(v), lo, hi)
-    x = np.power((u + d) / ag, expo)
-    return x / x.sum()
-
-
-def _invert_hs(t: np.ndarray) -> np.ndarray:
-    # x_j proportional to 1/(u_j + d), with the geometric mean of
-    # (u + d) pinned to 1/n so the gradient identity closes
-    u = t.max() - t
-    n = t.size
-
-    def gm(d: float) -> float:
-        return float(np.exp(np.log(u + d).mean()))
-
-    target = 1.0 / n
-    lo = _expand_down(gm, 1.0, lambda v: v <= target)
-    hi = _expand_up(gm, 2.0 * lo, lambda v: v > target)
-    d = _bisect(lambda v: gm(v) - target, lo, hi)
-    x = 1.0 / (u + d)
-    return x / x.sum()
-
-
-def _invert_tsallis(t: np.ndarray, gamma: float, label: str) -> np.ndarray:
-    # x_j = ((v_j + e)/gamma)^(1/(gamma-1)), v_j = t_j - min(t), e >= 0
-    v = t - t.min()
-    expo = 1.0 / (gamma - 1.0)
-
-    def h(e: float) -> float:
-        return float(np.power((v + e) / gamma, expo).sum())
-
-    h0 = h(0.0)
-    if h0 > 1.0 + 1e-12:
+    For every root-find family the inverse of a (k, n) target array is
+    x_j proportional to z_j^q, z = a + c, where a is each row's gap to
+    its max (neglog, power, hs) or min (tsallis, spherical), rescaled so
+    that the simplex constraint reads sum_j z_j^p = 1 (sum_j log z_j = 0
+    for hs), and the shift c lies in a closed-form bracket.
+    """
+    fam, g, n = rule.family, rule.param, T.shape[1]
+    if fam in ("neglog", "power", "hs"):
+        u = T.max(axis=1, keepdims=True) - T
+        if fam == "neglog":  # g = -1/x: sum_j 1/(u_j + d) = 1, d in [1, n]
+            return u, -1.0, -1.0, 1.0, float(n)
+        if fam == "power":  # x_j = ((u_j + d)/|g|)^(1/(g-1)), d/|g| in [1, n^(1-g)]
+            p = 1.0 / (g - 1.0)
+            return u / abs(g), p, p, 1.0, n ** (1.0 - g)
+        # hs: x_j ~ 1/(u_j + d), geometric mean of u + d pinned to 1/n
+        a = n * u
+        return a, 0.0, -1.0, np.maximum(0.0, 1.0 - a.max(axis=1)), 1.0
+    # tsallis, spherical: shift e >= 0 off v = t - min t, unattainable
+    # when the constraint already overshoots at e = 0
+    v = T - T.min(axis=1, keepdims=True)
+    if fam == "tsallis":  # x_j = ((v_j + e)/g)^(1/(g-1)), e/g in [0, n^(1-g)]
+        p = 1.0 / (g - 1.0)
+        a, q, hi = v / g, p, n ** (1.0 - g)
+    else:  # spherical: v + e on the unit beta-sphere, e in [0, n^(-1/beta)]
+        p = g / (g - 1.0)
+        a, q, hi = v, 1.0 / (g - 1.0), n ** (-1.0 / p)
+    h0 = (a**p).sum(axis=1)
+    if h0.max() > 1.0 + 1e-12:
         raise ExposureRangeError(
-            f"target exposure is not attainable for rule {label}: the "
-            "root of the simplex constraint would need a negative power"
+            f"target exposure is not attainable for rule {rule.label}: "
+            "the simplex constraint overshoots at zero shift"
         )
-    if h0 >= 1.0:
-        e = 0.0
-    else:
-        hi = _expand_up(h, 1.0, lambda val: val >= 1.0)
-        e = _bisect(lambda val: h(val) - 1.0, 0.0, hi)
-    x = np.power((v + e) / gamma, expo)
-    s = x.sum()
-    if not np.isfinite(s) or s <= 0.0:
-        raise SolverError("tsallis inversion produced a degenerate point")
-    return x / s
+    return a, p, q, 0.0, np.where(h0 >= 1.0, 0.0, hi)
 
 
-def _invert_spherical(t: np.ndarray, alpha: float, label: str) -> np.ndarray:
-    # lift t + e*1 onto the unit beta-sphere (beta = a/(a-1)), then pull
-    # back through y -> y^(1/(a-1)) and normalize
-    beta = alpha / (alpha - 1.0)
-    v = t - t.min()
+def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
+    """Forecasts whose canonical exposures are the rows of a (k, n) array.
 
-    def psi(e: float) -> float:
-        return float(np.power(v + e, beta).sum())
-
-    p0 = psi(0.0)
-    if p0 > 1.0 + 1e-12:
-        raise ExposureRangeError(
-            f"target exposure is not attainable for rule {label}: it lies "
-            "outside the unit sphere section swept by the exposure map"
-        )
-    if p0 >= 1.0:
-        e = 0.0
-    else:
-        hi = _expand_up(psi, 1.0, lambda val: val >= 1.0)
-        e = _bisect(lambda val: psi(val) - 1.0, 0.0, hi)
-    y = np.power(v + e, 1.0 / (alpha - 1.0))
-    return y / y.sum()
+    Quadratic and log invert in closed form, every other family through
+    one safeguarded Newton solve for all rows (see _shift_problem).
+    """
+    if rule.family == "quadratic":
+        X = 0.5 * T + 1.0 / T.shape[1]
+        if X.min() < -1e-12:
+            raise ExposureRangeError(
+                "target exposure lies outside the quadratic rule's range"
+            )
+        X = np.maximum(X, 0.0)
+        return X / X.sum(axis=1, keepdims=True)
+    if rule.family == "log":
+        X = np.exp(T - T.max(axis=1, keepdims=True))
+        return X / X.sum(axis=1, keepdims=True)
+    a, p, q, lo, hi = _shift_problem(rule, T)
+    c = _solve_shift(rule, a, p, lo, hi)
+    with np.errstate(divide="ignore"):
+        X = (a + c[:, None]) ** q
+    s = X.sum(axis=1, keepdims=True)
+    if not np.all(np.isfinite(s)) or s.min() <= 0.0:
+        raise SolverError(f"inversion for {rule.label} produced a degenerate point")
+    return X / s
 
 
 def _invert_fast(rule: RuleSpec, t: np.ndarray) -> tuple[np.ndarray, str]:
-    fam = rule.family
-    if fam == "quadratic":
-        return _invert_quadratic(t), CLOSED_FORM
-    if fam == "log":
-        return _invert_log(t), CLOSED_FORM
-    if fam == "neglog":
-        return _invert_neglog(t), ROOT_FIND
-    if fam == "power":
-        return _invert_power(t, rule.param), ROOT_FIND
-    if fam == "hs":
-        return _invert_hs(t), ROOT_FIND
-    if fam == "tsallis":
-        return _invert_tsallis(t, rule.param, rule.label), ROOT_FIND
-    if fam == "spherical":
-        return _invert_spherical(t, rule.param, rule.label), ROOT_FIND
-    raise AssertionError(fam)
+    method = CLOSED_FORM if rule.family in ("quadratic", "log") else ROOT_FIND
+    return _invert_rows(rule, t[None])[0], method
 
 
 # --------------------------------------------------------------------------
@@ -459,25 +411,8 @@ def tsallis_invert(gamma: float, v) -> Forecast:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
         raise ValueError("expected a finite vector of power averages")
-    expo = 1.0 / (gamma - 1.0)
-
-    def h(c: float) -> float:
-        return float(np.power(v + c, expo).sum())
-
-    lo = -float(v.min())  # smallest c keeping all bases nonnegative
-    h0 = h(lo)
-    if h0 > 1.0 + 1e-12:
-        raise ExposureRangeError(
-            "no admissible constant: the simplex constraint requires a "
-            "negative base, so the average is outside the exposure range"
-        )
-    if h0 >= 1.0:
-        c = lo
-    else:
-        hi = _expand_up(h, max(1.0, 2.0 * abs(lo)), lambda val: val >= 1.0)
-        c = _bisect(lambda val: h(val) - 1.0, lo, hi)
-    x = np.power(np.maximum(v + c, 0.0), expo)
-    return Forecast(x / x.sum())
+    # gamma * v is the tsallis exposure average, up to the free shift
+    return Forecast(_invert_rows(RuleSpec.tsallis(gamma), gamma * v[None])[0])
 
 
 def spherical_pool(alpha: float, inputs) -> PoolResult:
@@ -486,31 +421,12 @@ def spherical_pool(alpha: float, inputs) -> PoolResult:
     Steps: map each forecast to its raw exposure on the unit
     beta-sphere (beta = alpha/(alpha-1)); average; shift along the
     all-ones direction back onto the sphere; pull back through
-    y -> y^(1/(alpha-1)) and normalize.
+    y -> y^(1/(alpha-1)) and normalize.  This is qa_pool under the
+    spherical rule, whose inverter takes exactly these steps.
     """
     if not alpha > 1.0:
         raise ConfigError("spherical pooling requires alpha > 1")
-    rule = RuleSpec.spherical(alpha)
-    forecasts, w, total = _prepare(inputs)
-    if _all_equal(forecasts):
-        return PoolResult(forecasts[0], total, 0.0, CLOSED_FORM)
-    beta = alpha / (alpha - 1.0)
-    raw = np.stack([_gradient(rule, f.probs) for f in forecasts])
-    v = w @ raw  # inside the unit beta-ball, nonnegative coordinates
-
-    def psi(e: float) -> float:
-        return float(np.power(v + e, beta).sum())
-
-    p0 = psi(0.0)
-    if p0 >= 1.0:
-        shift = 0.0  # averages land inside the ball; equality up to rounding
-    else:
-        hi = _expand_up(psi, 1.0, lambda val: val >= 1.0)
-        shift = _bisect(lambda val: psi(val) - 1.0, 0.0, hi)
-    y = np.power(v + shift, 1.0 / (alpha - 1.0))
-    pooled = Forecast(y / y.sum())
-    res = _residual(rule, pooled, canonicalize(v))
-    return PoolResult(pooled, total, res, ROOT_FIND)
+    return qa_pool(RuleSpec.spherical(alpha), inputs)
 
 
 def generalized_pool(

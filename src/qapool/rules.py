@@ -244,29 +244,31 @@ def _check_domain(rule: RuleSpec, p: Forecast) -> None:
         )
 
 
-def _expected(rule: RuleSpec, p: np.ndarray) -> float:
+def _expected(rule: RuleSpec, p: np.ndarray):
+    """G over the last axis of a (..., n) array of forecasts."""
     fam = rule.family
     if fam == "quadratic":
-        return float(np.dot(p, p))
+        return (p * p).sum(axis=-1)
     if fam == "log":
-        return float(np.dot(p, np.log(p)))
+        return (p * np.log(p)).sum(axis=-1)
     if fam == "neglog":
-        return float(-np.log(p).sum())
+        return -np.log(p).sum(axis=-1)
     if fam == "power":
         g = rule.param
         sign = -1.0 if 0.0 < g < 1.0 else 1.0
-        return float(sign * np.power(p, g).sum())
+        return sign * np.power(p, g).sum(axis=-1)
     if fam == "spherical":
         a = rule.param
-        return float(np.power(p, a).sum() ** (1.0 / a))
+        return np.power(p, a).sum(axis=-1) ** (1.0 / a)
     if fam == "tsallis":
-        return float(np.power(p, rule.param).sum())
+        return np.power(p, rule.param).sum(axis=-1)
     if fam == "hs":
-        return float(-np.exp(np.log(p).sum() / p.size))
+        return -np.exp(np.log(p).sum(axis=-1) / p.shape[-1])
     raise AssertionError(fam)
 
 
 def _gradient(rule: RuleSpec, p: np.ndarray) -> np.ndarray:
+    """Raw gradient of G along the last axis of a (..., n) array."""
     fam = rule.family
     if fam == "quadratic":
         return 2.0 * p
@@ -280,15 +282,23 @@ def _gradient(rule: RuleSpec, p: np.ndarray) -> np.ndarray:
         return sign * g * np.power(p, g - 1.0)
     if fam == "spherical":
         a = rule.param
-        s = np.power(p, a).sum()
+        s = np.power(p, a).sum(axis=-1, keepdims=True)
         return s ** (1.0 / a - 1.0) * np.power(p, a - 1.0)
     if fam == "tsallis":
         g = rule.param
         return g * np.power(p, g - 1.0)
     if fam == "hs":
-        geo = np.exp(np.log(p).sum() / p.size)
-        return -geo / (p.size * p)
+        n = p.shape[-1]
+        geo = np.exp(np.log(p).sum(axis=-1, keepdims=True) / n)
+        return -geo / (n * p)
     raise AssertionError(fam)
+
+
+def _score_rows(rule: RuleSpec, p: np.ndarray, j0) -> np.ndarray:
+    """Scores of the rows of a (k, n) forecast array at 0-based outcomes j0."""
+    g = _gradient(rule, p)
+    g -= g.sum(axis=1, keepdims=True) / p.shape[1]
+    return _expected(rule, p) + g[np.arange(p.shape[0]), j0] - (g * p).sum(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +309,7 @@ def expected_reward(rule: RuleSpec, forecast) -> float:
     """G(p): the expected score of a truthful expert who believes p."""
     p = as_forecast(forecast)
     _check_domain(rule, p)
-    return _expected(rule, p.probs)
+    return float(_expected(rule, p.probs))
 
 
 def exposure(rule: RuleSpec, forecast) -> ExposureVector:
@@ -332,10 +342,10 @@ def bregman(rule: RuleSpec, forecast_p, forecast_q) -> float:
     _check_domain(rule, p)
     _check_domain(rule, q)
     gq = canonicalize(_gradient(rule, q.probs))
-    return (
+    return float(
         _expected(rule, p.probs)
         - _expected(rule, q.probs)
-        - float(np.dot(gq, p.probs - q.probs))
+        - np.dot(gq, p.probs - q.probs)
     )
 
 

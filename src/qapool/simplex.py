@@ -23,7 +23,8 @@ __all__ = [
 def canonicalize(v: np.ndarray) -> np.ndarray:
     """Project onto the sum-zero hyperplane by subtracting the mean."""
     v = np.asarray(v, dtype=float)
-    return v - v.mean()
+    # the value of v.mean(), without its Python-level overhead on hot paths
+    return v - v.sum() / v.size
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -65,9 +66,12 @@ def uniform_point(n: int) -> np.ndarray:
 def random_simplex_point(
     rng: np.random.Generator, n: int, floor: float = 0.0
 ) -> np.ndarray:
-    """Draw from Dirichlet(1, ..., 1), optionally resampling into the
-    interior shell {p : min_j p_j >= floor}."""
-    while True:
-        p = rng.dirichlet(np.ones(n))
-        if p.min() >= floor:
-            return p
+    """Draw uniformly from the shell {p : min_j p_j >= floor}.
+
+    floor + (1 - n*floor) * Dirichlet(1, ..., 1) is exactly the uniform
+    law on that shrunken simplex; requires n*floor < 1.
+    """
+    slack = 1.0 - n * floor
+    if slack <= 0.0:
+        raise ValueError("floor too large for the dimension")
+    return floor + slack * rng.dirichlet(np.ones(n))

@@ -1,10 +1,15 @@
 """File formats, CLI commands, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qapool
 from qapool.cli import main
 from qapool.files import (
     ForecastFile,
@@ -123,6 +128,16 @@ class TestStreamFiles:
         )
         with pytest.raises(ValueError):
             load_stream_file(path)
+
+    @pytest.mark.parametrize("outcome", [True, 2.7, 1.0, "1"])
+    def test_outcome_must_be_a_json_integer(self, tmp_path, outcome):
+        path = tmp_path / "s.json"
+        steps = [{"forecasts": [[0.5, 0.5]], "outcome": 1}] * 2
+        steps.append({"forecasts": [[0.5, 0.5]], "outcome": outcome})
+        path.write_text(json.dumps({"steps": steps}))
+        with pytest.raises(ValueError, match="step 2"):
+            load_stream_file(path)
+        assert main(["learn", "quadratic", str(path)]) == 1
 
     def test_varying_expert_count(self, tmp_path):
         path = tmp_path / "s.json"
@@ -259,6 +274,20 @@ class TestCmdAuditAndProbe:
         doc = json.loads(capsys.readouterr().out)
         assert doc["all_passed"] is True
         assert doc["exposure_probe"]["failures"] == 0
+
+    def test_audit_log_n200_finishes(self):
+        # rejection sampling of the open-domain shell {p >= 1e-3} would
+        # accept about one Dirichlet draw in 5e19 at n = 200
+        env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "qapool.cli", "audit", "log", "--n", "200"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["all_passed"] is True
 
     def test_audit_log_n2_monotonicity(self, capsys):
         assert main(["audit", "log", "--n", "2", "--samples", "40"]) == 0

@@ -11,6 +11,7 @@ from qapool import (
     ExposureRangeError,
     Forecast,
     RuleSpec,
+    SolverError,
     bregman,
     exposure,
     generalized_pool,
@@ -19,7 +20,16 @@ from qapool import (
     spherical_pool,
     tsallis_invert,
 )
-from qapool.pooling import BREGMAN_MIN, CLOSED_FORM, CONVEX_MIN, ROOT_FIND
+from qapool.pooling import (
+    BREGMAN_MIN,
+    CLOSED_FORM,
+    CONVEX_MIN,
+    ROOT_FIND,
+    _invert_rows,
+    _shift_problem,
+    _solve_shift,
+)
+from qapool.rules import _gradient
 
 from conftest import CONVEX_RULES, RULE_IDS, random_instance, random_probs
 from oracles import (
@@ -318,6 +328,100 @@ class TestGeneralizedPool:
         ).coords
         grad = _gradient(rule, res.pooled.probs) - target
         assert kkt_residual(grad, res.pooled.probs) <= 1e-7
+
+
+# the five root-find families at their default parameters, plus the
+# parameter ranges where the kernel's exponents change sign or convexity
+KERNEL_RULES = [
+    RuleSpec.neglog(),
+    RuleSpec.power(0.5),
+    RuleSpec.hs(),
+    RuleSpec.tsallis(1.5),
+    RuleSpec.spherical(2.0),
+    RuleSpec.power(-1.0),
+    RuleSpec.spherical(3.0),
+    RuleSpec.tsallis(2.0),
+]
+KERNEL_IDS = [r.label for r in KERNEL_RULES]
+
+
+def kernel_targets(rng, rule, n, k=6, smallest=1e-6):
+    """k canonical targets from random forecasts; row 0 has a coordinate
+    at ``smallest`` and row 1 one just above it."""
+    X = rng.dirichlet(np.ones(n), size=k)
+    X[0, 0], X[1, -1] = smallest, 10.0 * smallest
+    X = np.maximum(X, smallest)
+    X /= X.sum(axis=1, keepdims=True)
+    T = _gradient(rule, X)
+    return T - T.mean(axis=1, keepdims=True)
+
+
+class TestRowKernel:
+    @pytest.mark.parametrize("rule", CONVEX_RULES, ids=RULE_IDS)
+    def test_batch_rows_match_single_row_calls(self, rule, rng):
+        for n in (2, 3, 50):
+            T = kernel_targets(rng, rule, n)
+            batch = _invert_rows(rule, T)
+            for i in range(T.shape[0]):
+                single = _invert_rows(rule, T[i : i + 1])[0]
+                assert np.abs(batch[i] - single).max() <= 1e-15
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_IDS)
+    def test_exposure_of_inverse_is_target(self, rule, rng):
+        for n in (2, 3, 50):
+            T = kernel_targets(rng, rule, n)
+            X = _invert_rows(rule, T)
+            G = _gradient(rule, X)
+            G -= G.mean(axis=1, keepdims=True)
+            for g, t in zip(G, T):
+                assert np.linalg.norm(g - t) <= 1e-8 * max(1.0, np.linalg.norm(t))
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_IDS)
+    def test_shift_agrees_with_scipy_find_root(self, rule, rng):
+        find_root = pytest.importorskip("scipy.optimize.elementwise").find_root
+        eps = np.finfo(float).eps
+        for n in (2, 3, 50):
+            a, p, _, lo, hi = _shift_problem(rule, kernel_targets(rng, rule, n))
+            c = _solve_shift(rule, a, p, lo, hi)
+            lo, hi = np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape)
+            open_ = hi > lo
+
+            def f(x, *cols):
+                z = np.stack(cols, axis=-1) + x[..., None]
+                return np.log(z).sum(axis=-1) if p == 0.0 else (z**p).sum(axis=-1) - 1.0
+
+            with np.errstate(divide="ignore"):
+                res = find_root(f, (lo[open_], hi[open_]), args=tuple(a[open_].T))
+            assert np.all(res.success)
+            # agreement to the root's float64 resolution: eps*|c| plus the
+            # rounding error of the residual divided by its slope
+            z = a[open_] + c[open_, None]
+            if p == 0.0:
+                size, slope = np.abs(np.log(z)).sum(axis=1), (1.0 / z).sum(axis=1)
+            else:
+                size, slope = (z**p).sum(axis=1), abs(p) * (z ** (p - 1.0)).sum(axis=1)
+            resolution = eps * (np.abs(c[open_]) + size / slope)
+            assert np.all(np.abs(res.x - c[open_]) <= 16.0 * resolution)
+
+    @pytest.mark.parametrize("rule", KERNEL_RULES, ids=KERNEL_IDS)
+    def test_iteration_cap_raises(self, rule, rng, monkeypatch):
+        import qapool.pooling as pooling
+
+        monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", 1)
+        with pytest.raises(SolverError, match=rule.label):
+            _invert_rows(rule, kernel_targets(rng, rule, 3))
+
+    def test_public_inverters_use_the_kernel(self, rng, monkeypatch):
+        import qapool.pooling as pooling
+
+        monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", 1)
+        inputs = random_instance(rng, RuleSpec.hs(), 3, 2)
+        with pytest.raises(SolverError):
+            qa_pool(RuleSpec.hs(), inputs)
+        with pytest.raises(SolverError):
+            spherical_pool(2.0, inputs)
+        with pytest.raises(SolverError):
+            tsallis_invert(1.5, [0.2, 0.3, 0.6])
 
 
 @st.composite

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapool import project_to_simplex
-from qapool.simplex import project_simplex, project_simplex_floor
+from qapool.simplex import project_simplex, project_simplex_floor, random_simplex_point
 
 from oracles import project_simplex_faces
 
@@ -89,3 +89,27 @@ class TestProjectSimplexFloor:
         for _ in range(2000):
             z = rng.dirichlet(np.ones(3)) * 0.7 + 0.1
             assert np.linalg.norm(z - y) >= d - 1e-9
+
+
+class TestRandomSimplexPoint:
+    def test_stays_in_shell_at_large_n(self, rng):
+        for n, floor in ((3, 0.2), (200, 1e-3), (1000, 9e-4)):
+            p = random_simplex_point(rng, n, floor)
+            assert p.min() >= floor
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_floor_is_plain_dirichlet(self):
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        assert np.array_equal(random_simplex_point(a, 4), b.dirichlet(np.ones(4)))
+
+    def test_marginal_matches_shrunken_uniform(self, rng):
+        # under the uniform law on {p >= f}, (p_1 - f)/(1 - n f) is Beta(1, n-1)
+        n, floor = 3, 0.1
+        draws = np.array([random_simplex_point(rng, n, floor)[0] for _ in range(4000)])
+        z = (draws - floor) / (1.0 - n * floor)
+        assert z.mean() == pytest.approx(1.0 / n, abs=0.02)
+        assert np.mean(z <= 0.5) == pytest.approx(1.0 - 0.5 ** (n - 1), abs=0.03)
+
+    def test_rejects_infeasible_floor(self, rng):
+        with pytest.raises(ValueError):
+            random_simplex_point(rng, 4, 0.25)
