@@ -24,14 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ExposureRangeError, SolverError
-from .pooling import WeightedForecast, as_weighted, invert_exposure, qa_pool
+from .pooling import WeightedForecast, _prepare, invert_exposure, qa_pool
 from .rules import (
     Forecast,
     RuleSpec,
     as_forecast,
     exposure,
     has_convex_exposure,
-    score,
+    _exposures,
+    _score_matrix,
 )
 from .simplex import random_simplex_point
 
@@ -114,7 +115,7 @@ class ExposureProbeReport:
 
     @property
     def failure_rate(self) -> float:
-        return self.failures / self.samples if self.samples else 0.0
+        return self.failures / self.samples
 
 
 @dataclass(frozen=True)
@@ -137,32 +138,16 @@ class ConcavityReport:
 # max-min surplus
 # --------------------------------------------------------------------------
 
-def _normalized(inputs) -> tuple[list[Forecast], np.ndarray]:
-    wfs = [as_weighted(x) for x in inputs]
-    w = np.array([wf.weight for wf in wfs], dtype=float)
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("need positive total weight")
-    return [wf.forecast for wf in wfs], w / total
+def _utilities(rule: RuleSpec, reports: np.ndarray, inputs) -> np.ndarray:
+    """U[r, j-1] = u(report r; j) for the rows of a (k, n) report array."""
+    forecasts, w, _ = _prepare(inputs)
+    k = reports.shape[0]
+    S = _score_matrix(rule, np.vstack([reports] + [f.probs for f in forecasts]))
+    return S[:k] - w @ S[k:]
 
 
-def aggregator_utility(rule: RuleSpec, report, inputs, j: int) -> float:
-    """Profit of reporting ``report`` while paying the experts: the
-    report's score minus the weighted average of expert scores."""
-    forecasts, w = _normalized(inputs)
-    r = as_forecast(report)
-    paid = sum(wi * score(rule, f, j) for wi, f in zip(w, forecasts) if wi > 0.0)
-    return score(rule, r, j) - paid
-
-
-def surplus_report(rule: RuleSpec, inputs) -> SurplusReport:
-    """Utilities of the pool across outcomes, with their spread."""
-    pool = qa_pool(rule, inputs)
-    forecasts, _ = _normalized(inputs)
-    n = forecasts[0].n
-    u = np.array(
-        [aggregator_utility(rule, pool.pooled, inputs, j) for j in range(1, n + 1)]
-    )
+def _surplus(rule: RuleSpec, report: Forecast, inputs) -> SurplusReport:
+    u = _utilities(rule, report.probs[None], inputs)[0]
     return SurplusReport(
         per_outcome_utility=u,
         surplus=float(u.min()),
@@ -170,31 +155,41 @@ def surplus_report(rule: RuleSpec, inputs) -> SurplusReport:
     )
 
 
+def aggregator_utility(rule: RuleSpec, report, inputs, j: int) -> float:
+    """Profit of reporting ``report`` while paying the experts: the
+    report's score minus the weighted average of expert scores."""
+    r = as_forecast(report)
+    if not 1 <= j <= r.n:
+        raise IndexError(f"outcome {j} out of range 1..{r.n}")
+    return float(_utilities(rule, r.probs[None], inputs)[0, j - 1])
+
+
+def surplus_report(rule: RuleSpec, inputs) -> SurplusReport:
+    """Utilities of the pool across outcomes, with their spread."""
+    return _surplus(rule, qa_pool(rule, inputs).pooled, inputs)
+
+
 def maxmin_verify(rule: RuleSpec, inputs, trials: int, seed: int = 0) -> bool:
     """Check that no sampled alternative report beats the pool's
     guaranteed utility beyond tolerance 1e-10."""
-    pool = qa_pool(rule, inputs)
-    forecasts, _ = _normalized(inputs)
-    n = forecasts[0].n
-    base = min(
-        aggregator_utility(rule, pool.pooled, inputs, j) for j in range(1, n + 1)
-    )
+    pool = qa_pool(rule, inputs).pooled.probs
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        q = sample_forecast(rng, n, rule)
-        if np.linalg.norm(q.probs - pool.pooled.probs) < 1e-9:
-            continue
-        challenger = min(
-            aggregator_utility(rule, q, inputs, j) for j in range(1, n + 1)
-        )
-        if challenger >= base + 1e-10:
-            return False
-    return True
+    Q = np.array([sample_forecast(rng, pool.size, rule).probs for _ in range(trials)])
+    Q = Q.reshape(-1, pool.size)
+    Q = Q[np.linalg.norm(Q - pool, axis=1) >= 1e-9]
+    worst = _utilities(rule, np.vstack([pool, Q]), inputs).min(axis=1)
+    return not np.any(worst[1:] >= worst[0] + 1e-10)
 
 
 # --------------------------------------------------------------------------
 # axiom suite
 # --------------------------------------------------------------------------
+
+def _check_samples(samples: int) -> None:
+    # a check over no draws would pass vacuously
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+
 
 def _pair(rule: RuleSpec, a: WeightedForecast, b: WeightedForecast) -> WeightedForecast:
     """The binary arbitrary-weight pooling operator."""
@@ -212,6 +207,7 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
     Requires convex exposure at dimension n (the operator must be total
     for the axioms to be well-posed).
     """
+    _check_samples(samples)
     if not has_convex_exposure(rule, n):
         raise ConfigError(
             f"rule {rule.label} lacks convex exposure at n={n}; "
@@ -335,13 +331,9 @@ def _distinct_points(
 
 
 def _cycle_sum(rule: RuleSpec, pts: list[Forecast]) -> float:
-    total = 0.0
-    for i, cur in enumerate(pts):
-        prev = pts[i - 1]
-        total += float(
-            np.dot(exposure(rule, cur).coords, cur.probs - prev.probs)
-        )
-    return total
+    P = np.stack([p.probs for p in pts])
+    steps = P - np.roll(P, 1, axis=0)  # p_i - p_(i-1), cyclically
+    return sum(float(np.dot(e, d)) for e, d in zip(_exposures(rule, P), steps))
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +348,7 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
     weight one half, the canonical witness separating the tsallis
     family above parameter 2.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     failures = 0
     solver_failures = 0
@@ -373,10 +366,7 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
 
     canonical: bool | None = None
     if rule.domain_kind == "closed" and n > 2:
-        t = 0.5 * (
-            exposure(rule, Forecast.one_hot(n, 1)).coords
-            + exposure(rule, Forecast.one_hot(n, 2)).coords
-        )
+        t = 0.5 * _exposures(rule, np.eye(n)[:2]).sum(axis=0)  # e_1 and e_2
         try:
             invert_exposure(rule, t)
             canonical = False
@@ -398,6 +388,7 @@ def concavity_probe(
     pooled score: WS(c v + (1-c) w) - c WS(v) - (1-c) WS(w)."""
     from .learning import weight_score  # local import: avoid cycle at import time
 
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     worst = np.inf
     for _ in range(samples):

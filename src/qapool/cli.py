@@ -18,19 +18,13 @@ import csv
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import analysis, files, learning, pooling
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    DomainError,
-    ExposureRangeError,
-    QapoolError,
-    SolverError,
-)
-from .rules import RuleSpec, has_convex_exposure, parse_rule
+from .errors import ExposureRangeError, QapoolError, SolverError
+from .rules import _expected, _score_matrix, has_convex_exposure, parse_rule
 
 __all__ = ["main", "build_parser"]
 
@@ -129,40 +123,15 @@ def build_parser() -> argparse.ArgumentParser:
 # helpers
 # --------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    return obj
-
-
 def _emit(doc: dict) -> None:
-    sys.stdout.write(json.dumps(_jsonable(doc), sort_keys=True) + "\n")
+    # numpy values go out as the lists and numbers they hold; NaN and
+    # infinity have no JSON spelling, so fail rather than emit them
+    out = json.dumps(doc, sort_keys=True, allow_nan=False, default=lambda o: o.tolist())
+    sys.stdout.write(out + "\n")
 
 
 def _seed_of(args) -> int:
     return _default_seed() if args.seed is None else args.seed
-
-
-def _utilities(rule: RuleSpec, report, inputs) -> dict:
-    n = report.n
-    u = np.array(
-        [analysis.aggregator_utility(rule, report, inputs, j) for j in range(1, n + 1)]
-    )
-    return {
-        "per_outcome_utility": u,
-        "surplus": float(u.min()),
-        "equalization_gap": float(u.max() - u.min()),
-    }
 
 
 # --------------------------------------------------------------------------
@@ -195,7 +164,7 @@ def _cmd_pool(args) -> int:
         "total_weight": result.total_weight,
         "residual": result.residual,
         "method": result.method,
-        "surplus_report": _utilities(rule, result.pooled, inputs),
+        "surplus_report": asdict(analysis._surplus(rule, result.pooled, inputs)),
     }
     if ff.labels is not None:
         doc["labels"] = list(ff.labels)
@@ -217,21 +186,19 @@ def _cmd_pool(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    from .rules import expected_reward, score
-
     rule = parse_rule(args.rule)
     ff = files.load_forecast_file(args.input)
     outcomes = [args.outcome] if args.outcome is not None else list(range(1, ff.n + 1))
+    if not all(1 <= j <= ff.n for j in outcomes):
+        raise _UsageError(f"--outcome {args.outcome} out of range 1..{ff.n}")
+    P = np.array([e.forecast.probs for e in ff.experts])
+    S = _score_matrix(rule, P)[:, np.array(outcomes) - 1]
     doc = {
         "rule": rule.label,
         "outcomes": outcomes,
         "experts": [
-            {
-                "id": e.id,
-                "expected_reward": expected_reward(rule, e.forecast),
-                "scores": [score(rule, e.forecast, j) for j in outcomes],
-            }
-            for e in ff.experts
+            {"id": e.id, "expected_reward": g, "scores": s}
+            for e, g, s in zip(ff.experts, _expected(rule, P), S)
         ],
     }
     _emit(doc)
@@ -345,18 +312,7 @@ def _cmd_audit(args) -> int:
 def _cmd_probe(args) -> int:
     rule = parse_rule(args.rule)
     probe = analysis.exposure_probe(rule, args.n, args.samples, _seed_of(args))
-    _emit(
-        {
-            "rule": probe.rule,
-            "n": probe.n,
-            "samples": probe.samples,
-            "seed": probe.seed,
-            "failures": probe.failures,
-            "failure_rate": probe.failure_rate,
-            "solver_failures": probe.solver_failures,
-            "canonical_vertex_failure": probe.canonical_vertex_failure,
-        }
-    )
+    _emit({**asdict(probe), "failure_rate": probe.failure_rate})
     return 0
 
 
@@ -385,7 +341,7 @@ def main(argv=None) -> int:
     except SolverError as e:
         print(f"qapool: solver failure: {e}", file=sys.stderr)
         return 3
-    except (ConfigError, DomainError, DegenerateError, QapoolError) as e:
+    except QapoolError as e:  # ConfigError, DomainError, DegenerateError
         print(f"qapool: error: {e}", file=sys.stderr)
         return 1
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as e:

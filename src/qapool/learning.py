@@ -22,9 +22,9 @@ from .rules import (
     Forecast,
     RuleSpec,
     as_forecast,
-    exposure,
     exposure_norm_bound,
-    _score_rows,
+    _exposures,
+    _score_matrix,
 )
 from .simplex import canonicalize, project_simplex, uniform_point
 
@@ -172,15 +172,10 @@ class _StreamEvaluator:
 
     def __init__(self, rule: RuleSpec, steps) -> None:
         self.rule = rule
-        self.T = len(steps)
-        self.m = len(steps[0][0])
-        self.n = steps[0][0][0].n
-        self.E = np.empty((self.T, self.m, self.n))
-        self.J = np.empty(self.T, dtype=int)
-        for t, (fs, j) in enumerate(steps):
-            for i, f in enumerate(fs):
-                self.E[t, i] = exposure(rule, f).coords
-            self.J[t] = j - 1
+        P = np.array([[f.probs for f in fs] for fs, _ in steps])
+        self.E = _exposures(rule, P)
+        self.T, self.m, self.n = self.E.shape
+        self.J = np.array([j - 1 for _, j in steps], dtype=int)
 
     def exposure_sup(self) -> float:
         return float(np.linalg.norm(self.E, axis=2).max())
@@ -193,12 +188,13 @@ class _StreamEvaluator:
 
     def step_loss_and_grad(self, t: int, w: np.ndarray) -> tuple[float, np.ndarray]:
         x = self.pools(w, self.E[t : t + 1])
-        loss = -float(_score_rows(self.rule, x, self.J[t])[0])
+        loss = -float(_score_matrix(self.rule, x)[0, self.J[t]])
         x[0, self.J[t]] -= 1.0  # x - e_j, the loss gradient's direction
         return loss, canonicalize(self.E[t] @ x[0])
 
     def per_step_losses(self, w: np.ndarray) -> np.ndarray:
-        return -_score_rows(self.rule, self.pools(w, self.E), self.J)
+        S = _score_matrix(self.rule, self.pools(w, self.E))
+        return -S[np.arange(self.T), self.J]
 
     def total_loss(self, w: np.ndarray) -> float:
         return float(self.per_step_losses(w).sum())
@@ -213,25 +209,22 @@ class _StreamEvaluator:
 # public operations
 # --------------------------------------------------------------------------
 
-def weight_score(rule: RuleSpec, forecasts, w, j: int) -> float:
-    """Score of the pool of ``forecasts`` under weights ``w`` at outcome j."""
+def _one_step(rule: RuleSpec, forecasts, w, j: int) -> tuple[float, np.ndarray]:
     wv = as_weight_vector(w)
     fs = [as_forecast(f) for f in forecasts]
     if len(fs) != wv.m:
         raise ValueError("one weight per forecast required")
-    ev = _StreamEvaluator(rule, [(fs, j)])
-    return -float(ev.per_step_losses(wv.weights)[0])
+    return _StreamEvaluator(rule, [(fs, j)]).step_loss_and_grad(0, wv.weights)
+
+
+def weight_score(rule: RuleSpec, forecasts, w, j: int) -> float:
+    """Score of the pool of ``forecasts`` under weights ``w`` at outcome j."""
+    return -_one_step(rule, forecasts, w, j)[0]
 
 
 def loss_gradient(rule: RuleSpec, forecasts, w, j: int) -> np.ndarray:
     """Gradient in w of the loss -weight_score, canonicalized to sum zero."""
-    wv = as_weight_vector(w)
-    fs = [as_forecast(f) for f in forecasts]
-    if len(fs) != wv.m:
-        raise ValueError("one weight per forecast required")
-    ev = _StreamEvaluator(rule, [(fs, j)])
-    _, grad = ev.step_loss_and_grad(0, wv.weights)
-    return grad
+    return _one_step(rule, forecasts, w, j)[1]
 
 
 def project_to_simplex(y) -> WeightVector:
@@ -253,7 +246,7 @@ def _solve_offline(
         tol=tol,
         max_iter=max_iter,
     )
-    if not converged and kkt > 1e-6:
+    if not converged and not kkt <= 1e-6:
         raise SolverError(
             f"offline weight optimization stalled at KKT residual {kkt:.3e}"
         )

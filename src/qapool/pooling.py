@@ -5,15 +5,15 @@ the weighted average of the input exposures (an equality in the
 sum-zero space, i.e. modulo the all-ones direction).  Weights are
 normalized internally, so scaling all weights leaves the pool fixed.
 
-Inversion dispatch: quadratic and log invert in closed form (affine map
-and softmax); neglog, power, hs, tsallis and spherical reduce to one
-monotone equation per target for the additive constant that the
-all-ones quotient leaves free, with a closed-form bracket per family.
-One safeguarded Newton kernel solves that equation for a whole (k, n)
-array of targets at once (a single pool is a one-row batch) and raises
-SolverError when it runs out of iterations.  A generic
-convex-minimization fallback covers everything and doubles as a
-cross-check oracle.
+Inversion follows the rule's family record (rules._Family): quadratic
+and log invert in closed form (affine map and softmax); neglog, power,
+hs, tsallis and spherical reduce to one monotone equation per target
+for the additive constant that the all-ones quotient leaves free, with
+a closed-form bracket per family.  One safeguarded Newton kernel
+solves that equation for a whole (k, n) array of targets at once (a
+single pool is a one-row batch) and raises SolverError when it runs
+out of iterations.  A generic convex-minimization fallback covers
+everything and doubles as a cross-check oracle.
 
 The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the closed simplex of the weighted sum of Bregman
@@ -28,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateError,
-    DomainError,
-    ExposureRangeError,
-    SolverError,
-)
+from .errors import DegenerateError, DomainError, ExposureRangeError, SolverError
 from .optim import projected_gradient
 from .rules import (
     ExposureVector,
@@ -42,6 +36,7 @@ from .rules import (
     RuleSpec,
     as_forecast,
     _expected,
+    _exposures,
     _gradient,
     exposure,
 )
@@ -117,6 +112,9 @@ def _prepare(inputs) -> tuple[list[Forecast], np.ndarray, float]:
     if not wfs:
         raise DegenerateError("cannot pool an empty collection")
     total = float(sum(wf.weight for wf in wfs))
+    if not np.isfinite(total):
+        # normalizing by an infinite total would zero every weight
+        raise ValueError(f"total weight overflows to {total!r}")
     kept = [wf for wf in wfs if wf.weight > 0.0]
     if not kept:
         raise DegenerateError("all weights are zero")
@@ -133,8 +131,7 @@ def _all_equal(forecasts: list[Forecast]) -> bool:
 
 
 def _average_exposure(rule: RuleSpec, forecasts: list[Forecast], w: np.ndarray) -> np.ndarray:
-    rows = np.stack([exposure(rule, f).coords for f in forecasts])
-    return canonicalize(w @ rows)
+    return canonicalize(w @ _exposures(rule, np.stack([f.probs for f in forecasts])))
 
 
 def _residual(rule: RuleSpec, pooled: Forecast, target: np.ndarray) -> float:
@@ -161,6 +158,11 @@ def _solve_shift(rule: RuleSpec, a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     """
     k = a.shape[0]
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
+    if np.isnan(hi).any():  # an empty bracket: no shift meets the constraint
+        raise ExposureRangeError(
+            f"target exposure is not attainable for rule {rule.label}: "
+            "the simplex constraint overshoots at every admissible shift"
+        )
     # start at the end from which Newton approaches the root without
     # overshooting: hi when sum z^p is convex and increasing (p >= 1),
     # lo when it is concave and increasing or convex and decreasing
@@ -202,73 +204,27 @@ def _solve_shift(rule: RuleSpec, a: np.ndarray, p: float, lo, hi) -> np.ndarray:
 
 
 def _shift_problem(rule: RuleSpec, T: np.ndarray):
-    """Offsets a, exponents p and q, and bracket [lo, hi] per target row.
-
-    For every root-find family the inverse of a (k, n) target array is
-    x_j proportional to z_j^q, z = a + c, where a is each row's gap to
-    its max (neglog, power, hs) or min (tsallis, spherical), rescaled so
-    that the simplex constraint reads sum_j z_j^p = 1 (sum_j log z_j = 0
-    for hs), and the shift c lies in a closed-form bracket.
-    """
-    fam, g, n = rule.family, rule.param, T.shape[1]
-    if fam in ("neglog", "power", "hs"):
-        u = T.max(axis=1, keepdims=True) - T
-        if fam == "neglog":  # g = -1/x: sum_j 1/(u_j + d) = 1, d in [1, n]
-            return u, -1.0, -1.0, 1.0, float(n)
-        if fam == "power":  # x_j = ((u_j + d)/|g|)^(1/(g-1)), d/|g| in [1, n^(1-g)]
-            p = 1.0 / (g - 1.0)
-            return u / abs(g), p, p, 1.0, n ** (1.0 - g)
-        # hs: x_j ~ 1/(u_j + d), geometric mean of u + d pinned to 1/n
-        a = n * u
-        return a, 0.0, -1.0, np.maximum(0.0, 1.0 - a.max(axis=1)), 1.0
-    # tsallis, spherical: shift e >= 0 off v = t - min t, unattainable
-    # when the constraint already overshoots at e = 0
-    v = T - T.min(axis=1, keepdims=True)
-    if fam == "tsallis":  # x_j = ((v_j + e)/g)^(1/(g-1)), e/g in [0, n^(1-g)]
-        p = 1.0 / (g - 1.0)
-        a, q, hi = v / g, p, n ** (1.0 - g)
-    else:  # spherical: v + e on the unit beta-sphere, e in [0, n^(-1/beta)]
-        p = g / (g - 1.0)
-        a, q, hi = v, 1.0 / (g - 1.0), n ** (-1.0 / p)
-    h0 = (a**p).sum(axis=1)
-    if h0.max() > 1.0 + 1e-12:
-        raise ExposureRangeError(
-            f"target exposure is not attainable for rule {rule.label}: "
-            "the simplex constraint overshoots at zero shift"
-        )
-    return a, p, q, 0.0, np.where(h0 >= 1.0, 0.0, hi)
+    """Offsets, exponents and bracket per target row (see rules._Family)."""
+    return rule._impl.shift(T, rule.param)
 
 
 def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
     """Forecasts whose canonical exposures are the rows of a (k, n) array.
 
-    Quadratic and log invert in closed form, every other family through
-    one safeguarded Newton solve for all rows (see _shift_problem).
+    Families with a closed-form inverse use it; every other family goes
+    through one safeguarded Newton solve for all rows (see _shift_problem).
     """
-    if rule.family == "quadratic":
-        X = 0.5 * T + 1.0 / T.shape[1]
-        if X.min() < -1e-12:
-            raise ExposureRangeError(
-                "target exposure lies outside the quadratic rule's range"
-            )
-        X = np.maximum(X, 0.0)
-        return X / X.sum(axis=1, keepdims=True)
-    if rule.family == "log":
-        X = np.exp(T - T.max(axis=1, keepdims=True))
-        return X / X.sum(axis=1, keepdims=True)
-    a, p, q, lo, hi = _shift_problem(rule, T)
-    c = _solve_shift(rule, a, p, lo, hi)
-    with np.errstate(divide="ignore"):
-        X = (a + c[:, None]) ** q
+    if rule._impl.closed_form is not None:
+        X = rule._impl.closed_form(T, rule.param)
+    else:
+        a, p, q, lo, hi = _shift_problem(rule, T)
+        c = _solve_shift(rule, a, p, lo, hi)
+        with np.errstate(divide="ignore"):
+            X = (a + c[:, None]) ** q
     s = X.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(s)) or s.min() <= 0.0:
         raise SolverError(f"inversion for {rule.label} produced a degenerate point")
     return X / s
-
-
-def _invert_fast(rule: RuleSpec, t: np.ndarray) -> tuple[np.ndarray, str]:
-    method = CLOSED_FORM if rule.family in ("quadratic", "log") else ROOT_FIND
-    return _invert_rows(rule, t[None])[0], method
 
 
 # --------------------------------------------------------------------------
@@ -322,8 +278,10 @@ def _minimize_tilted(
 
 def _scaled(tol: float, t: np.ndarray) -> float:
     # absolute tolerances widen proportionally once exposure magnitudes
-    # leave the O(1) regime float64 can resolve them in
-    return tol * max(1.0, float(np.linalg.norm(t)))
+    # leave the O(1) regime float64 can resolve them in; the norm is taken
+    # of t / max|t| so that it cannot overflow (unscaled when max|t| <= 1)
+    scale = max(1.0, float(np.abs(t).max()))
+    return tol * max(1.0, scale * float(np.linalg.norm(t / scale)))
 
 
 def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
@@ -331,7 +289,7 @@ def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
     # aim for the absolute tolerance; a spectral-step stall below the
     # scale-aware bound is accepted as float-optimal
     x, kkt, converged = _minimize_tilted(rule, t, floor=floor, tol=1e-8)
-    if not converged and kkt > _scaled(1e-7, t):
+    if not converged and not kkt <= _scaled(1e-7, t):
         raise SolverError(
             f"exposure inversion for {rule.label} stalled at KKT residual {kkt:.3e}"
         )
@@ -339,7 +297,7 @@ def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
     # structural mismatches (minimizer pinned to a face) leave residuals
     # many orders of magnitude above solver noise, so the classification
     # threshold sits well above the first-order float64 resolution
-    if _residual(rule, pooled, t) > _scaled(1e-6, t):
+    if not _residual(rule, pooled, t) <= _scaled(1e-6, t):
         raise ExposureRangeError(
             f"target exposure is not attainable for rule {rule.label}: the "
             "tilted-objective minimizer sits on a face with mismatched gradient"
@@ -363,10 +321,9 @@ def invert_exposure(rule: RuleSpec, target, *, force_generic: bool = False) -> F
     t = target.coords
     if force_generic:
         return Forecast(_invert_generic(rule, t))
-    x, _ = _invert_fast(rule, t)
-    pooled = Forecast(x)
+    pooled = Forecast(_invert_rows(rule, t[None])[0])
     res = _residual(rule, pooled, t)
-    if res > _scaled(1e-8, t):
+    if not res <= _scaled(1e-8, t):
         raise SolverError(
             f"inversion for {rule.label} left residual {res:.3e} above tolerance"
         )
@@ -387,10 +344,11 @@ def qa_pool(rule: RuleSpec, inputs, *, force_generic: bool = False) -> PoolResul
     if force_generic:
         x, method = _invert_generic(rule, t), CONVEX_MIN
     else:
-        x, method = _invert_fast(rule, t)
+        x = _invert_rows(rule, t[None])[0]
+        method = ROOT_FIND if rule._impl.closed_form is None else CLOSED_FORM
     pooled = Forecast(x)
     res = _residual(rule, pooled, t)
-    if method != CONVEX_MIN and res > _scaled(1e-8, t):
+    if method != CONVEX_MIN and not res <= _scaled(1e-8, t):
         raise SolverError(
             f"pooling under {rule.label} left residual {res:.3e} above tolerance"
         )
@@ -406,8 +364,6 @@ def tsallis_invert(gamma: float, v) -> Forecast:
     constraint would force some v_j + c below zero (the failure mode of
     gamma > 2 with more than two outcomes).
     """
-    if not gamma > 1.0:
-        raise ConfigError("tsallis inversion requires gamma > 1")
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
         raise ValueError("expected a finite vector of power averages")
@@ -424,8 +380,6 @@ def spherical_pool(alpha: float, inputs) -> PoolResult:
     y -> y^(1/(alpha-1)) and normalize.  This is qa_pool under the
     spherical rule, whose inverter takes exactly these steps.
     """
-    if not alpha > 1.0:
-        raise ConfigError("spherical pooling requires alpha > 1")
     return qa_pool(RuleSpec.spherical(alpha), inputs)
 
 
@@ -446,10 +400,7 @@ def generalized_pool(
     shrinking the feasible set to {x : x_j >= floor}.
     """
     forecasts, w, total = _prepare(inputs)
-    unbounded = rule.family == "neglog" or (
-        rule.family == "power" and rule.param < 0.0
-    )
-    if unbounded and (floor is None or floor <= 0.0):
+    if not rule._impl.bounded(rule.param) and (floor is None or floor <= 0.0):
         raise DomainError(
             f"rule {rule.label} has unbounded expected reward at the simplex "
             "boundary; supply a positive interior floor"
@@ -463,7 +414,7 @@ def generalized_pool(
     x, kkt, converged = _minimize_tilted(
         rule, t, floor=working_floor, tol=tol, max_iter=max_iter
     )
-    if not converged and kkt > _scaled(1e-7, t):
+    if not converged and not kkt <= _scaled(1e-7, t):
         raise SolverError(
             f"generalized pooling under {rule.label} stalled at KKT "
             f"residual {kkt:.3e}"

@@ -21,15 +21,21 @@ Implemented families (config-string syntax in parentheses):
 
 Rules whose exposure norm diverges at the simplex boundary (log, neglog,
 power, hs) are defined on the open simplex; the rest on the closed one.
+
+Each family is defined by one record of the table ``_FAMILIES`` below
+(see ``_Family`` for its fields); ``RuleSpec`` resolves the record once
+and no other code compares family names.  Adding a family means adding
+one record there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ExposureRangeError
 from .simplex import canonicalize
 
 __all__ = [
@@ -48,13 +54,157 @@ __all__ = [
     "FAMILIES",
 ]
 
-FAMILIES = ("quadratic", "log", "neglog", "power", "spherical", "tsallis", "hs")
-OPEN_DOMAIN_FAMILIES = frozenset({"log", "neglog", "power", "hs"})
-
 SIMPLEX_ATOL = 1e-9
 # smallest admissible coordinate on the open simplex; inputs are rejected,
 # never clipped, below this
 OPEN_MIN = 1e-300
+
+
+# --------------------------------------------------------------------------
+# the family table
+# --------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything the library knows about one rule family.
+
+    Functions take the rule parameter c (None for families without one).
+    G and grad act on the last axis of (..., n) forecast arrays.  The
+    inverse takes a (k, n) array of canonical exposure targets: either a
+    ``closed_form`` returning forecasts up to scale, or a ``shift`` for the
+    problem pooling._solve_shift solves per row: offsets a, exponents p
+    and q, and a bracket [lo, hi] for the shift s with sum_j z_j^p = 1
+    (sum_j log z_j = 0 at p = 0), z = a + s, giving x_j ~ z_j^q.  A NaN
+    upper end marks a row that no forecast attains.
+    """
+
+    G: Callable
+    grad: Callable
+    open_domain: bool = False
+    param: tuple = (lambda c: c is None, "takes no parameter")  # check, message
+    bounded: Callable = lambda c: True  # G is finite on the closed simplex
+    norm_bound: Callable | None = None  # sup of ||grad G||_2 over the simplex
+    convex_exposure: Callable = lambda c: True  # at n > 2; all have it at n = 2
+    closed_form: Callable | None = None
+    shift: Callable | None = None
+
+
+_ABOVE_ONE = (lambda c: c is not None and c > 1.0, "requires parameter > 1")
+
+
+def _quadratic_inverse(T: np.ndarray, c) -> np.ndarray:
+    X = 0.5 * T + 1.0 / T.shape[1]
+    if X.min() < -1e-12:
+        raise ExposureRangeError(
+            "target exposure lies outside the quadratic rule's range"
+        )
+    return np.maximum(X, 0.0)
+
+
+def _below_max(T: np.ndarray) -> np.ndarray:
+    return T.max(axis=1, keepdims=True) - T
+
+
+def _hs_shift(T: np.ndarray, c):
+    # x_j ~ 1/(u_j + d), u = gap below the max, geometric mean of u + d = 1/n
+    a = T.shape[1] * _below_max(T)
+    return a, 0.0, -1.0, np.maximum(0.0, 1.0 - a.max(axis=1)), 1.0
+
+
+def _from_min(T: np.ndarray, scale: float, p: float, q: float, hi: float):
+    """Shift problem on [0, hi] for offsets a = (t - min t)/scale, p > 0."""
+    a = (T - T.min(axis=1, keepdims=True)) / scale
+    h0 = (a**p).sum(axis=1)  # already past the constraint at zero shift?
+    hi = np.where(h0 >= 1.0, 0.0, hi)
+    return a, p, q, 0.0, np.where(h0 > 1.0 + 1e-12, np.nan, hi)
+
+
+def _spherical_shift(T: np.ndarray, c: float):
+    # v + e on the unit b-sphere, v the gap above the min, e in [0, n^(-1/b)]
+    b = c / (c - 1.0)
+    return _from_min(T, 1.0, b, 1.0 / (c - 1.0), T.shape[1] ** (-1.0 / b))
+
+
+def _spherical_grad(p: np.ndarray, c: float) -> np.ndarray:
+    s = np.power(p, c).sum(axis=-1, keepdims=True)
+    return s ** (1.0 / c - 1.0) * np.power(p, c - 1.0)
+
+
+def _hs_G(p: np.ndarray, c) -> np.ndarray:
+    return -np.exp(np.log(p).sum(axis=-1) / p.shape[-1])
+
+
+def _power_sign(c: float) -> float:
+    return -1.0 if 0.0 < c < 1.0 else 1.0
+
+
+_FAMILIES = {
+    "quadratic": _Family(
+        G=lambda p, c: (p * p).sum(axis=-1),
+        grad=lambda p, c: 2.0 * p,
+        norm_bound=lambda c, n: 2.0,  # ||2p|| peaks at a vertex
+        closed_form=_quadratic_inverse,
+    ),
+    "log": _Family(
+        G=lambda p, c: (p * np.log(p)).sum(axis=-1),
+        grad=lambda p, c: np.log(p) + 1.0,
+        open_domain=True,
+        closed_form=lambda T, c: np.exp(T - T.max(axis=1, keepdims=True)),
+    ),
+    "neglog": _Family(
+        G=lambda p, c: -np.log(p).sum(axis=-1),
+        grad=lambda p, c: -1.0 / p,
+        open_domain=True,
+        bounded=lambda c: False,
+        # g = -1/x: sum_j 1/(u_j + d) = 1 with u the gap below the max, d in [1, n]
+        shift=lambda T, c: (_below_max(T), -1.0, -1.0, 1.0, float(T.shape[1])),
+    ),
+    "power": _Family(
+        G=lambda p, c: _power_sign(c) * np.power(p, c).sum(axis=-1),
+        grad=lambda p, c: _power_sign(c) * c * np.power(p, c - 1.0),
+        open_domain=True,
+        param=(
+            lambda c: c is not None and (c < 0.0 or 0.0 < c < 1.0),
+            "requires parameter in (0, 1) or below 0",
+        ),
+        bounded=lambda c: c > 0.0,
+        # x_j = ((u_j + d)/|c|)^(1/(c-1)), d/|c| in [1, n^(1-c)]
+        shift=lambda T, c: (
+            _below_max(T) / abs(c), 1.0 / (c - 1.0), 1.0 / (c - 1.0),
+            1.0, T.shape[1] ** (1.0 - c),
+        ),
+    ),
+    "spherical": _Family(
+        G=lambda p, c: np.power(p, c).sum(axis=-1) ** (1.0 / c),
+        grad=_spherical_grad,
+        param=_ABOVE_ONE,
+        # the raw gradient lives on the unit c/(c-1)-sphere; its l2 norm
+        # peaks at the barycenter for c < 2 and at a vertex for c >= 2
+        norm_bound=lambda c, n: float(n ** max(0.0, 1.0 / c - 0.5)),
+        shift=_spherical_shift,
+    ),
+    "tsallis": _Family(
+        G=lambda p, c: np.power(p, c).sum(axis=-1),
+        grad=lambda p, c: c * np.power(p, c - 1.0),
+        param=_ABOVE_ONE,
+        # sum p^(2(c-1)) peaks at a vertex for c >= 1.5, barycenter below
+        norm_bound=lambda c, n: float(c * n ** max(0.0, 1.5 - c)),
+        convex_exposure=lambda c: c <= 2.0,
+        # x_j = ((v_j + e)/c)^(1/(c-1)), e/c in [0, n^(1-c)]
+        shift=lambda T, c: _from_min(
+            T, c, 1.0 / (c - 1.0), 1.0 / (c - 1.0), T.shape[1] ** (1.0 - c)
+        ),
+    ),
+    "hs": _Family(
+        G=_hs_G,
+        grad=lambda p, c: _hs_G(p, c)[..., None] / (p.shape[-1] * p),
+        open_domain=True,
+        shift=_hs_shift,
+    ),
+}
+
+FAMILIES = tuple(_FAMILIES)
+OPEN_DOMAIN_FAMILIES = frozenset(k for k, f in _FAMILIES.items() if f.open_domain)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -155,26 +305,18 @@ class RuleSpec:
     family: str
     param: float | None = None
     domain_kind: str = field(init=False)
+    _impl: _Family = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ConfigError(f"unknown scoring rule family {self.family!r}")
-        p = self.param
-        if self.family == "spherical":
-            if p is None or not p > 1.0:
-                raise ConfigError("spherical rule requires parameter > 1")
-        elif self.family == "tsallis":
-            if p is None or not p > 1.0:
-                raise ConfigError("tsallis rule requires parameter > 1")
-        elif self.family == "power":
-            if p is None or not (p < 0.0 or 0.0 < p < 1.0):
-                raise ConfigError(
-                    "power rule requires parameter in (0, 1) or below 0"
-                )
-        elif p is not None:
-            raise ConfigError(f"{self.family} rule takes no parameter")
-        kind = "open" if self.family in OPEN_DOMAIN_FAMILIES else "closed"
+        impl = _FAMILIES[self.family]
+        valid, requirement = impl.param
+        if not valid(self.param):
+            raise ConfigError(f"{self.family} rule {requirement}")
+        kind = "open" if impl.open_domain else "closed"
         object.__setattr__(self, "domain_kind", kind)
+        object.__setattr__(self, "_impl", impl)
 
     @classmethod
     def quadratic(cls) -> "RuleSpec":
@@ -233,11 +375,12 @@ def parse_rule(text: str) -> RuleSpec:
 
 
 # --------------------------------------------------------------------------
-# raw functionals per family
+# functionals on stacks of forecasts
 # --------------------------------------------------------------------------
 
-def _check_domain(rule: RuleSpec, p: Forecast) -> None:
-    if rule.domain_kind == "open" and p.probs.min() < OPEN_MIN:
+def _check_domain(rule: RuleSpec, P: np.ndarray) -> None:
+    """Reject any forecast in the array P outside the rule's domain."""
+    if rule.domain_kind == "open" and P.min() < OPEN_MIN:
         raise DomainError(
             f"rule {rule.label} is defined on the open simplex; "
             "got a zero (or sub-representable) probability"
@@ -246,59 +389,29 @@ def _check_domain(rule: RuleSpec, p: Forecast) -> None:
 
 def _expected(rule: RuleSpec, p: np.ndarray):
     """G over the last axis of a (..., n) array of forecasts."""
-    fam = rule.family
-    if fam == "quadratic":
-        return (p * p).sum(axis=-1)
-    if fam == "log":
-        return (p * np.log(p)).sum(axis=-1)
-    if fam == "neglog":
-        return -np.log(p).sum(axis=-1)
-    if fam == "power":
-        g = rule.param
-        sign = -1.0 if 0.0 < g < 1.0 else 1.0
-        return sign * np.power(p, g).sum(axis=-1)
-    if fam == "spherical":
-        a = rule.param
-        return np.power(p, a).sum(axis=-1) ** (1.0 / a)
-    if fam == "tsallis":
-        return np.power(p, rule.param).sum(axis=-1)
-    if fam == "hs":
-        return -np.exp(np.log(p).sum(axis=-1) / p.shape[-1])
-    raise AssertionError(fam)
+    return rule._impl.G(p, rule.param)
 
 
 def _gradient(rule: RuleSpec, p: np.ndarray) -> np.ndarray:
     """Raw gradient of G along the last axis of a (..., n) array."""
-    fam = rule.family
-    if fam == "quadratic":
-        return 2.0 * p
-    if fam == "log":
-        return np.log(p) + 1.0
-    if fam == "neglog":
-        return -1.0 / p
-    if fam == "power":
-        g = rule.param
-        sign = -1.0 if 0.0 < g < 1.0 else 1.0
-        return sign * g * np.power(p, g - 1.0)
-    if fam == "spherical":
-        a = rule.param
-        s = np.power(p, a).sum(axis=-1, keepdims=True)
-        return s ** (1.0 / a - 1.0) * np.power(p, a - 1.0)
-    if fam == "tsallis":
-        g = rule.param
-        return g * np.power(p, g - 1.0)
-    if fam == "hs":
-        n = p.shape[-1]
-        geo = np.exp(np.log(p).sum(axis=-1, keepdims=True) / n)
-        return -geo / (n * p)
-    raise AssertionError(fam)
+    return rule._impl.grad(p, rule.param)
 
 
-def _score_rows(rule: RuleSpec, p: np.ndarray, j0) -> np.ndarray:
-    """Scores of the rows of a (k, n) forecast array at 0-based outcomes j0."""
-    g = _gradient(rule, p)
-    g -= g.sum(axis=1, keepdims=True) / p.shape[1]
-    return _expected(rule, p) + g[np.arange(p.shape[0]), j0] - (g * p).sum(axis=1)
+def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
+    """Canonical exposures of the forecasts on the last axis of P."""
+    _check_domain(rule, P)
+    g = _gradient(rule, P)
+    g -= g.sum(axis=-1, keepdims=True) / P.shape[-1]
+    return g
+
+
+def _score_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
+    """S[i, j-1] = s(p_i; j) for the rows p_i of a (k, n) forecast array.
+
+    The tangent-plane height G(p) + <g(p), e_j - p>, with g canonical.
+    """
+    g = _exposures(rule, P)
+    return _expected(rule, P)[:, None] + g - (g * P).sum(axis=1, keepdims=True)
 
 
 # --------------------------------------------------------------------------
@@ -308,14 +421,14 @@ def _score_rows(rule: RuleSpec, p: np.ndarray, j0) -> np.ndarray:
 def expected_reward(rule: RuleSpec, forecast) -> float:
     """G(p): the expected score of a truthful expert who believes p."""
     p = as_forecast(forecast)
-    _check_domain(rule, p)
+    _check_domain(rule, p.probs)
     return float(_expected(rule, p.probs))
 
 
 def exposure(rule: RuleSpec, forecast) -> ExposureVector:
     """The gradient of G at p, canonicalized to the sum-zero hyperplane."""
     p = as_forecast(forecast)
-    _check_domain(rule, p)
+    _check_domain(rule, p.probs)
     return ExposureVector(_gradient(rule, p.probs))
 
 
@@ -326,11 +439,9 @@ def score(rule: RuleSpec, forecast, j: int) -> float:
     of gradient representative because e_j - p sums to zero.
     """
     p = as_forecast(forecast)
-    _check_domain(rule, p)
     if not 1 <= j <= p.n:
         raise IndexError(f"outcome {j} out of range 1..{p.n}")
-    g = canonicalize(_gradient(rule, p.probs))
-    return _expected(rule, p.probs) + g[j - 1] - float(np.dot(g, p.probs))
+    return _score_matrix(rule, p.probs[None])[0, j - 1]
 
 
 def bregman(rule: RuleSpec, forecast_p, forecast_q) -> float:
@@ -339,9 +450,8 @@ def bregman(rule: RuleSpec, forecast_p, forecast_q) -> float:
     q = as_forecast(forecast_q)
     if p.n != q.n:
         raise ValueError("forecasts have different outcome counts")
-    _check_domain(rule, p)
-    _check_domain(rule, q)
-    gq = canonicalize(_gradient(rule, q.probs))
+    _check_domain(rule, p.probs)
+    gq = _exposures(rule, q.probs)
     return float(
         _expected(rule, p.probs)
         - _expected(rule, q.probs)
@@ -358,9 +468,7 @@ def has_convex_exposure(rule: RuleSpec, n: int) -> bool:
     """
     if n < 2:
         raise ValueError("need at least two outcomes")
-    if n == 2:
-        return True
-    return not (rule.family == "tsallis" and rule.param > 2.0)
+    return n == 2 or rule._impl.convex_exposure(rule.param)
 
 
 def exposure_norm_bound(rule: RuleSpec, n: int) -> float:
@@ -368,22 +476,12 @@ def exposure_norm_bound(rule: RuleSpec, n: int) -> float:
 
     Only bounded-exposure families admit one; for the open-domain rules
     the caller must supply a bound of its own (ConfigError otherwise).
-
-    quadratic: ||2p|| peaks at a vertex.  spherical: the raw gradient
-    lives on the unit b-sphere, b = a/(a-1); the l2 norm over it peaks
-    at the barycenter for a < 2 and at a vertex for a >= 2.  tsallis:
-    sum p^(2(c-1)) peaks at a vertex for c >= 1.5, barycenter below.
     """
     if n < 2:
         raise ValueError("need at least two outcomes")
-    fam = rule.family
-    if fam == "quadratic":
-        return 2.0
-    if fam == "spherical":
-        return float(n ** max(0.0, 1.0 / rule.param - 0.5))
-    if fam == "tsallis":
-        return float(rule.param * n ** max(0.0, 1.5 - rule.param))
-    raise ConfigError(
-        f"rule {rule.label} has unbounded exposure on the simplex; "
-        "supply an explicit bound"
-    )
+    if rule._impl.norm_bound is None:
+        raise ConfigError(
+            f"rule {rule.label} has unbounded exposure on the simplex; "
+            "supply an explicit bound"
+        )
+    return rule._impl.norm_bound(rule.param, n)

@@ -207,6 +207,12 @@ class TestExposureProbe:
         assert rep.failure_rate == 0.0
 
 
+@pytest.mark.parametrize("probe", [axiom_suite, exposure_probe, concavity_probe])
+def test_zero_samples_rejected(probe):
+    with pytest.raises(ValueError):
+        probe(RuleSpec.quadratic(), 3, 0, 0)
+
+
 class TestConcavityProbe:
     def test_worst_gap_nonnegative_for_qa_pooling(self):
         rep = concavity_probe(RuleSpec.spherical(2.0), 3, 400, seed=6)

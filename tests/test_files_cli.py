@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qapool
-from qapool.cli import main
+from qapool.cli import _emit, main
 from qapool.files import (
     ForecastFile,
     load_forecast_file,
@@ -50,6 +50,15 @@ def vertices_json(tmp_path):
             }
         )
     )
+    return str(path)
+
+
+def write_experts(tmp_path, probs, weights=None):
+    experts = [{"probs": p} for p in probs]
+    for e, w in zip(experts, weights or []):
+        e["weight"] = w
+    path = tmp_path / "experts.json"
+    path.write_text(json.dumps({"experts": experts}))
     return str(path)
 
 
@@ -205,6 +214,50 @@ class TestCmdPool:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_overflowing_total_weight_exits_1(self, tmp_path, capsys):
+        # each weight is finite, their sum is not: normalizing by it would
+        # zero both weights and return the uniform forecast
+        path = write_experts(
+            tmp_path, [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]], [1e308, 1e308]
+        )
+        assert main(["pool", "quadratic", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "total weight" in err
+
+    def test_infinite_residual_exits_3(self, tmp_path, capsys):
+        # the exposure -1/1e-300 drives the residual norm to infinity; the
+        # certificate must reject it rather than compare inf with inf
+        path = write_experts(tmp_path, [[1e-300, 0.5, 0.5], [0.2, 0.3, 0.5]])
+        assert main(["pool", "neglog", path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "residual" in err
+
+    def test_surplus_report_is_the_aggregator_utility(self, tmp_path, capsys):
+        # an unattainable tsallis:3 average, pooled by the generalized pool
+        probs = [[0.8, 0.15, 0.05], [0.1, 0.85, 0.05]]
+        weights = [0.3, 0.9]
+        path = write_experts(tmp_path, probs, weights)
+        assert main(["pool", "tsallis:3", path]) == 2
+        capsys.readouterr()
+        assert main(["pool", "tsallis:3", "--generalized", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        rule, pool = qapool.parse_rule("tsallis:3"), doc["pooled"]
+        w = np.asarray(weights) / sum(weights)
+        u = doc["surplus_report"]["per_outcome_utility"]
+        for j in (1, 2, 3):
+            paid = sum(wi * qapool.score(rule, p, j) for wi, p in zip(w, probs))
+            expected = qapool.score(rule, pool, j) - paid
+            assert u[j - 1] == pytest.approx(expected, abs=1e-12)
+        assert doc["surplus_report"]["surplus"] == min(u)
+        assert doc["surplus_report"]["equalization_gap"] == max(u) - min(u)
+
+    def test_non_finite_output_is_refused(self, capsys):
+        with pytest.raises(ValueError):
+            _emit({"residual": float("inf")})
+        assert capsys.readouterr().out == ""
+
 
 class TestCmdScoreAndBregman:
     def test_score_all_outcomes(self, forecasts_json, capsys):
@@ -219,6 +272,12 @@ class TestCmdScoreAndBregman:
         doc = json.loads(capsys.readouterr().out)
         assert doc["outcomes"] == [1]
         assert len(doc["experts"][0]["scores"]) == 1
+
+    @pytest.mark.parametrize("outcome", ["0", "3", "-1"])
+    def test_score_outcome_out_of_range_exits_1(self, forecasts_json, outcome, capsys):
+        argv = ["score", "quadratic", forecasts_json, "--outcome", outcome]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
 
     def test_bregman_matrix(self, forecasts_json, capsys):
         assert main(["bregman", "quadratic", forecasts_json]) == 0
@@ -302,6 +361,12 @@ class TestCmdAuditAndProbe:
         assert doc["exposure_probe"]["canonical_vertex_failure"] is True
         skipped = {c["name"]: c for c in doc["checks"]}["axiom_suite"]
         assert "skipped" in skipped.get("note", "")
+
+    @pytest.mark.parametrize("command", ["audit", "probe-exposure"])
+    def test_zero_samples_exits_1(self, command, capsys):
+        # a check over no draws would report a vacuous pass
+        assert main([command, "quadratic", "--samples", "0"]) == 1
+        assert capsys.readouterr().out == ""
 
     def test_probe_exposure_command(self, capsys):
         assert main(

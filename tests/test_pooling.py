@@ -134,6 +134,17 @@ class TestDefiningIdentity:
         with pytest.raises(ValueError):
             qa_pool(RuleSpec.quadratic(), [([0.5, 0.5], 1.0), ([0.2, 0.3, 0.5], 1.0)])
 
+    @pytest.mark.parametrize("pool", [qa_pool, generalized_pool])
+    def test_overflowing_total_weight_rejected(self, pool):
+        inputs = [([0.2, 0.3, 0.5], 1e308), ([0.6, 0.3, 0.1], 1e308)]
+        with pytest.raises(ValueError, match="total weight"):
+            pool(RuleSpec.quadratic(), inputs)
+
+    def test_infinite_residual_fails_the_certificate(self):
+        inputs = [([1e-300, 0.5, 0.5], 1.0), ([0.2, 0.3, 0.5], 1.0)]
+        with pytest.raises(SolverError, match="residual"):
+            qa_pool(RuleSpec.neglog(), inputs)
+
     def test_log_pooling_rejects_boundary_forecast(self):
         # mixing certainty in opposite outcomes has no finite log pool
         with pytest.raises(DomainError):
