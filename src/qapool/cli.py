@@ -230,7 +230,7 @@ def _cmd_learn(args) -> int:
         T=args.T,
         forecast_floor=args.floor,
     )
-    report = learning.ogd_run(config, sf.as_pairs())
+    report = learning.ogd_run(config, sf)
     if args.emit_curve:
         curve = report.regret_curve()
         with open(args.emit_curve, "w", newline="") as fh:

@@ -14,6 +14,12 @@ final column named ``weight`` carries weights.
 Stream files: JSON only, 1-based outcomes:
 
     {"steps": [{"forecasts": [[0.1, 0.9], [0.5, 0.5]], "outcome": 2}]}
+
+A loaded stream is a ``StreamFile`` holding two read-only arrays: the
+(T, m, n) forecasts, parsed with one ``np.array`` call, checked in bulk
+and renormalized row by row as ``Forecast`` would, and the (T,) integer
+outcomes.  ``learning.ogd_run`` takes it as it is; its ``steps`` and
+``as_pairs()`` build per-step ``Forecast`` objects only when asked.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .pooling import WeightedForecast
-from .rules import Forecast
+from .rules import SIMPLEX_ATOL, Forecast
 
 __all__ = [
     "ExpertEntry",
@@ -81,31 +87,87 @@ class StreamStep:
     outcome: int
 
 
-@dataclass(frozen=True)
+def _first_step(bad: np.ndarray) -> int:
+    """Index of the first step (leading axis) holding a True entry."""
+    return int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
+
+
+@dataclass(frozen=True, eq=False)
 class StreamFile:
-    steps: tuple[StreamStep, ...]
+    """A validated outcome stream held as two read-only arrays.
+
+    ``forecasts`` is (T, m, n): step, expert, outcome probability.  Every
+    row is checked as ``Forecast`` checks one (finite, nonnegative, sum
+    within 1e-9, n >= 2) and renormalized the same way, so row [t, i]
+    equals ``Forecast(raw[t][i]).probs`` bit for bit.  ``outcomes`` is
+    (T,) with 1-based outcomes in 1..n.  Errors name the offending step.
+    """
+
+    forecasts: np.ndarray
+    outcomes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("stream file lists no steps")
-        m = len(self.steps[0].forecasts)
-        n = self.steps[0].forecasts[0].n
-        for k, st in enumerate(self.steps):
-            if len(st.forecasts) != m or any(f.n != n for f in st.forecasts):
-                raise ValueError(f"step {k}: expert/outcome counts changed")
-            if not 1 <= st.outcome <= n:
-                raise ValueError(f"step {k}: outcome {st.outcome} out of 1..{n}")
+        P = np.asarray(self.forecasts, dtype=float)
+        J = np.asarray(self.outcomes)
+        if P.ndim != 3 or P.shape[0] == 0 or P.shape[1] == 0:
+            raise ValueError("stream needs a (T, m, n) forecast array, T, m >= 1")
+        if P.shape[2] < 2:
+            raise ValueError("step 0: forecasts need at least two outcome probabilities")
+        for bad, what in ((~np.isfinite(P), "finite"), (P < 0.0, "nonnegative")):
+            if bad.any():
+                raise ValueError(
+                    f"step {_first_step(bad)}: forecast probabilities must be {what}"
+                )
+        total = P.sum(axis=2, keepdims=True)
+        off = np.abs(total - 1.0) > SIMPLEX_ATOL
+        if off.any():
+            k = _first_step(off)
+            i = int(np.argmax(off[k, :, 0]))
+            raise ValueError(
+                f"step {k}: forecast {i} probabilities sum to "
+                f"{float(total[k, i, 0])!r}, not 1 within 1e-9"
+            )
+        if J.shape != P.shape[:1]:
+            raise ValueError("stream needs one outcome per step")
+        n = P.shape[2]
+        off = (J < 1) | (J > n)  # also on an object array of huge JSON ints
+        if off.any():
+            k = _first_step(off)
+            raise ValueError(f"step {k}: outcome {J[k]} out of 1..{n}")
+        if J.dtype.kind not in "iu":
+            raise ValueError("stream outcomes must be integers")
+        P = P / total
+        P.flags.writeable = False
+        J = J.astype(int)
+        J.flags.writeable = False
+        object.__setattr__(self, "forecasts", P)
+        object.__setattr__(self, "outcomes", J)
 
     @property
     def m(self) -> int:
-        return len(self.steps[0].forecasts)
+        return self.forecasts.shape[1]
 
     @property
     def n(self) -> int:
-        return self.steps[0].forecasts[0].n
+        return self.forecasts.shape[2]
+
+    @property
+    def steps(self) -> tuple[StreamStep, ...]:
+        """The stream as ``StreamStep`` objects, built on each access."""
+        return tuple(
+            StreamStep(tuple(Forecast._trusted(p) for p in fs), j)
+            for fs, j in zip(self.forecasts, self.outcomes.tolist())
+        )
 
     def as_pairs(self) -> list[tuple[list[Forecast], int]]:
         return [(list(st.forecasts), st.outcome) for st in self.steps]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StreamFile):
+            return NotImplemented
+        return np.array_equal(self.forecasts, other.forecasts) and np.array_equal(
+            self.outcomes, other.outcomes
+        )
 
 
 # --------------------------------------------------------------------------
@@ -173,21 +235,51 @@ def _forecasts_from_csv(path: Path) -> ForecastFile:
 
 def load_stream_file(path: str | Path) -> StreamFile:
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or "steps" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise ValueError("stream JSON must be an object with a 'steps' list")
-    steps = []
-    for k, row in enumerate(doc["steps"]):
-        forecasts = tuple(
-            Forecast(np.asarray(p, dtype=float)) for p in row["forecasts"]
-        )
-        outcome = row["outcome"]
-        # bool is an int subclass; neither it nor a float names an outcome
-        if isinstance(outcome, bool) or not isinstance(outcome, int):
-            raise ValueError(
-                f"step {k}: outcome must be an integer, got {outcome!r}"
-            )
-        steps.append(StreamStep(forecasts, outcome))
-    return StreamFile(tuple(steps))
+    rows = doc["steps"]
+    if not rows:
+        raise ValueError("stream file lists no steps")
+    k = next(
+        (
+            k
+            for k, row in enumerate(rows)
+            if not (isinstance(row, dict) and "forecasts" in row and "outcome" in row)
+        ),
+        None,
+    )
+    if k is not None:
+        raise ValueError(f"step {k}: expected an object with 'forecasts' and 'outcome'")
+    outcomes = [row["outcome"] for row in rows]
+    # bool is an int subclass; neither it nor a float names an outcome
+    k = next((k for k, j in enumerate(outcomes) if type(j) is not int), None)
+    if k is not None:
+        raise ValueError(f"step {k}: outcome must be an integer, got {outcomes[k]!r}")
+    raw = [row["forecasts"] for row in rows]
+    try:
+        P = np.array(raw, dtype=float)
+    except (ValueError, TypeError):
+        P = None
+    if P is None or P.ndim != 3:
+        raise ValueError(_shape_error(raw))
+    return StreamFile(P, np.array(outcomes))
+
+
+def _shape_error(raw: list) -> str:
+    """Name the first step whose forecasts are no m x n array like step 0's."""
+    first = None
+    for k, fs in enumerate(raw):
+        try:
+            shape = np.array(fs, dtype=float).shape
+        except (ValueError, TypeError):
+            shape = ()
+        if len(shape) != 2:
+            return f"step {k}: forecasts must be a list of equal-length number lists"
+        if first is None:
+            first = shape
+        elif shape != first:
+            return f"step {k}: expert/outcome counts changed"
+    return "stream forecasts do not form a (T, m, n) array"
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import ConfigError, SolverError
 from .optim import projected_gradient
 from .pooling import _invert_rows
 from .rules import (
-    Forecast,
+    SIMPLEX_ATOL,
     RuleSpec,
     as_forecast,
     exposure_norm_bound,
@@ -136,29 +136,39 @@ class RegretReport:
 # stream handling and batched evaluation
 # --------------------------------------------------------------------------
 
-def _clamp(forecast: Forecast, floor: float) -> Forecast:
-    p = np.maximum(forecast.probs, floor)
-    return Forecast(p / p.sum())
-
-
 def _normalize_stream(stream, floor: float | None = None):
-    steps = []
-    m = n = None
-    for forecasts, j in stream:
-        fs = [as_forecast(f) for f in forecasts]
-        if floor is not None:
-            fs = [_clamp(f, floor) for f in fs]
-        if m is None:
-            m, n = len(fs), fs[0].n
-        if len(fs) != m or any(f.n != n for f in fs):
-            raise ValueError("stream must keep expert and outcome counts constant")
-        j = int(j)
-        if not 1 <= j <= n:
-            raise ValueError(f"outcome {j} out of range 1..{n}")
-        steps.append((fs, j))
-    if not steps:
-        raise ValueError("stream is empty")
-    return steps
+    """(T, m, n) forecasts and (T,) 1-based outcomes of a stream.
+
+    The stream is a files.StreamFile, whose arrays are already checked,
+    or a sequence of (forecasts, outcome) pairs.  With a floor, every
+    forecast is clamped to max(p, floor) and renormalized twice: once by
+    the clamp, once as Forecast renormalizes what it is given.
+    """
+    from .files import StreamFile
+
+    if isinstance(stream, StreamFile):
+        P, J = stream.forecasts, stream.outcomes
+    else:
+        steps = [([as_forecast(f) for f in fs], int(j)) for fs, j in stream]
+        if not steps:
+            raise ValueError("stream is empty")
+        m, n = len(steps[0][0]), steps[0][0][0].n
+        for fs, j in steps:
+            if len(fs) != m or any(f.n != n for f in fs):
+                raise ValueError("stream must keep expert and outcome counts constant")
+            if not 1 <= j <= n:
+                raise ValueError(f"outcome {j} out of range 1..{n}")
+        P = np.array([[f.probs for f in fs] for fs, _ in steps])
+        J = np.array([j for _, j in steps])
+    if floor is not None:
+        P = np.maximum(P, floor)
+        P = P / P.sum(axis=2, keepdims=True)
+        total = P.sum(axis=2, keepdims=True)
+        # the check Forecast makes; fails when the floor overflows the sum
+        if not (np.abs(total - 1.0) <= SIMPLEX_ATOL).all():
+            raise ValueError(f"forecast_floor {floor!r} leaves no valid clamped forecast")
+        P = P / total
+    return P, J
 
 
 class _StreamEvaluator:
@@ -167,15 +177,18 @@ class _StreamEvaluator:
     Losses and weight-gradients reduce to array algebra: with E[t] the
     m x n matrix of canonical expert exposures at step t, the pool
     solves g(x) = w @ E[t] and the loss gradient in w is
-    E[t] @ (x - e_j), up to an all-ones shift.
+    E[t] @ (x - e_j), up to an all-ones shift.  The pools of the whole
+    stream at the last weights asked for are kept, because the
+    hindsight solve asks for the loss and the gradient at each point.
     """
 
-    def __init__(self, rule: RuleSpec, steps) -> None:
+    def __init__(self, rule: RuleSpec, stream) -> None:
+        P, J = stream
         self.rule = rule
-        P = np.array([[f.probs for f in fs] for fs, _ in steps])
         self.E = _exposures(rule, P)
         self.T, self.m, self.n = self.E.shape
-        self.J = np.array([j - 1 for _, j in steps], dtype=int)
+        self.J = J - 1
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def exposure_sup(self) -> float:
         return float(np.linalg.norm(self.E, axis=2).max())
@@ -186,21 +199,34 @@ class _StreamEvaluator:
         targets -= targets.sum(axis=1, keepdims=True) / self.n
         return _invert_rows(self.rule, targets)
 
-    def step_loss_and_grad(self, t: int, w: np.ndarray) -> tuple[float, np.ndarray]:
-        x = self.pools(w, self.E[t : t + 1])
-        loss = -float(_score_matrix(self.rule, x)[0, self.J[t]])
-        x[0, self.J[t]] -= 1.0  # x - e_j, the loss gradient's direction
-        return loss, canonicalize(self.E[t] @ x[0])
+    def stream_pools(self, w: np.ndarray) -> np.ndarray:
+        """Pools of every step under w; read-only, shared between calls."""
+        if self._last is None or not np.array_equal(self._last[0], w):
+            X = self.pools(w, self.E)
+            X.flags.writeable = False
+            self._last = (w.copy(), X)
+        return self._last[1]
+
+    def step_pool_and_grad(self, t: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Pool of step t under w, and the loss gradient in w there."""
+        x = self.pools(w, self.E[t : t + 1])[0]
+        d = x.copy()
+        d[self.J[t]] -= 1.0  # x - e_j, the loss gradient's direction
+        return x, canonicalize(self.E[t] @ d)
+
+    def losses(self, X: np.ndarray) -> np.ndarray:
+        """Per-step losses -s(x_t; j_t) of the (T, n) pools X."""
+        S = _score_matrix(self.rule, X)
+        return -S[np.arange(self.T), self.J]
 
     def per_step_losses(self, w: np.ndarray) -> np.ndarray:
-        S = _score_matrix(self.rule, self.pools(w, self.E))
-        return -S[np.arange(self.T), self.J]
+        return self.losses(self.stream_pools(w))
 
     def total_loss(self, w: np.ndarray) -> float:
         return float(self.per_step_losses(w).sum())
 
     def total_grad(self, w: np.ndarray) -> np.ndarray:
-        D = self.pools(w, self.E)
+        D = self.stream_pools(w).copy()
         D[np.arange(self.T), self.J] -= 1.0
         return canonicalize(np.einsum("tmn,tn->m", self.E, D))
 
@@ -214,7 +240,10 @@ def _one_step(rule: RuleSpec, forecasts, w, j: int) -> tuple[float, np.ndarray]:
     fs = [as_forecast(f) for f in forecasts]
     if len(fs) != wv.m:
         raise ValueError("one weight per forecast required")
-    return _StreamEvaluator(rule, [(fs, j)]).step_loss_and_grad(0, wv.weights)
+    P = np.array([[f.probs for f in fs]])
+    ev = _StreamEvaluator(rule, (P, np.array([j], dtype=int)))
+    x, grad = ev.step_pool_and_grad(0, wv.weights)
+    return float(ev.losses(x[None])[0]), grad
 
 
 def weight_score(rule: RuleSpec, forecasts, w, j: int) -> float:
@@ -256,9 +285,9 @@ def _solve_offline(
 def offline_best_weights(rule: RuleSpec, stream) -> tuple[WeightVector, float]:
     """Best fixed weights in hindsight and their total loss.
 
-    Maximizes the summed pooled scores over the weight simplex; the
-    objective is concave, so projected gradient with backtracking
-    converges to the global optimum.
+    The stream is taken as by ogd_run.  Maximizes the summed pooled
+    scores over the weight simplex; the objective is concave, so
+    projected gradient with backtracking converges to the global optimum.
     """
     ev = _StreamEvaluator(rule, _normalize_stream(stream))
     w, loss = _solve_offline(ev)
@@ -268,9 +297,10 @@ def offline_best_weights(rule: RuleSpec, stream) -> tuple[WeightVector, float]:
 def ogd_run(config: LearningConfig, stream) -> RegretReport:
     """Run online gradient descent over expert weights on a stream.
 
-    The stream is a sequence of (forecasts, outcome) pairs with 1-based
-    outcomes.  Starts from uniform weights, steps with
-    eta_t = 1/(M sqrt(m t)), and projects back onto the simplex.
+    The stream is a files.StreamFile or a sequence of (forecasts,
+    outcome) pairs, with 1-based outcomes either way.  Starts from
+    uniform weights, steps with eta_t = 1/(M sqrt(m t)), and projects
+    back onto the simplex.
     """
     rule = config.rule
     if rule.domain_kind == "open":
@@ -279,28 +309,25 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
                 f"rule {rule.label} has unbounded exposure: supply both M "
                 "and forecast_floor in the learning config"
             )
-    steps = _normalize_stream(stream, floor=config.forecast_floor)
-    if len(steps[0][0]) != config.m:
-        raise ConfigError(
-            f"config expects {config.m} experts, stream has {len(steps[0][0])}"
-        )
-    T = config.T if config.T is not None else len(steps)
-    if T > len(steps):
-        raise ConfigError(f"horizon {T} exceeds stream length {len(steps)}")
-    steps = steps[:T]
-    n = steps[0][0][0].n
+    P, J = _normalize_stream(stream, floor=config.forecast_floor)
+    length, m, n = P.shape
+    if m != config.m:
+        raise ConfigError(f"config expects {config.m} experts, stream has {m}")
+    T = config.T if config.T is not None else length
+    if T > length:
+        raise ConfigError(f"horizon {T} exceeds stream length {length}")
     M = config.M if config.M is not None else exposure_norm_bound(rule, n)
 
-    ev = _StreamEvaluator(rule, steps)
+    ev = _StreamEvaluator(rule, (P[:T], J[:T]))
     observed = ev.exposure_sup()
-    m = config.m
+    etas = 1.0 / (M * np.sqrt(m * np.arange(1, T + 1)))
     w = uniform_point(m)
-    losses = np.empty(T)
+    # the losses do not feed back into the weights: score all pools at once
+    X = np.empty((T, n))
     for t in range(T):
-        loss, grad = ev.step_loss_and_grad(t, w)
-        losses[t] = loss
-        eta = 1.0 / (M * np.sqrt(m * (t + 1)))
-        w = project_simplex(w - eta * grad)
+        X[t], grad = ev.step_pool_and_grad(t, w)
+        w = project_simplex(w - etas[t] * grad)
+    losses = ev.losses(X)
 
     best_w, best_loss = _solve_offline(ev)
     comparator = ev.per_step_losses(best_w)

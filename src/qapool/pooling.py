@@ -222,7 +222,7 @@ def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             X = (a + c[:, None]) ** q
     s = X.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(s)) or s.min() <= 0.0:
+    if not np.isfinite(s).all() or s.min() <= 0.0:
         raise SolverError(f"inversion for {rule.label} produced a degenerate point")
     return X / s
 

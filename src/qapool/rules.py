@@ -241,6 +241,13 @@ class Forecast:
         return self.probs.size
 
     @classmethod
+    def _trusted(cls, probs: np.ndarray) -> "Forecast":
+        """Wrap a read-only row already checked and normalized as above."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "probs", probs)
+        return f
+
+    @classmethod
     def uniform(cls, n: int) -> "Forecast":
         return cls(np.full(n, 1.0 / n))
 

@@ -33,11 +33,16 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a one-dimensional vector")
     u = np.sort(y)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, y.size + 1)
-    # largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0
-    cond = u + (1.0 - css) / ks > 0
-    rho = np.nonzero(cond)[0][-1]
+    css = u.cumsum()
+    # largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0; k = 1 always passes
+    # in exact arithmetic, but not when 1 - u_1 rounds to -u_1 or y holds NaN
+    passing = (u + (1.0 - css) / np.arange(1, y.size + 1) > 0).nonzero()[0]
+    if passing.size == 0:
+        raise ValueError(
+            "cannot project onto the simplex: the threshold test fails at "
+            f"every support size (largest |y_i| is {np.abs(y).max():.3g})"
+        )
+    rho = passing[-1]
     tau = (1.0 - css[rho]) / (rho + 1.0)
     return np.maximum(y + tau, 0.0)
 

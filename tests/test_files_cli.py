@@ -1,5 +1,6 @@
 """File formats, CLI commands, exit codes, and output determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from qapool.files import (
     load_stream_file,
     write_forecast_file,
 )
+from qapool.rules import Forecast
 
 
 @pytest.fixture
@@ -125,6 +127,33 @@ class TestForecastFiles:
             assert np.array_equal(a.forecast.probs, b.forecast.probs)
 
 
+GOOD = [[0.5, 0.5], [0.1, 0.9]]
+
+
+def _bad_step_2(forecasts=GOOD, outcome=1):
+    """Four steps of GOOD forecasts, step 2 replaced by the bad one."""
+    good = {"forecasts": GOOD, "outcome": 1}
+    return [good, good, {"forecasts": forecasts, "outcome": outcome}, good]
+
+
+NAN, INF = float("nan"), float("inf")
+# name -> (steps, the step the error must name)
+MALFORMED_STREAMS = {
+    "ragged-rows": (_bad_step_2([[0.5, 0.5], [0.2, 0.3, 0.5]]), 2),
+    "m-changes": (_bad_step_2([[0.5, 0.5]]), 2),
+    "n-is-1": ([{"forecasts": [[1.0], [1.0]], "outcome": 1}] * 3, 0),
+    "nan": (_bad_step_2([[NAN, 0.5], [0.1, 0.9]]), 2),
+    "inf": (_bad_step_2([[INF, 0.5], [0.1, 0.9]]), 2),
+    "negative": (_bad_step_2([[-0.1, 1.1], [0.1, 0.9]]), 2),
+    "sum-off-1e-6": (_bad_step_2([[0.5, 0.5], [0.1, 0.900001]]), 2),
+    "no-forecasts": ([{"forecasts": GOOD, "outcome": 1}] * 2 + [{"outcome": 1}], 2),
+    "bool-outcome": (_bad_step_2(outcome=True), 2),
+    "float-outcome": (_bad_step_2(outcome=2.0), 2),
+    "outcome-above-n": (_bad_step_2(outcome=3), 2),
+    "outcome-zero": (_bad_step_2(outcome=0), 2),
+}
+
+
 class TestStreamFiles:
     def test_load(self, stream_json):
         sf = load_stream_file(stream_json)
@@ -147,6 +176,39 @@ class TestStreamFiles:
         with pytest.raises(ValueError, match="step 2"):
             load_stream_file(path)
         assert main(["learn", "quadratic", str(path)]) == 1
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_STREAMS))
+    def test_malformed_stream_names_its_step(self, tmp_path, name, capsys):
+        steps, k = MALFORMED_STREAMS[name]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"steps": steps}))
+        with pytest.raises(ValueError, match=rf"^step {k}\b"):
+            load_stream_file(path)
+        assert main(["learn", "quadratic", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("qapool:")
+
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_rows_are_the_forecasts_bit_for_bit(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        # rows off the simplex by up to 5e-10, so renormalizing moves bits
+        raw = rng.dirichlet(np.ones(n), size=(30, 4))
+        raw *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(30, 4, 1))
+        steps = [
+            {"forecasts": fs, "outcome": int(j)}
+            for fs, j in zip(raw.tolist(), rng.integers(1, n + 1, size=30))
+        ]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"steps": steps}))
+        sf = load_stream_file(path)
+        assert not sf.forecasts.flags.writeable and not sf.outcomes.flags.writeable
+        assert sf.outcomes.tolist() == [st["outcome"] for st in steps]
+        for t, st in enumerate(sf.steps):
+            assert st.outcome == steps[t]["outcome"]
+            for i, f in enumerate(st.forecasts):
+                want = Forecast(steps[t]["forecasts"][i]).probs
+                assert np.array_equal(sf.forecasts[t, i], want)
+                assert np.array_equal(f.probs, want)
 
     def test_varying_expert_count(self, tmp_path):
         path = tmp_path / "s.json"
@@ -206,6 +268,17 @@ class TestCmdPool:
         assert back.experts[0].id == "pool"
         # serialized at round-trip precision: still a valid simplex point
         assert abs(back.experts[0].forecast.probs.sum() - 1.0) <= 1e-9
+
+    def test_unprojectable_gradient_step_exits_1(self, tmp_path, capsys):
+        # the first gradient step of the generalized pool lands near 1e299,
+        # where the simplex projection's threshold test cancels to zero;
+        # main returning at all means no exception escaped as a traceback
+        path = write_experts(tmp_path, [[1e-300, 0.5, 0.5], [0.2, 0.3, 0.5]])
+        argv = ["pool", "neglog", path, "--generalized", "--floor", "1e-320"]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qapool:") and "every support size" in err
 
     def test_deterministic_output(self, forecasts_json, capsys):
         main(["pool", "spherical:2", forecasts_json])
@@ -323,6 +396,27 @@ class TestCmdLearn:
         second = capsys.readouterr().out
         assert first == second
         assert json.loads(first)["seed"] == 123
+
+    # sha256 of stdout, recorded before the stream moved to array transport;
+    # a speed-up of `learn` must leave these bytes alone
+    PINNED = {
+        ("quadratic",): "eef35ede10fdb2e8762ba275f11ebba128a403f36a8cc0bb7ab1ae45c31bd0f8",
+        ("log", "--M", "4", "--floor", "0.05"):
+            "3f9f4cec5400b1e91d6adeb1409b83711d4ec042815f5bf49136dd944dab71be",
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINNED), ids=lambda a: a[0])
+    def test_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
+        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+        rng = np.random.default_rng(20260417)
+        F = rng.dirichlet(np.ones(3), size=(200, 5))
+        J = rng.integers(1, 4, size=200)
+        steps = [{"forecasts": f, "outcome": j} for f, j in zip(F.tolist(), J.tolist())]
+        path = tmp_path / "stream.json"
+        path.write_text(json.dumps({"steps": steps}))
+        assert main(["learn", args[0], str(path), *args[1:]]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
 
 
 class TestCmdAuditAndProbe:

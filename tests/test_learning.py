@@ -1,5 +1,7 @@
 """Weight learning: gradients, projections, concavity, regret guarantees."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,9 @@ from qapool import (
     score,
     weight_score,
 )
+from qapool.files import StreamFile
+from qapool.learning import _StreamEvaluator, _normalize_stream
+from qapool.rules import Forecast
 
 from conftest import random_probs
 from oracles import brute_weight_grid, weighted_arithmetic_mean, weighted_geometric_mean
@@ -32,6 +37,18 @@ def make_iid_stream(T, seed=7, truth=(0.2, 0.8)):
         j = 1 + int(rng.uniform() < truth[1])
         stream.append(([truth, p2], j))
     return stream
+
+
+def make_stream_file(T=40, m=4, n=3, seed=5):
+    """A seeded StreamFile and the same stream as (Forecasts, outcome) pairs."""
+    rng = np.random.default_rng(seed)
+    # small Dirichlet concentration: many coordinates fall below a 0.05 clamp;
+    # rows off the simplex by up to 5e-10, so renormalizing moves bits
+    raw = rng.dirichlet(np.full(n, 0.3), size=(T, m))
+    raw *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(T, m, 1))
+    J = rng.integers(1, n + 1, size=T)
+    pairs = [([Forecast(p) for p in fs], int(j)) for fs, j in zip(raw, J)]
+    return StreamFile(raw, J), pairs
 
 
 def make_adversarial_stream(T, m=5, n=3, seed=11, M=2.0):
@@ -282,3 +299,67 @@ class TestPoolConsistency:
             assert weight_score(rule, fs, w, j) == pytest.approx(
                 score(rule, pooled, j), abs=1e-10
             )
+
+
+class TestStreamTransport:
+    @pytest.mark.parametrize("n", [3, 50])
+    @pytest.mark.parametrize("floor", [0.05, 1e-3])
+    def test_bulk_clamp_is_the_per_forecast_clamp(self, n, floor):
+        sf, pairs = make_stream_file(n=n)
+        P, J = _normalize_stream(sf, floor)
+        for t, (fs, _) in enumerate(pairs):
+            for i, f in enumerate(fs):
+                # the clamp as it ran on one Forecast at a time
+                p = np.maximum(f.probs, floor)
+                assert np.array_equal(P[t, i], Forecast(p / p.sum()).probs)
+        assert np.array_equal(J, sf.outcomes)
+        P2, J2 = _normalize_stream(pairs, floor)
+        assert np.array_equal(P2, P) and np.array_equal(J2, J)
+
+    def test_overflowing_floor_is_rejected(self):
+        sf, _ = make_stream_file()
+        config = LearningConfig(
+            rule=RuleSpec.logarithmic(), m=sf.m, M=10.0, forecast_floor=1e308
+        )
+        with pytest.raises(ValueError, match="forecast_floor"):
+            ogd_run(config, sf)
+
+    @pytest.mark.parametrize(
+        "rule, M, floor",
+        [(QUAD, None, None), (RuleSpec.logarithmic(), 6.0, 0.05),
+         (RuleSpec.spherical(2.0), None, None), (RuleSpec.hs(), 30.0, 0.05)],
+        ids=["quadratic", "log", "spherical", "hs"],
+    )
+    def test_stream_file_and_pairs_give_identical_reports(self, rule, M, floor):
+        sf, pairs = make_stream_file()
+        config = LearningConfig(rule=rule, m=sf.m, M=M, forecast_floor=floor)
+        want = ogd_run(config, sf)
+        for stream in (pairs, sf.as_pairs()):
+            got = ogd_run(config, stream)
+            for f in dataclasses.fields(want):
+                a, b = getattr(want, f.name), getattr(got, f.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b), f.name
+                else:
+                    assert a == b, f.name
+
+    def test_hindsight_solve_inverts_each_point_once(self, monkeypatch):
+        asked, inverted = [], []
+        stream_pools, pools = _StreamEvaluator.stream_pools, _StreamEvaluator.pools
+
+        def count_asked(self, w):
+            asked.append(w.tobytes())
+            return stream_pools(self, w)
+
+        def count_inverted(self, w, E):
+            if E.shape[0] == self.T:
+                inverted.append(w.tobytes())
+            return pools(self, w, E)
+
+        monkeypatch.setattr(_StreamEvaluator, "stream_pools", count_asked)
+        monkeypatch.setattr(_StreamEvaluator, "pools", count_inverted)
+        sf, _ = make_stream_file(T=10)
+        ogd_run(LearningConfig(rule=RuleSpec.spherical(2.0), m=sf.m), sf)
+        # the loss, the gradient and the comparator losses share their points
+        assert len(asked) > len(inverted)
+        assert sorted(inverted) == sorted(set(asked))

@@ -38,6 +38,14 @@ class TestProjectSimplex:
             x = project_simplex(y)
             assert np.all(np.diff(x) >= -1e-15)
 
+    @pytest.mark.parametrize(
+        "y", [[-3.3e299, 1.7e299, 1.7e299], [np.nan, 0.5, 0.5]], ids=["huge", "nan"]
+    )
+    def test_no_passing_support_size_raises(self, y):
+        # 1 - u_1 rounds to -u_1, so no support size passes the threshold test
+        with pytest.raises(ValueError, match="every support size"):
+            project_simplex(np.array(y))
+
     def test_matches_oracle_random(self, rng):
         for m in (2, 3, 4, 5):
             for _ in range(100):
