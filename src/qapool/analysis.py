@@ -13,6 +13,14 @@ Covers three groups of checks:
   to invert, separating convex-exposure rules (never) from the
   tsallis family above parameter 2 (detectably, at n > 2).
 
+Each check draws all of its seeded samples first, in a fixed order,
+and then evaluates them batched: the axioms through one certified
+pooling._pool_rows call per check (qa_pool is its one-row case), the
+exposure probe through one certified batch inversion whose per-row
+failure reports it counts, the concavity probe through one batch of
+pools per weight vector and expert count.  A batch makes every check
+that the one-sample calls make.
+
 "Strict" numerical claims use separation floors instead of raw
 inequalities; the continuity check is sampling evidence, not a proof.
 """
@@ -23,16 +31,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ExposureRangeError, SolverError
-from .pooling import WeightedForecast, _prepare, invert_exposure, qa_pool
+from .errors import ConfigError, ExposureRangeError
+from .pooling import (
+    _UNATTAINABLE,
+    _certified_inverse,
+    _pool_rows,
+    _prepare,
+    invert_exposure,
+    qa_pool,
+)
 from .rules import (
     Forecast,
     RuleSpec,
     as_forecast,
-    exposure,
     has_convex_exposure,
     _exposures,
     _score_matrix,
+    _simplex_rows,
 )
 from .simplex import random_simplex_point
 
@@ -58,12 +73,15 @@ OPEN_SAMPLING_FLOOR = 1e-3
 STRICT_FLOOR = 1e-12
 
 
+def _sampling_floor(rule: RuleSpec | None) -> float:
+    if rule is not None and rule.domain_kind == "open":
+        return OPEN_SAMPLING_FLOOR
+    return 0.0
+
+
 def sample_forecast(rng: np.random.Generator, n: int, rule: RuleSpec | None = None) -> Forecast:
     """Dirichlet(1,...,1) draw, shell-restricted for open-domain rules."""
-    floor = 0.0
-    if rule is not None and rule.domain_kind == "open":
-        floor = OPEN_SAMPLING_FLOOR
-    return Forecast(random_simplex_point(rng, n, floor))
+    return Forecast(random_simplex_point(rng, n, _sampling_floor(rule)))
 
 
 @dataclass(frozen=True)
@@ -143,7 +161,7 @@ def _utilities(rule: RuleSpec, reports: np.ndarray, inputs) -> np.ndarray:
     forecasts, w, _ = _prepare(inputs)
     k = reports.shape[0]
     S = _score_matrix(rule, np.vstack([reports] + [f.probs for f in forecasts]))
-    return S[:k] - w @ S[k:]
+    return S[:k] - (w / w.sum()) @ S[k:]
 
 
 def _surplus(rule: RuleSpec, report: Forecast, inputs) -> SurplusReport:
@@ -191,21 +209,32 @@ def _check_samples(samples: int) -> None:
         raise ValueError(f"need at least one sample, got {samples}")
 
 
-def _pair(rule: RuleSpec, a: WeightedForecast, b: WeightedForecast) -> WeightedForecast:
-    """The binary arbitrary-weight pooling operator."""
-    if a.weight == 0.0:
-        return b
-    if b.weight == 0.0:
-        return a
-    res = qa_pool(rule, [a, b])
-    return WeightedForecast(res.pooled, res.total_weight)
+def _weighted_draws(
+    rng: np.random.Generator, n: int, rule: RuleSpec, count: int, per: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` rows of ``per`` weighted forecasts, drawn forecast then
+    weight, in row order: (count, per, n) forecasts, (count, per) weights.
+
+    The forecasts are those of sample_forecast, renormalized in bulk.
+    """
+    floor = _sampling_floor(rule)
+    P, W = np.empty((count, per, n)), np.empty((count, per))
+    for i in range(count):
+        for r in range(per):
+            P[i, r] = random_simplex_point(rng, n, floor)
+            W[i, r] = rng.uniform(0.1, 2.0)
+    return _simplex_rows(P), W
 
 
 def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteReport:
     """Exercise the pooling-operator axioms on seeded random draws.
 
     Requires convex exposure at dimension n (the operator must be total
-    for the axioms to be well-posed).
+    for the axioms to be well-posed).  The binary operator pools a pair
+    of weighted forecasts to their pool, carrying the summed weight.  Each
+    check draws all its samples first, in a fixed order, then pools them
+    in one certified batch (pooling._pool_rows; associativity makes one
+    batch per nesting level).
     """
     _check_samples(samples)
     if not has_convex_exposure(rule, n):
@@ -215,53 +244,60 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
         )
     rng = np.random.default_rng(seed)
 
-    def draw_wf() -> WeightedForecast:
-        return WeightedForecast(sample_forecast(rng, n, rule), rng.uniform(0.1, 2.0))
+    def pool(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        # pools and total weights of the stacked (forecasts, weights) parts
+        X, total, _, _ = _pool_rows(
+            rule,
+            np.concatenate([P for P, _ in parts]),
+            np.concatenate([W for _, W in parts]),
+        )
+        return X, total
 
     checks: list[AxiomCheck] = []
 
     # weight additivity: exact by construction of the operator
-    gap = 0.0
-    for _ in range(samples):
-        a, b = draw_wf(), draw_wf()
-        gap = max(gap, abs(_pair(rule, a, b).weight - (a.weight + b.weight)))
+    P, W = _weighted_draws(rng, n, rule, samples, 2)
+    _, total = pool((P, W))
+    gap = float(np.abs(total - (W[:, 0] + W[:, 1])).max())
     checks.append(AxiomCheck("weight_additivity", gap == 0.0, gap, 0.0))
 
-    gap = 0.0
-    for _ in range(samples):
-        a, b = draw_wf(), draw_wf()
-        d = _pair(rule, a, b).forecast.probs - _pair(rule, b, a).forecast.probs
-        gap = max(gap, float(np.abs(d).max()))
+    P, W = _weighted_draws(rng, n, rule, samples, 2)
+    X, _ = pool((P, W), (P[:, ::-1], W[:, ::-1]))
+    gap = float(np.abs(X[:samples] - X[samples:]).max())
     checks.append(AxiomCheck("commutativity", gap <= 1e-12, gap, 1e-12))
 
-    gap = 0.0
-    for _ in range(samples):
-        a, b, c = draw_wf(), draw_wf(), draw_wf()
-        left = _pair(rule, _pair(rule, a, b), c)
-        right = _pair(rule, a, _pair(rule, b, c))
-        d = np.abs(left.forecast.probs - right.forecast.probs).max()
-        d = max(d, abs(left.weight - right.weight))
-        gap = max(gap, float(d))
+    P, W = _weighted_draws(rng, n, rule, samples, 3)
+    X, total = pool((P[:, :2], W[:, :2]), (P[:, 1:], W[:, 1:]))  # ab, bc
+    X, total = pool(
+        (
+            np.stack([X[:samples], P[:, 2]], axis=1),
+            np.stack([total[:samples], W[:, 2]], axis=1),
+        ),
+        (
+            np.stack([P[:, 0], X[samples:]], axis=1),
+            np.stack([W[:, 0], total[samples:]], axis=1),
+        ),
+    )
+    d = np.maximum(
+        np.abs(X[:samples] - X[samples:]).max(axis=1),
+        np.abs(total[:samples] - total[samples:]),
+    )
+    gap = float(d.max())
     checks.append(AxiomCheck("associativity", gap <= 1e-9, gap, 1e-9))
 
-    gap = 0.0
-    for _ in range(samples):
-        p = sample_forecast(rng, n, rule)
-        a = WeightedForecast(p, rng.uniform(0.1, 2.0))
-        b = WeightedForecast(p, rng.uniform(0.1, 2.0))
-        d = np.abs(_pair(rule, a, b).forecast.probs - p.probs).max()
-        gap = max(gap, float(d))
+    P, W = np.empty((samples, 1, n)), np.empty((samples, 2))
+    for i in range(samples):  # one forecast at two weights
+        P[i, 0] = random_simplex_point(rng, n, _sampling_floor(rule))
+        W[i] = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+    P = _simplex_rows(P).repeat(2, axis=1)
+    X, _ = pool((P, W))
+    gap = float(np.abs(X - P[:, 0]).max())
     checks.append(AxiomCheck("idempotence", gap <= 1e-12, gap, 1e-12))
 
     # continuity: sampled Lipschitz evidence, not a proof
-    gap = 0.0
-    for _ in range(samples):
-        a, b = draw_wf(), draw_wf()
-        base = _pair(rule, a, b).forecast.probs
-        bumped = _pair(
-            rule, WeightedForecast(a.forecast, a.weight + 1e-6), b
-        ).forecast.probs
-        gap = max(gap, float(np.abs(bumped - base).max()))
+    P, W = _weighted_draws(rng, n, rule, samples, 2)
+    X, _ = pool((P, W), (P, W + [1e-6, 0.0]))
+    gap = float(np.abs(X[samples:] - X[:samples]).max())
     checks.append(
         AxiomCheck(
             "continuity", gap <= 1e-3, gap, 1e-3,
@@ -270,31 +306,25 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
     )
 
     if n == 2:
-        worst = np.inf
-        ok = True
+        pairs = []
         for _ in range(max(1, samples // 10)):
             while True:
-                p1 = sample_forecast(rng, 2, rule)
-                p2 = sample_forecast(rng, 2, rule)
-                if p1.probs[0] < p2.probs[0]:
+                p1 = sample_forecast(rng, 2, rule).probs
+                p2 = sample_forecast(rng, 2, rule).probs
+                if p1[0] < p2[0]:
                     p1, p2 = p2, p1
-                if p1.probs[0] - p2.probs[0] >= 0.05:
+                if p1[0] - p2[0] >= 0.05:
                     break
-            xs = np.linspace(0.01, 0.99, 101)
-            prs = [
-                _pair(
-                    rule,
-                    WeightedForecast(p1, float(x)),
-                    WeightedForecast(p2, float(1.0 - x)),
-                ).forecast.probs[0]
-                for x in xs
-            ]
-            diffs = np.diff(prs)
-            worst = min(worst, float(diffs.min()))
-            ok = ok and bool(np.all(diffs > 0.0))
+            pairs.append((p1, p2))
+        # each pair at each weight share x of its larger forecast
+        xs = np.linspace(0.01, 0.99, 101)
+        P = np.repeat(np.array(pairs), xs.size, axis=0)
+        W = np.tile(np.stack([xs, 1.0 - xs], axis=1), (len(pairs), 1))
+        X, _ = pool((P, W))
+        diffs = np.diff(X[:, 0].reshape(len(pairs), xs.size), axis=1)
         checks.append(
             AxiomCheck(
-                "monotonicity_n2", ok, worst, 0.0,
+                "monotonicity_n2", bool(np.all(diffs > 0.0)), float(diffs.min()), 0.0,
                 note="pool probability strictly increases with the larger "
                 "forecast's weight share",
             )
@@ -346,23 +376,24 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
     Convex-exposure rules must show zero failures; for closed-domain
     rules at n > 2 the probe also tries the vertex pair (e_1, e_2) at
     weight one half, the canonical witness separating the tsallis
-    family above parameter 2.
+    family above parameter 2.  All averages are drawn first and inverted
+    in one certified batch, whose per-row failure reports are counted:
+    unattainable targets as failures, unconverged, degenerate or
+    uncertified inverses as solver failures.
     """
     _check_samples(samples)
     rng = np.random.default_rng(seed)
-    failures = 0
-    solver_failures = 0
-    for _ in range(samples):
-        p = sample_forecast(rng, n, rule)
-        q = sample_forecast(rng, n, rule)
-        w = rng.uniform(0.05, 0.95)
-        target = w * exposure(rule, p).coords + (1.0 - w) * exposure(rule, q).coords
-        try:
-            invert_exposure(rule, target)
-        except ExposureRangeError:
-            failures += 1
-        except SolverError:
-            solver_failures += 1
+    floor = _sampling_floor(rule)
+    P, w = np.empty((samples, 2, n)), np.empty(samples)
+    for i in range(samples):
+        P[i, 0] = random_simplex_point(rng, n, floor)
+        P[i, 1] = random_simplex_point(rng, n, floor)
+        w[i] = rng.uniform(0.05, 0.95)
+    E = _exposures(rule, _simplex_rows(P))
+    T = w[:, None] * E[:, 0] + (1.0 - w)[:, None] * E[:, 1]
+    _, _, fail = _certified_inverse(rule, T - T.sum(axis=1, keepdims=True) / n)
+    failures = int(np.count_nonzero(fail == _UNATTAINABLE))
+    solver_failures = int(np.count_nonzero(fail)) - failures
 
     canonical: bool | None = None
     if rule.domain_kind == "closed" and n > 2:
@@ -385,22 +416,35 @@ def concavity_probe(
     experts: tuple[int, ...] = (2, 3),
 ) -> ConcavityReport:
     """Sample weight mixtures and record the worst concavity gap of the
-    pooled score: WS(c v + (1-c) w) - c WS(v) - (1-c) WS(w)."""
-    from .learning import weight_score  # local import: avoid cycle at import time
+    pooled score: WS(c v + (1-c) w) - c WS(v) - (1-c) WS(w).
+
+    All samples are drawn first; the samples with m experts then form one
+    stream whose pools under the three weight vectors of each step are
+    scored in one batch per vector (learning.weight_score on every row).
+    """
+    # local import: avoid cycle at import time
+    from .learning import _StreamEvaluator, _weight_rows
 
     _check_samples(samples)
     rng = np.random.default_rng(seed)
-    worst = np.inf
+    floor = _sampling_floor(rule)
+    draws = []
     for _ in range(samples):
         m = int(rng.choice(experts))
-        fs = [sample_forecast(rng, n, rule) for _ in range(m)]
+        P = np.array([random_simplex_point(rng, n, floor) for _ in range(m)])
         v = rng.dirichlet(np.ones(m))
         w = rng.dirichlet(np.ones(m))
         c = rng.uniform()
         j = int(rng.integers(1, n + 1))
-        mixed = weight_score(rule, fs, c * v + (1.0 - c) * w, j)
-        gap = mixed - c * weight_score(rule, fs, v, j) - (1.0 - c) * weight_score(
-            rule, fs, w, j
+        draws.append((m, P, v, w, c, j))
+    worst = np.inf
+    for m in sorted({d[0] for d in draws}):
+        _, P, V, W, c, J = (np.array(x) for x in zip(*(d for d in draws if d[0] == m)))
+        ev = _StreamEvaluator(rule, (_simplex_rows(P), J))
+        mixed, at_v, at_w = (
+            -ev.losses(ev.pools(_weight_rows(U), ev.E))
+            for U in (c[:, None] * V + (1.0 - c[:, None]) * W, V, W)
         )
-        worst = min(worst, float(gap))
+        gap = mixed - c * at_v - (1.0 - c) * at_w
+        worst = min(worst, float(gap.min()))
     return ConcavityReport(rule.label, n, samples, seed, worst)

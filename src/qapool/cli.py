@@ -24,7 +24,13 @@ import numpy as np
 
 from . import analysis, files, learning, pooling
 from .errors import ExposureRangeError, QapoolError, SolverError
-from .rules import _expected, _score_matrix, has_convex_exposure, parse_rule
+from .rules import (
+    _expected,
+    _exposures,
+    _score_matrix,
+    has_convex_exposure,
+    parse_rule,
+)
 
 __all__ = ["main", "build_parser"]
 
@@ -206,16 +212,15 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bregman(args) -> int:
-    from .rules import bregman
-
     rule = parse_rule(args.rule)
     ff = files.load_forecast_file(args.input)
     ids = [e.id for e in ff.experts]
-    matrix = [
-        [bregman(rule, a.forecast, b.forecast) for b in ff.experts]
-        for a in ff.experts
-    ]
-    _emit({"rule": rule.label, "experts": ids, "divergence": matrix})
+    # D[a, b] = G(p_a) - G(p_b) - <g(p_b), p_a - p_b>, as rules.bregman
+    # computes one entry; the diagonal is exactly 0
+    P = np.array([e.forecast.probs for e in ff.experts])
+    G, E = _expected(rule, P), _exposures(rule, P)
+    D = G[:, None] - G[None, :] - np.einsum("bn,abn->ab", E, P[:, None] - P[None, :])
+    _emit({"rule": rule.label, "experts": ids, "divergence": D})
     return 0
 
 

@@ -196,6 +196,8 @@ def _forecasts_from_json(doc) -> ForecastFile:
                 weight=None if row.get("weight") is None else float(row["weight"]),
             )
         )
+    if not experts:
+        raise ValueError("forecast file lists no experts")
     n = int(doc.get("n", experts[0].forecast.n))
     labels = doc.get("labels")
     return ForecastFile(
@@ -227,6 +229,8 @@ def _forecasts_from_csv(path: Path) -> ForecastFile:
         experts.append(
             ExpertEntry(f"e{k + 1}", Forecast(np.asarray(probs)), weight)
         )
+    if not experts:
+        raise ValueError(f"{path}: forecast file lists no experts")
     labels = None
     if header is not None:
         labels = tuple(header[:-1] if has_weight else header)

@@ -51,12 +51,7 @@ class WeightVector:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weight vector must be one-dimensional, m >= 1")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValueError("weights must be finite and nonnegative")
-        total = w.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"weights sum to {total!r}, not 1 within 1e-9")
-        w = w / total
+        w = _weight_rows(w)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -71,6 +66,18 @@ class WeightVector:
 
     def __repr__(self) -> str:
         return f"WeightVector({np.array2string(self.weights, separator=', ')})"
+
+
+def _weight_rows(W: np.ndarray) -> np.ndarray:
+    """WeightVector's checks on every row (last axis) of W, and the rows
+    renormalized to sum to one."""
+    if not np.all(np.isfinite(W)) or np.any(W < 0.0):
+        raise ValueError("weights must be finite and nonnegative")
+    total = W.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise ValueError(f"weights sum to {total[off][0]!r}, not 1 within 1e-9")
+    return W / total
 
 
 def as_weight_vector(value) -> WeightVector:
@@ -187,6 +194,9 @@ class _StreamEvaluator:
         self.rule = rule
         self.E = _exposures(rule, P)
         self.T, self.m, self.n = self.E.shape
+        off = (J < 1) | (J > self.n)
+        if off.any():
+            raise IndexError(f"outcome {J[off][0]} out of range 1..{self.n}")
         self.J = J - 1
         self._last: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -194,8 +204,9 @@ class _StreamEvaluator:
         return float(np.linalg.norm(self.E, axis=2).max())
 
     def pools(self, w: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """Pools of the (k, m, n) exposure rows E under weights w."""
-        targets = w @ E
+        """Pools of the (k, m, n) exposure rows E under weights w: one
+        (m,) vector for every row, or one row of a (k, m) array per row."""
+        targets = w @ E if w.ndim == 1 else (w[:, None, :] @ E)[:, 0]
         targets -= targets.sum(axis=1, keepdims=True) / self.n
         return _invert_rows(self.rule, targets)
 

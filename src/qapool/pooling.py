@@ -10,10 +10,16 @@ and log invert in closed form (affine map and softmax); neglog, power,
 hs, tsallis and spherical reduce to one monotone equation per target
 for the additive constant that the all-ones quotient leaves free, with
 a closed-form bracket per family.  One safeguarded Newton kernel
-solves that equation for a whole (k, n) array of targets at once (a
-single pool is a one-row batch) and raises SolverError when it runs
-out of iterations.  A generic convex-minimization fallback covers
-everything and doubles as a cross-check oracle.
+solves that equation for a whole (k, n) array of targets at once and
+reports, per row, a target no forecast attains, a solve that ran out of
+iterations, or a degenerate inverse; one failed row leaves the others
+untouched, and a caller that needs every row raises the first failure
+as the error a one-row call raises (_raise_first).  _pool_rows pools a
+(k, m, n) array of weighted forecast rows and checks and certifies each
+row as qa_pool checks one collection; qa_pool is its one-row case, and
+the audit suites pool whole arrays of seeded draws through it.  A
+generic convex-minimization fallback covers everything and doubles as
+a cross-check oracle.
 
 The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the closed simplex of the weighted sum of Bregman
@@ -38,9 +44,10 @@ from .rules import (
     _expected,
     _exposures,
     _gradient,
+    _simplex_rows,
     exposure,
 )
-from .simplex import canonicalize, project_simplex, project_simplex_floor, uniform_point
+from .simplex import project_simplex, project_simplex_floor, uniform_point
 
 __all__ = [
     "WeightedForecast",
@@ -107,7 +114,11 @@ class PoolResult:
 # --------------------------------------------------------------------------
 
 def _prepare(inputs) -> tuple[list[Forecast], np.ndarray, float]:
-    """Validate, drop zero weights, normalize.  Returns (forecasts, w, total)."""
+    """Validate and drop zero weights.
+
+    Returns the kept forecasts, their weights (not normalized) and the
+    total of all supplied weights.
+    """
     wfs = [as_weighted(x) for x in inputs]
     if not wfs:
         raise DegenerateError("cannot pool an empty collection")
@@ -121,8 +132,7 @@ def _prepare(inputs) -> tuple[list[Forecast], np.ndarray, float]:
     n = kept[0].forecast.n
     if any(wf.forecast.n != n for wf in kept):
         raise ValueError("forecasts have different outcome counts")
-    w = np.array([wf.weight for wf in kept], dtype=float)
-    return [wf.forecast for wf in kept], w / w.sum(), total
+    return [wf.forecast for wf in kept], np.array([wf.weight for wf in kept]), total
 
 
 def _all_equal(forecasts: list[Forecast]) -> bool:
@@ -130,8 +140,21 @@ def _all_equal(forecasts: list[Forecast]) -> bool:
     return all(np.array_equal(f.probs, first) for f in forecasts[1:])
 
 
-def _average_exposure(rule: RuleSpec, forecasts: list[Forecast], w: np.ndarray) -> np.ndarray:
-    return canonicalize(w @ _exposures(rule, np.stack([f.probs for f in forecasts])))
+def _average_exposures(rule: RuleSpec, P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Canonical w-averages of the exposures of (k, m, n) forecast rows.
+
+    w is (k, m) and sums to one per row; the result is (k, n).
+    """
+    T = (w[:, None, :] @ _exposures(rule, P))[:, 0]
+    return T - T.sum(axis=1, keepdims=True) / T.shape[1]
+
+
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    # the Euclidean norm of each row, computed as np.linalg.norm computes
+    # the norm of one vector (a dot product), so a one-row batch is bitwise
+    # the single-vector value; a norm that overflows is inf
+    with np.errstate(over="ignore"):
+        return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
 
 
 def _residual(rule: RuleSpec, pooled: Forecast, target: np.ndarray) -> float:
@@ -147,26 +170,29 @@ def _residual(rule: RuleSpec, pooled: Forecast, target: np.ndarray) -> float:
 _ROOT_MAX_ITER = 200
 _ROOT_XTOL = 4.0 * np.finfo(float).eps
 
+# why a row was not inverted (0: it was): no forecast attains the target,
+# the Newton solve ran out of iterations, the inverse does not normalize,
+# or the pool's residual fails its certificate
+_UNATTAINABLE, _NOT_CONVERGED, _DEGENERATE, _UNCERTIFIED = 1, 2, 3, 4
 
-def _solve_shift(rule: RuleSpec, a: np.ndarray, p: float, lo, hi) -> np.ndarray:
+
+def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     """Per-row shift c in [lo, hi] with sum_j z_j^p = 1, z = a + c.
 
     At p = 0 the equation is sum_j log z_j = 0.  Either side is monotone
     in c, so the sign of each Newton step tells which end of the bracket
     the iterate replaces.  A step that leaves the bracket is replaced by
-    bisection.  Rows leave the iteration as they converge.
+    bisection.  Rows leave the iteration as they converge.  A row with a
+    NaN upper end (no admissible shift) and a row still unconverged after
+    _ROOT_MAX_ITER iterations come back as NaN.
     """
     k = a.shape[0]
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
-    if np.isnan(hi).any():  # an empty bracket: no shift meets the constraint
-        raise ExposureRangeError(
-            f"target exposure is not attainable for rule {rule.label}: "
-            "the simplex constraint overshoots at every admissible shift"
-        )
     # start at the end from which Newton approaches the root without
     # overshooting: hi when sum z^p is convex and increasing (p >= 1),
     # lo when it is concave and increasing or convex and decreasing
     out = (hi if p >= 1.0 else lo).copy()
+    out[np.isnan(hi)] = np.nan
     rows = np.flatnonzero(hi - lo > _ROOT_XTOL * np.abs(out))
     a, lo, hi, c = a[rows], lo[rows], hi[rows], out[rows]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -195,11 +221,7 @@ def _solve_shift(rule: RuleSpec, a: np.ndarray, p: float, lo, hi) -> np.ndarray:
                 out[rows[done]] = c[done]
                 keep = ~done
                 rows, a, lo, hi, c = rows[keep], a[keep], lo[keep], hi[keep], c[keep]
-    if rows.size:
-        raise SolverError(
-            f"root-find for rule {rule.label} did not converge in "
-            f"{_ROOT_MAX_ITER} iterations"
-        )
+    out[rows] = np.nan
     return out
 
 
@@ -208,23 +230,164 @@ def _shift_problem(rule: RuleSpec, T: np.ndarray):
     return rule._impl.shift(T, rule.param)
 
 
-def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
-    """Forecasts whose canonical exposures are the rows of a (k, n) array.
+def _inverse_rows(
+    rule: RuleSpec, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Forecasts whose canonical exposures are the rows of a (k, n) array,
+    and why each row failed (0 where it did not).
 
     Families with a closed-form inverse use it; every other family goes
     through one safeguarded Newton solve for all rows (see _shift_problem).
+    A failed row is NaN and has code _UNATTAINABLE, _NOT_CONVERGED or
+    _DEGENERATE; one failed row leaves the others as they would be alone.
+    The codes are None when every row was inverted, so that the common
+    case (one row per online-learning step) allocates and checks nothing.
     """
-    if rule._impl.closed_form is not None:
-        X = rule._impl.closed_form(T, rule.param)
+    closed_form = rule._impl.closed_form
+    if closed_form is not None:
+        X = closed_form(T, rule.param)
     else:
         a, p, q, lo, hi = _shift_problem(rule, T)
-        c = _solve_shift(rule, a, p, lo, hi)
+        c = _solve_shift(a, p, lo, hi)
         with np.errstate(divide="ignore"):
             X = (a + c[:, None]) ** q
     s = X.sum(axis=1, keepdims=True)
-    if not np.isfinite(s).all() or s.min() <= 0.0:
+    if np.isfinite(s).all() and s.min() > 0.0:
+        return X / s, None
+    bad = ~(np.isfinite(s[:, 0]) & (s[:, 0] > 0.0))
+    fail = np.where(bad, _DEGENERATE, 0).astype(np.int8)
+    if closed_form is not None:
+        # a closed form gives NaN for a finite target outside its range
+        unattainable = np.isnan(X).any(axis=1) & ~np.isnan(T).any(axis=1)
+    else:
+        fail[np.isnan(c)] = _NOT_CONVERGED
+        unattainable = np.broadcast_to(np.isnan(hi), fail.shape)
+    fail[unattainable] = _UNATTAINABLE
+    s[bad] = np.nan
+    return X / s, fail
+
+
+def _raise_first(
+    rule: RuleSpec, fail: np.ndarray | None, res: np.ndarray | None = None,
+    doing: str = "inversion for",
+) -> None:
+    """Raise, for the first failed row, the error a one-row call raises.
+
+    ``res`` and ``doing`` word the residual certificate's failure.
+    """
+    if fail is None or not np.count_nonzero(fail):
+        return
+    i = int((fail != 0).argmax())
+    if fail[i] == _UNATTAINABLE:
+        if rule._impl.closed_form is not None:
+            raise ExposureRangeError(
+                f"target exposure lies outside the {rule.label} rule's range"
+            )
+        raise ExposureRangeError(
+            f"target exposure is not attainable for rule {rule.label}: "
+            "the simplex constraint overshoots at every admissible shift"
+        )
+    if fail[i] == _NOT_CONVERGED:
+        raise SolverError(
+            f"root-find for rule {rule.label} did not converge in "
+            f"{_ROOT_MAX_ITER} iterations"
+        )
+    if fail[i] == _DEGENERATE:
         raise SolverError(f"inversion for {rule.label} produced a degenerate point")
-    return X / s
+    raise SolverError(
+        f"{doing} {rule.label} left residual {res[i]:.3e} above tolerance"
+    )
+
+
+def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
+    """The forecasts of _inverse_rows; raises the first failed row's error."""
+    X, fail = _inverse_rows(rule, T)
+    _raise_first(rule, fail)
+    return X
+
+
+def _certify(
+    rule: RuleSpec, X: np.ndarray, T: np.ndarray, fail: np.ndarray | None, *,
+    enforce: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check and renormalize, in place, each inverted row of X as
+    ``Forecast`` does, and measure its defining-identity residual against
+    its row of T.  Returns the residuals (NaN where the kernel failed) and
+    the failure codes.
+
+    With ``enforce``, a row whose residual exceeds the certificate
+    res <= _scaled(1e-8, t) is marked _UNCERTIFIED.
+    """
+    if fail is None:
+        fail = np.zeros(X.shape[0], dtype=np.int8)
+    ok = fail == 0
+    res = np.full(X.shape[0], np.nan)
+    if ok.any():
+        X[ok] = _simplex_rows(X[ok])
+        res[ok] = _row_norms(_exposures(rule, X[ok]) - T[ok])
+        if enforce:
+            fail[ok & ~(res <= _scaled(1e-8, T))] = _UNCERTIFIED
+    return res, fail
+
+
+def _certified_inverse(
+    rule: RuleSpec, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified inverses of the rows of T: forecasts, residuals, failures."""
+    X, fail = _inverse_rows(rule, T)
+    return (X, *_certify(rule, X, T, fail))
+
+
+def _pool_rows(
+    rule: RuleSpec, P: np.ndarray, W: np.ndarray, *, force_generic: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Pool k rows of weighted forecasts, each checked and certified alone.
+
+    P is (k, m, n), W is (k, m).  Every row gets the checks qa_pool makes
+    on one collection: finite nonnegative weights with a finite positive
+    total, zero-weight forecasts ignored, the domain of the rule, the
+    simplex sum of the pool, and the residual certificate.  The first
+    failed row raises the error a one-row call raises.  Returns the (k, n)
+    pools, the (k,) total weights, the residuals, and a mask of the rows
+    whose kept forecasts were all equal (pooled to that forecast itself,
+    with residual 0).  ``force_generic`` inverts by convex minimization
+    and leaves the residual uncertified.
+    """
+    k, m, _ = P.shape
+    if m == 0:
+        raise DegenerateError("cannot pool an empty collection")
+    bad = ~(np.isfinite(W) & (W >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"weight must be a finite nonnegative real, got {float(W[bad][0])!r}"
+        )
+    with np.errstate(over="ignore"):
+        total = W.cumsum(axis=1)[:, -1]  # added in order, as Python's sum adds
+    if not np.isfinite(total).all():
+        # normalizing by an infinite total would zero every weight
+        over = float(total[~np.isfinite(total)][0])
+        raise ValueError(f"total weight overflows to {over!r}")
+    kept = W > 0.0
+    if not kept.any(axis=1).all():
+        raise DegenerateError("all weights are zero")
+    first = P[np.arange(k), kept.argmax(axis=1)]
+    same = ((P == first[:, None]) | ~kept[..., None]).all(axis=(1, 2))
+    X, res = first.copy(), np.zeros(k)
+    rows = np.flatnonzero(~same)
+    if rows.size:
+        w = W[rows] / W[rows].sum(axis=1, keepdims=True)
+        # a dropped forecast stands in as the first kept one, at weight 0
+        T = _average_exposures(
+            rule, np.where(kept[rows, :, None], P[rows], first[rows, None]), w
+        )
+        if force_generic:
+            Y, fail = np.array([_invert_generic(rule, t) for t in T]), None
+        else:
+            Y, fail = _inverse_rows(rule, T)
+        r, fail = _certify(rule, Y, T, fail, enforce=not force_generic)
+        _raise_first(rule, fail, r, "pooling under")
+        X[rows], res[rows] = Y, r
+    return X, total, res, same
 
 
 # --------------------------------------------------------------------------
@@ -276,12 +439,13 @@ def _minimize_tilted(
     )
 
 
-def _scaled(tol: float, t: np.ndarray) -> float:
+def _scaled(tol: float, t: np.ndarray):
     # absolute tolerances widen proportionally once exposure magnitudes
     # leave the O(1) regime float64 can resolve them in; the norm is taken
-    # of t / max|t| so that it cannot overflow (unscaled when max|t| <= 1)
-    scale = max(1.0, float(np.abs(t).max()))
-    return tol * max(1.0, scale * float(np.linalg.norm(t / scale)))
+    # of t / max|t| so that it cannot overflow (unscaled when max|t| <= 1).
+    # One tolerance per row of a (k, n) array.
+    scale = np.maximum(1.0, np.abs(t).max(axis=-1))
+    return tol * np.maximum(1.0, scale * _row_norms(t / scale[..., None]))
 
 
 def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
@@ -321,13 +485,9 @@ def invert_exposure(rule: RuleSpec, target, *, force_generic: bool = False) -> F
     t = target.coords
     if force_generic:
         return Forecast(_invert_generic(rule, t))
-    pooled = Forecast(_invert_rows(rule, t[None])[0])
-    res = _residual(rule, pooled, t)
-    if not res <= _scaled(1e-8, t):
-        raise SolverError(
-            f"inversion for {rule.label} left residual {res:.3e} above tolerance"
-        )
-    return pooled
+    X, res, fail = _certified_inverse(rule, t[None])
+    _raise_first(rule, fail, res)
+    return _frozen(X[0])
 
 
 def qa_pool(rule: RuleSpec, inputs, *, force_generic: bool = False) -> PoolResult:
@@ -335,24 +495,24 @@ def qa_pool(rule: RuleSpec, inputs, *, force_generic: bool = False) -> PoolResul
 
     Inputs may be WeightedForecast instances or (forecast, weight)
     pairs.  Zero-weight entries are dropped; total_weight reports the
-    sum of all supplied weights.
+    sum of all supplied weights.  This is the one-row case of _pool_rows.
     """
-    forecasts, w, total = _prepare(inputs)
-    if _all_equal(forecasts):
-        return PoolResult(forecasts[0], total, 0.0, CLOSED_FORM)
-    t = _average_exposure(rule, forecasts, w)
-    if force_generic:
-        x, method = _invert_generic(rule, t), CONVEX_MIN
+    forecasts, w, _ = _prepare(inputs)
+    P = np.stack([f.probs for f in forecasts])[None]
+    X, total, res, same = _pool_rows(rule, P, w[None], force_generic=force_generic)
+    if same[0]:
+        method = CLOSED_FORM
+    elif force_generic:
+        method = CONVEX_MIN
     else:
-        x = _invert_rows(rule, t[None])[0]
         method = ROOT_FIND if rule._impl.closed_form is None else CLOSED_FORM
-    pooled = Forecast(x)
-    res = _residual(rule, pooled, t)
-    if method != CONVEX_MIN and not res <= _scaled(1e-8, t):
-        raise SolverError(
-            f"pooling under {rule.label} left residual {res:.3e} above tolerance"
-        )
-    return PoolResult(pooled, total, res, method)
+    return PoolResult(_frozen(X[0]), float(total[0]), float(res[0]), method)
+
+
+def _frozen(x: np.ndarray) -> Forecast:
+    # a row already checked and renormalized as Forecast would
+    x.flags.writeable = False
+    return Forecast._trusted(x)
 
 
 def tsallis_invert(gamma: float, v) -> Forecast:
@@ -409,7 +569,8 @@ def generalized_pool(
         raise ValueError("floor must satisfy 0 <= n*floor < 1")
     if _all_equal(forecasts) and (floor is None or forecasts[0].probs.min() >= floor):
         return PoolResult(forecasts[0], total, 0.0, BREGMAN_MIN)
-    t = _average_exposure(rule, forecasts, w)
+    P = np.stack([f.probs for f in forecasts])
+    t = _average_exposures(rule, P[None], (w / w.sum())[None])[0]
     working_floor = floor if floor is not None else _interior_floor(rule, forecasts)
     x, kkt, converged = _minimize_tilted(
         rule, t, floor=working_floor, tol=tol, max_iter=max_iter

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ExposureRangeError
+from .errors import ConfigError, DomainError
 from .simplex import canonicalize
 
 __all__ = [
@@ -71,11 +71,12 @@ class _Family:
     Functions take the rule parameter c (None for families without one).
     G and grad act on the last axis of (..., n) forecast arrays.  The
     inverse takes a (k, n) array of canonical exposure targets: either a
-    ``closed_form`` returning forecasts up to scale, or a ``shift`` for the
-    problem pooling._solve_shift solves per row: offsets a, exponents p
-    and q, and a bracket [lo, hi] for the shift s with sum_j z_j^p = 1
-    (sum_j log z_j = 0 at p = 0), z = a + s, giving x_j ~ z_j^q.  A NaN
-    upper end marks a row that no forecast attains.
+    ``closed_form`` returning forecasts up to scale (a NaN row for a target
+    that no forecast attains), or a ``shift`` for the problem
+    pooling._solve_shift solves per row: offsets a, exponents p and q, and
+    a bracket [lo, hi] for the shift s with sum_j z_j^p = 1 (sum_j log
+    z_j = 0 at p = 0), z = a + s, giving x_j ~ z_j^q.  A NaN upper end
+    marks a row that no forecast attains.
     """
 
     G: Callable
@@ -94,10 +95,8 @@ _ABOVE_ONE = (lambda c: c is not None and c > 1.0, "requires parameter > 1")
 
 def _quadratic_inverse(T: np.ndarray, c) -> np.ndarray:
     X = 0.5 * T + 1.0 / T.shape[1]
-    if X.min() < -1e-12:
-        raise ExposureRangeError(
-            "target exposure lies outside the quadratic rule's range"
-        )
+    if not X.min() >= -1e-12:  # some target lies outside the range (or is NaN)
+        X[X.min(axis=1) < -1e-12] = np.nan
     return np.maximum(X, 0.0)
 
 
@@ -207,6 +206,20 @@ FAMILIES = tuple(_FAMILIES)
 OPEN_DOMAIN_FAMILIES = frozenset(k for k, f in _FAMILIES.items() if f.open_domain)
 
 
+def _simplex_rows(P: np.ndarray) -> np.ndarray:
+    """Forecast's checks on every row (last axis) of P, and the rows
+    renormalized to sum to one."""
+    if np.count_nonzero(~np.isfinite(P)):
+        raise ValueError("forecast probabilities must be finite")
+    if np.count_nonzero(P < 0.0):
+        raise ValueError("forecast probabilities must be nonnegative")
+    total = P.sum(axis=-1, keepdims=True)
+    off = abs(total - 1.0) > SIMPLEX_ATOL
+    if np.count_nonzero(off):
+        raise ValueError(f"probabilities sum to {total[off][0]!r}, not 1 within 1e-9")
+    return P / total
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -227,14 +240,7 @@ class Forecast:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("forecast needs at least two outcome probabilities")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("forecast probabilities must be finite")
-        if np.any(p < 0.0):
-            raise ValueError("forecast probabilities must be nonnegative")
-        total = p.sum()
-        if abs(total - 1.0) > SIMPLEX_ATOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-9")
-        object.__setattr__(self, "probs", _freeze(p / total))
+        object.__setattr__(self, "probs", _freeze(_simplex_rows(p)))
 
     @property
     def n(self) -> int:

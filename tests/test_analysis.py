@@ -7,17 +7,23 @@ import pytest
 
 from qapool import (
     ConfigError,
+    ExposureRangeError,
     RuleSpec,
+    SolverError,
     aggregator_utility,
     axiom_suite,
     bregman,
     concavity_probe,
     exposure,
     exposure_probe,
+    has_convex_exposure,
+    invert_exposure,
     maxmin_verify,
     qa_pool,
     surplus_report,
+    weight_score,
 )
+from qapool.analysis import sample_forecast
 
 from conftest import CLOSED_RULES, CONVEX_RULES, RULE_IDS, random_instance, random_probs
 from oracles import kl_divergence, weighted_arithmetic_mean
@@ -239,3 +245,181 @@ class TestReverseBregmanDirection:
         vals = np.array([total(x) for x in xs])
         best = xs[int(np.argmin(vals))]
         assert abs(best - mean[0]) <= 1e-4 + 1e-9
+
+
+# --------------------------------------------------------------------------
+# batched suites against per-sample references
+# --------------------------------------------------------------------------
+
+def _pair(rule, a, b):
+    """The binary operator on (Forecast, weight) pairs, one qa_pool call."""
+    res = qa_pool(rule, [a, b])
+    return res.pooled, res.total_weight
+
+
+def reference_axiom_suite(rule, n, samples, seed):
+    """{check name: (passed, worst_gap)}, one qa_pool call per pool, with
+    the draws of axiom_suite in the same order."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        return sample_forecast(rng, n, rule), rng.uniform(0.1, 2.0)
+
+    def probs(pair):
+        return pair[0].probs
+
+    out = {}
+    gap = 0.0
+    for _ in range(samples):
+        a, b = draw(), draw()
+        gap = max(gap, abs(_pair(rule, a, b)[1] - (a[1] + b[1])))
+    out["weight_additivity"] = (gap == 0.0, gap)
+    gap = 0.0
+    for _ in range(samples):
+        a, b = draw(), draw()
+        gap = max(gap, np.abs(probs(_pair(rule, a, b)) - probs(_pair(rule, b, a))).max())
+    out["commutativity"] = (gap <= 1e-12, gap)
+    gap = 0.0
+    for _ in range(samples):
+        a, b, c = draw(), draw(), draw()
+        left, right = _pair(rule, _pair(rule, a, b), c), _pair(rule, a, _pair(rule, b, c))
+        gap = max(gap, np.abs(probs(left) - probs(right)).max(), abs(left[1] - right[1]))
+    out["associativity"] = (gap <= 1e-9, gap)
+    gap = 0.0
+    for _ in range(samples):
+        p = sample_forecast(rng, n, rule)
+        a, b = (p, rng.uniform(0.1, 2.0)), (p, rng.uniform(0.1, 2.0))
+        gap = max(gap, np.abs(probs(_pair(rule, a, b)) - p.probs).max())
+    out["idempotence"] = (gap <= 1e-12, gap)
+    gap = 0.0
+    for _ in range(samples):
+        a, b = draw(), draw()
+        bumped = probs(_pair(rule, (a[0], a[1] + 1e-6), b))
+        gap = max(gap, np.abs(bumped - probs(_pair(rule, a, b))).max())
+    out["continuity"] = (gap <= 1e-3, gap)
+    if n == 2:
+        worst, ok = np.inf, True
+        for _ in range(max(1, samples // 10)):
+            while True:
+                p1, p2 = sample_forecast(rng, 2, rule), sample_forecast(rng, 2, rule)
+                if p1.probs[0] < p2.probs[0]:
+                    p1, p2 = p2, p1
+                if p1.probs[0] - p2.probs[0] >= 0.05:
+                    break
+            xs = np.linspace(0.01, 0.99, 101)
+            prs = [probs(_pair(rule, (p1, x), (p2, 1.0 - x)))[0] for x in xs]
+            worst, ok = min(worst, np.diff(prs).min()), ok and np.all(np.diff(prs) > 0.0)
+        out["monotonicity_n2"] = (ok, worst)
+    else:
+        worst = np.inf
+        for _ in range(samples):
+            k = int(rng.integers(2, 6))
+            pts = []
+            while len(pts) < k:
+                cand = sample_forecast(rng, n, rule).probs
+                if all(np.linalg.norm(cand - p) >= 1e-3 for p in pts):
+                    pts.append(cand)
+            worst = min(worst, sum(
+                np.dot(exposure(rule, pts[i]).coords, pts[i] - pts[i - 1]) for i in range(k)
+            ))
+        out["cyclical_monotonicity"] = (worst > 1e-12, worst)
+    return out
+
+
+def reference_exposure_probe(rule, n, samples, seed):
+    """(failures, solver_failures), one invert_exposure call per sample."""
+    rng = np.random.default_rng(seed)
+    failures = solver_failures = 0
+    for _ in range(samples):
+        p, q = sample_forecast(rng, n, rule), sample_forecast(rng, n, rule)
+        w = rng.uniform(0.05, 0.95)
+        try:
+            t = w * exposure(rule, p).coords + (1.0 - w) * exposure(rule, q).coords
+            invert_exposure(rule, t)
+        except ExposureRangeError:
+            failures += 1
+        except SolverError:
+            solver_failures += 1
+    return failures, solver_failures
+
+
+def reference_concavity_gap(rule, n, samples, seed, experts=(2, 3)):
+    """Worst concavity gap, three weight_score calls per sample."""
+    rng = np.random.default_rng(seed)
+    worst = np.inf
+    for _ in range(samples):
+        m = int(rng.choice(experts))
+        fs = [sample_forecast(rng, n, rule) for _ in range(m)]
+        v, w = rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))
+        c, j = rng.uniform(), int(rng.integers(1, n + 1))
+        gap = (
+            weight_score(rule, fs, c * v + (1.0 - c) * w, j)
+            - c * weight_score(rule, fs, v, j)
+            - (1.0 - c) * weight_score(rule, fs, w, j)
+        )
+        worst = min(worst, gap)
+    return worst
+
+
+ALL_RULES = CONVEX_RULES + [RuleSpec.tsallis(3.0)]
+
+
+class TestBatchedSuitesMatchPerSampleReference:
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.label)
+    def test_axiom_suite(self, rule, n):
+        for seed in (1, 7):
+            if not has_convex_exposure(rule, n):
+                with pytest.raises(ConfigError):
+                    axiom_suite(rule, n, 12, seed)
+                continue
+            rep = axiom_suite(rule, n, 12, seed)
+            got = {c.name: (c.passed, c.worst_gap) for c in rep.checks}
+            want = reference_axiom_suite(rule, n, 12, seed)
+            assert got.keys() == want.keys()
+            for name, (passed, gap) in want.items():
+                assert got[name][0] == passed, name
+                assert abs(got[name][1] - gap) <= 1e-12, name
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.label)
+    def test_exposure_probe(self, rule, n):
+        for seed in (1, 7):
+            rep = exposure_probe(rule, n, 30, seed)
+            want = reference_exposure_probe(rule, n, 30, seed)
+            assert (rep.failures, rep.solver_failures) == want
+
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize("rule", ALL_RULES, ids=lambda r: r.label)
+    def test_concavity_probe(self, rule, n):
+        for seed in (1, 7):
+            try:
+                want = reference_concavity_gap(rule, n, 20, seed)
+            except ExposureRangeError as e:
+                # without convex exposure some pool may be unattainable
+                assert not has_convex_exposure(rule, n)
+                with pytest.raises(ExposureRangeError, match=str(e)):
+                    concavity_probe(rule, n, 20, seed)
+                continue
+            assert abs(concavity_probe(rule, n, 20, seed).worst_gap - want) <= 1e-12
+
+    def test_unattainable_rows_counted_one_by_one(self):
+        # tsallis:3 at n = 3: some averages are unattainable, the rest not
+        rep = exposure_probe(RuleSpec.tsallis(3.0), 3, 200, 0)
+        assert 0 < rep.failures < 200 and rep.solver_failures == 0
+        want = reference_exposure_probe(RuleSpec.tsallis(3.0), 3, 200, 0)
+        assert (rep.failures, 0) == want
+
+    @pytest.mark.parametrize(
+        "rule", [RuleSpec.neglog(), RuleSpec.hs(), RuleSpec.tsallis(3.0)],
+        ids=lambda r: r.label,
+    )
+    def test_unconverged_rows_counted_one_by_one(self, rule, monkeypatch):
+        import qapool.pooling as pooling
+
+        monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", 1)
+        rep = exposure_probe(rule, 3, 60, 2)
+        assert rep.solver_failures > 0
+        assert rep.failures + rep.solver_failures <= 60
+        want = reference_exposure_probe(rule, 3, 60, 2)
+        assert (rep.failures, rep.solver_failures) == want

@@ -19,6 +19,9 @@ from qapool.files import (
     write_forecast_file,
 )
 from qapool.rules import Forecast
+from qapool.simplex import random_simplex_point
+
+from conftest import CONVEX_RULES
 
 
 @pytest.fixture
@@ -116,6 +119,18 @@ class TestForecastFiles:
         )
         with pytest.raises(ValueError):
             load_forecast_file(path)
+
+    @pytest.mark.parametrize("command", ["pool", "score", "bregman"])
+    @pytest.mark.parametrize(
+        "content", ['{"experts": []}', "a,b,weight\n"], ids=["json", "csv"]
+    )
+    def test_no_experts_exits_1(self, tmp_path, command, content, capsys):
+        path = tmp_path / ("f.json" if content.startswith("{") else "f.csv")
+        path.write_text(content)
+        assert main([command, "quadratic", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qapool:") and "lists no experts" in err
 
     def test_round_trip_preserves_probabilities(self, tmp_path, forecasts_json):
         ff = load_forecast_file(forecasts_json)
@@ -359,6 +374,20 @@ class TestCmdScoreAndBregman:
         assert m.shape == (2, 2)
         assert np.allclose(np.diag(m), 0.0)
         assert m[0, 1] == pytest.approx(2 * 0.4**2)
+
+
+    @pytest.mark.parametrize(
+        "rule", CONVEX_RULES + [qapool.RuleSpec.tsallis(3.0)], ids=lambda r: r.label
+    )
+    def test_bregman_matrix_matches_pairwise_bregman(self, rule, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        P = [random_simplex_point(rng, 50, 1e-3).tolist() for _ in range(20)]
+        assert main(["bregman", rule.label, write_experts(tmp_path, P)]) == 0
+        D = np.asarray(json.loads(capsys.readouterr().out)["divergence"])
+        want = np.array([[qapool.bregman(rule, p, q) for q in P] for p in P])
+        assert np.all(np.diag(D) == 0.0)
+        off = ~np.eye(20, dtype=bool)
+        assert np.all(np.abs(D[off] - want[off]) <= 1e-12 * np.abs(want[off]))
 
 
 class TestCmdLearn:

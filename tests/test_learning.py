@@ -363,3 +363,13 @@ class TestStreamTransport:
         # the loss, the gradient and the comparator losses share their points
         assert len(asked) > len(inverted)
         assert sorted(inverted) == sorted(set(asked))
+
+
+class TestOutcomeRange:
+    # the outcome must name one of the n forecast coordinates; j = 0 would
+    # otherwise index the last outcome and j = n + 1 fail inside numpy
+    @pytest.mark.parametrize("j", [0, 3])
+    @pytest.mark.parametrize("fn", [weight_score, loss_gradient])
+    def test_out_of_range_outcome_rejected(self, fn, j):
+        with pytest.raises(IndexError, match=rf"outcome {j} out of range 1\.\.2"):
+            fn(QUAD, [[0.5, 0.5], [0.1, 0.9]], [0.5, 0.5], j)

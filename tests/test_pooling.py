@@ -21,11 +21,16 @@ from qapool import (
     tsallis_invert,
 )
 from qapool.pooling import (
+    _NOT_CONVERGED,
+    _UNATTAINABLE,
     BREGMAN_MIN,
     CLOSED_FORM,
     CONVEX_MIN,
     ROOT_FIND,
+    _certified_inverse,
+    _inverse_rows,
     _invert_rows,
+    _pool_rows,
     _shift_problem,
     _solve_shift,
 )
@@ -393,7 +398,7 @@ class TestRowKernel:
         eps = np.finfo(float).eps
         for n in (2, 3, 50):
             a, p, _, lo, hi = _shift_problem(rule, kernel_targets(rng, rule, n))
-            c = _solve_shift(rule, a, p, lo, hi)
+            c = _solve_shift(a, p, lo, hi)
             lo, hi = np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape)
             open_ = hi > lo
 
@@ -433,6 +438,94 @@ class TestRowKernel:
             spherical_pool(2.0, inputs)
         with pytest.raises(SolverError):
             tsallis_invert(1.5, [0.2, 0.3, 0.6])
+
+
+class TestRowFailures:
+    """A batch reports each row's failure; one failed row spoils no other."""
+
+    TSALLIS3 = RuleSpec.tsallis(3.0)
+
+    def test_unattainable_rows_are_counted_row_by_row(self, rng):
+        rule = self.TSALLIS3
+        vertices = (
+            exposure(rule, [1.0, 0.0, 0.0]).coords + exposure(rule, [0.0, 1.0, 0.0]).coords
+        )
+        # the exposure of a forecast is attained by that forecast
+        inner = [exposure(rule, random_probs(rng, 3, rule)).coords for _ in range(4)]
+        T = np.array(
+            [inner[0], 0.5 * vertices, inner[1], inner[2], 0.5 * vertices, inner[3]]
+        )
+        X, res, fail = _certified_inverse(rule, T)
+        assert fail.tolist() == [0, _UNATTAINABLE, 0, 0, _UNATTAINABLE, 0]
+        assert np.isnan(X[fail != 0]).all() and np.isnan(res[fail != 0]).all()
+        for x, t in zip(X[fail == 0], T[fail == 0]):
+            assert np.array_equal(x, invert_exposure(rule, t).probs)
+        with pytest.raises(ExposureRangeError) as err:
+            invert_exposure(rule, 0.5 * vertices)
+        assert str(err.value) == (
+            "target exposure is not attainable for rule tsallis:3: "
+            "the simplex constraint overshoots at every admissible shift"
+        )
+
+    def test_quadratic_range_is_checked_per_row(self):
+        rule = RuleSpec.quadratic()
+        T = np.array([[0.4, -0.4], [3.0, -3.0], [-0.2, 0.2]])
+        X, fail = _inverse_rows(rule, T)
+        assert fail.tolist() == [0, _UNATTAINABLE, 0]
+        assert np.allclose(X[[0, 2]], [[0.7, 0.3], [0.4, 0.6]], atol=1e-15)
+        with pytest.raises(ExposureRangeError) as err:
+            invert_exposure(rule, [3.0, -3.0])
+        assert str(err.value) == "target exposure lies outside the quadratic rule's range"
+
+    def test_unconverged_rows_are_reported_per_row(self, rng, monkeypatch):
+        import qapool.pooling as pooling
+
+        rule = RuleSpec.spherical(2.0)
+        T = kernel_targets(rng, rule, 3)
+        want, clean = _inverse_rows(rule, T)
+        assert clean is None  # no failure codes when every row inverted
+        monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", 1)
+        X, fail = _inverse_rows(rule, T)
+        assert set(fail.tolist()) <= {0, _NOT_CONVERGED} and _NOT_CONVERGED in fail
+        assert np.isnan(X[fail != 0]).all()
+        assert np.array_equal(X[fail == 0], want[fail == 0])
+
+    def test_failing_residual_on_one_row_raises(self, rng):
+        rule = RuleSpec.neglog()
+        fs = [[Forecast(random_probs(rng, 3, rule)) for _ in range(2)] for _ in range(4)]
+        P = np.array([[f.probs for f in row] for row in fs])
+        W = rng.uniform(0.5, 2.0, size=(4, 2))
+        X, total, res, same = _pool_rows(rule, P, W)  # every row certified
+        assert np.all(res <= 1e-8) and not same.any()
+        for i in range(4):
+            single = qa_pool(rule, list(zip(fs[i], W[i])))
+            assert np.array_equal(X[i], single.pooled.probs)
+            assert total[i] == single.total_weight and res[i] == single.residual
+        # the exposure -1/1e-300 drives row 2's residual to infinity
+        P[2], W[2] = [[1e-300, 0.5, 0.5], [0.2, 0.3, 0.5]], 1.0
+        with pytest.raises(SolverError, match="residual") as err:
+            _pool_rows(rule, P, W)
+        with pytest.raises(SolverError) as single:
+            qa_pool(rule, list(zip(P[2], W[2])))
+        assert str(err.value) == str(single.value)
+
+    def test_rows_keep_qa_pool_checks(self):
+        rule = RuleSpec.quadratic()
+        p, q = [0.2, 0.3, 0.5], [0.6, 0.3, 0.1]
+        P = np.array([[p, q], [q, p]])
+        with pytest.raises(ValueError, match="total weight"):
+            _pool_rows(rule, P, np.array([[1.0, 1.0], [1e308, 1e308]]))
+        with pytest.raises(ValueError, match="finite nonnegative"):
+            _pool_rows(rule, P, np.array([[1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(DegenerateError):
+            _pool_rows(rule, P, np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            _pool_rows(RuleSpec.logarithmic(), np.array([[p, q], [[1.0, 0.0, 0.0], q]]),
+                       np.ones((2, 2)))
+        # a zero weight drops its forecast: the row pools to the other one
+        X, total, res, same = _pool_rows(rule, P, np.array([[1.0, 1.0], [0.7, 0.0]]))
+        assert same.tolist() == [False, True]
+        assert np.array_equal(X[1], q) and total[1] == 0.7 and res[1] == 0.0
 
 
 @st.composite
