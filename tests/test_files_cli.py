@@ -448,6 +448,52 @@ class TestCmdLearn:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
 
 
+class TestOutputPins:
+    # sha256 of stdout, recorded before pooling's input path and exposure
+    # average were merged; a refactor of pool, score, bregman, audit or
+    # probe-exposure must leave these bytes alone
+    PINNED = {
+        ("pool", "quadratic"):
+            "2bec22d0f1249ccb231c80271eccacc3b928ae7f2c9545ce70e08c33008f9b36",
+        ("pool", "hs"):
+            "16679d561fcd60e87af4126c3da9a3a637a9701862ff95cd7bc9a531213fcc1c",
+        ("pool", "neglog", "--generalized", "--floor", "1e-4"):
+            "cd6bafbd2f80a0042c3009be4a94c1f96b96dd94610344f0b79ece7b543d2cee",
+        ("pool", "power:0.5", "--weights", "0,1.25,0,0.5,2,0,0.75,1,3"):
+            "34755b87fdd43bd3c72f825eec874fd95302e7259e7dfcf174ead31faa0bbd23",
+        ("score", "spherical:2"):
+            "684059e3088c16030004c82d5fb30ae4d2725ab00403e8976808ccb0e7fd9b73",
+        ("bregman", "tsallis:1.5"):
+            "78a5aabb0ad50a66e44d05cbb4fa0f5eb9bdf392b47c37c6cd9aaad5f93faf2a",
+        ("audit", "hs", "--n", "3", "--samples", "40"):
+            "ef99c531bbd0c5c7fd71aa1e15c1941dfeb3977b30ac2843b405ff662b6f48f0",
+        ("probe-exposure", "tsallis:3", "--n", "3", "--samples", "200"):
+            "1634a058df3b10bd39d42bc9b61db2178bf88168257139bc180174e31272e121",
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
+    def test_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
+        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+        rng = np.random.default_rng(20261018)
+        experts = [
+            {"id": f"x{i}", "probs": p, "weight": w}
+            for i, (p, w) in enumerate(
+                zip(
+                    rng.dirichlet(np.ones(4), size=9).tolist(),
+                    rng.uniform(0.2, 2.0, size=9).tolist(),
+                )
+            )
+        ]
+        path = tmp_path / "experts.json"
+        path.write_text(json.dumps({"n": 4, "experts": experts}))
+        argv = list(args)
+        if args[0] in ("pool", "score", "bregman"):
+            argv.insert(2, str(path))
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
+
+
 class TestCmdAuditAndProbe:
     def test_audit_spherical_passes(self, capsys):
         assert main(
