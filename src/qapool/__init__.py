@@ -37,8 +37,6 @@ from .pooling import (
     generalized_pool,
     invert_exposure,
     qa_pool,
-    spherical_pool,
-    tsallis_invert,
 )
 from .learning import (
     LearningConfig,
@@ -90,8 +88,6 @@ __all__ = [
     "as_weighted",
     "qa_pool",
     "invert_exposure",
-    "tsallis_invert",
-    "spherical_pool",
     "generalized_pool",
     "WeightVector",
     "LearningConfig",

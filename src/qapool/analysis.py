@@ -35,6 +35,8 @@ from .errors import ConfigError, ExposureRangeError
 from .pooling import (
     _UNATTAINABLE,
     _certified_inverse,
+    _check_weights,
+    _mix,
     _pool_rows,
     _prepare,
     invert_exposure,
@@ -158,10 +160,11 @@ class ConcavityReport:
 
 def _utilities(rule: RuleSpec, reports: np.ndarray, inputs) -> np.ndarray:
     """U[r, j-1] = u(report r; j) for the rows of a (k, n) report array."""
-    forecasts, w, _ = _prepare(inputs)
+    P, W = _prepare(inputs)
+    _check_weights(P[None], W[None])
     k = reports.shape[0]
-    S = _score_matrix(rule, np.vstack([reports] + [f.probs for f in forecasts]))
-    return S[:k] - (w / w.sum()) @ S[k:]
+    S = _score_matrix(rule, np.vstack([reports, P]))
+    return S[:k] - (W / W.sum()) @ S[k:]
 
 
 def _surplus(rule: RuleSpec, report: Forecast, inputs) -> SurplusReport:
@@ -384,14 +387,13 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
     _check_samples(samples)
     rng = np.random.default_rng(seed)
     floor = _sampling_floor(rule)
-    P, w = np.empty((samples, 2, n)), np.empty(samples)
+    P, W = np.empty((samples, 2, n)), np.empty((samples, 2))
     for i in range(samples):
         P[i, 0] = random_simplex_point(rng, n, floor)
         P[i, 1] = random_simplex_point(rng, n, floor)
-        w[i] = rng.uniform(0.05, 0.95)
-    E = _exposures(rule, _simplex_rows(P))
-    T = w[:, None] * E[:, 0] + (1.0 - w)[:, None] * E[:, 1]
-    _, _, fail = _certified_inverse(rule, T - T.sum(axis=1, keepdims=True) / n)
+        w = rng.uniform(0.05, 0.95)
+        W[i] = w, 1.0 - w
+    _, _, fail = _certified_inverse(rule, _mix(_exposures(rule, _simplex_rows(P)), W))
     failures = int(np.count_nonzero(fail == _UNATTAINABLE))
     solver_failures = int(np.count_nonzero(fail)) - failures
 

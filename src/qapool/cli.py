@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -331,8 +332,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one per process: building it takes about 1 ms, as long as a small command
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_WEIGHT = 1.0
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -181,25 +182,40 @@ def load_forecast_file(path: str | Path) -> ForecastFile:
     return _forecasts_from_csv(path)
 
 
+def _is_number(x) -> bool:
+    # bool is an int subclass; an integer beyond the float range won't convert
+    return type(x) is float or (type(x) is int and abs(x) <= _FLOAT_MAX)
+
+
 def _forecasts_from_json(doc) -> ForecastFile:
-    if not isinstance(doc, dict) or "experts" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("experts"), list):
         raise ValueError("forecast JSON must be an object with an 'experts' list")
     experts = []
     for k, row in enumerate(doc["experts"]):
-        probs = row.get("probs")
+        if not isinstance(row, dict):
+            raise ValueError(f"expert {k} must be an object, got {row!r}")
+        probs, weight = row.get("probs"), row.get("weight")
         if probs is None:
             raise ValueError(f"expert {k} is missing 'probs'")
+        if not (isinstance(probs, list) and all(_is_number(p) for p in probs)):
+            raise ValueError(f"expert {k}: 'probs' must be a list of numbers")
+        if not (weight is None or _is_number(weight)):
+            raise ValueError(f"expert {k}: 'weight' must be a number, got {weight!r}")
         experts.append(
             ExpertEntry(
                 id=str(row.get("id", f"e{k + 1}")),
                 forecast=Forecast(np.asarray(probs, dtype=float)),
-                weight=None if row.get("weight") is None else float(row["weight"]),
+                weight=None if weight is None else float(weight),
             )
         )
     if not experts:
         raise ValueError("forecast file lists no experts")
-    n = int(doc.get("n", experts[0].forecast.n))
+    n = doc.get("n", experts[0].forecast.n)
+    if type(n) is not int:
+        raise ValueError(f"'n' must be an integer, got {n!r}")
     labels = doc.get("labels")
+    if not (labels is None or isinstance(labels, list)):
+        raise ValueError(f"'labels' must be a list, got {labels!r}")
     return ForecastFile(
         experts=tuple(experts),
         n=n,

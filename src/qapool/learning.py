@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, SolverError
 from .optim import projected_gradient
-from .pooling import _invert_rows
+from .pooling import _invert_rows, _mix
 from .rules import (
     SIMPLEX_ATOL,
     RuleSpec,
@@ -206,9 +206,7 @@ class _StreamEvaluator:
     def pools(self, w: np.ndarray, E: np.ndarray) -> np.ndarray:
         """Pools of the (k, m, n) exposure rows E under weights w: one
         (m,) vector for every row, or one row of a (k, m) array per row."""
-        targets = w @ E if w.ndim == 1 else (w[:, None, :] @ E)[:, 0]
-        targets -= targets.sum(axis=1, keepdims=True) / self.n
-        return _invert_rows(self.rule, targets)
+        return _invert_rows(self.rule, _mix(E, w))
 
     def stream_pools(self, w: np.ndarray) -> np.ndarray:
         """Pools of every step under w; read-only, shared between calls."""

@@ -4,6 +4,10 @@ The pool of weighted forecasts is the forecast whose exposure equals
 the weighted average of the input exposures (an equality in the
 sum-zero space, i.e. modulo the all-ones direction).  Weights are
 normalized internally, so scaling all weights leaves the pool fixed.
+Inputs take one path: _prepare turns them into (m, n) forecast and
+(m,) weight arrays, _check_weights makes every weight check, and _mix
+averages exposures into the canonical targets that every pool, the
+online learner and the exposure probe invert.
 
 Inversion follows the rule's family record (rules._Family): quadratic
 and log invert in closed form (affine map and softmax); neglog, power,
@@ -45,7 +49,6 @@ from .rules import (
     _exposures,
     _gradient,
     _simplex_rows,
-    exposure,
 )
 from .simplex import project_simplex, project_simplex_floor, uniform_point
 
@@ -55,8 +58,6 @@ __all__ = [
     "as_weighted",
     "qa_pool",
     "invert_exposure",
-    "tsallis_invert",
-    "spherical_pool",
     "generalized_pool",
     "CLOSED_FORM",
     "ROOT_FIND",
@@ -79,8 +80,7 @@ class WeightedForecast:
     def __post_init__(self) -> None:
         object.__setattr__(self, "forecast", as_forecast(self.forecast))
         w = float(self.weight)
-        if not np.isfinite(w) or w < 0.0:
-            raise ValueError(f"weight must be a finite nonnegative real, got {w!r}")
+        _check_nonnegative(np.array(w))
         object.__setattr__(self, "weight", w)
 
 
@@ -113,40 +113,67 @@ class PoolResult:
 # shared input handling
 # --------------------------------------------------------------------------
 
-def _prepare(inputs) -> tuple[list[Forecast], np.ndarray, float]:
-    """Validate and drop zero weights.
+def _prepare(inputs) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, n) forecasts and (m,) weights of pooling inputs.
 
-    Returns the kept forecasts, their weights (not normalized) and the
-    total of all supplied weights.
+    Inputs are WeightedForecast instances or (forecast, weight) pairs;
+    each forecast is checked by as_forecast, the weights by
+    _check_weights.  Zero weights are dropped, so that the sums over the
+    others run in the same order whatever zeros sit between them.
     """
-    wfs = [as_weighted(x) for x in inputs]
-    if not wfs:
-        raise DegenerateError("cannot pool an empty collection")
-    total = float(sum(wf.weight for wf in wfs))
-    if not np.isfinite(total):
-        # normalizing by an infinite total would zero every weight
-        raise ValueError(f"total weight overflows to {total!r}")
-    kept = [wf for wf in wfs if wf.weight > 0.0]
-    if not kept:
-        raise DegenerateError("all weights are zero")
-    n = kept[0].forecast.n
-    if any(wf.forecast.n != n for wf in kept):
+    pairs = [(x.forecast, x.weight) if isinstance(x, WeightedForecast) else x for x in inputs]
+    forecasts = [as_forecast(f) for f, _ in pairs]
+    W = np.array([float(w) for _, w in pairs])
+    nonzero = W != 0.0
+    if nonzero.any():  # an all-zero collection is left for _check_weights
+        forecasts, W = [f for f, k in zip(forecasts, nonzero) if k], W[nonzero]
+    n = forecasts[0].n if forecasts else 0
+    if any(f.n != n for f in forecasts):
         raise ValueError("forecasts have different outcome counts")
-    return [wf.forecast for wf in kept], np.array([wf.weight for wf in kept]), total
+    return np.array([f.probs for f in forecasts]).reshape(len(forecasts), n), W
 
 
-def _all_equal(forecasts: list[Forecast]) -> bool:
-    first = forecasts[0].probs
-    return all(np.array_equal(f.probs, first) for f in forecasts[1:])
+def _check_nonnegative(W: np.ndarray) -> None:
+    bad = ~(np.isfinite(W) & (W >= 0.0))
+    if bad.any():
+        raise ValueError(
+            f"weight must be a finite nonnegative real, got {float(W[bad][0])!r}"
+        )
 
 
-def _average_exposures(rule: RuleSpec, P: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Canonical w-averages of the exposures of (k, m, n) forecast rows.
+def _check_weights(P: np.ndarray, W: np.ndarray):
+    """Check the (k, m) weights of a (k, m, n) array of forecast rows as
+    qa_pool checks one collection: m >= 1, finite nonnegative weights, a
+    finite total, and some weight positive.
 
-    w is (k, m) and sums to one per row; the result is (k, n).
+    Returns each row's total weight, the mask of its positive weights,
+    its first positively weighted forecast, and whether that forecast is
+    the only one the row weights (every kept forecast equals it).
     """
-    T = (w[:, None, :] @ _exposures(rule, P))[:, 0]
-    return T - T.sum(axis=1, keepdims=True) / T.shape[1]
+    k, m, _ = P.shape
+    if m == 0:
+        raise DegenerateError("cannot pool an empty collection")
+    _check_nonnegative(W)
+    with np.errstate(over="ignore"):
+        total = W.cumsum(axis=1)[:, -1]  # added in order, as Python's sum adds
+    if not np.isfinite(total).all():
+        # normalizing by an infinite total would zero every weight
+        over = float(total[~np.isfinite(total)][0])
+        raise ValueError(f"total weight overflows to {over!r}")
+    kept = W > 0.0
+    if not kept.any(axis=1).all():
+        raise DegenerateError("all weights are zero")
+    first = P[np.arange(k), kept.argmax(axis=1)]
+    same = ((P == first[:, None]) | ~kept[..., None]).all(axis=(1, 2))
+    return total, kept, first, same
+
+
+def _mix(E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (k, n) canonical w-averages of (k, m, n) exposure rows, under
+    one (m,) weight vector or a (k, m) array of them that sum to one."""
+    T = w @ E if w.ndim == 1 else (w[:, None, :] @ E)[:, 0]
+    T -= T.sum(axis=1, keepdims=True) / T.shape[1]
+    return T
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
@@ -155,10 +182,6 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     # the single-vector value; a norm that overflows is inf
     with np.errstate(over="ignore"):
         return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
-
-
-def _residual(rule: RuleSpec, pooled: Forecast, target: np.ndarray) -> float:
-    return float(np.linalg.norm(exposure(rule, pooled).coords - target))
 
 
 # --------------------------------------------------------------------------
@@ -343,42 +366,23 @@ def _pool_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pool k rows of weighted forecasts, each checked and certified alone.
 
-    P is (k, m, n), W is (k, m).  Every row gets the checks qa_pool makes
-    on one collection: finite nonnegative weights with a finite positive
-    total, zero-weight forecasts ignored, the domain of the rule, the
-    simplex sum of the pool, and the residual certificate.  The first
+    P is (k, m, n), W is (k, m).  Every row gets the weight checks of
+    _check_weights, zero-weight forecasts ignored, the domain of the rule,
+    the simplex sum of the pool, and the residual certificate.  The first
     failed row raises the error a one-row call raises.  Returns the (k, n)
     pools, the (k,) total weights, the residuals, and a mask of the rows
     whose kept forecasts were all equal (pooled to that forecast itself,
     with residual 0).  ``force_generic`` inverts by convex minimization
     and leaves the residual uncertified.
     """
-    k, m, _ = P.shape
-    if m == 0:
-        raise DegenerateError("cannot pool an empty collection")
-    bad = ~(np.isfinite(W) & (W >= 0.0))
-    if bad.any():
-        raise ValueError(
-            f"weight must be a finite nonnegative real, got {float(W[bad][0])!r}"
-        )
-    with np.errstate(over="ignore"):
-        total = W.cumsum(axis=1)[:, -1]  # added in order, as Python's sum adds
-    if not np.isfinite(total).all():
-        # normalizing by an infinite total would zero every weight
-        over = float(total[~np.isfinite(total)][0])
-        raise ValueError(f"total weight overflows to {over!r}")
-    kept = W > 0.0
-    if not kept.any(axis=1).all():
-        raise DegenerateError("all weights are zero")
-    first = P[np.arange(k), kept.argmax(axis=1)]
-    same = ((P == first[:, None]) | ~kept[..., None]).all(axis=(1, 2))
-    X, res = first.copy(), np.zeros(k)
+    total, kept, first, same = _check_weights(P, W)
+    X, res = first.copy(), np.zeros(P.shape[0])
     rows = np.flatnonzero(~same)
     if rows.size:
         w = W[rows] / W[rows].sum(axis=1, keepdims=True)
         # a dropped forecast stands in as the first kept one, at weight 0
-        T = _average_exposures(
-            rule, np.where(kept[rows, :, None], P[rows], first[rows, None]), w
+        T = _mix(
+            _exposures(rule, np.where(kept[rows, :, None], P[rows], first[rows, None])), w
         )
         if force_generic:
             Y, fail = np.array([_invert_generic(rule, t) for t in T]), None
@@ -394,14 +398,11 @@ def _pool_rows(
 # generic convex-minimization path
 # --------------------------------------------------------------------------
 
-def _interior_floor(rule: RuleSpec, forecasts: list[Forecast] | None) -> float:
+def _interior_floor(rule: RuleSpec, P: np.ndarray | None) -> float:
     """Working floor keeping solver iterates inside an open domain."""
     if rule.domain_kind != "open":
         return 0.0
-    if forecasts:
-        smallest = min(f.probs.min() for f in forecasts)
-        return min(1e-12, 1e-3 * smallest)
-    return 1e-12
+    return 1e-12 if P is None else min(1e-12, 1e-3 * P.min())
 
 
 def _minimize_tilted(
@@ -461,7 +462,7 @@ def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
     # structural mismatches (minimizer pinned to a face) leave residuals
     # many orders of magnitude above solver noise, so the classification
     # threshold sits well above the first-order float64 resolution
-    if not _residual(rule, pooled, t) <= _scaled(1e-6, t):
+    if not _row_norms(_exposures(rule, pooled.probs) - t) <= _scaled(1e-6, t):
         raise ExposureRangeError(
             f"target exposure is not attainable for rule {rule.label}: the "
             "tilted-objective minimizer sits on a face with mismatched gradient"
@@ -476,13 +477,18 @@ def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
 def invert_exposure(rule: RuleSpec, target, *, force_generic: bool = False) -> Forecast:
     """The forecast whose canonical exposure equals ``target``.
 
-    Raises ExposureRangeError when no forecast attains the target (the
-    failure mode of non-convex-exposure rules), SolverError when a
-    numeric path fails to certify the identity to tolerance.
+    Raises ValueError when the target is not finite, ExposureRangeError
+    when no forecast attains it (the failure mode of non-convex-exposure
+    rules), SolverError when a numeric path fails to certify the identity
+    to tolerance.
     """
     if not isinstance(target, ExposureVector):
-        target = ExposureVector(np.asarray(target, dtype=float))
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN is refused below
+            target = ExposureVector(np.asarray(target, dtype=float))
     t = target.coords
+    if not np.isfinite(t).all():
+        # the kernel would spend every iteration on it and call that a solver failure
+        raise ValueError("exposure target must be finite")
     if force_generic:
         return Forecast(_invert_generic(rule, t))
     X, res, fail = _certified_inverse(rule, t[None])
@@ -497,9 +503,8 @@ def qa_pool(rule: RuleSpec, inputs, *, force_generic: bool = False) -> PoolResul
     pairs.  Zero-weight entries are dropped; total_weight reports the
     sum of all supplied weights.  This is the one-row case of _pool_rows.
     """
-    forecasts, w, _ = _prepare(inputs)
-    P = np.stack([f.probs for f in forecasts])[None]
-    X, total, res, same = _pool_rows(rule, P, w[None], force_generic=force_generic)
+    P, W = _prepare(inputs)
+    X, total, res, same = _pool_rows(rule, P[None], W[None], force_generic=force_generic)
     if same[0]:
         method = CLOSED_FORM
     elif force_generic:
@@ -513,34 +518,6 @@ def _frozen(x: np.ndarray) -> Forecast:
     # a row already checked and renormalized as Forecast would
     x.flags.writeable = False
     return Forecast._trusted(x)
-
-
-def tsallis_invert(gamma: float, v) -> Forecast:
-    """Solve the tsallis simplex constraint for weighted power averages.
-
-    Given v_j, the weighted average of the inputs' p_j^(gamma-1), finds
-    the constant c with sum_j (v_j + c)^(1/(gamma-1)) = 1 and returns
-    x_j = (v_j + c)^(1/(gamma-1)).  Raises ExposureRangeError when the
-    constraint would force some v_j + c below zero (the failure mode of
-    gamma > 2 with more than two outcomes).
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or v.size < 2 or not np.all(np.isfinite(v)):
-        raise ValueError("expected a finite vector of power averages")
-    # gamma * v is the tsallis exposure average, up to the free shift
-    return Forecast(_invert_rows(RuleSpec.tsallis(gamma), gamma * v[None])[0])
-
-
-def spherical_pool(alpha: float, inputs) -> PoolResult:
-    """Pool under the spherical rule by its sphere geometry.
-
-    Steps: map each forecast to its raw exposure on the unit
-    beta-sphere (beta = alpha/(alpha-1)); average; shift along the
-    all-ones direction back onto the sphere; pull back through
-    y -> y^(1/(alpha-1)) and normalize.  This is qa_pool under the
-    spherical rule, whose inverter takes exactly these steps.
-    """
-    return qa_pool(RuleSpec.spherical(alpha), inputs)
 
 
 def generalized_pool(
@@ -559,19 +536,19 @@ def generalized_pool(
     power with negative parameter) need an explicit interior ``floor``
     shrinking the feasible set to {x : x_j >= floor}.
     """
-    forecasts, w, total = _prepare(inputs)
+    P, W = _prepare(inputs)
+    total, _, _, same = _check_weights(P[None], W[None])
     if not rule._impl.bounded(rule.param) and (floor is None or floor <= 0.0):
         raise DomainError(
             f"rule {rule.label} has unbounded expected reward at the simplex "
             "boundary; supply a positive interior floor"
         )
-    if floor is not None and not 0.0 <= floor * forecasts[0].n < 1.0:
+    if floor is not None and not 0.0 <= floor * P.shape[1] < 1.0:
         raise ValueError("floor must satisfy 0 <= n*floor < 1")
-    if _all_equal(forecasts) and (floor is None or forecasts[0].probs.min() >= floor):
-        return PoolResult(forecasts[0], total, 0.0, BREGMAN_MIN)
-    P = np.stack([f.probs for f in forecasts])
-    t = _average_exposures(rule, P[None], (w / w.sum())[None])[0]
-    working_floor = floor if floor is not None else _interior_floor(rule, forecasts)
+    if same[0] and (floor is None or P[0].min() >= floor):
+        return PoolResult(_frozen(P[0]), float(total[0]), 0.0, BREGMAN_MIN)
+    t = _mix(_exposures(rule, P[None]), (W / W.sum())[None])[0]
+    working_floor = floor if floor is not None else _interior_floor(rule, P)
     x, kkt, converged = _minimize_tilted(
         rule, t, floor=working_floor, tol=tol, max_iter=max_iter
     )
@@ -581,4 +558,5 @@ def generalized_pool(
             f"residual {kkt:.3e}"
         )
     pooled = Forecast(x)
-    return PoolResult(pooled, total, _residual(rule, pooled, t), BREGMAN_MIN)
+    res = float(_row_norms(_exposures(rule, pooled.probs) - t))
+    return PoolResult(pooled, float(total[0]), res, BREGMAN_MIN)

@@ -79,6 +79,19 @@ def stream_json(tmp_path):
     return str(path)
 
 
+ONE_EXPERT = [{"probs": [0.5, 0.5]}]
+MALFORMED_FORECAST_FILES = {
+    "experts-not-objects": {"experts": [1, 0]},
+    "experts-not-a-list": {"experts": {"a": 1}},
+    "n-not-a-number": {"n": [float("nan")], "experts": ONE_EXPERT},
+    "n-not-an-integer": {"n": 2.7, "experts": ONE_EXPERT},
+    "labels-not-a-list": {"labels": 5, "experts": ONE_EXPERT},
+    "weight-not-a-number": {"experts": [{"probs": [0.5, 0.5], "weight": [1]}]},
+    "probs-not-a-list": {"experts": [{"probs": {"a": 1}}]},
+    "probs-huge-integer": {"experts": [{"probs": [10**400, 0.5]}]},
+}
+
+
 class TestForecastFiles:
     def test_json_load(self, forecasts_json):
         ff = load_forecast_file(forecasts_json)
@@ -131,6 +144,16 @@ class TestForecastFiles:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("qapool:") and "lists no experts" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FORECAST_FILES))
+    def test_malformed_json_exits_1(self, tmp_path, name, capsys):
+        # each of these once escaped as a Python traceback
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(MALFORMED_FORECAST_FILES[name]))
+        assert main(["pool", "quadratic", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("qapool: input error:") and err.count("\n") == 1
 
     def test_round_trip_preserves_probabilities(self, tmp_path, forecasts_json):
         ff = load_forecast_file(forecasts_json)
@@ -492,6 +515,39 @@ class TestOutputPins:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
+
+
+class TestParserReuse:
+    def test_consecutive_commands_share_one_parser(
+        self, forecasts_json, capsys, monkeypatch
+    ):
+        import qapool.cli as cli
+
+        built, build = [], cli.build_parser
+
+        def counting_build():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        cli._parser.cache_clear()
+        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+        probe = ["probe-exposure", "tsallis:3", "--samples", "20"]
+        assert main(["score", "quadratic", forecasts_json]) == 0
+        score = capsys.readouterr().out
+        assert main(["pool", "quadratic", forecasts_json]) == 0
+        assert json.loads(capsys.readouterr().out)["pooled"] == pytest.approx([0.3, 0.7])
+        assert main(["pool", "quadratic"]) == 1  # a usage error in between
+        assert main(probe) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 0
+        # QAPOOL_SEED is read when a command runs, not when the parser is built
+        monkeypatch.setenv("QAPOOL_SEED", "7")
+        assert main(probe) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 7
+        assert main(["score", "quadratic", forecasts_json]) == 0
+        assert capsys.readouterr().out == score
+        assert built == [1]
+        cli._parser.cache_clear()
 
 
 class TestCmdAuditAndProbe:

@@ -17,8 +17,6 @@ from qapool import (
     generalized_pool,
     invert_exposure,
     qa_pool,
-    spherical_pool,
-    tsallis_invert,
 )
 from qapool.pooling import (
     _NOT_CONVERGED,
@@ -214,18 +212,20 @@ class TestInvertExposure:
 
 
 class TestTsallisInvert:
+    # v_j is a weighted average of the inputs' p_j^(gamma-1); gamma * v is
+    # then the tsallis exposure average, up to the free shift
     def test_gamma_two_is_identity(self):
-        f = tsallis_invert(2.0, [0.3, 0.7])
+        f = invert_exposure(RuleSpec.tsallis(2.0), 2.0 * np.array([0.3, 0.7]))
         assert np.allclose(f.probs, [0.3, 0.7], atol=1e-12)
 
     def test_gamma_three_bisection(self):
         # solve 2 sqrt(0.34 + c) = 1: c = -0.09, x = (0.5, 0.5)
-        f = tsallis_invert(3.0, [0.34, 0.34])
+        f = invert_exposure(RuleSpec.tsallis(3.0), 3.0 * np.array([0.34, 0.34]))
         assert np.allclose(f.probs, [0.5, 0.5], atol=1e-10)
 
     def test_gamma_three_vertex_average_fails(self):
         with pytest.raises(ExposureRangeError):
-            tsallis_invert(3.0, [0.5, 0.5, 0.0])
+            invert_exposure(RuleSpec.tsallis(3.0), 3.0 * np.array([0.5, 0.5, 0.0]))
 
     def test_exposure_alignment(self, rng):
         # canonical exposure of the result matches the canonical target
@@ -235,7 +235,7 @@ class TestTsallisInvert:
             q = random_probs(rng, 3, None)
             w = rng.uniform()
             v = w * p ** (gamma - 1.0) + (1.0 - w) * q ** (gamma - 1.0)
-            f = tsallis_invert(gamma, v)
+            f = invert_exposure(RuleSpec.tsallis(gamma), gamma * v)
             got = gamma * f.probs ** (gamma - 1.0)
             diff = (got - gamma * v) - (got - gamma * v).mean()
             assert np.linalg.norm(diff) <= 1e-10
@@ -244,37 +244,39 @@ class TestTsallisInvert:
         from qapool import ConfigError
 
         with pytest.raises(ConfigError):
-            tsallis_invert(1.0, [0.5, 0.5])
+            invert_exposure(RuleSpec.tsallis(1.0), [0.5, 0.5])
+
+
+class TestNonFiniteTargets:
+    @pytest.mark.parametrize(
+        "rule", [RuleSpec.quadratic(), RuleSpec.hs()], ids=["quadratic", "hs"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("force_generic", [False, True])
+    def test_rejected_as_input_errors(self, rule, bad, force_generic):
+        # an input error, not a solver that ran out of iterations
+        with pytest.raises(ValueError, match="finite"):
+            invert_exposure(rule, [bad, 0.5, -0.5], force_generic=force_generic)
 
 
 class TestSphericalPool:
     def test_symmetry(self):
-        res = spherical_pool(2.0, [([1.0, 0.0], 0.5), ([0.0, 1.0], 0.5)])
+        res = qa_pool(RuleSpec.spherical(2.0), [([1.0, 0.0], 0.5), ([0.0, 1.0], 0.5)])
         assert np.allclose(res.pooled.probs, [0.5, 0.5], atol=1e-12)
 
     def test_single_input(self):
-        res = spherical_pool(2.0, [([1.0, 0.0], 1.0)])
+        res = qa_pool(RuleSpec.spherical(2.0), [([1.0, 0.0], 1.0)])
         assert np.array_equal(res.pooled.probs, [1.0, 0.0])
 
     def test_matches_generic_inversion(self):
         rule = RuleSpec.spherical(2.0)
         inputs = [([1.0, 0.0], 0.75), ([0.0, 1.0], 0.25)]
-        res = spherical_pool(2.0, inputs)
+        res = qa_pool(rule, inputs)
         t = 0.75 * exposure(rule, [1.0, 0.0]).coords + 0.25 * exposure(
             rule, [0.0, 1.0]
         ).coords
         generic = invert_exposure(rule, t, force_generic=True)
         assert np.allclose(res.pooled.probs, generic.probs, atol=1e-8)
-
-    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
-    def test_agrees_with_qa_pool(self, alpha, rng):
-        rule = RuleSpec.spherical(alpha)
-        for _ in range(30):
-            n, m = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-            inputs = random_instance(rng, rule, n, m)
-            a = spherical_pool(alpha, inputs).pooled.probs
-            b = qa_pool(rule, inputs).pooled.probs
-            assert np.abs(a - b).max() <= 1e-8
 
 
 class TestGeneralizedPool:
@@ -435,9 +437,9 @@ class TestRowKernel:
         with pytest.raises(SolverError):
             qa_pool(RuleSpec.hs(), inputs)
         with pytest.raises(SolverError):
-            spherical_pool(2.0, inputs)
+            qa_pool(RuleSpec.spherical(2.0), inputs)
         with pytest.raises(SolverError):
-            tsallis_invert(1.5, [0.2, 0.3, 0.6])
+            invert_exposure(RuleSpec.tsallis(1.5), 1.5 * np.array([0.2, 0.3, 0.6]))
 
 
 class TestRowFailures:
