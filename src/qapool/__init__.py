@@ -33,7 +33,6 @@ from .rules import (
 from .pooling import (
     PoolResult,
     WeightedForecast,
-    as_weighted,
     generalized_pool,
     invert_exposure,
     qa_pool,
@@ -85,7 +84,6 @@ __all__ = [
     "exposure_norm_bound",
     "WeightedForecast",
     "PoolResult",
-    "as_weighted",
     "qa_pool",
     "invert_exposure",
     "generalized_pool",

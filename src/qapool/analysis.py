@@ -206,10 +206,12 @@ def maxmin_verify(rule: RuleSpec, inputs, trials: int, seed: int = 0) -> bool:
 # axiom suite
 # --------------------------------------------------------------------------
 
-def _check_samples(samples: int) -> None:
-    # a check over no draws would pass vacuously
+def _check_draws(n: int, samples: int) -> None:
+    # a check over no draws, or over draws with one outcome, passes vacuously
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    if n < 2:
+        raise ValueError("need at least two outcomes")
 
 
 def _weighted_draws(
@@ -239,7 +241,7 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
     in one certified batch (pooling._pool_rows; associativity makes one
     batch per nesting level).
     """
-    _check_samples(samples)
+    _check_draws(n, samples)
     if not has_convex_exposure(rule, n):
         raise ConfigError(
             f"rule {rule.label} lacks convex exposure at n={n}; "
@@ -384,7 +386,7 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
     unattainable targets as failures, unconverged, degenerate or
     uncertified inverses as solver failures.
     """
-    _check_samples(samples)
+    _check_draws(n, samples)
     rng = np.random.default_rng(seed)
     floor = _sampling_floor(rule)
     P, W = np.empty((samples, 2, n)), np.empty((samples, 2))
@@ -410,15 +412,10 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
     )
 
 
-def concavity_probe(
-    rule: RuleSpec,
-    n: int,
-    samples: int,
-    seed: int,
-    experts: tuple[int, ...] = (2, 3),
-) -> ConcavityReport:
-    """Sample weight mixtures and record the worst concavity gap of the
-    pooled score: WS(c v + (1-c) w) - c WS(v) - (1-c) WS(w).
+def concavity_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ConcavityReport:
+    """Sample weight mixtures of two or three experts and record the
+    worst concavity gap of the pooled score:
+    WS(c v + (1-c) w) - c WS(v) - (1-c) WS(w).
 
     All samples are drawn first; the samples with m experts then form one
     stream whose pools under the three weight vectors of each step are
@@ -427,12 +424,12 @@ def concavity_probe(
     # local import: avoid cycle at import time
     from .learning import _StreamEvaluator, _weight_rows
 
-    _check_samples(samples)
+    _check_draws(n, samples)
     rng = np.random.default_rng(seed)
     floor = _sampling_floor(rule)
     draws = []
     for _ in range(samples):
-        m = int(rng.choice(experts))
+        m = int(rng.choice((2, 3)))
         P = np.array([random_simplex_point(rng, n, floor) for _ in range(m)])
         v = rng.dirichlet(np.ones(m))
         w = rng.dirichlet(np.ones(m))

@@ -148,19 +148,18 @@ def _seed_of(args) -> int:
 def _cmd_pool(args) -> int:
     rule = parse_rule(args.rule)
     ff = files.load_forecast_file(args.input)
-    inputs = ff.weighted_inputs()
+    weights = ff.weights.tolist()
     if args.weights is not None:
         try:
-            ws = [float(x) for x in args.weights.split(",")]
+            weights = [float(x) for x in args.weights.split(",")]
         except ValueError:
             raise _UsageError(f"bad --weights value {args.weights!r}") from None
-        if len(ws) != len(inputs):
+        if len(weights) != ff.m:
             raise _UsageError(
-                f"--weights lists {len(ws)} values for {len(inputs)} experts"
+                f"--weights lists {len(weights)} values for {ff.m} experts"
             )
-        inputs = [
-            pooling.WeightedForecast(wf.forecast, w) for wf, w in zip(inputs, ws)
-        ]
+    # the loaded rows go to pooling as they are, not renormalized again
+    inputs = list(zip(ff.forecasts, weights))
     if args.generalized:
         result = pooling.generalized_pool(rule, inputs, floor=args.floor)
     else:
@@ -176,18 +175,10 @@ def _cmd_pool(args) -> int:
     if ff.labels is not None:
         doc["labels"] = list(ff.labels)
     if args.out:
-        files.write_forecast_file(
-            files.ForecastFile(
-                experts=(
-                    files.ExpertEntry(
-                        "pool", result.pooled, float(result.total_weight)
-                    ),
-                ),
-                n=ff.n,
-                labels=ff.labels,
-            ),
-            args.out,
+        pooled = files.ForecastFile._trusted(
+            result.pooled.probs[None], np.array([result.total_weight]), ("pool",), ff.labels
         )
+        files.write_forecast_file(pooled, args.out)
     _emit(doc)
     return 0
 
@@ -198,14 +189,13 @@ def _cmd_score(args) -> int:
     outcomes = [args.outcome] if args.outcome is not None else list(range(1, ff.n + 1))
     if not all(1 <= j <= ff.n for j in outcomes):
         raise _UsageError(f"--outcome {args.outcome} out of range 1..{ff.n}")
-    P = np.array([e.forecast.probs for e in ff.experts])
-    S = _score_matrix(rule, P)[:, np.array(outcomes) - 1]
+    S = _score_matrix(rule, ff.probs)[:, np.array(outcomes) - 1]
     doc = {
         "rule": rule.label,
         "outcomes": outcomes,
         "experts": [
-            {"id": e.id, "expected_reward": g, "scores": s}
-            for e, g, s in zip(ff.experts, _expected(rule, P), S)
+            {"id": i, "expected_reward": g, "scores": s}
+            for i, g, s in zip(ff.ids, _expected(rule, ff.probs), S)
         ],
     }
     _emit(doc)
@@ -215,13 +205,12 @@ def _cmd_score(args) -> int:
 def _cmd_bregman(args) -> int:
     rule = parse_rule(args.rule)
     ff = files.load_forecast_file(args.input)
-    ids = [e.id for e in ff.experts]
     # D[a, b] = G(p_a) - G(p_b) - <g(p_b), p_a - p_b>, as rules.bregman
     # computes one entry; the diagonal is exactly 0
-    P = np.array([e.forecast.probs for e in ff.experts])
+    P = ff.probs
     G, E = _expected(rule, P), _exposures(rule, P)
     D = G[:, None] - G[None, :] - np.einsum("bn,abn->ab", E, P[:, None] - P[None, :])
-    _emit({"rule": rule.label, "experts": ids, "divergence": D})
+    _emit({"rule": rule.label, "experts": list(ff.ids), "divergence": D})
     return 0
 
 

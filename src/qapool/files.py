@@ -6,20 +6,27 @@ Forecast files: JSON (canonical) or CSV.  JSON schema:
      "experts": [{"id": "a", "probs": [0.1, 0.9], "weight": 0.5},
                  {"id": "b", "probs": [0.5, 0.5]}]}
 
-``labels`` and per-expert ``weight`` are optional; experts without a
-weight get weight 1 (so all-unweighted files pool uniformly).  CSV rows
-are experts and columns are outcome probabilities; with a header row, a
-final column named ``weight`` carries weights.
+``labels``, ``n`` and per-expert ``id`` and ``weight`` are optional; an
+expert without a weight (or with a ``null`` one) gets weight 1, so
+all-unweighted files pool uniformly.  CSV rows are experts and columns
+are outcome probabilities; with a header row, a final column named
+``weight`` carries weights.  A loaded file is a ``ForecastFile``
+holding the (m, n) forecasts and the (m,) weights as read-only arrays;
+``pool``, ``score`` and ``bregman`` take them as they are.
 
 Stream files: JSON only, 1-based outcomes:
 
     {"steps": [{"forecasts": [[0.1, 0.9], [0.5, 0.5]], "outcome": 2}]}
 
 A loaded stream is a ``StreamFile`` holding two read-only arrays: the
-(T, m, n) forecasts, parsed with one ``np.array`` call, checked in bulk
-and renormalized row by row as ``Forecast`` would, and the (T,) integer
-outcomes.  ``learning.ogd_run`` takes it as it is; its ``steps`` and
-``as_pairs()`` build per-step ``Forecast`` objects only when asked.
+(T, m, n) forecasts, parsed with one ``np.array`` call, and the (T,)
+integer outcomes.  ``learning.ogd_run`` takes it as it is; its ``steps``
+and ``as_pairs()`` build per-step ``Forecast`` objects only when asked.
+
+Both records check and renormalize every forecast row in one call to
+``rules._simplex_rows``, as ``Forecast`` does one row, so a loaded row
+equals ``Forecast(raw).probs`` bit for bit; errors name the offending
+expert or step.
 """
 
 from __future__ import annotations
@@ -31,11 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .pooling import WeightedForecast
-from .rules import SIMPLEX_ATOL, Forecast
+from .rules import Forecast, _simplex_rows
 
 __all__ = [
-    "ExpertEntry",
     "ForecastFile",
     "StreamStep",
     "StreamFile",
@@ -49,48 +54,76 @@ DEFAULT_WEIGHT = 1.0
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-@dataclass(frozen=True)
-class ExpertEntry:
-    id: str
-    forecast: Forecast
-    weight: float | None = None
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastFile:
-    experts: tuple[ExpertEntry, ...]
-    n: int
+    """Expert forecasts held as read-only arrays.
+
+    ``probs`` is (m, n), one expert per row, each row checked as
+    ``Forecast`` checks one and renormalized the same way.  ``weights`` is
+    (m,), finite and nonnegative; None gives every expert weight 1.
+    ``ids`` names the experts (default e1..em) and ``labels``, if given,
+    the outcomes.  Errors name the offending expert by its row index.
+    """
+
+    probs: np.ndarray
+    weights: np.ndarray | None = None
+    ids: tuple[str, ...] | None = None
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.experts:
+        P = np.asarray(self.probs, dtype=float)
+        if P.ndim != 2 or P.shape[0] == 0:
             raise ValueError("forecast file lists no experts")
-        if any(e.forecast.n != self.n for e in self.experts):
-            raise ValueError("all forecasts must share the outcome count")
-        if self.labels is not None and len(self.labels) != self.n:
+        m, n = P.shape
+        if n < 2:
+            raise ValueError("expert 0: forecasts need at least two outcome probabilities")
+        W = np.full(m, DEFAULT_WEIGHT) if self.weights is None else np.array(self.weights, float)
+        if W.shape != (m,):
+            raise ValueError("a forecast file needs one weight per expert")
+        bad = ~(np.isfinite(W) & (W >= 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"expert {k}: invalid weight {float(W[k])!r}")
+        ids = tuple(f"e{k + 1}" for k in range(m)) if self.ids is None else tuple(self.ids)
+        if len(ids) != m:
+            raise ValueError("a forecast file needs one id per expert")
+        if self.labels is not None and len(self.labels) != n:
             raise ValueError("labels must match the outcome count")
-        for e in self.experts:
-            if e.weight is not None and (not np.isfinite(e.weight) or e.weight < 0):
-                raise ValueError(f"expert {e.id!r} has invalid weight {e.weight!r}")
+        object.__setattr__(self, "probs", _read_only(_simplex_rows(P, "expert")))
+        object.__setattr__(self, "weights", _read_only(W))
+        object.__setattr__(self, "ids", ids)
 
-    def weighted_inputs(self) -> list[WeightedForecast]:
-        return [
-            WeightedForecast(
-                e.forecast, DEFAULT_WEIGHT if e.weight is None else e.weight
-            )
-            for e in self.experts
-        ]
+    @classmethod
+    def _trusted(cls, probs, weights, ids, labels) -> "ForecastFile":
+        """Wrap read-only arrays already checked and normalized as above."""
+        ff = object.__new__(cls)
+        for name, value in zip(cls.__dataclass_fields__, (probs, weights, ids, labels)):
+            object.__setattr__(ff, name, value)
+        return ff
+
+    @property
+    def m(self) -> int:
+        return self.probs.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.probs.shape[1]
+
+    @property
+    def forecasts(self) -> tuple[Forecast, ...]:
+        """The rows as read-only ``Forecast`` views, built on each access."""
+        return tuple(Forecast._trusted(p) for p in self.probs)
 
 
 @dataclass(frozen=True)
 class StreamStep:
     forecasts: tuple[Forecast, ...]
     outcome: int
-
-
-def _first_step(bad: np.ndarray) -> int:
-    """Index of the first step (leading axis) holding a True entry."""
-    return int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,35 +147,18 @@ class StreamFile:
             raise ValueError("stream needs a (T, m, n) forecast array, T, m >= 1")
         if P.shape[2] < 2:
             raise ValueError("step 0: forecasts need at least two outcome probabilities")
-        for bad, what in ((~np.isfinite(P), "finite"), (P < 0.0, "nonnegative")):
-            if bad.any():
-                raise ValueError(
-                    f"step {_first_step(bad)}: forecast probabilities must be {what}"
-                )
-        total = P.sum(axis=2, keepdims=True)
-        off = np.abs(total - 1.0) > SIMPLEX_ATOL
-        if off.any():
-            k = _first_step(off)
-            i = int(np.argmax(off[k, :, 0]))
-            raise ValueError(
-                f"step {k}: forecast {i} probabilities sum to "
-                f"{float(total[k, i, 0])!r}, not 1 within 1e-9"
-            )
+        P = _simplex_rows(P, "step")
         if J.shape != P.shape[:1]:
             raise ValueError("stream needs one outcome per step")
         n = P.shape[2]
         off = (J < 1) | (J > n)  # also on an object array of huge JSON ints
         if off.any():
-            k = _first_step(off)
+            k = int(np.argmax(off))
             raise ValueError(f"step {k}: outcome {J[k]} out of 1..{n}")
         if J.dtype.kind not in "iu":
             raise ValueError("stream outcomes must be integers")
-        P = P / total
-        P.flags.writeable = False
-        J = J.astype(int)
-        J.flags.writeable = False
-        object.__setattr__(self, "forecasts", P)
-        object.__setattr__(self, "outcomes", J)
+        object.__setattr__(self, "forecasts", _read_only(P))
+        object.__setattr__(self, "outcomes", _read_only(J.astype(int)))
 
     @property
     def m(self) -> int:
@@ -187,11 +203,22 @@ def _is_number(x) -> bool:
     return type(x) is float or (type(x) is int and abs(x) <= _FLOAT_MAX)
 
 
+def _expert_rows(rows: list[list], n: int) -> np.ndarray:
+    """The (m, n) array of m rows of numbers, naming the first row of
+    another length."""
+    k = next((k for k, row in enumerate(rows) if len(row) != n), None)
+    if k is not None:
+        raise ValueError(f"expert {k}: {len(rows[k])} probabilities, expected {n}")
+    return np.array(rows, dtype=float).reshape(len(rows), n)
+
+
 def _forecasts_from_json(doc) -> ForecastFile:
     if not isinstance(doc, dict) or not isinstance(doc.get("experts"), list):
         raise ValueError("forecast JSON must be an object with an 'experts' list")
-    experts = []
-    for k, row in enumerate(doc["experts"]):
+    rows = doc["experts"]
+    if not rows:
+        raise ValueError("forecast file lists no experts")
+    for k, row in enumerate(rows):
         if not isinstance(row, dict):
             raise ValueError(f"expert {k} must be an object, got {row!r}")
         probs, weight = row.get("probs"), row.get("weight")
@@ -201,25 +228,17 @@ def _forecasts_from_json(doc) -> ForecastFile:
             raise ValueError(f"expert {k}: 'probs' must be a list of numbers")
         if not (weight is None or _is_number(weight)):
             raise ValueError(f"expert {k}: 'weight' must be a number, got {weight!r}")
-        experts.append(
-            ExpertEntry(
-                id=str(row.get("id", f"e{k + 1}")),
-                forecast=Forecast(np.asarray(probs, dtype=float)),
-                weight=None if weight is None else float(weight),
-            )
-        )
-    if not experts:
-        raise ValueError("forecast file lists no experts")
-    n = doc.get("n", experts[0].forecast.n)
+    n = doc.get("n", len(rows[0]["probs"]))
     if type(n) is not int:
         raise ValueError(f"'n' must be an integer, got {n!r}")
     labels = doc.get("labels")
     if not (labels is None or isinstance(labels, list)):
         raise ValueError(f"'labels' must be a list, got {labels!r}")
     return ForecastFile(
-        experts=tuple(experts),
-        n=n,
-        labels=None if labels is None else tuple(str(x) for x in labels),
+        _expert_rows([row["probs"] for row in rows], n),
+        [DEFAULT_WEIGHT if row.get("weight") is None else row["weight"] for row in rows],
+        tuple(str(row.get("id", f"e{k + 1}")) for k, row in enumerate(rows)),
+        None if labels is None else tuple(str(x) for x in labels),
     )
 
 
@@ -234,23 +253,20 @@ def _forecasts_from_csv(path: Path) -> ForecastFile:
     except ValueError:
         header = [c.strip() for c in rows[0]]
         rows = rows[1:]
-    has_weight = header is not None and header and header[-1].lower() == "weight"
-    experts = []
-    for k, row in enumerate(rows):
-        vals = [float(c) for c in row]
-        if has_weight:
-            probs, weight = vals[:-1], vals[-1]
-        else:
-            probs, weight = vals, None
-        experts.append(
-            ExpertEntry(f"e{k + 1}", Forecast(np.asarray(probs)), weight)
-        )
-    if not experts:
+    if not rows:
         raise ValueError(f"{path}: forecast file lists no experts")
+    has_weight = header is not None and header[-1].lower() == "weight"
+    vals = []
+    for k, row in enumerate(rows):
+        try:
+            vals.append([float(c) for c in row])
+        except ValueError as e:
+            raise ValueError(f"expert {k}: {e}") from None
+    weights = [v.pop() for v in vals] if has_weight else None
     labels = None
     if header is not None:
         labels = tuple(header[:-1] if has_weight else header)
-    return ForecastFile(tuple(experts), experts[0].forecast.n, labels)
+    return ForecastFile(_expert_rows(vals, len(vals[0])), weights, None, labels)
 
 
 def load_stream_file(path: str | Path) -> StreamFile:
@@ -276,9 +292,9 @@ def load_stream_file(path: str | Path) -> StreamFile:
     if k is not None:
         raise ValueError(f"step {k}: outcome must be an integer, got {outcomes[k]!r}")
     raw = [row["forecasts"] for row in rows]
-    try:
+    try:  # an integer beyond the float range overflows
         P = np.array(raw, dtype=float)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError):
         P = None
     if P is None or P.ndim != 3:
         raise ValueError(_shape_error(raw))
@@ -291,7 +307,7 @@ def _shape_error(raw: list) -> str:
     for k, fs in enumerate(raw):
         try:
             shape = np.array(fs, dtype=float).shape
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):
             shape = ()
         if len(shape) != 2:
             return f"step {k}: forecasts must be a list of equal-length number lists"
@@ -307,16 +323,13 @@ def _shape_error(raw: list) -> str:
 # --------------------------------------------------------------------------
 
 def forecast_file_dict(ff: ForecastFile) -> dict:
-    """JSON-ready dict; floats serialize at shortest round-trip precision."""
+    """JSON-ready dict with every expert's weight; floats serialize at
+    shortest round-trip precision."""
     doc: dict = {
         "n": ff.n,
         "experts": [
-            {
-                "id": e.id,
-                "probs": [float(x) for x in e.forecast.probs],
-                **({} if e.weight is None else {"weight": float(e.weight)}),
-            }
-            for e in ff.experts
+            {"id": i, "probs": p, "weight": w}
+            for i, p, w in zip(ff.ids, ff.probs.tolist(), ff.weights.tolist())
         ],
     }
     if ff.labels is not None:

@@ -19,12 +19,12 @@ from .errors import ConfigError, SolverError
 from .optim import projected_gradient
 from .pooling import _invert_rows, _mix
 from .rules import (
-    SIMPLEX_ATOL,
     RuleSpec,
     as_forecast,
     exposure_norm_bound,
     _exposures,
     _score_matrix,
+    _simplex_rows,
 )
 from .simplex import canonicalize, project_simplex, uniform_point
 
@@ -76,7 +76,7 @@ def _weight_rows(W: np.ndarray) -> np.ndarray:
     total = W.sum(axis=-1, keepdims=True)
     off = np.abs(total - 1.0) > 1e-9
     if off.any():
-        raise ValueError(f"weights sum to {total[off][0]!r}, not 1 within 1e-9")
+        raise ValueError(f"weights sum to {float(total[off][0])!r}, not 1 within 1e-9")
     return W / total
 
 
@@ -169,12 +169,10 @@ def _normalize_stream(stream, floor: float | None = None):
         J = np.array([j for _, j in steps])
     if floor is not None:
         P = np.maximum(P, floor)
-        P = P / P.sum(axis=2, keepdims=True)
-        total = P.sum(axis=2, keepdims=True)
-        # the check Forecast makes; fails when the floor overflows the sum
-        if not (np.abs(total - 1.0) <= SIMPLEX_ATOL).all():
-            raise ValueError(f"forecast_floor {floor!r} leaves no valid clamped forecast")
-        P = P / total
+        try:  # Forecast's checks fail when the floor overflows the sum
+            P = _simplex_rows(P / P.sum(axis=2, keepdims=True))
+        except ValueError:
+            raise ValueError(f"forecast_floor {floor!r} leaves no valid clamped forecast") from None
     return P, J
 
 
@@ -270,9 +268,7 @@ def project_to_simplex(y) -> WeightVector:
     return WeightVector(project_simplex(np.asarray(y, dtype=float)))
 
 
-def _solve_offline(
-    ev: _StreamEvaluator, tol: float = 1e-8, max_iter: int = 1_000_000
-) -> tuple[np.ndarray, float]:
+def _solve_offline(ev: _StreamEvaluator) -> tuple[np.ndarray, float]:
     # optimize the per-step mean so the first-order tolerances refer to
     # a T-independent scale
     inv_t = 1.0 / ev.T
@@ -281,8 +277,7 @@ def _solve_offline(
         lambda w: ev.total_grad(w) * inv_t,
         uniform_point(ev.m),
         project_simplex,
-        tol=tol,
-        max_iter=max_iter,
+        max_iter=1_000_000,
     )
     if not converged and not kkt <= 1e-6:
         raise SolverError(

@@ -52,7 +52,6 @@ def projected_gradient(
     lower: float = 0.0,
     tol: float = 1e-8,
     max_iter: int = 100_000,
-    step0: float = 1.0,
 ) -> tuple[np.ndarray, float, bool]:
     """Minimize a smooth convex objective over a (floored) simplex.
 
@@ -64,7 +63,7 @@ def projected_gradient(
     f = objective(x)
     g = gradient(x)
     recent = [f]
-    step = step0
+    step = 1.0
     prev_x: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     kkt = np.inf

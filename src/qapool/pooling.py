@@ -55,7 +55,6 @@ from .simplex import project_simplex, project_simplex_floor, uniform_point
 __all__ = [
     "WeightedForecast",
     "PoolResult",
-    "as_weighted",
     "qa_pool",
     "invert_exposure",
     "generalized_pool",
@@ -82,14 +81,6 @@ class WeightedForecast:
         w = float(self.weight)
         _check_nonnegative(np.array(w))
         object.__setattr__(self, "weight", w)
-
-
-def as_weighted(value) -> WeightedForecast:
-    """Coerce a WeightedForecast or a (forecast, weight) pair."""
-    if isinstance(value, WeightedForecast):
-        return value
-    forecast, weight = value
-    return WeightedForecast(as_forecast(forecast), float(weight))
 
 
 @dataclass(frozen=True)
@@ -406,12 +397,7 @@ def _interior_floor(rule: RuleSpec, P: np.ndarray | None) -> float:
 
 
 def _minimize_tilted(
-    rule: RuleSpec,
-    t: np.ndarray,
-    *,
-    floor: float,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
+    rule: RuleSpec, t: np.ndarray, floor: float
 ) -> tuple[np.ndarray, float, bool]:
     """Minimize G(x) - <t, x> over the floored simplex."""
     n = t.size
@@ -429,15 +415,7 @@ def _minimize_tilted(
     def gradient(x: np.ndarray) -> np.ndarray:
         return _gradient(rule, x) - t
 
-    return projected_gradient(
-        objective,
-        gradient,
-        uniform_point(n),
-        project,
-        lower=floor,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    return projected_gradient(objective, gradient, uniform_point(n), project, lower=floor)
 
 
 def _scaled(tol: float, t: np.ndarray):
@@ -453,7 +431,7 @@ def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
     floor = _interior_floor(rule, None)
     # aim for the absolute tolerance; a spectral-step stall below the
     # scale-aware bound is accepted as float-optimal
-    x, kkt, converged = _minimize_tilted(rule, t, floor=floor, tol=1e-8)
+    x, kkt, converged = _minimize_tilted(rule, t, floor)
     if not converged and not kkt <= _scaled(1e-7, t):
         raise SolverError(
             f"exposure inversion for {rule.label} stalled at KKT residual {kkt:.3e}"
@@ -520,14 +498,7 @@ def _frozen(x: np.ndarray) -> Forecast:
     return Forecast._trusted(x)
 
 
-def generalized_pool(
-    rule: RuleSpec,
-    inputs,
-    *,
-    floor: float | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 100_000,
-) -> PoolResult:
+def generalized_pool(rule: RuleSpec, inputs, *, floor: float | None = None) -> PoolResult:
     """Minimize the weighted sum of Bregman divergences to the inputs.
 
     Defined on the closed simplex, so it exists even when the exposure
@@ -549,9 +520,7 @@ def generalized_pool(
         return PoolResult(_frozen(P[0]), float(total[0]), 0.0, BREGMAN_MIN)
     t = _mix(_exposures(rule, P[None]), (W / W.sum())[None])[0]
     working_floor = floor if floor is not None else _interior_floor(rule, P)
-    x, kkt, converged = _minimize_tilted(
-        rule, t, floor=working_floor, tol=tol, max_iter=max_iter
-    )
+    x, kkt, converged = _minimize_tilted(rule, t, working_floor)
     if not converged and not kkt <= _scaled(1e-7, t):
         raise SolverError(
             f"generalized pooling under {rule.label} stalled at KKT "

@@ -206,18 +206,28 @@ FAMILIES = tuple(_FAMILIES)
 OPEN_DOMAIN_FAMILIES = frozenset(k for k, f in _FAMILIES.items() if f.open_domain)
 
 
-def _simplex_rows(P: np.ndarray) -> np.ndarray:
+def _simplex_rows(P: np.ndarray, name: str | None = None) -> np.ndarray:
     """Forecast's checks on every row (last axis) of P, and the rows
-    renormalized to sum to one."""
+    renormalized to sum to one.
+
+    This is the one place forecast rows are checked.  With a ``name``
+    ("step", "expert"), an error begins with it and the first index of
+    P's leading axis that holds a bad row.
+    """
     if np.count_nonzero(~np.isfinite(P)):
-        raise ValueError("forecast probabilities must be finite")
-    if np.count_nonzero(P < 0.0):
-        raise ValueError("forecast probabilities must be nonnegative")
-    total = P.sum(axis=-1, keepdims=True)
-    off = abs(total - 1.0) > SIMPLEX_ATOL
-    if np.count_nonzero(off):
-        raise ValueError(f"probabilities sum to {total[off][0]!r}, not 1 within 1e-9")
-    return P / total
+        bad, message = ~np.isfinite(P), "forecast probabilities must be finite"
+    elif np.count_nonzero(P < 0.0):
+        bad, message = P < 0.0, "forecast probabilities must be nonnegative"
+    else:
+        total = P.sum(axis=-1, keepdims=True)
+        bad = abs(total - 1.0) > SIMPLEX_ATOL
+        if not np.count_nonzero(bad):
+            return P / total
+        message = f"probabilities sum to {float(total[bad][0])!r}, not 1 within 1e-9"
+    if name is not None:
+        k = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
+        message = f"{name} {k}: {message}"
+    raise ValueError(message)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:

@@ -219,6 +219,14 @@ def test_zero_samples_rejected(probe):
         probe(RuleSpec.quadratic(), 3, 0, 0)
 
 
+@pytest.mark.parametrize("probe", [axiom_suite, exposure_probe, concavity_probe])
+@pytest.mark.parametrize("n", [0, 1])
+def test_fewer_than_two_outcomes_rejected(probe, n):
+    # at n = 1 every draw is the one point mass: the report would be vacuous
+    with pytest.raises(ValueError, match="^need at least two outcomes$"):
+        probe(RuleSpec.quadratic(), n, 20, 0)
+
+
 class TestConcavityProbe:
     def test_worst_gap_nonnegative_for_qa_pooling(self):
         rep = concavity_probe(RuleSpec.spherical(2.0), 3, 400, seed=6)

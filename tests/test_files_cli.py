@@ -79,6 +79,7 @@ def stream_json(tmp_path):
     return str(path)
 
 
+NAN, INF = float("nan"), float("inf")
 ONE_EXPERT = [{"probs": [0.5, 0.5]}]
 MALFORMED_FORECAST_FILES = {
     "experts-not-objects": {"experts": [1, 0]},
@@ -91,13 +92,47 @@ MALFORMED_FORECAST_FILES = {
     "probs-huge-integer": {"experts": [{"probs": [10**400, 0.5]}]},
 }
 
+GOOD_ROW = [0.25, 0.25, 0.5]
+
+
+def _bad_expert_2(probs=GOOD_ROW, weight=1.0):
+    """Four experts of GOOD_ROW at weight 1, expert 2 replaced by the bad one."""
+    return [(GOOD_ROW, 1.0)] * 2 + [(probs, weight), (GOOD_ROW, 1.0)]
+
+
+# name -> (experts as (probs, weight) pairs, the expert the error must name)
+MALFORMED_EXPERTS = {
+    "nan": (_bad_expert_2([NAN, 0.5, 0.5]), 2),
+    "negative": (_bad_expert_2([-0.1, 0.6, 0.5]), 2),
+    "sum-off-1e-6": (_bad_expert_2([0.25, 0.25, 0.500001]), 2),
+    "ragged-row": (_bad_expert_2([0.5, 0.5]), 2),
+    "negative-weight": (_bad_expert_2(weight=-1.0), 2),
+    "nan-weight": (_bad_expert_2(weight=NAN), 2),
+    "n-is-1": ([([1.0], 1.0)] * 3, 0),
+}
+
+
+def write_forecast_table(tmp_path, experts, fmt):
+    """Write (probs, weight) pairs as a JSON or a weighted CSV forecast file."""
+    if fmt == "json":
+        path = tmp_path / "f.json"
+        rows = [{"probs": p, "weight": w} for p, w in experts]
+        path.write_text(json.dumps({"experts": rows}))
+    else:
+        path = tmp_path / "f.csv"
+        header = [f"o{j + 1}" for j in range(len(experts[0][0]))] + ["weight"]
+        lines = [",".join(header)]
+        lines += [",".join(repr(float(x)) for x in [*p, w]) for p, w in experts]
+        path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
 
 class TestForecastFiles:
     def test_json_load(self, forecasts_json):
         ff = load_forecast_file(forecasts_json)
-        assert ff.n == 2 and len(ff.experts) == 2
+        assert ff.n == 2 and ff.probs.shape == (2, 2) and ff.ids == ("a", "b")
         assert ff.labels == ("hit", "miss")
-        assert ff.experts[0].weight == 0.5
+        assert ff.weights[0] == 0.5
 
     def test_missing_weights_default_uniformly(self, tmp_path):
         path = tmp_path / "f.json"
@@ -105,23 +140,23 @@ class TestForecastFiles:
             json.dumps({"experts": [{"probs": [0.3, 0.7]}, {"probs": [0.6, 0.4]}]})
         )
         ff = load_forecast_file(path)
-        ws = [wf.weight for wf in ff.weighted_inputs()]
-        assert ws == [1.0, 1.0]
+        assert ff.weights.tolist() == [1.0, 1.0]
 
     def test_csv_with_header_and_weight(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("rain,dry,weight\n0.1,0.9,0.5\n0.5,0.5,0.5\n")
         ff = load_forecast_file(path)
         assert ff.labels == ("rain", "dry")
-        assert [e.weight for e in ff.experts] == [0.5, 0.5]
-        assert np.allclose(ff.experts[0].forecast.probs, [0.1, 0.9])
+        assert ff.weights.tolist() == [0.5, 0.5]
+        assert np.allclose(ff.probs[0], [0.1, 0.9])
 
     def test_csv_headerless_is_all_probabilities(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("0.2,0.3,0.5\n0.25,0.25,0.5\n")
         ff = load_forecast_file(path)
         assert ff.n == 3
-        assert all(e.weight is None for e in ff.experts)
+        # no weight column: every expert gets the default weight
+        assert ff.weights.tolist() == [1.0, 1.0]
 
     def test_mismatched_outcome_counts_rejected(self, tmp_path):
         path = tmp_path / "f.json"
@@ -155,14 +190,55 @@ class TestForecastFiles:
         assert out == ""
         assert err.startswith("qapool: input error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_EXPERTS))
+    def test_malformed_expert_is_named(self, tmp_path, name, fmt, capsys):
+        experts, k = MALFORMED_EXPERTS[name]
+        path = write_forecast_table(tmp_path, experts, fmt)
+        with pytest.raises(ValueError, match=rf"^expert {k}\b"):
+            load_forecast_file(path)
+        assert main(["pool", "quadratic", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"qapool: input error: expert {k}") and err.count("\n") == 1
+
+    def test_sum_error_prints_a_plain_float(self, tmp_path, capsys):
+        path = write_experts(tmp_path, [[0.5, 0.4]])
+        assert main(["pool", "quadratic", path]) == 1
+        assert capsys.readouterr().err == (
+            "qapool: input error: expert 0: probabilities sum to 0.9, not 1 within 1e-9\n"
+        )
+
+    def test_null_weight_loads_as_one(self, tmp_path):
+        path = tmp_path / "f.json"
+        experts = [{"probs": [0.3, 0.7], "weight": None}, {"probs": [0.6, 0.4], "weight": 2}]
+        path.write_text(json.dumps({"experts": experts}))
+        assert load_forecast_file(path).weights.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n", [3, 50])
+    def test_rows_are_the_forecasts_bit_for_bit(self, tmp_path, n, fmt):
+        rng = np.random.default_rng(n)
+        # rows off the simplex by up to 5e-10, so renormalizing moves bits
+        raw = rng.dirichlet(np.ones(n), size=12)
+        raw *= 1.0 + rng.uniform(-5e-10, 5e-10, size=(12, 1))
+        weights = rng.uniform(0.1, 2.0, size=12)
+        ff = load_forecast_file(
+            write_forecast_table(tmp_path, list(zip(raw.tolist(), weights.tolist())), fmt)
+        )
+        assert not ff.probs.flags.writeable and not ff.weights.flags.writeable
+        assert ff.weights.tolist() == weights.tolist()
+        want = np.array([Forecast(p).probs for p in raw.tolist()])
+        assert np.array_equal(ff.probs, want)
+        assert all(np.array_equal(f.probs, p) for f, p in zip(ff.forecasts, want))
+
     def test_round_trip_preserves_probabilities(self, tmp_path, forecasts_json):
         ff = load_forecast_file(forecasts_json)
         out = tmp_path / "copy.json"
         write_forecast_file(ff, out)
         back = load_forecast_file(out)
         assert isinstance(back, ForecastFile)
-        for a, b in zip(ff.experts, back.experts):
-            assert np.array_equal(a.forecast.probs, b.forecast.probs)
+        assert np.array_equal(ff.probs, back.probs)
 
 
 GOOD = [[0.5, 0.5], [0.1, 0.9]]
@@ -174,7 +250,6 @@ def _bad_step_2(forecasts=GOOD, outcome=1):
     return [good, good, {"forecasts": forecasts, "outcome": outcome}, good]
 
 
-NAN, INF = float("nan"), float("inf")
 # name -> (steps, the step the error must name)
 MALFORMED_STREAMS = {
     "ragged-rows": (_bad_step_2([[0.5, 0.5], [0.2, 0.3, 0.5]]), 2),
@@ -189,6 +264,7 @@ MALFORMED_STREAMS = {
     "float-outcome": (_bad_step_2(outcome=2.0), 2),
     "outcome-above-n": (_bad_step_2(outcome=3), 2),
     "outcome-zero": (_bad_step_2(outcome=0), 2),
+    "huge-integer": (_bad_step_2([[10**400, 0.5], [0.1, 0.9]]), 2),
 }
 
 
@@ -303,9 +379,9 @@ class TestCmdPool:
         assert main(["pool", "log", forecasts_json, "--out", str(out)]) == 0
         back = load_forecast_file(out)
         assert back.n == 2
-        assert back.experts[0].id == "pool"
+        assert back.ids == ("pool",)
         # serialized at round-trip precision: still a valid simplex point
-        assert abs(back.experts[0].forecast.probs.sum() - 1.0) <= 1e-9
+        assert abs(back.probs[0].sum() - 1.0) <= 1e-9
 
     def test_unprojectable_gradient_step_exits_1(self, tmp_path, capsys):
         # the first gradient step of the generalized pool lands near 1e299,
@@ -494,6 +570,13 @@ class TestOutputPins:
             "1634a058df3b10bd39d42bc9b61db2178bf88168257139bc180174e31272e121",
     }
 
+    # sha256 of the `pool RULE FILE --out OUT` file, recorded before forecast
+    # files were loaded as arrays; the written pool is result.pooled bit for bit
+    PINNED_OUT = {
+        "quadratic": "7efa8bda715f81e1bd15612e34ffcd80509b532b13c91ce393966937680fe346",
+        "hs": "8facf21955eb7573b922407ea58660e15da97a3fe4ca2acb2c3798ba42a937a1",
+    }
+
     @pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
     def test_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
         monkeypatch.delenv("QAPOOL_SEED", raising=False)
@@ -515,6 +598,21 @@ class TestOutputPins:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
+
+    @pytest.mark.parametrize("rule", sorted(PINNED_OUT))
+    def test_out_file_bytes_are_pinned(self, tmp_path, rule, capsys):
+        # the input of test_output_bytes_are_pinned
+        rng = np.random.default_rng(20261018)
+        P = rng.dirichlet(np.ones(4), size=9).tolist()
+        W = rng.uniform(0.2, 2.0, size=9).tolist()
+        experts = [{"id": f"x{i}", "probs": p, "weight": w} for i, (p, w) in enumerate(zip(P, W))]
+        path = tmp_path / "experts.json"
+        path.write_text(json.dumps({"n": 4, "experts": experts}))
+        out = tmp_path / "pooled.json"
+        assert main(["pool", rule, str(path), "--out", str(out)]) == 0
+        pooled = json.loads(capsys.readouterr().out)["pooled"]
+        assert json.loads(out.read_text())["experts"][0]["probs"] == pooled
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_OUT[rule]
 
 
 class TestParserReuse:
@@ -592,6 +690,14 @@ class TestCmdAuditAndProbe:
         # a check over no draws would report a vacuous pass
         assert main([command, "quadratic", "--samples", "0"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rule", ["quadratic", "log", "hs"])
+    @pytest.mark.parametrize("n", ["0", "1"])
+    def test_probe_fewer_than_two_outcomes_exits_1(self, rule, n, capsys):
+        assert main(["probe-exposure", rule, "--n", n]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qapool: input error: need at least two outcomes\n"
 
     def test_probe_exposure_command(self, capsys):
         assert main(

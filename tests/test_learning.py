@@ -9,6 +9,7 @@ from qapool import (
     ConfigError,
     LearningConfig,
     RuleSpec,
+    WeightVector,
     loss_gradient,
     offline_best_weights,
     ogd_run,
@@ -195,6 +196,12 @@ class TestProjectToSimplex:
         assert np.allclose(project_to_simplex([0.6, 0.6]).weights, [0.5, 0.5])
         w = [0.1, 0.2, 0.7]
         assert np.allclose(project_to_simplex(w).weights, w, atol=1e-15)
+
+
+def test_weight_sum_error_prints_a_plain_float():
+    with pytest.raises(ValueError) as info:
+        WeightVector([0.5, 0.6])
+    assert str(info.value) == "weights sum to 1.1, not 1 within 1e-9"
 
 
 class TestOgdRun:
