@@ -26,7 +26,10 @@ and ``as_pairs()`` build per-step ``Forecast`` objects only when asked.
 Both records check and renormalize every forecast row in one call to
 ``rules._simplex_rows``, as ``Forecast`` does one row, so a loaded row
 equals ``Forecast(raw).probs`` bit for bit; errors name the offending
-expert or step.
+expert or step.  Before that, both JSON loaders reject probabilities that
+are not JSON numbers (strings and booleans would convert to floats) with
+one type check over all the rows, and look for the offending expert or
+step only when it fails.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -198,9 +202,33 @@ def load_forecast_file(path: str | Path) -> ForecastFile:
     return _forecasts_from_csv(path)
 
 
-def _is_number(x) -> bool:
-    # bool is an int subclass; an integer beyond the float range won't convert
-    return type(x) is float or (type(x) is int and abs(x) <= _FLOAT_MAX)
+def _flatten(groups: list, depth: int):
+    """The items of ``groups`` with ``depth`` levels of lists unwrapped."""
+    for _ in range(depth):
+        groups = chain.from_iterable(groups)
+    return groups
+
+
+def _are_numbers(groups: list, depth: int) -> bool:
+    """Whether every item of ``_flatten(groups, depth)`` is a JSON number
+    a float can hold."""
+    # exact types: bool is an int subclass, and a JSON string or bool
+    # would convert under np.array(..., dtype=float)
+    kinds = set(map(type, _flatten(groups, depth)))
+    if not kinds <= {float, int}:
+        return False
+    # an integer beyond the float range won't convert
+    return int not in kinds or all(
+        abs(x) <= _FLOAT_MAX for x in _flatten(groups, depth) if type(x) is int
+    )
+
+
+def _check_numbers(groups: list, depth: int, name: str, message: str) -> None:
+    """One type check over every item of ``_flatten(groups, depth)``; on
+    failure, raise ``{name} k: {message}`` for the first bad group k."""
+    if not _are_numbers(groups, depth):
+        k = next(k for k, g in enumerate(groups) if not _are_numbers([g], depth))
+        raise ValueError(f"{name} {k}: {message}")
 
 
 def _expert_rows(rows: list[list], n: int) -> np.ndarray:
@@ -224,18 +252,20 @@ def _forecasts_from_json(doc) -> ForecastFile:
         probs, weight = row.get("probs"), row.get("weight")
         if probs is None:
             raise ValueError(f"expert {k} is missing 'probs'")
-        if not (isinstance(probs, list) and all(_is_number(p) for p in probs)):
+        if not isinstance(probs, list):
             raise ValueError(f"expert {k}: 'probs' must be a list of numbers")
-        if not (weight is None or _is_number(weight)):
+        if not (weight is None or _are_numbers([weight], 0)):
             raise ValueError(f"expert {k}: 'weight' must be a number, got {weight!r}")
-    n = doc.get("n", len(rows[0]["probs"]))
+    probs = [row["probs"] for row in rows]
+    _check_numbers(probs, 1, "expert", "'probs' must be a list of numbers")
+    n = doc.get("n", len(probs[0]))
     if type(n) is not int:
         raise ValueError(f"'n' must be an integer, got {n!r}")
     labels = doc.get("labels")
     if not (labels is None or isinstance(labels, list)):
         raise ValueError(f"'labels' must be a list, got {labels!r}")
     return ForecastFile(
-        _expert_rows([row["probs"] for row in rows], n),
+        _expert_rows(probs, n),
         [DEFAULT_WEIGHT if row.get("weight") is None else row["weight"] for row in rows],
         tuple(str(row.get("id", f"e{k + 1}")) for k, row in enumerate(rows)),
         None if labels is None else tuple(str(x) for x in labels),
@@ -298,6 +328,9 @@ def load_stream_file(path: str | Path) -> StreamFile:
         P = None
     if P is None or P.ndim != 3:
         raise ValueError(_shape_error(raw))
+    # np.array converts strings and booleans; the (T, m, n) shape puts
+    # every probability under two levels of lists per step
+    _check_numbers(raw, 2, "step", "forecast probabilities must be numbers")
     return StreamFile(P, np.array(outcomes))
 
 

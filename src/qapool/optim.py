@@ -40,7 +40,9 @@ def kkt_residual(grad: np.ndarray, x: np.ndarray, lower: float = 0.0) -> float:
     lam = grad[free].mean()
     r = grad - lam
     r[active] = np.minimum(r[active], 0.0)
-    return float(np.linalg.norm(r))
+    # a residual too large for float64 is inf, without numpy's warning
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(r))
 
 
 def projected_gradient(

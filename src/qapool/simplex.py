@@ -5,6 +5,16 @@ The Euclidean projection uses the sort-and-threshold construction
 sort the coordinates, find the largest support size rho for which the
 water-filling threshold keeps all supported coordinates positive, then
 clip.  It is exact up to floating-point rounding, O(m log m).
+
+The sampler draws Dirichlet(1, ..., 1) as n i.i.d. Exp(1) variates
+divided by their sum (Devroye, *Non-Uniform Random Variate Generation*,
+1986, ch. XI).  Generator.dirichlet builds it the same way: each
+variate is standard_gamma(1), the ziggurat exponential, the row total is
+summed in order, and the row is multiplied by its reciprocal.  Drawing
+the exponentials directly therefore gives every row bit for bit as
+Generator.dirichlet with all-ones alpha would, and leaves the generator
+in the same state, while a block of rows costs one generator call and
+none of dirichlet's per-call argument checks.
 """
 
 from __future__ import annotations
@@ -69,14 +79,18 @@ def uniform_point(n: int) -> np.ndarray:
 
 
 def random_simplex_point(
-    rng: np.random.Generator, n: int, floor: float = 0.0
+    rng: np.random.Generator, n: int, floor: float = 0.0, size: int | None = None
 ) -> np.ndarray:
     """Draw uniformly from the shell {p : min_j p_j >= floor}.
 
     floor + (1 - n*floor) * Dirichlet(1, ..., 1) is exactly the uniform
-    law on that shrunken simplex; requires n*floor < 1.
+    law on that shrunken simplex; requires n*floor < 1.  With ``size``,
+    a (size, n) block: row i is bit for bit the i-th of ``size``
+    one-point calls, and the generator ends in the same state.
     """
     slack = 1.0 - n * floor
     if slack <= 0.0:
         raise ValueError("floor too large for the dimension")
-    return floor + slack * rng.dirichlet(np.ones(n))
+    e = rng.standard_exponential(n if size is None else (size, n))
+    # cumsum, not sum: the row total is summed in order, as dirichlet sums it
+    return floor + slack * (e * (1.0 / e.cumsum(axis=-1)[..., -1:]))

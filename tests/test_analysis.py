@@ -23,7 +23,8 @@ from qapool import (
     surplus_report,
     weight_score,
 )
-from qapool.analysis import sample_forecast
+from qapool.analysis import _cycle_sums, _distinct_points, sample_forecast
+from qapool.rules import _exposures
 
 from conftest import CLOSED_RULES, CONVEX_RULES, RULE_IDS, random_instance, random_probs
 from oracles import kl_divergence, weighted_arithmetic_mean
@@ -192,6 +193,68 @@ class TestCyclicalMonotonicity:
                 for i in range(k)
             )
             assert total > 1e-12
+
+    @pytest.mark.parametrize("n", [3, 50])
+    @pytest.mark.parametrize("rule", CONVEX_RULES, ids=RULE_IDS)
+    def test_batched_cycle_sums_are_the_python_sums(self, rule, n):
+        rng = np.random.default_rng(n)
+        cycles = [_distinct_points(rng, n, rule, int(k)) for k in rng.integers(2, 6, size=40)]
+        assert {len(c) for c in cycles} == {2, 3, 4, 5}
+        want = [
+            sum(float(np.dot(e, d)) for e, d in zip(_exposures(rule, P), P - np.roll(P, 1, axis=0)))
+            for P in cycles
+        ]
+        assert _cycle_sums(rule, cycles).tolist() == want
+
+
+def reference_distinct_points(rng, n, rule, k):
+    """One sample_forecast candidate at a time, kept when at distance
+    >= 1e-3 from every point kept before it."""
+    pts = []
+    while len(pts) < k:
+        cand = sample_forecast(rng, n, rule).probs
+        if all(np.linalg.norm(cand - p) >= 1e-3 for p in pts):
+            pts.append(cand)
+    return np.array(pts)
+
+
+class _RowGenerator:
+    """Stands in for a Generator: standard_exponential serves fixed rows
+    in order, one for a size of n and k for a size of (k, n)."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=float)
+        self.used = 0
+
+    def standard_exponential(self, size):
+        k = 1 if isinstance(size, int) else size[0]
+        out = self.rows[self.used:self.used + k]
+        assert out.shape[0] == k, "ran out of rows"
+        self.used += k
+        return out[0] if isinstance(size, int) else out
+
+
+class TestDistinctPoints:
+    @pytest.mark.parametrize("rule", [QUAD, RuleSpec.logarithmic()], ids=lambda r: r.label)
+    def test_matches_one_candidate_at_a_time(self, rule):
+        for seed in range(20):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k in (2, 3, 5):
+                got = _distinct_points(a, 3, rule, k)
+                assert np.array_equal(got, reference_distinct_points(b, 3, rule, k))
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("rule", [QUAD, RuleSpec.logarithmic()], ids=lambda r: r.label)
+    def test_rejected_block_row_is_topped_up(self, rule):
+        # row 1 repeats row 0 up to 1e-9, so the block keeps three rows; the
+        # first top-up draw repeats row 0 again, the second is kept
+        rows = [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0 + 1e-9], [3.0, 1.0, 1.0], [1.0, 1.0, 4.0],
+                [2.0, 4.0, 6.0], [2.0, 2.0, 1.0], [5.0, 1.0, 1.0]]
+        a, b = _RowGenerator(rows), _RowGenerator(rows)
+        got = _distinct_points(a, 3, rule, 4)
+        want = reference_distinct_points(b, 3, rule, 4)
+        assert np.array_equal(got, want)
+        assert a.used == b.used == 6
 
 
 class TestExposureProbe:

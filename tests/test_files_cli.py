@@ -90,6 +90,8 @@ MALFORMED_FORECAST_FILES = {
     "weight-not-a-number": {"experts": [{"probs": [0.5, 0.5], "weight": [1]}]},
     "probs-not-a-list": {"experts": [{"probs": {"a": 1}}]},
     "probs-huge-integer": {"experts": [{"probs": [10**400, 0.5]}]},
+    "probs-string": {"experts": ONE_EXPERT + [{"probs": ["0.5", 0.5]}]},
+    "probs-bool": {"experts": ONE_EXPERT + [{"probs": [True, False]}]},
 }
 
 GOOD_ROW = [0.25, 0.25, 0.5]
@@ -265,6 +267,9 @@ MALFORMED_STREAMS = {
     "outcome-above-n": (_bad_step_2(outcome=3), 2),
     "outcome-zero": (_bad_step_2(outcome=0), 2),
     "huge-integer": (_bad_step_2([[10**400, 0.5], [0.1, 0.9]]), 2),
+    "string": (_bad_step_2([["0.5", 0.5], [0.1, 0.9]]), 2),
+    "bool": (_bad_step_2([[0.5, 0.5], [True, 0]]), 2),
+    "bool-only-row": (_bad_step_2([[0.5, 0.5], [True, False]]), 2),
 }
 
 
@@ -393,6 +398,22 @@ class TestCmdPool:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("qapool:") and "every support size" in err
+
+    def test_overflowing_kkt_residual_prints_one_stderr_line(self, tmp_path):
+        # in a subprocess, since pytest would capture numpy's RuntimeWarning
+        path = write_experts(tmp_path, [[1e-300, 0.5, 0.5], [0.2, 0.3, 0.5]])
+        env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "qapool.cli", "pool", "neglog", path,
+             "--generalized", "--floor", "1e-320"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("qapool:")
 
     def test_deterministic_output(self, forecasts_json, capsys):
         main(["pool", "spherical:2", forecasts_json])
@@ -568,6 +589,14 @@ class TestOutputPins:
             "ef99c531bbd0c5c7fd71aa1e15c1941dfeb3977b30ac2843b405ff662b6f48f0",
         ("probe-exposure", "tsallis:3", "--n", "3", "--samples", "200"):
             "1634a058df3b10bd39d42bc9b61db2178bf88168257139bc180174e31272e121",
+        # recorded before the samplers drew in blocks: cycles at n=50 on the
+        # open-domain shell, monotonicity pairs at n=2, and an hs probe
+        ("audit", "log", "--n", "50", "--samples", "20"):
+            "74b89004f17ef3e6bec99772bd70900248798235a40ff4a5b126ff97ce3ea053",
+        ("audit", "quadratic", "--n", "2", "--samples", "20"):
+            "83dc4563ffbac6c517c2b9728de148de516cd7ec36ece64ca5ecd7cc98845f15",
+        ("probe-exposure", "hs", "--n", "3", "--samples", "200"):
+            "f7ddce0996744e09958705166bb4f2a2f0a03faf8b1ba413b6b3f6bc1551f3c0",
     }
 
     # sha256 of the `pool RULE FILE --out OUT` file, recorded before forecast

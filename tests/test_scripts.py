@@ -52,3 +52,20 @@ def test_score_gap_table():
         # the quadratic gap s(p; 1) - s(p; 2) is 4p - 2; p is printed rounded
         assert float(quad) == pytest.approx(4.0 * float(p) - 2.0, abs=1e-5)
         assert abs(float(log)) < 10.0
+
+
+def test_output_digest():
+    args = ("--seeds", "1", "--workloads", "cli_mix")
+    out = run_script("output_digest.py", *args)
+    lines = out.splitlines()
+    assert lines
+    for line in lines:
+        workload, seed, rep, argv, code, stdout, stderr = line.split("\t")
+        assert (workload, seed) == ("cli_mix", "1") and rep in ("0", "1")
+        assert argv.split()[0] in ("pool", "score", "bregman", "probe-exposure", "audit")
+        assert "/" not in argv.replace("<work>/", "")
+        assert code in ("exit=0", "exit=2")
+        for field, name in ((stdout, "stdout="), (stderr, "stderr=")):
+            assert field.startswith(name) and len(field) == len(name) + 64
+    assert {line.split("\t")[2] for line in lines} == {"0", "1"}
+    assert run_script("output_digest.py", *args) == out

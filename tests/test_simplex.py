@@ -121,3 +121,20 @@ class TestRandomSimplexPoint:
     def test_rejects_infeasible_floor(self, rng):
         with pytest.raises(ValueError):
             random_simplex_point(rng, 4, 0.25)
+
+    @pytest.mark.parametrize("size", [None, 1, 7])
+    @pytest.mark.parametrize("floor", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [2, 3, 50, 200])
+    def test_block_is_dirichlet_bit_for_bit(self, n, floor, size):
+        # a block equals one-point calls and Generator.dirichlet row by row,
+        # and leaves the generator where they leave it
+        block, single, ref = (np.random.default_rng(11) for _ in range(3))
+        got = random_simplex_point(block, n, floor, size)
+        k = 1 if size is None else size
+        ones = [random_simplex_point(single, n, floor) for _ in range(k)]
+        slack = 1.0 - n * floor
+        want = [floor + slack * ref.dirichlet(np.ones(n)) for _ in range(k)]
+        assert got.shape == ((n,) if size is None else (size, n))
+        rows = got.reshape(k, n)
+        assert np.array_equal(rows, ones) and np.array_equal(rows, want)
+        assert block.random() == single.random() == ref.random()
