@@ -14,15 +14,28 @@ Covers three groups of checks:
   tsallis family above parameter 2 (detectably, at n > 2).
 
 Each check draws all of its seeded samples first, in a fixed order,
-and then evaluates them batched: the axioms through one certified
-pooling._pool_rows call per check (qa_pool is its one-row case), the
-exposure probe through one certified batch inversion whose per-row
-failure reports it counts, the concavity probe through one batch of
-pools per weight vector and expert count, the cyclical-monotonicity
-check through one exposure array per cycle length.  A batch makes every
-check that the one-sample calls make.  Consecutive points are drawn as
-one block (simplex.random_simplex_point with ``size``), bit for bit the
-points one-point draws give, so a seed gives the same samples either way.
+and then evaluates them batched:
+
+* the axiom suite's five pooling checks stack their two-forecast rows,
+  in check order, into two certified pooling._pool_rows calls (qa_pool
+  is its one-row case), the second built on the first's pools, so the
+  first failed row raised is the one check-by-check pooling would raise;
+* the exposure probe makes one certified batch inversion and counts its
+  per-row failure reports;
+* the concavity probe inverts its three weight vectors, stacked, in one
+  batch of pools per expert count;
+* the cyclical-monotonicity check makes one exposure array per cycle
+  length.
+
+A batch makes every check that the one-sample calls make, and its rows
+do not interact, so each verdict is bit for bit the one-sample value.
+Every draw keeps its generator call and its place in the call order: a
+forecast interleaved with weight draws is one bare
+``rng.standard_exponential(n)`` call, consecutive points one block call,
+and all of a check's exponentials are mapped to the sampling shell in
+one bulk simplex._shell_points transform, bit for bit the points of
+one-point random_simplex_point draws.  A seed gives the same samples
+and verdicts either way.
 
 "Strict" numerical claims use separation floors instead of raw
 inequalities; the continuity check is sampling evidence, not a proof.
@@ -55,7 +68,7 @@ from .rules import (
     _score_matrix,
     _simplex_rows,
 )
-from .simplex import random_simplex_point
+from .simplex import _shell_points, random_simplex_point
 
 __all__ = [
     "SurplusReport",
@@ -223,15 +236,15 @@ def _weighted_draws(
     """``count`` rows of ``per`` weighted forecasts, drawn forecast then
     weight, in row order: (count, per, n) forecasts, (count, per) weights.
 
-    The forecasts are those of sample_forecast, renormalized in bulk.
+    Each forecast is the one exponential call sample_forecast makes; all
+    of them are mapped to the sampling shell and renormalized in bulk.
     """
-    floor = _sampling_floor(rule)
-    P, W = np.empty((count, per, n)), np.empty((count, per))
-    for i in range(count):
-        for r in range(per):
-            P[i, r] = random_simplex_point(rng, n, floor)
-            W[i, r] = rng.uniform(0.1, 2.0)
-    return _simplex_rows(P), W
+    E, W = np.empty((count * per, n)), np.empty(count * per)
+    for i in range(count * per):
+        E[i] = rng.standard_exponential(n)
+        W[i] = rng.uniform(0.1, 2.0)
+    P = _shell_points(E.reshape(count, per, n), _sampling_floor(rule))
+    return _simplex_rows(P), W.reshape(count, per)
 
 
 def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteReport:
@@ -239,10 +252,12 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
 
     Requires convex exposure at dimension n (the operator must be total
     for the axioms to be well-posed).  The binary operator pools a pair
-    of weighted forecasts to their pool, carrying the summed weight.  Each
-    check draws all its samples first, in a fixed order, then pools them
-    in one certified batch (pooling._pool_rows; associativity makes one
-    batch per nesting level).
+    of weighted forecasts to their pool, carrying the summed weight.  The
+    draws of all five pooling checks come first, in check order; their
+    two-forecast rows are then pooled in two certified batches
+    (pooling._pool_rows): additivity, commutativity in both orders and
+    associativity's inner pairs, then associativity's outer pairs,
+    idempotence and continuity.
     """
     _check_draws(n, samples)
     if not has_convex_exposure(rule, n):
@@ -252,60 +267,61 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
         )
     rng = np.random.default_rng(seed)
 
-    def pool(*parts: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-        # pools and total weights of the stacked (forecasts, weights) parts
+    def pool(*parts: tuple[np.ndarray, np.ndarray]):
+        # (pools, total weights) of each of the equal-sized (forecasts,
+        # weights) parts, all of them pooled in one certified batch
         X, total, _, _ = _pool_rows(
             rule,
             np.concatenate([P for P, _ in parts]),
             np.concatenate([W for _, W in parts]),
         )
-        return X, total
+        return zip(np.split(X, len(parts)), np.split(total, len(parts)))
+
+    # every draw first, check by check: additivity, commutativity,
+    # associativity (a, b, c), idempotence (one forecast at two weights),
+    # continuity
+    Pa, Wa = _weighted_draws(rng, n, rule, samples, 2)
+    Pc, Wc = _weighted_draws(rng, n, rule, samples, 2)
+    Ps, Ws = _weighted_draws(rng, n, rule, samples, 3)
+    E, Wi = np.empty((samples, 1, n)), np.empty((samples, 2))
+    for i in range(samples):
+        E[i, 0] = rng.standard_exponential(n)
+        Wi[i] = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+    Pi = _simplex_rows(_shell_points(E, _sampling_floor(rule))).repeat(2, axis=1)
+    Pk, Wk = _weighted_draws(rng, n, rule, samples, 2)
+
+    # two batches, the second on the first's pools; each stacks its parts
+    # in check order, so the first failed row raised is the one that
+    # pooling check by check would raise
+    (_, total), (X, _), (Y, _), (ab, w_ab), (bc, w_bc) = pool(
+        (Pa, Wa), (Pc, Wc), (Pc[:, ::-1], Wc[:, ::-1]),
+        (Ps[:, :2], Ws[:, :2]), (Ps[:, 1:], Ws[:, 1:]),
+    )
+    (L, w_l), (R, w_r), (I, _), (K0, _), (K1, _) = pool(
+        (np.stack([ab, Ps[:, 2]], axis=1), np.stack([w_ab, Ws[:, 2]], axis=1)),
+        (np.stack([Ps[:, 0], bc], axis=1), np.stack([Ws[:, 0], w_bc], axis=1)),
+        (Pi, Wi),
+        (Pk, Wk),
+        (Pk, Wk + [1e-6, 0.0]),
+    )
 
     checks: list[AxiomCheck] = []
 
     # weight additivity: exact by construction of the operator
-    P, W = _weighted_draws(rng, n, rule, samples, 2)
-    _, total = pool((P, W))
-    gap = float(np.abs(total - (W[:, 0] + W[:, 1])).max())
+    gap = float(np.abs(total - (Wa[:, 0] + Wa[:, 1])).max())
     checks.append(AxiomCheck("weight_additivity", gap == 0.0, gap, 0.0))
 
-    P, W = _weighted_draws(rng, n, rule, samples, 2)
-    X, _ = pool((P, W), (P[:, ::-1], W[:, ::-1]))
-    gap = float(np.abs(X[:samples] - X[samples:]).max())
+    gap = float(np.abs(X - Y).max())
     checks.append(AxiomCheck("commutativity", gap <= 1e-12, gap, 1e-12))
 
-    P, W = _weighted_draws(rng, n, rule, samples, 3)
-    X, total = pool((P[:, :2], W[:, :2]), (P[:, 1:], W[:, 1:]))  # ab, bc
-    X, total = pool(
-        (
-            np.stack([X[:samples], P[:, 2]], axis=1),
-            np.stack([total[:samples], W[:, 2]], axis=1),
-        ),
-        (
-            np.stack([P[:, 0], X[samples:]], axis=1),
-            np.stack([W[:, 0], total[samples:]], axis=1),
-        ),
-    )
-    d = np.maximum(
-        np.abs(X[:samples] - X[samples:]).max(axis=1),
-        np.abs(total[:samples] - total[samples:]),
-    )
-    gap = float(d.max())
+    gap = float(np.maximum(np.abs(L - R).max(axis=1), np.abs(w_l - w_r)).max())
     checks.append(AxiomCheck("associativity", gap <= 1e-9, gap, 1e-9))
 
-    P, W = np.empty((samples, 1, n)), np.empty((samples, 2))
-    for i in range(samples):  # one forecast at two weights
-        P[i, 0] = random_simplex_point(rng, n, _sampling_floor(rule))
-        W[i] = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
-    P = _simplex_rows(P).repeat(2, axis=1)
-    X, _ = pool((P, W))
-    gap = float(np.abs(X - P[:, 0]).max())
+    gap = float(np.abs(I - Pi[:, 0]).max())
     checks.append(AxiomCheck("idempotence", gap <= 1e-12, gap, 1e-12))
 
     # continuity: sampled Lipschitz evidence, not a proof
-    P, W = _weighted_draws(rng, n, rule, samples, 2)
-    X, _ = pool((P, W), (P, W + [1e-6, 0.0]))
-    gap = float(np.abs(X[samples:] - X[:samples]).max())
+    gap = float(np.abs(K1 - K0).max())
     checks.append(
         AxiomCheck(
             "continuity", gap <= 1e-3, gap, 1e-3,
@@ -327,7 +343,7 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
         xs = np.linspace(0.01, 0.99, 101)
         P = np.repeat(np.array(pairs), xs.size, axis=0)
         W = np.tile(np.stack([xs, 1.0 - xs], axis=1), (len(pairs), 1))
-        X, _ = pool((P, W))
+        ((X, _),) = pool((P, W))
         diffs = np.diff(X[:, 0].reshape(len(pairs), xs.size), axis=1)
         checks.append(
             AxiomCheck(
@@ -411,13 +427,13 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
     """
     _check_draws(n, samples)
     rng = np.random.default_rng(seed)
-    floor = _sampling_floor(rule)
-    P, W = np.empty((samples, 2, n)), np.empty((samples, 2))
+    E, W = np.empty((samples, 2, n)), np.empty((samples, 2))
     for i in range(samples):
-        P[i] = random_simplex_point(rng, n, floor, size=2)
+        E[i] = rng.standard_exponential((2, n))
         w = rng.uniform(0.05, 0.95)
         W[i] = w, 1.0 - w
-    _, _, fail = _certified_inverse(rule, _mix(_exposures(rule, _simplex_rows(P)), W))
+    P = _simplex_rows(_shell_points(E, _sampling_floor(rule)))
+    _, _, fail = _certified_inverse(rule, _mix(_exposures(rule, P), W))
     failures = int(np.count_nonzero(fail == _UNATTAINABLE))
     solver_failures = int(np.count_nonzero(fail)) - failures
 
@@ -439,32 +455,33 @@ def concavity_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> Concavit
     worst concavity gap of the pooled score:
     WS(c v + (1-c) w) - c WS(v) - (1-c) WS(w).
 
-    All samples are drawn first; the samples with m experts then form one
-    stream whose pools under the three weight vectors of each step are
-    scored in one batch per vector (learning.weight_score on every row).
+    All samples are drawn first, each draw one bare generator call in
+    sample order, and mapped to the simplex in bulk.  The samples with m
+    experts then form one stream, tripled, whose pools under the three
+    weight vectors of each step are inverted and scored in one batch
+    (learning.weight_score on every row).
     """
     # local import: avoid cycle at import time
     from .learning import _StreamEvaluator, _weight_rows
 
     _check_draws(n, samples)
     rng = np.random.default_rng(seed)
-    floor = _sampling_floor(rule)
     draws = []
     for _ in range(samples):
-        m = int(rng.choice((2, 3)))
-        P = random_simplex_point(rng, n, floor, size=m)
-        v, w = random_simplex_point(rng, m, size=2)
+        m = 2 + int(rng.integers(0, 2))  # rng.choice((2, 3)): same value and state
+        E = rng.standard_exponential((m, n))  # the experts' forecasts
+        VW = rng.standard_exponential((2, m))  # the weight vectors v and w
         c = rng.uniform()
         j = int(rng.integers(1, n + 1))
-        draws.append((m, P, v, w, c, j))
+        draws.append((m, E, VW, c, j))
     worst = np.inf
     for m in sorted({d[0] for d in draws}):
-        _, P, V, W, c, J = (np.array(x) for x in zip(*(d for d in draws if d[0] == m)))
-        ev = _StreamEvaluator(rule, (_simplex_rows(P), J))
-        mixed, at_v, at_w = (
-            -ev.losses(ev.pools(_weight_rows(U), ev.E))
-            for U in (c[:, None] * V + (1.0 - c[:, None]) * W, V, W)
-        )
+        _, E, VW, c, J = (np.array(x) for x in zip(*(d for d in draws if d[0] == m)))
+        P = _simplex_rows(_shell_points(E, _sampling_floor(rule)))
+        V, W = _shell_points(VW).transpose(1, 0, 2)
+        U = np.concatenate([c[:, None] * V + (1.0 - c[:, None]) * W, V, W])
+        ev = _StreamEvaluator(rule, (np.concatenate([P] * 3), np.tile(J, 3)))
+        mixed, at_v, at_w = -ev.losses(ev.pools(_weight_rows(U), ev.E)).reshape(3, J.size)
         gap = mixed - c * at_v - (1.0 - c) * at_w
         worst = min(worst, float(gap.min()))
     return ConcavityReport(rule.label, n, samples, seed, worst)

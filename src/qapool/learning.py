@@ -169,8 +169,10 @@ def _normalize_stream(stream, floor: float | None = None):
         J = np.array([j for _, j in steps])
     if floor is not None:
         P = np.maximum(P, floor)
+        with np.errstate(over="ignore"):  # an overflowing sum is reported below
+            total = P.sum(axis=2, keepdims=True)
         try:  # Forecast's checks fail when the floor overflows the sum
-            P = _simplex_rows(P / P.sum(axis=2, keepdims=True))
+            P = _simplex_rows(P / total)
         except ValueError:
             raise ValueError(f"forecast_floor {floor!r} leaves no valid clamped forecast") from None
     return P, J

@@ -15,6 +15,14 @@ the exponentials directly therefore gives every row bit for bit as
 Generator.dirichlet with all-ones alpha would, and leaves the generator
 in the same state, while a block of rows costs one generator call and
 none of dirichlet's per-call argument checks.
+
+The map from exponentials to shell points is _shell_points, written
+once.  It works on any (..., n) array of rows, and each row's bits do
+not depend on the rows around it, so a caller whose generator calls
+must interleave with other draws (a forecast, then its weight) can make
+each exponential call bare, in its order, and transform them all in one
+bulk call afterwards.  random_simplex_point is that transform applied
+to one generator call.
 """
 
 from __future__ import annotations
@@ -78,6 +86,18 @@ def uniform_point(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def _shell_points(e: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Map (..., n) rows of Exp(1) variates to points of the shell
+    {p : min_j p_j >= floor}: floor + (1 - n*floor) * e / sum(e), row
+    by row; requires n*floor < 1.
+    """
+    slack = 1.0 - e.shape[-1] * floor
+    if slack <= 0.0:
+        raise ValueError("floor too large for the dimension")
+    # cumsum, not sum: the row total is summed in order, as dirichlet sums it
+    return floor + slack * (e * (1.0 / e.cumsum(axis=-1)[..., -1:]))
+
+
 def random_simplex_point(
     rng: np.random.Generator, n: int, floor: float = 0.0, size: int | None = None
 ) -> np.ndarray:
@@ -88,9 +108,4 @@ def random_simplex_point(
     a (size, n) block: row i is bit for bit the i-th of ``size``
     one-point calls, and the generator ends in the same state.
     """
-    slack = 1.0 - n * floor
-    if slack <= 0.0:
-        raise ValueError("floor too large for the dimension")
-    e = rng.standard_exponential(n if size is None else (size, n))
-    # cumsum, not sum: the row total is summed in order, as dirichlet sums it
-    return floor + slack * (e * (1.0 / e.cumsum(axis=-1)[..., -1:]))
+    return _shell_points(rng.standard_exponential(n if size is None else (size, n)), floor)

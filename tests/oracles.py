@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: finite differences, exhaustive
 face enumeration, dense grid search, directly-transcribed textbook
-formulas.  None of it shares code with the library paths it verifies.
+formulas.  None of it shares code with the library paths it verifies,
+except the per-check suite references at the end: they check how the
+suites batch and draw, not the pooling they share with the library.
 """
 
 from __future__ import annotations
@@ -159,3 +161,143 @@ def all_distributions(rng: np.random.Generator, n: int, count: int,
         if p.min() >= floor:
             out.append(p)
     return out
+
+
+# --------------------------------------------------------------------------
+# per-check suite references: one certified batch per check, one sampler
+# call per draw, as the axiom suite and the concavity probe ran before
+# their pools were stacked and their draws transformed in bulk
+# --------------------------------------------------------------------------
+
+def _per_draw_weighted(rng, n, floor, count, per):
+    from qapool.rules import _simplex_rows
+    from qapool.simplex import random_simplex_point
+
+    P, W = np.empty((count, per, n)), np.empty((count, per))
+    for i in range(count):
+        for r in range(per):
+            P[i, r] = random_simplex_point(rng, n, floor)
+            W[i, r] = rng.uniform(0.1, 2.0)
+    return _simplex_rows(P), W
+
+
+def per_check_axiom_suite(rule, n: int, samples: int, seed: int):
+    """axiom_suite with one _pool_rows call per check (two for
+    associativity), each check's draws made just before it."""
+    from qapool.analysis import (
+        STRICT_FLOOR, AxiomCheck, AxiomSuiteReport, _check_draws, _cycle_sums,
+        _distinct_points, _sampling_floor,
+    )
+    from qapool.errors import ConfigError
+    from qapool.pooling import _pool_rows
+    from qapool.rules import _simplex_rows, has_convex_exposure
+    from qapool.simplex import random_simplex_point
+
+    _check_draws(n, samples)
+    if not has_convex_exposure(rule, n):
+        raise ConfigError(f"rule {rule.label} lacks convex exposure at n={n}")
+    rng = np.random.default_rng(seed)
+    floor = _sampling_floor(rule)
+
+    def pool(*parts):
+        X, total, _, _ = _pool_rows(
+            rule, np.concatenate([P for P, _ in parts]), np.concatenate([W for _, W in parts])
+        )
+        return X, total
+
+    checks = []
+    P, W = _per_draw_weighted(rng, n, floor, samples, 2)
+    _, total = pool((P, W))
+    gap = float(np.abs(total - (W[:, 0] + W[:, 1])).max())
+    checks.append(AxiomCheck("weight_additivity", gap == 0.0, gap, 0.0))
+
+    P, W = _per_draw_weighted(rng, n, floor, samples, 2)
+    X, _ = pool((P, W), (P[:, ::-1], W[:, ::-1]))
+    gap = float(np.abs(X[:samples] - X[samples:]).max())
+    checks.append(AxiomCheck("commutativity", gap <= 1e-12, gap, 1e-12))
+
+    P, W = _per_draw_weighted(rng, n, floor, samples, 3)
+    X, total = pool((P[:, :2], W[:, :2]), (P[:, 1:], W[:, 1:]))
+    X, total = pool(
+        (np.stack([X[:samples], P[:, 2]], axis=1), np.stack([total[:samples], W[:, 2]], axis=1)),
+        (np.stack([P[:, 0], X[samples:]], axis=1), np.stack([W[:, 0], total[samples:]], axis=1)),
+    )
+    d = np.maximum(
+        np.abs(X[:samples] - X[samples:]).max(axis=1), np.abs(total[:samples] - total[samples:])
+    )
+    gap = float(d.max())
+    checks.append(AxiomCheck("associativity", gap <= 1e-9, gap, 1e-9))
+
+    P, W = np.empty((samples, 1, n)), np.empty((samples, 2))
+    for i in range(samples):
+        P[i, 0] = random_simplex_point(rng, n, floor)
+        W[i] = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+    P = _simplex_rows(P).repeat(2, axis=1)
+    X, _ = pool((P, W))
+    gap = float(np.abs(X - P[:, 0]).max())
+    checks.append(AxiomCheck("idempotence", gap <= 1e-12, gap, 1e-12))
+
+    P, W = _per_draw_weighted(rng, n, floor, samples, 2)
+    X, _ = pool((P, W), (P, W + [1e-6, 0.0]))
+    gap = float(np.abs(X[samples:] - X[:samples]).max())
+    checks.append(AxiomCheck("continuity", gap <= 1e-3, gap, 1e-3))
+
+    if n == 2:
+        pairs = []
+        for _ in range(max(1, samples // 10)):
+            while True:
+                p1, p2 = _simplex_rows(random_simplex_point(rng, 2, floor, size=2))
+                if p1[0] < p2[0]:
+                    p1, p2 = p2, p1
+                if p1[0] - p2[0] >= 0.05:
+                    break
+            pairs.append((p1, p2))
+        xs = np.linspace(0.01, 0.99, 101)
+        P = np.repeat(np.array(pairs), xs.size, axis=0)
+        W = np.tile(np.stack([xs, 1.0 - xs], axis=1), (len(pairs), 1))
+        X, _ = pool((P, W))
+        diffs = np.diff(X[:, 0].reshape(len(pairs), xs.size), axis=1)
+        checks.append(
+            AxiomCheck("monotonicity_n2", bool(np.all(diffs > 0.0)), float(diffs.min()), 0.0)
+        )
+    else:
+        cycles = [_distinct_points(rng, n, rule, int(rng.integers(2, 6))) for _ in range(samples)]
+        totals = _cycle_sums(rule, cycles)
+        checks.append(
+            AxiomCheck(
+                "cyclical_monotonicity", bool(np.all(totals > STRICT_FLOOR)),
+                float(totals.min()), STRICT_FLOOR,
+            )
+        )
+    return AxiomSuiteReport(rule.label, n, samples, seed, tuple(checks))
+
+
+def per_check_concavity_gap(rule, n: int, samples: int, seed: int) -> float:
+    """concavity_probe's worst gap with one pools call per weight vector
+    and expert count, each point drawn by its own sampler call."""
+    from qapool.analysis import _check_draws, _sampling_floor
+    from qapool.learning import _StreamEvaluator, _weight_rows
+    from qapool.rules import _simplex_rows
+    from qapool.simplex import random_simplex_point
+
+    _check_draws(n, samples)
+    rng = np.random.default_rng(seed)
+    floor = _sampling_floor(rule)
+    draws = []
+    for _ in range(samples):
+        m = int(rng.choice((2, 3)))
+        P = random_simplex_point(rng, n, floor, size=m)
+        v, w = random_simplex_point(rng, m, size=2)
+        c = rng.uniform()
+        j = int(rng.integers(1, n + 1))
+        draws.append((m, P, v, w, c, j))
+    worst = np.inf
+    for m in sorted({d[0] for d in draws}):
+        _, P, V, W, c, J = (np.array(x) for x in zip(*(d for d in draws if d[0] == m)))
+        ev = _StreamEvaluator(rule, (_simplex_rows(P), J))
+        mixed, at_v, at_w = (
+            -ev.losses(ev.pools(_weight_rows(U), ev.E))
+            for U in (c[:, None] * V + (1.0 - c[:, None]) * W, V, W)
+        )
+        worst = min(worst, float((mixed - c * at_v - (1.0 - c) * at_w).min()))
+    return worst

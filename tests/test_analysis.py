@@ -19,6 +19,7 @@ from qapool import (
     has_convex_exposure,
     invert_exposure,
     maxmin_verify,
+    parse_rule,
     qa_pool,
     surplus_report,
     weight_score,
@@ -27,7 +28,12 @@ from qapool.analysis import _cycle_sums, _distinct_points, sample_forecast
 from qapool.rules import _exposures
 
 from conftest import CLOSED_RULES, CONVEX_RULES, RULE_IDS, random_instance, random_probs
-from oracles import kl_divergence, weighted_arithmetic_mean
+from oracles import (
+    kl_divergence,
+    per_check_axiom_suite,
+    per_check_concavity_gap,
+    weighted_arithmetic_mean,
+)
 
 QUAD = RuleSpec.quadratic()
 QUAD_INSTANCE = [([0.1, 0.9], 0.5), ([0.5, 0.5], 0.5)]
@@ -494,3 +500,85 @@ class TestBatchedSuitesMatchPerSampleReference:
         assert rep.failures + rep.solver_failures <= 60
         want = reference_exposure_probe(rule, 3, 60, 2)
         assert (rep.failures, rep.solver_failures) == want
+
+
+# the rule strings of the benchmark's audits and probes
+SUITE_RULES = [
+    parse_rule(s)
+    for s in ("quadratic", "log", "neglog", "power:0.5", "spherical:2", "tsallis:1.5", "hs",
+              "tsallis:3")
+]
+
+
+def _fields(report):
+    return [(c.name, c.passed, c.worst_gap, c.tolerance) for c in report.checks]
+
+
+class TestStackedBatchesMatchPerCheckReference:
+    # the suites stack their checks' pools into few batches and transform
+    # their draws in bulk; every verdict and gap must be bit for bit the
+    # one-batch-per-check, one-call-per-draw value
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rule", SUITE_RULES, ids=lambda r: r.label)
+    def test_axiom_suite(self, rule, n):
+        for seed in (1, 7):
+            if not has_convex_exposure(rule, n):
+                with pytest.raises(ConfigError):
+                    axiom_suite(rule, n, 12, seed)
+                continue
+            got, want = axiom_suite(rule, n, 12, seed), per_check_axiom_suite(rule, n, 12, seed)
+            assert _fields(got) == _fields(want)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("rule", SUITE_RULES, ids=lambda r: r.label)
+    def test_concavity_probe(self, rule, n):
+        for seed in (1, 7):
+            try:
+                want = per_check_concavity_gap(rule, n, 20, seed)
+            except ExposureRangeError as e:
+                assert not has_convex_exposure(rule, n)
+                with pytest.raises(ExposureRangeError, match=str(e)):
+                    concavity_probe(rule, n, 20, seed)
+                continue
+            assert concavity_probe(rule, n, 20, seed).worst_gap == want
+
+    @pytest.mark.parametrize("marked, error", [
+        (("commutativity", "continuity"), SolverError),
+        (("continuity",), ExposureRangeError),
+    ])
+    @pytest.mark.parametrize("rule", [QUAD, RuleSpec.hs()], ids=lambda r: r.label)
+    def test_first_failed_check_raises(self, rule, marked, error, monkeypatch):
+        # a stubbed kernel fails one row of commutativity (as unconverged)
+        # and one of continuity (as unattainable); the earlier check's
+        # error is raised, as pooling check by check raises it
+        import qapool.pooling as pooling
+
+        real = pooling._inverse_rows
+        targets = []
+        monkeypatch.setattr(
+            pooling, "_inverse_rows", lambda r, T: targets.append(T.copy()) or real(r, T)
+        )
+        per_check_axiom_suite(rule, 3, 12, 5)
+        # the kernel calls of the reference: additivity, commutativity,
+        # associativity's two levels, continuity (idempotence needs none)
+        codes = {
+            "commutativity": (targets[1][3], pooling._NOT_CONVERGED),
+            "continuity": (targets[4][12 + 5], pooling._UNATTAINABLE),
+        }
+
+        def stub(r, T):
+            X, fail = real(r, T)
+            fail = np.zeros(T.shape[0], dtype=np.int8) if fail is None else fail
+            for name in marked:
+                t, code = codes[name]
+                fail[(T == t).all(axis=1)] = code
+            return X, fail
+
+        monkeypatch.setattr(pooling, "_inverse_rows", stub)
+        raised = []
+        for suite in (axiom_suite, per_check_axiom_suite):
+            with pytest.raises(error) as info:
+                suite(rule, 3, 12, 5)
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] and raised[0][0] is error

@@ -537,6 +537,22 @@ class TestCmdLearn:
         doc = json.loads(capsys.readouterr().out)
         assert doc["exposure_bound"] == 10.0
 
+    def test_overflowing_floor_prints_one_stderr_line(self, stream_json):
+        # in a subprocess, since pytest would capture numpy's RuntimeWarning
+        env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "qapool.cli", "learn", "log", stream_json,
+             "--M", "10", "--floor", "1e308"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("qapool: input error:")
+        assert "forecast_floor" in done.stderr
+
     def test_deterministic_with_env_seed(self, stream_json, capsys, monkeypatch):
         monkeypatch.setenv("QAPOOL_SEED", "123")
         main(["learn", "quadratic", stream_json])
@@ -597,6 +613,18 @@ class TestOutputPins:
             "83dc4563ffbac6c517c2b9728de148de516cd7ec36ece64ca5ecd7cc98845f15",
         ("probe-exposure", "hs", "--n", "3", "--samples", "200"):
             "f7ddce0996744e09958705166bb4f2a2f0a03faf8b1ba413b6b3f6bc1551f3c0",
+        # recorded before the axiom suite's checks were pooled in two
+        # batches and the draws transformed in bulk: the root-find families
+        ("audit", "neglog", "--n", "3", "--samples", "20"):
+            "5756d593026dde6db0e595a2ebc8a93e534e441cb176b195afd4f6b8a9ea8a51",
+        ("audit", "power:0.5", "--n", "3", "--samples", "20"):
+            "ccd3dabc41d074c5c2b3957cfb642f60780510367d4a1deaccaf4d102cd09680",
+        ("audit", "spherical:2", "--n", "3", "--samples", "20"):
+            "7f95d5034cfd89ebae5b15e54a3cd726c3fbf74ae686e2ffc39d095dde5d2940",
+        ("audit", "tsallis:1.5", "--n", "3", "--samples", "20"):
+            "4a077a56700798d5e775d2250c5d1532cc8c5cbc26daaeccff92d13afa6ba4e9",
+        ("probe-exposure", "spherical:2", "--n", "3", "--samples", "50"):
+            "c8285d8bab85cf4d435f835f188aaee6ff29e5ffc0513d3af2318e430771ad42",
     }
 
     # sha256 of the `pool RULE FILE --out OUT` file, recorded before forecast

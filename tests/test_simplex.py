@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapool import project_to_simplex
-from qapool.simplex import project_simplex, project_simplex_floor, random_simplex_point
+from qapool.simplex import (
+    _shell_points,
+    project_simplex,
+    project_simplex_floor,
+    random_simplex_point,
+)
 
 from oracles import project_simplex_faces
 
@@ -138,3 +143,25 @@ class TestRandomSimplexPoint:
         rows = got.reshape(k, n)
         assert np.array_equal(rows, ones) and np.array_equal(rows, want)
         assert block.random() == single.random() == ref.random()
+
+    @pytest.mark.parametrize("floor", [0.0, 1e-3])
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_interleaved_draws_transformed_in_bulk(self, n, floor):
+        # bare exponential calls between uniform draws, mapped to the shell
+        # in one bulk call, equal one-point calls in the same order, and
+        # leave the generator where they leave it
+        bulk, single = np.random.default_rng(13), np.random.default_rng(13)
+        E, U = np.empty((5, 3, n)), np.empty((5, 3))
+        want, V = np.empty((5, 3, n)), np.empty((5, 3))
+        for i in range(5):
+            E[i, :2] = bulk.standard_exponential((2, n))
+            want[i, :2] = random_simplex_point(single, n, floor, size=2)
+            U[i, :2] = bulk.uniform(size=2)
+            V[i, :2] = single.uniform(size=2)
+            E[i, 2] = bulk.standard_exponential(n)
+            want[i, 2] = random_simplex_point(single, n, floor)
+            U[i, 2] = bulk.uniform(0.1, 2.0)
+            V[i, 2] = single.uniform(0.1, 2.0)
+        assert np.array_equal(_shell_points(E, floor), want)
+        assert np.array_equal(U, V)
+        assert bulk.random() == single.random()
