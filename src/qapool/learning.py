@@ -7,10 +7,20 @@ the weights (the pooled score is concave), its gradient in weights has
 entries <g(p_i), pool - e_j>, and with step sizes 1/(M sqrt(m t)) the
 cumulative regret against the best fixed weight vector in hindsight is
 at most 3 sqrt(m) M sqrt(T), where M bounds the exposure norms.
+
+The online steps cannot be batched, since each weight vector depends on
+the one before it, so each step is made cheap instead: one row through
+pooling's shared mix and inversion path, a gradient centred in place,
+and simplex.project_simplex on Python floats for small m.  Every step
+keeps the operations of the batched paths, so the pools, losses and
+weights are bit for bit those of the per-step numpy loop they replaced.
+The hindsight comparator is batched: the evaluator inverts all T steps
+at once for each weight vector the offline solve asks about.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +29,7 @@ from .errors import ConfigError, SolverError
 from .optim import projected_gradient
 from .pooling import _invert_rows, _mix
 from .rules import (
+    Forecast,
     RuleSpec,
     as_forecast,
     exposure_norm_bound,
@@ -107,12 +118,12 @@ class LearningConfig:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ConfigError("need at least one expert")
-        if self.M is not None and not self.M > 0.0:
-            raise ConfigError("exposure bound M must be positive")
+        if self.M is not None and not 0.0 < self.M < math.inf:
+            raise ConfigError("exposure bound M must be positive and finite")
         if self.T is not None and self.T < 1:
             raise ConfigError("horizon T must be at least 1")
-        if self.forecast_floor is not None and not 0.0 < self.forecast_floor:
-            raise ConfigError("forecast_floor must be positive")
+        if self.forecast_floor is not None and not 0.0 < self.forecast_floor < math.inf:
+            raise ConfigError("forecast_floor must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -147,26 +158,32 @@ def _normalize_stream(stream, floor: float | None = None):
     """(T, m, n) forecasts and (T,) 1-based outcomes of a stream.
 
     The stream is a files.StreamFile, whose arrays are already checked,
-    or a sequence of (forecasts, outcome) pairs.  With a floor, every
-    forecast is clamped to max(p, floor) and renormalized twice: once by
-    the clamp, once as Forecast renormalizes what it is given.
+    or a sequence of (forecasts, outcome) pairs.  Pairs are stacked once
+    and checked as one StreamFile, so errors name the step.  A raw row is
+    renormalized once, as Forecast would; a Forecast keeps its bits,
+    since renormalizing a normalized row can move them.  With a floor,
+    every forecast is clamped to max(p, floor) and renormalized twice:
+    once by the clamp, once as Forecast renormalizes what it is given.
     """
-    from .files import StreamFile
+    from .files import StreamFile, _shape_error
 
     if isinstance(stream, StreamFile):
         P, J = stream.forecasts, stream.outcomes
     else:
-        steps = [([as_forecast(f) for f in fs], int(j)) for fs, j in stream]
+        steps = list(stream)
         if not steps:
             raise ValueError("stream is empty")
-        m, n = len(steps[0][0]), steps[0][0][0].n
-        for fs, j in steps:
-            if len(fs) != m or any(f.n != n for f in fs):
-                raise ValueError("stream must keep expert and outcome counts constant")
-            if not 1 <= j <= n:
-                raise ValueError(f"outcome {j} out of range 1..{n}")
-        P = np.array([[f.probs for f in fs] for fs, _ in steps])
-        J = np.array([j for _, j in steps])
+        rows = [[f.probs if isinstance(f, Forecast) else f for f in fs] for fs, _ in steps]
+        try:
+            P = np.array(rows, dtype=float)
+        except (ValueError, TypeError, OverflowError):
+            P = None
+        if P is None or P.ndim != 3:
+            raise ValueError(_shape_error(rows))
+        checked = StreamFile(P, np.array([j for _, j in steps]))
+        trusted = [[isinstance(f, Forecast) for f in fs] for fs, _ in steps]
+        P = np.where(np.array(trusted)[..., None], P, checked.forecasts)
+        J = checked.outcomes
     if floor is not None:
         P = np.maximum(P, floor)
         with np.errstate(over="ignore"):  # an overflowing sum is reported below
@@ -218,10 +235,12 @@ class _StreamEvaluator:
 
     def step_pool_and_grad(self, t: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Pool of step t under w, and the loss gradient in w there."""
-        x = self.pools(w, self.E[t : t + 1])[0]
+        x = _invert_rows(self.rule, _mix(self.E[t : t + 1], w))[0]
         d = x.copy()
         d[self.J[t]] -= 1.0  # x - e_j, the loss gradient's direction
-        return x, canonicalize(self.E[t] @ d)
+        g = self.E[t] @ d
+        g -= np.add.reduce(g) / g.size  # canonicalize, in place
+        return x, g
 
     def losses(self, X: np.ndarray) -> np.ndarray:
         """Per-step losses -s(x_t; j_t) of the (T, n) pools X."""
@@ -306,7 +325,8 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
     The stream is a files.StreamFile or a sequence of (forecasts,
     outcome) pairs, with 1-based outcomes either way.  Starts from
     uniform weights, steps with eta_t = 1/(M sqrt(m t)), and projects
-    back onto the simplex.
+    back onto the simplex.  An M whose step sizes or regret bound is
+    not finite is refused before the first step.
     """
     rule = config.rule
     if rule.domain_kind == "open":
@@ -324,15 +344,22 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
         raise ConfigError(f"horizon {T} exceeds stream length {length}")
     M = config.M if config.M is not None else exposure_norm_bound(rule, n)
 
+    with np.errstate(over="ignore"):  # a tiny M overflows a step, a huge one the bound
+        etas = 1.0 / (M * np.sqrt(m * np.arange(1, T + 1)))
+        bound = float(3.0 * np.sqrt(m) * M * np.sqrt(T))
+    if not (np.isfinite(etas).all() and math.isfinite(bound)):
+        raise ConfigError(
+            f"exposure bound M = {M!r} leaves the step sizes or the regret bound non-finite"
+        )
+
     ev = _StreamEvaluator(rule, (P[:T], J[:T]))
     observed = ev.exposure_sup()
-    etas = 1.0 / (M * np.sqrt(m * np.arange(1, T + 1)))
     w = uniform_point(m)
     # the losses do not feed back into the weights: score all pools at once
     X = np.empty((T, n))
-    for t in range(T):
+    for t, eta in enumerate(etas.tolist()):
         X[t], grad = ev.step_pool_and_grad(t, w)
-        w = project_simplex(w - etas[t] * grad)
+        w = project_simplex(w - eta * grad)
     losses = ev.losses(X)
 
     best_w, best_loss = _solve_offline(ev)
@@ -343,7 +370,7 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
         best_weights=WeightVector(best_w),
         best_fixed_loss=best_loss,
         cumulative_regret=float(losses.sum() - best_loss),
-        bound=float(3.0 * np.sqrt(m) * M * np.sqrt(T)),
+        bound=bound,
         exposure_bound=float(M),
         observed_exposure_sup=observed,
         exposure_bound_exceeded=bool(observed > M),

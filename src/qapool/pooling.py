@@ -163,7 +163,8 @@ def _mix(E: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The (k, n) canonical w-averages of (k, m, n) exposure rows, under
     one (m,) weight vector or a (k, m) array of them that sum to one."""
     T = w @ E if w.ndim == 1 else (w[:, None, :] @ E)[:, 0]
-    T -= T.sum(axis=1, keepdims=True) / T.shape[1]
+    # np.add.reduce is what T.sum calls, without the method's wrapper
+    T -= np.add.reduce(T, axis=1, keepdims=True) / T.shape[1]
     return T
 
 
@@ -265,9 +266,16 @@ def _inverse_rows(
         c = _solve_shift(a, p, lo, hi)
         with np.errstate(divide="ignore"):
             X = (a + c[:, None]) ** q
-    s = X.sum(axis=1, keepdims=True)
-    if np.isfinite(s).all() and s.min() > 0.0:
-        return X / s, None
+    s = np.add.reduce(X, axis=1, keepdims=True)
+    # every row sum is finite and positive (not NaN) when the least sum is
+    # above 0 and the largest below inf; one row's sum is both
+    if s.size == 1:
+        least = most = s.item()
+    else:
+        least, most = np.minimum.reduce(s, axis=None), np.maximum.reduce(s, axis=None)
+    if 0.0 < least and most < np.inf:
+        X /= s
+        return X, None
     bad = ~(np.isfinite(s[:, 0]) & (s[:, 0] > 0.0))
     fail = np.where(bad, _DEGENERATE, 0).astype(np.int8)
     if closed_form is not None:
@@ -316,7 +324,8 @@ def _raise_first(
 def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
     """The forecasts of _inverse_rows; raises the first failed row's error."""
     X, fail = _inverse_rows(rule, T)
-    _raise_first(rule, fail)
+    if fail is not None:
+        _raise_first(rule, fail)
     return X
 
 

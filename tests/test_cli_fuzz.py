@@ -1,11 +1,14 @@
-"""Seeded, bounded fuzzing of the CLI over forecast and stream files.
+"""Seeded, bounded fuzzing of the CLI over forecast and stream files,
+and over the values of its numeric options.
 
-Each case mutates a valid JSON forecast file, CSV forecast file or
+Each file case mutates a valid JSON forecast file, CSV forecast file or
 stream file (type swaps, integers beyond the float range, NaN and
 infinities, negatives, ragged rows, missing keys, null weights, empty
-lists) and runs the commands that read it through ``main``.  Every run
-must return an exit code in 0..3 without raising; a non-zero exit
-writes nothing to stdout and exactly one ``qapool:`` line to stderr.
+lists) and runs the commands that read it through ``main``.  Each option
+case runs ``learn`` or ``pool --generalized`` on valid files with
+extreme values for ``--M``, ``--floor`` and ``--T``.  Every run must
+return an exit code in 0..3 without raising; a non-zero exit writes
+nothing to stdout and exactly one ``qapool:`` line to stderr.
 """
 
 import copy
@@ -33,6 +36,15 @@ FORECAST_COMMANDS = [
     ["pool", "log", "--weights", "1,0,2"],
     ["score", "log"],
     ["bregman", "quadratic"],
+]
+# what an option case may pass as a numeric option's value
+OPTION_VALUES = ["inf", "-inf", "nan", "1e400", "1e308", "1e-320", "5e-324", "0", "-1"]
+# a command on valid files, and the options a case may give a fuzzed value
+OPTION_COMMANDS = [
+    (["learn", "quadratic", "stream"], ["--M", "--floor", "--T"]),
+    (["learn", "log", "stream", "--M=10", "--floor=0.01"], ["--M", "--floor", "--T"]),
+    (["pool", "quadratic", "forecast", "--generalized"], ["--floor"]),
+    (["pool", "neglog", "forecast", "--generalized", "--floor=0.01"], ["--floor"]),
 ]
 STREAM_COMMANDS = [
     ["learn", "quadratic"],
@@ -144,4 +156,29 @@ def test_mutated_files_exit_cleanly(fmt, tmp_path, capsys):
         for command in commands:
             codes.add(run([command[0], command[1], str(path), *command[2:]], capsys))
     # the mutations reach both the accepting and the rejecting paths
+    assert 0 in codes and 1 in codes
+
+
+def test_option_values_exit_cleanly(tmp_path, capsys):
+    rng = np.random.default_rng(14)
+    files = {"stream": tmp_path / "s.json", "forecast": tmp_path / "f.json"}
+    files["stream"].write_text(json.dumps(stream_doc()))
+    files["forecast"].write_text(json.dumps(forecast_doc()))
+
+    def argv(command, options):
+        args = [str(files.get(a, a)) for a in command]
+        # a later --opt=value overrides a default the command gives
+        return args + [f"{opt}={value}" for opt, value in options]
+
+    # every value on every option alone, then seeded combinations
+    cases = [
+        (command, [(opt, value)])
+        for command, opts in OPTION_COMMANDS for opt in opts for value in OPTION_VALUES
+    ]
+    for _ in range(CASES // 3):
+        command, opts = OPTION_COMMANDS[rng.integers(len(OPTION_COMMANDS))]
+        chosen = [opt for opt in opts if rng.integers(2)] or opts[:1]
+        cases.append((command, [(opt, OPTION_VALUES[rng.integers(len(OPTION_VALUES))])
+                                for opt in chosen]))
+    codes = {run(argv(command, options), capsys) for command, options in cases}
     assert 0 in codes and 1 in codes

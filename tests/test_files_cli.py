@@ -553,6 +553,27 @@ class TestCmdLearn:
         assert done.stderr.startswith("qapool: input error:")
         assert "forecast_floor" in done.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [("quadratic", "--M", "1e308"), ("quadratic", "--M", "inf"),
+         ("quadratic", "--M", "1e-320"), ("log", "--M", "4", "--floor", "inf")],
+        ids=["M_overflows_bound", "M_inf", "M_overflows_steps", "floor_inf"],
+    )
+    def test_bad_bound_or_floor_prints_one_error_line(self, stream_json, args):
+        # rejected before the loop, with no numpy warning on stderr
+        env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "qapool.cli", "learn", args[0], stream_json, *args[1:]],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("qapool: error:")
+        assert ("floor" if "--floor" in args else " M ") in done.stderr
+
     def test_deterministic_with_env_seed(self, stream_json, capsys, monkeypatch):
         monkeypatch.setenv("QAPOOL_SEED", "123")
         main(["learn", "quadratic", stream_json])

@@ -1,6 +1,7 @@
 """Weight learning: gradients, projections, concavity, regret guarantees."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,17 @@ from qapool import (
 )
 from qapool.files import StreamFile
 from qapool.learning import _StreamEvaluator, _normalize_stream
-from qapool.rules import Forecast
+from qapool.rules import Forecast, _exposures, _score_matrix
+from qapool.simplex import SCALAR_MAX
 
 from conftest import random_probs
-from oracles import brute_weight_grid, weighted_arithmetic_mean, weighted_geometric_mean
+from oracles import (
+    brute_weight_grid,
+    reference_ogd,
+    reference_step,
+    weighted_arithmetic_mean,
+    weighted_geometric_mean,
+)
 
 QUAD = RuleSpec.quadratic()
 
@@ -323,6 +331,39 @@ class TestStreamTransport:
         P2, J2 = _normalize_stream(pairs, floor)
         assert np.array_equal(P2, P) and np.array_equal(J2, J)
 
+    def test_pairs_keep_forecast_bits_and_renormalize_raw_rows_once(self):
+        sf, pairs = make_stream_file(n=50)
+        raw = np.asarray(sf.forecasts) * (1.0 + 4e-10)  # off the simplex, within 1e-9
+        # every other entry a Forecast, the rest raw rows
+        mixed = [([f if i % 2 else list(raw[t, i]) for i, f in enumerate(fs)], j)
+                 for t, (fs, j) in enumerate(pairs)]
+        P, J = _normalize_stream(mixed)
+        for t, (fs, _) in enumerate(pairs):
+            for i, f in enumerate(fs):
+                want = f.probs if i % 2 else Forecast(raw[t, i]).probs
+                assert P[t, i].tobytes() == want.tobytes()
+        assert np.array_equal(J, sf.outcomes)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([[0.5, np.nan], [0.5, 0.5]], "step 2: forecast probabilities must be finite"),
+            ([[0.5, 0.6], [0.5, 0.5]], "step 2: probabilities sum to 1.1"),
+            ([[0.5, 0.5]], "step 2: expert/outcome counts changed"),
+            ([[0.5, 0.5], [0.2, 0.3, 0.5]], "step 2: forecasts must be a list"),
+        ],
+        ids=["nan", "sum", "experts", "ragged"],
+    )
+    def test_pair_errors_name_the_step(self, bad, message):
+        stream = [([[0.5, 0.5], [0.1, 0.9]], 1)] * 2 + [(bad, 1)]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _normalize_stream(stream)
+
+    @pytest.mark.parametrize("j", [0, 3, 1.0, 2.5])
+    def test_pair_outcomes_are_checked_as_in_a_stream_file(self, j):
+        with pytest.raises(ValueError, match="outcome"):
+            _normalize_stream([([[0.5, 0.5], [0.1, 0.9]], 1), ([[0.5, 0.5], [0.1, 0.9]], j)])
+
     def test_overflowing_floor_is_rejected(self):
         sf, _ = make_stream_file()
         config = LearningConfig(
@@ -380,3 +421,42 @@ class TestOutcomeRange:
     def test_out_of_range_outcome_rejected(self, fn, j):
         with pytest.raises(IndexError, match=rf"outcome {j} out of range 1\.\.2"):
             fn(QUAD, [[0.5, 0.5], [0.1, 0.9]], [0.5, 0.5], j)
+
+
+class TestBitForBitReference:
+    """ogd_run, weight_score and loss_gradient against the per-step loop
+    and numpy projection of oracles.reference_ogd, bit for bit: the
+    scalar projection and the trimmed one-row path keep every operation."""
+
+    # (rule, M, forecast floor): open-domain rules need both M and a floor
+    CONFIGS = [
+        (QUAD, None, None), (QUAD, None, 0.01), (RuleSpec.logarithmic(), 10.0, 0.01),
+        (RuleSpec.neglog(), 10.0, 0.01), (RuleSpec.power(0.5), 10.0, 0.01),
+        (RuleSpec.spherical(2.0), None, None), (RuleSpec.spherical(2.0), None, 0.01),
+        (RuleSpec.tsallis(1.5), None, None), (RuleSpec.tsallis(1.5), None, 0.01),
+        (RuleSpec.hs(), 10.0, 0.01),
+    ]
+
+    @pytest.mark.parametrize("m", [1, 5, 2 * SCALAR_MAX])
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize(
+        "rule, M, floor", CONFIGS, ids=[f"{r.label}-floor={f}" for r, _, f in CONFIGS]
+    )
+    def test_ogd_run_matches_reference_loop(self, rule, M, floor, n, m):
+        rng = np.random.default_rng([n, m])
+        sf = StreamFile(rng.dirichlet(np.ones(n), size=(6, m)), rng.integers(1, n + 1, size=6))
+        rep = ogd_run(LearningConfig(rule=rule, m=m, M=M, forecast_floor=floor), sf)
+        P, J = _normalize_stream(sf, floor)
+        X, G, Wt, losses, final, best = reference_ogd(rule, P, J, rep.exposure_bound)
+        assert rep.per_step_loss.tobytes() == losses.tobytes()
+        # both reports renormalize their weights as WeightVector does
+        assert rep.final_weights.weights.tobytes() == WeightVector(final).weights.tobytes()
+        assert rep.best_weights.weights.tobytes() == WeightVector(best).weights.tobytes()
+        E = _exposures(rule, P)
+        for t in (0, J.size - 1):
+            # both functions renormalize the weights they are given
+            w, j = WeightVector(Wt[t]).weights, int(J[t])
+            x, g = reference_step(rule, E[t], j - 1, w)
+            fs = [Forecast._trusted(p) for p in P[t]]
+            assert weight_score(rule, fs, Wt[t], j) == _score_matrix(rule, x[None])[0, j - 1]
+            assert loss_gradient(rule, fs, Wt[t], j).tobytes() == g.tobytes()

@@ -1,5 +1,8 @@
 """Euclidean simplex projection against an exhaustive face-enumeration oracle."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +10,14 @@ from hypothesis import strategies as st
 
 from qapool import project_to_simplex
 from qapool.simplex import (
+    SCALAR_MAX,
     _shell_points,
     project_simplex,
     project_simplex_floor,
     random_simplex_point,
 )
 
-from oracles import project_simplex_faces
+from oracles import numpy_project_simplex, project_simplex_faces
 
 
 class TestProjectSimplex:
@@ -50,6 +54,41 @@ class TestProjectSimplex:
         # 1 - u_1 rounds to -u_1, so no support size passes the threshold test
         with pytest.raises(ValueError, match="every support size"):
             project_simplex(np.array(y))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("m", [3, SCALAR_MAX, SCALAR_MAX + 2])
+    def test_non_finite_input_raises_without_warning(self, m, bad):
+        # at every position, on both sides of the scalar path's size cut
+        for i in range(m):
+            y = np.full(m, 1.0 / m)
+            y[i] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="every support size"):
+                    project_simplex(y)
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "signed_zero", "subnormal", "huge"])
+    def test_matches_numpy_reference_bit_for_bit(self, kind, rng):
+        # every size up to past the cut: the scalar path below it, numpy above
+        for m in range(1, SCALAR_MAX + 9):
+            for _ in range(20):
+                if kind == "random":
+                    y = rng.normal(size=m) * rng.uniform(0.01, 10.0) + 1.0 / m
+                elif kind == "tied":
+                    y = rng.choice(rng.normal(size=2) / m, size=m)
+                elif kind == "signed_zero":
+                    y = rng.choice([0.0, -0.0, 1.0 / m, -1.0 / m, 1.0], size=m)
+                elif kind == "subnormal":
+                    y = rng.choice([5e-324, -5e-324, 1e-310, 0.0, -0.0, 1.0], size=m)
+                else:
+                    y = rng.choice([1e300, -1e300, 0.5, -0.5], size=m)
+                try:
+                    want = numpy_project_simplex(y)
+                except ValueError as e:
+                    with pytest.raises(ValueError, match=re.escape(str(e))):
+                        project_simplex(y)
+                    continue
+                assert project_simplex(y).tobytes() == want.tobytes(), y
 
     def test_matches_oracle_random(self, rng):
         for m in (2, 3, 4, 5):
