@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ExposureRangeError
+from .learning import _StreamEvaluator, _weight_rows
 from .pooling import (
     _UNATTAINABLE,
     _certified_inverse,
@@ -461,9 +462,6 @@ def concavity_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> Concavit
     weight vectors of each step are inverted and scored in one batch
     (learning.weight_score on every row).
     """
-    # local import: avoid cycle at import time
-    from .learning import _StreamEvaluator, _weight_rows
-
     _check_draws(n, samples)
     rng = np.random.default_rng(seed)
     draws = []

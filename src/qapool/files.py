@@ -20,8 +20,7 @@ Stream files: JSON only, 1-based outcomes:
 
 A loaded stream is a ``StreamFile`` holding two read-only arrays: the
 (T, m, n) forecasts, parsed with one ``np.array`` call, and the (T,)
-integer outcomes.  ``learning.ogd_run`` takes it as it is; its ``steps``
-and ``as_pairs()`` build per-step ``Forecast`` objects only when asked.
+integer outcomes.  ``learning.ogd_run`` takes it as it is.
 
 Both records check and renormalize every forecast row in one call to
 ``rules._simplex_rows``, as ``Forecast`` does one row, so a loaded row
@@ -42,11 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .rules import Forecast, _simplex_rows
+from .rules import Forecast, _check_nonnegative, _simplex_rows
 
 __all__ = [
     "ForecastFile",
-    "StreamStep",
     "StreamFile",
     "load_forecast_file",
     "load_stream_file",
@@ -89,10 +87,7 @@ class ForecastFile:
         W = np.full(m, DEFAULT_WEIGHT) if self.weights is None else np.array(self.weights, float)
         if W.shape != (m,):
             raise ValueError("a forecast file needs one weight per expert")
-        bad = ~(np.isfinite(W) & (W >= 0.0))
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise ValueError(f"expert {k}: invalid weight {float(W[k])!r}")
+        _check_nonnegative(W, "expert")
         ids = tuple(f"e{k + 1}" for k in range(m)) if self.ids is None else tuple(self.ids)
         if len(ids) != m:
             raise ValueError("a forecast file needs one id per expert")
@@ -124,12 +119,6 @@ class ForecastFile:
         return tuple(Forecast._trusted(p) for p in self.probs)
 
 
-@dataclass(frozen=True)
-class StreamStep:
-    forecasts: tuple[Forecast, ...]
-    outcome: int
-
-
 @dataclass(frozen=True, eq=False)
 class StreamFile:
     """A validated outcome stream held as two read-only arrays.
@@ -138,7 +127,8 @@ class StreamFile:
     row is checked as ``Forecast`` checks one (finite, nonnegative, sum
     within 1e-9, n >= 2) and renormalized the same way, so row [t, i]
     equals ``Forecast(raw[t][i]).probs`` bit for bit.  ``outcomes`` is
-    (T,) with 1-based outcomes in 1..n.  Errors name the offending step.
+    (T,) with integer 1-based outcomes in 1..n.  Errors name the
+    offending step.
     """
 
     forecasts: np.ndarray
@@ -154,13 +144,13 @@ class StreamFile:
         P = _simplex_rows(P, "step")
         if J.shape != P.shape[:1]:
             raise ValueError("stream needs one outcome per step")
+        if J.dtype.kind not in "iu":
+            _check_outcomes(J.tolist())
         n = P.shape[2]
         off = (J < 1) | (J > n)  # also on an object array of huge JSON ints
         if off.any():
             k = int(np.argmax(off))
             raise ValueError(f"step {k}: outcome {J[k]} out of 1..{n}")
-        if J.dtype.kind not in "iu":
-            raise ValueError("stream outcomes must be integers")
         object.__setattr__(self, "forecasts", _read_only(P))
         object.__setattr__(self, "outcomes", _read_only(J.astype(int)))
 
@@ -171,17 +161,6 @@ class StreamFile:
     @property
     def n(self) -> int:
         return self.forecasts.shape[2]
-
-    @property
-    def steps(self) -> tuple[StreamStep, ...]:
-        """The stream as ``StreamStep`` objects, built on each access."""
-        return tuple(
-            StreamStep(tuple(Forecast._trusted(p) for p in fs), j)
-            for fs, j in zip(self.forecasts, self.outcomes.tolist())
-        )
-
-    def as_pairs(self) -> list[tuple[list[Forecast], int]]:
-        return [(list(st.forecasts), st.outcome) for st in self.steps]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StreamFile):
@@ -317,25 +296,32 @@ def load_stream_file(path: str | Path) -> StreamFile:
     if k is not None:
         raise ValueError(f"step {k}: expected an object with 'forecasts' and 'outcome'")
     outcomes = [row["outcome"] for row in rows]
-    # bool is an int subclass; neither it nor a float names an outcome
-    k = next((k for k, j in enumerate(outcomes) if type(j) is not int), None)
-    if k is not None:
-        raise ValueError(f"step {k}: outcome must be an integer, got {outcomes[k]!r}")
+    _check_outcomes(outcomes)
     raw = [row["forecasts"] for row in rows]
-    try:  # an integer beyond the float range overflows
-        P = np.array(raw, dtype=float)
-    except (ValueError, TypeError, OverflowError):
-        P = None
-    if P is None or P.ndim != 3:
-        raise ValueError(_shape_error(raw))
+    P = _stack_steps(raw)
     # np.array converts strings and booleans; the (T, m, n) shape puts
     # every probability under two levels of lists per step
     _check_numbers(raw, 2, "step", "forecast probabilities must be numbers")
     return StreamFile(P, np.array(outcomes))
 
 
-def _shape_error(raw: list) -> str:
-    """Name the first step whose forecasts are no m x n array like step 0's."""
+def _check_outcomes(outcomes: list) -> None:
+    """Name the first outcome that is not an integer."""
+    for k, j in enumerate(outcomes):
+        # bool is an int subclass; neither it nor a float names an outcome
+        if type(j) is not int and not isinstance(j, np.integer):
+            raise ValueError(f"step {k}: outcome must be an integer, got {j!r}")
+
+
+def _stack_steps(raw: list) -> np.ndarray:
+    """The (T, m, n) array of T steps of m forecast rows each.  An error
+    names the first step whose forecasts are no m x n array like step 0's."""
+    try:  # an integer beyond the float range overflows
+        P = np.array(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        P = None
+    if P is not None and P.ndim == 3:
+        return P
     first = None
     for k, fs in enumerate(raw):
         try:
@@ -343,12 +329,12 @@ def _shape_error(raw: list) -> str:
         except (ValueError, TypeError, OverflowError):
             shape = ()
         if len(shape) != 2:
-            return f"step {k}: forecasts must be a list of equal-length number lists"
+            raise ValueError(f"step {k}: forecasts must be a list of equal-length number lists")
         if first is None:
             first = shape
         elif shape != first:
-            return f"step {k}: expert/outcome counts changed"
-    return "stream forecasts do not form a (T, m, n) array"
+            raise ValueError(f"step {k}: expert/outcome counts changed")
+    raise ValueError("stream forecasts do not form a (T, m, n) array")
 
 
 # --------------------------------------------------------------------------

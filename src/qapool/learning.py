@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SolverError
+from .files import StreamFile, _stack_steps
 from .optim import projected_gradient
 from .pooling import _invert_rows, _mix
 from .rules import (
@@ -33,6 +34,7 @@ from .rules import (
     RuleSpec,
     as_forecast,
     exposure_norm_bound,
+    _check_nonnegative,
     _exposures,
     _score_matrix,
     _simplex_rows,
@@ -82,8 +84,7 @@ class WeightVector:
 def _weight_rows(W: np.ndarray) -> np.ndarray:
     """WeightVector's checks on every row (last axis) of W, and the rows
     renormalized to sum to one."""
-    if not np.all(np.isfinite(W)) or np.any(W < 0.0):
-        raise ValueError("weights must be finite and nonnegative")
+    _check_nonnegative(W)
     total = W.sum(axis=-1, keepdims=True)
     off = np.abs(total - 1.0) > 1e-9
     if off.any():
@@ -165,8 +166,6 @@ def _normalize_stream(stream, floor: float | None = None):
     every forecast is clamped to max(p, floor) and renormalized twice:
     once by the clamp, once as Forecast renormalizes what it is given.
     """
-    from .files import StreamFile, _shape_error
-
     if isinstance(stream, StreamFile):
         P, J = stream.forecasts, stream.outcomes
     else:
@@ -174,13 +173,9 @@ def _normalize_stream(stream, floor: float | None = None):
         if not steps:
             raise ValueError("stream is empty")
         rows = [[f.probs if isinstance(f, Forecast) else f for f in fs] for fs, _ in steps]
-        try:
-            P = np.array(rows, dtype=float)
-        except (ValueError, TypeError, OverflowError):
-            P = None
-        if P is None or P.ndim != 3:
-            raise ValueError(_shape_error(rows))
-        checked = StreamFile(P, np.array([j for _, j in steps]))
+        P = _stack_steps(rows)
+        # an object array keeps each outcome's type (bool, float) for StreamFile
+        checked = StreamFile(P, np.array([j for _, j in steps], dtype=object))
         trusted = [[isinstance(f, Forecast) for f in fs] for fs, _ in steps]
         P = np.where(np.array(trusted)[..., None], P, checked.forecasts)
         J = checked.outcomes

@@ -21,9 +21,7 @@ untouched, and a caller that needs every row raises the first failure
 as the error a one-row call raises (_raise_first).  _pool_rows pools a
 (k, m, n) array of weighted forecast rows and checks and certifies each
 row as qa_pool checks one collection; qa_pool is its one-row case, and
-the audit suites pool whole arrays of seeded draws through it.  A
-generic convex-minimization fallback covers everything and doubles as
-a cross-check oracle.
+the audit suites pool whole arrays of seeded draws through it.
 
 The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the closed simplex of the weighted sum of Bregman
@@ -45,6 +43,7 @@ from .rules import (
     Forecast,
     RuleSpec,
     as_forecast,
+    _check_nonnegative,
     _expected,
     _exposures,
     _gradient,
@@ -60,13 +59,11 @@ __all__ = [
     "generalized_pool",
     "CLOSED_FORM",
     "ROOT_FIND",
-    "CONVEX_MIN",
     "BREGMAN_MIN",
 ]
 
 CLOSED_FORM = "closed_form"
 ROOT_FIND = "root_find"
-CONVEX_MIN = "convex_min"
 BREGMAN_MIN = "bregman_min"
 
 @dataclass(frozen=True)
@@ -122,14 +119,6 @@ def _prepare(inputs) -> tuple[np.ndarray, np.ndarray]:
     if any(f.n != n for f in forecasts):
         raise ValueError("forecasts have different outcome counts")
     return np.array([f.probs for f in forecasts]).reshape(len(forecasts), n), W
-
-
-def _check_nonnegative(W: np.ndarray) -> None:
-    bad = ~(np.isfinite(W) & (W >= 0.0))
-    if bad.any():
-        raise ValueError(
-            f"weight must be a finite nonnegative real, got {float(W[bad][0])!r}"
-        )
 
 
 def _check_weights(P: np.ndarray, W: np.ndarray):
@@ -329,18 +318,17 @@ def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
     return X
 
 
-def _certify(
-    rule: RuleSpec, X: np.ndarray, T: np.ndarray, fail: np.ndarray | None, *,
-    enforce: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check and renormalize, in place, each inverted row of X as
-    ``Forecast`` does, and measure its defining-identity residual against
-    its row of T.  Returns the residuals (NaN where the kernel failed) and
-    the failure codes.
+def _certified_inverse(
+    rule: RuleSpec, T: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certified inverses of the rows of T: forecasts, residuals, failures.
 
-    With ``enforce``, a row whose residual exceeds the certificate
-    res <= _scaled(1e-8, t) is marked _UNCERTIFIED.
+    Each inverted row is checked and renormalized as ``Forecast`` does,
+    and its defining-identity residual is measured against its row of T
+    (NaN where the kernel failed); a row whose residual exceeds the
+    certificate res <= _scaled(1e-8, t) is marked _UNCERTIFIED.
     """
+    X, fail = _inverse_rows(rule, T)
     if fail is None:
         fail = np.zeros(X.shape[0], dtype=np.int8)
     ok = fail == 0
@@ -348,21 +336,12 @@ def _certify(
     if ok.any():
         X[ok] = _simplex_rows(X[ok])
         res[ok] = _row_norms(_exposures(rule, X[ok]) - T[ok])
-        if enforce:
-            fail[ok & ~(res <= _scaled(1e-8, T))] = _UNCERTIFIED
-    return res, fail
-
-
-def _certified_inverse(
-    rule: RuleSpec, T: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Certified inverses of the rows of T: forecasts, residuals, failures."""
-    X, fail = _inverse_rows(rule, T)
-    return (X, *_certify(rule, X, T, fail))
+        fail[ok & ~(res <= _scaled(1e-8, T))] = _UNCERTIFIED
+    return X, res, fail
 
 
 def _pool_rows(
-    rule: RuleSpec, P: np.ndarray, W: np.ndarray, *, force_generic: bool = False
+    rule: RuleSpec, P: np.ndarray, W: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pool k rows of weighted forecasts, each checked and certified alone.
 
@@ -372,8 +351,7 @@ def _pool_rows(
     failed row raises the error a one-row call raises.  Returns the (k, n)
     pools, the (k,) total weights, the residuals, and a mask of the rows
     whose kept forecasts were all equal (pooled to that forecast itself,
-    with residual 0).  ``force_generic`` inverts by convex minimization
-    and leaves the residual uncertified.
+    with residual 0).
     """
     total, kept, first, same = _check_weights(P, W)
     X, res = first.copy(), np.zeros(P.shape[0])
@@ -384,26 +362,15 @@ def _pool_rows(
         T = _mix(
             _exposures(rule, np.where(kept[rows, :, None], P[rows], first[rows, None])), w
         )
-        if force_generic:
-            Y, fail = np.array([_invert_generic(rule, t) for t in T]), None
-        else:
-            Y, fail = _inverse_rows(rule, T)
-        r, fail = _certify(rule, Y, T, fail, enforce=not force_generic)
+        Y, r, fail = _certified_inverse(rule, T)
         _raise_first(rule, fail, r, "pooling under")
         X[rows], res[rows] = Y, r
     return X, total, res, same
 
 
 # --------------------------------------------------------------------------
-# generic convex-minimization path
+# convex minimization for the generalized pool
 # --------------------------------------------------------------------------
-
-def _interior_floor(rule: RuleSpec, P: np.ndarray | None) -> float:
-    """Working floor keeping solver iterates inside an open domain."""
-    if rule.domain_kind != "open":
-        return 0.0
-    return 1e-12 if P is None else min(1e-12, 1e-3 * P.min())
-
 
 def _minimize_tilted(
     rule: RuleSpec, t: np.ndarray, floor: float
@@ -436,32 +403,11 @@ def _scaled(tol: float, t: np.ndarray):
     return tol * np.maximum(1.0, scale * _row_norms(t / scale[..., None]))
 
 
-def _invert_generic(rule: RuleSpec, t: np.ndarray) -> np.ndarray:
-    floor = _interior_floor(rule, None)
-    # aim for the absolute tolerance; a spectral-step stall below the
-    # scale-aware bound is accepted as float-optimal
-    x, kkt, converged = _minimize_tilted(rule, t, floor)
-    if not converged and not kkt <= _scaled(1e-7, t):
-        raise SolverError(
-            f"exposure inversion for {rule.label} stalled at KKT residual {kkt:.3e}"
-        )
-    pooled = Forecast(x)
-    # structural mismatches (minimizer pinned to a face) leave residuals
-    # many orders of magnitude above solver noise, so the classification
-    # threshold sits well above the first-order float64 resolution
-    if not _row_norms(_exposures(rule, pooled.probs) - t) <= _scaled(1e-6, t):
-        raise ExposureRangeError(
-            f"target exposure is not attainable for rule {rule.label}: the "
-            "tilted-objective minimizer sits on a face with mismatched gradient"
-        )
-    return pooled.probs
-
-
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
 
-def invert_exposure(rule: RuleSpec, target, *, force_generic: bool = False) -> Forecast:
+def invert_exposure(rule: RuleSpec, target) -> Forecast:
     """The forecast whose canonical exposure equals ``target``.
 
     Raises ValueError when the target is not finite, ExposureRangeError
@@ -476,14 +422,12 @@ def invert_exposure(rule: RuleSpec, target, *, force_generic: bool = False) -> F
     if not np.isfinite(t).all():
         # the kernel would spend every iteration on it and call that a solver failure
         raise ValueError("exposure target must be finite")
-    if force_generic:
-        return Forecast(_invert_generic(rule, t))
     X, res, fail = _certified_inverse(rule, t[None])
     _raise_first(rule, fail, res)
     return _frozen(X[0])
 
 
-def qa_pool(rule: RuleSpec, inputs, *, force_generic: bool = False) -> PoolResult:
+def qa_pool(rule: RuleSpec, inputs) -> PoolResult:
     """Pool weighted forecasts by averaging exposures and inverting.
 
     Inputs may be WeightedForecast instances or (forecast, weight)
@@ -491,13 +435,9 @@ def qa_pool(rule: RuleSpec, inputs, *, force_generic: bool = False) -> PoolResul
     sum of all supplied weights.  This is the one-row case of _pool_rows.
     """
     P, W = _prepare(inputs)
-    X, total, res, same = _pool_rows(rule, P[None], W[None], force_generic=force_generic)
-    if same[0]:
-        method = CLOSED_FORM
-    elif force_generic:
-        method = CONVEX_MIN
-    else:
-        method = ROOT_FIND if rule._impl.closed_form is None else CLOSED_FORM
+    X, total, res, same = _pool_rows(rule, P[None], W[None])
+    closed_form = same[0] or rule._impl.closed_form is not None
+    method = CLOSED_FORM if closed_form else ROOT_FIND
     return PoolResult(_frozen(X[0]), float(total[0]), float(res[0]), method)
 
 
@@ -528,8 +468,9 @@ def generalized_pool(rule: RuleSpec, inputs, *, floor: float | None = None) -> P
     if same[0] and (floor is None or P[0].min() >= floor):
         return PoolResult(_frozen(P[0]), float(total[0]), 0.0, BREGMAN_MIN)
     t = _mix(_exposures(rule, P[None]), (W / W.sum())[None])[0]
-    working_floor = floor if floor is not None else _interior_floor(rule, P)
-    x, kkt, converged = _minimize_tilted(rule, t, working_floor)
+    if floor is None:  # a working floor keeps the iterates inside an open domain
+        floor = min(1e-12, 1e-3 * P.min()) if rule.domain_kind == "open" else 0.0
+    x, kkt, converged = _minimize_tilted(rule, t, floor)
     if not converged and not kkt <= _scaled(1e-7, t):
         raise SolverError(
             f"generalized pooling under {rule.label} stalled at KKT "

@@ -230,6 +230,24 @@ def _simplex_rows(P: np.ndarray, name: str | None = None) -> np.ndarray:
         if not np.count_nonzero(bad):
             return P / total
         message = f"probabilities sum to {float(total[bad][0])!r}, not 1 within 1e-9"
+    _raise_first_bad(bad, message, name)
+
+
+def _check_nonnegative(W: np.ndarray, name: str | None = None) -> None:
+    """Raise unless every weight in W is finite and nonnegative.
+
+    This is the one place weights are checked for sign.  With a ``name``
+    ("expert"), an error names it as _simplex_rows does.
+    """
+    bad = ~(np.isfinite(W) & (W >= 0.0))
+    if np.count_nonzero(bad):
+        message = f"weight must be a finite nonnegative real, got {float(W[bad][0])!r}"
+        _raise_first_bad(bad, message, name)
+
+
+def _raise_first_bad(bad: np.ndarray, message: str, name: str | None) -> None:
+    # with a name, the message begins with it and the first index of the
+    # leading axis that holds a bad entry
     if name is not None:
         k = int(np.argmax(bad.reshape(bad.shape[0], -1).any(axis=1)))
         message = f"{name} {k}: {message}"

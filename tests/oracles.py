@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: finite differences, exhaustive
 face enumeration, dense grid search, directly-transcribed textbook
-formulas.  None of it shares code with the library paths it verifies,
-except the per-check suite references at the end: they check how the
-suites batch and draw, not the pooling they share with the library.
+formulas, and exposure inversion by convex minimization instead of the
+library's closed forms and shift equation.  None of it shares code with
+the library paths it verifies, except the per-check suite references at
+the end: they check how the suites batch and draw, not the pooling they
+share with the library.
 """
 
 from __future__ import annotations
@@ -161,6 +163,48 @@ def all_distributions(rng: np.random.Generator, n: int, count: int,
         if p.min() >= floor:
             out.append(p)
     return out
+
+
+def spg_inverse(rule, t):
+    """The forecast whose canonical exposure is t, as the minimizer of the
+    tilted objective G(x) - <t, x> over the simplex (its gradient is
+    g(x) - t), found by optim.projected_gradient from the barycenter.
+
+    Iterates stay above 1e-12 on an open domain.  A stall whose KKT
+    residual is within the scale-aware 1e-7 counts as float-optimal; a
+    minimizer whose exposure misses t by more than the scale-aware 1e-6
+    sits on a face of the simplex, and t is not attainable.
+    """
+    from qapool import ExposureVector, Forecast
+    from qapool.errors import ExposureRangeError, SolverError
+    from qapool.optim import projected_gradient
+    from qapool.rules import _expected, _exposures, _gradient
+    from qapool.simplex import project_simplex, project_simplex_floor
+
+    t = ExposureVector(np.asarray(t, dtype=float)).coords
+    floor = 1e-12 if rule.domain_kind == "open" else 0.0
+
+    def scaled(tol):
+        # absolute tolerances widen with the exposure magnitude
+        scale = max(1.0, float(np.abs(t).max()))
+        return tol * max(1.0, scale * float(np.linalg.norm(t / scale)))
+
+    x, kkt, converged = projected_gradient(
+        lambda x: _expected(rule, x) - float(np.dot(t, x)),
+        lambda x: _gradient(rule, x) - t,
+        np.full(t.size, 1.0 / t.size),
+        (lambda y: project_simplex_floor(y, floor)) if floor > 0.0 else project_simplex,
+        lower=floor,
+    )
+    if not converged and not kkt <= scaled(1e-7):
+        raise SolverError(f"SPG inversion for {rule.label} stalled at KKT residual {kkt:.3e}")
+    f = Forecast(x)
+    if not np.linalg.norm(_exposures(rule, f.probs) - t) <= scaled(1e-6):
+        raise ExposureRangeError(
+            f"target exposure is not attainable for rule {rule.label}: the "
+            "tilted-objective minimizer sits on a face with mismatched gradient"
+        )
+    return f
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import qapool
 from qapool.cli import _emit, main
 from qapool.files import (
     ForecastFile,
+    StreamFile,
     load_forecast_file,
     load_stream_file,
     write_forecast_file,
@@ -266,6 +267,8 @@ MALFORMED_STREAMS = {
     "float-outcome": (_bad_step_2(outcome=2.0), 2),
     "outcome-above-n": (_bad_step_2(outcome=3), 2),
     "outcome-zero": (_bad_step_2(outcome=0), 2),
+    "huge-outcome": (_bad_step_2(outcome=10**400), 2),
+    "null-outcome": (_bad_step_2(outcome=None), 2),
     "huge-integer": (_bad_step_2([[10**400, 0.5], [0.1, 0.9]]), 2),
     "string": (_bad_step_2([["0.5", 0.5], [0.1, 0.9]]), 2),
     "bool": (_bad_step_2([[0.5, 0.5], [True, 0]]), 2),
@@ -276,7 +279,7 @@ MALFORMED_STREAMS = {
 class TestStreamFiles:
     def test_load(self, stream_json):
         sf = load_stream_file(stream_json)
-        assert sf.m == 2 and sf.n == 2 and len(sf.steps) == 40
+        assert sf.m == 2 and sf.n == 2 and sf.outcomes.shape == (40,)
 
     def test_outcome_out_of_range(self, tmp_path):
         path = tmp_path / "s.json"
@@ -286,7 +289,7 @@ class TestStreamFiles:
         with pytest.raises(ValueError):
             load_stream_file(path)
 
-    @pytest.mark.parametrize("outcome", [True, 2.7, 1.0, "1"])
+    @pytest.mark.parametrize("outcome", [True, 2.7, 1.0, "1", None])
     def test_outcome_must_be_a_json_integer(self, tmp_path, outcome):
         path = tmp_path / "s.json"
         steps = [{"forecasts": [[0.5, 0.5]], "outcome": 1}] * 2
@@ -295,6 +298,9 @@ class TestStreamFiles:
         with pytest.raises(ValueError, match="step 2"):
             load_stream_file(path)
         assert main(["learn", "quadratic", str(path)]) == 1
+        # the record itself checks the type before the range
+        with pytest.raises(ValueError, match="step 2: outcome must be an integer"):
+            StreamFile(np.full((3, 1, 2), 0.5), np.array([1, 1, outcome], dtype=object))
 
     @pytest.mark.parametrize("name", sorted(MALFORMED_STREAMS))
     def test_malformed_stream_names_its_step(self, tmp_path, name, capsys):
@@ -322,12 +328,9 @@ class TestStreamFiles:
         sf = load_stream_file(path)
         assert not sf.forecasts.flags.writeable and not sf.outcomes.flags.writeable
         assert sf.outcomes.tolist() == [st["outcome"] for st in steps]
-        for t, st in enumerate(sf.steps):
-            assert st.outcome == steps[t]["outcome"]
-            for i, f in enumerate(st.forecasts):
-                want = Forecast(steps[t]["forecasts"][i]).probs
-                assert np.array_equal(sf.forecasts[t, i], want)
-                assert np.array_equal(f.probs, want)
+        for t, st in enumerate(steps):
+            for i, row in enumerate(st["forecasts"]):
+                assert np.array_equal(sf.forecasts[t, i], Forecast(row).probs)
 
     def test_varying_expert_count(self, tmp_path):
         path = tmp_path / "s.json"

@@ -359,10 +359,13 @@ class TestStreamTransport:
         with pytest.raises(ValueError, match=re.escape(message)):
             _normalize_stream(stream)
 
-    @pytest.mark.parametrize("j", [0, 3, 1.0, 2.5])
+    @pytest.mark.parametrize("j", [0, 3, 1.0, 2.5, None, True])
     def test_pair_outcomes_are_checked_as_in_a_stream_file(self, j):
-        with pytest.raises(ValueError, match="outcome"):
+        with pytest.raises(ValueError, match="step 1: outcome"):
             _normalize_stream([([[0.5, 0.5], [0.1, 0.9]], 1), ([[0.5, 0.5], [0.1, 0.9]], j)])
+        # ogd_run refuses it as the first outcome too (a bool once read as 1)
+        with pytest.raises(ValueError, match="step 0: outcome"):
+            ogd_run(LearningConfig(QUAD, 2), [([[0.5, 0.5], [0.1, 0.9]], j)] * 2)
 
     def test_overflowing_floor_is_rejected(self):
         sf, _ = make_stream_file()
@@ -382,7 +385,11 @@ class TestStreamTransport:
         sf, pairs = make_stream_file()
         config = LearningConfig(rule=rule, m=sf.m, M=M, forecast_floor=floor)
         want = ogd_run(config, sf)
-        for stream in (pairs, sf.as_pairs()):
+        # the file's rows as Forecast views, which keep their bits
+        views = [
+            ([Forecast._trusted(p) for p in fs], j) for fs, j in zip(sf.forecasts, sf.outcomes)
+        ]
+        for stream in (pairs, views):
             got = ogd_run(config, stream)
             for f in dataclasses.fields(want):
                 a, b = getattr(want, f.name), getattr(got, f.name)

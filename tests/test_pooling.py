@@ -23,7 +23,6 @@ from qapool.pooling import (
     _UNATTAINABLE,
     BREGMAN_MIN,
     CLOSED_FORM,
-    CONVEX_MIN,
     ROOT_FIND,
     _certified_inverse,
     _inverse_rows,
@@ -37,6 +36,7 @@ from qapool.rules import _gradient
 from conftest import CONVEX_RULES, RULE_IDS, random_instance, random_probs
 from oracles import (
     grid_argmin,
+    spg_inverse,
     weighted_arithmetic_mean,
     weighted_geometric_mean,
     weighted_power_mean,
@@ -160,10 +160,6 @@ class TestDefiningIdentity:
         for rule in (RuleSpec.neglog(), RuleSpec.power(0.5), RuleSpec.hs(),
                      RuleSpec.tsallis(1.5), RuleSpec.spherical(2.0)):
             assert qa_pool(rule, inputs).method == ROOT_FIND
-        assert (
-            qa_pool(RuleSpec.quadratic(), inputs, force_generic=True).method
-            == CONVEX_MIN
-        )
 
     def test_nonconvex_average_raises(self):
         with pytest.raises(ExposureRangeError):
@@ -201,13 +197,13 @@ class TestInvertExposure:
         with pytest.raises(ExposureRangeError):
             invert_exposure(rule, t)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("rule", CONVEX_RULES, ids=RULE_IDS)
-    def test_generic_path_agrees_with_fast_path(self, rule, rng):
-        n = 3
+    def test_generic_path_agrees_with_fast_path(self, rule, n, rng):
         p, q = random_probs(rng, n, rule), random_probs(rng, n, rule)
         t = 0.4 * exposure(rule, p).coords + 0.6 * exposure(rule, q).coords
         fast = invert_exposure(rule, t)
-        generic = invert_exposure(rule, t, force_generic=True)
+        generic = spg_inverse(rule, t)
         assert np.allclose(fast.probs, generic.probs, atol=1e-6)
 
 
@@ -252,11 +248,10 @@ class TestNonFiniteTargets:
         "rule", [RuleSpec.quadratic(), RuleSpec.hs()], ids=["quadratic", "hs"]
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=str)
-    @pytest.mark.parametrize("force_generic", [False, True])
-    def test_rejected_as_input_errors(self, rule, bad, force_generic):
+    def test_rejected_as_input_errors(self, rule, bad):
         # an input error, not a solver that ran out of iterations
         with pytest.raises(ValueError, match="finite"):
-            invert_exposure(rule, [bad, 0.5, -0.5], force_generic=force_generic)
+            invert_exposure(rule, [bad, 0.5, -0.5])
 
 
 class TestSphericalPool:
@@ -275,7 +270,7 @@ class TestSphericalPool:
         t = 0.75 * exposure(rule, [1.0, 0.0]).coords + 0.25 * exposure(
             rule, [0.0, 1.0]
         ).coords
-        generic = invert_exposure(rule, t, force_generic=True)
+        generic = spg_inverse(rule, t)
         assert np.allclose(res.pooled.probs, generic.probs, atol=1e-8)
 
 

@@ -1,8 +1,10 @@
-"""Smoke test: the example scripts run end to end on tiny inputs."""
+"""Smoke test: the example scripts and the README quick start run end to
+end on tiny inputs."""
 
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +71,16 @@ def test_output_digest():
             assert field.startswith(name) and len(field) == len(name) + 64
     assert {line.split("\t")[2] for line in lines} == {"0", "1"}
     assert run_script("output_digest.py", *args) == out
+
+
+def test_readme_quick_start(tmp_path, monkeypatch):
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    used = set(re.findall(r"\bqp\.(\w+)", block))
+    assert used and used <= set(qapool.__all__), used - set(qapool.__all__)
+    stream = [([[0.2, 0.8], [0.6, 0.4]], 2), ([[0.3, 0.7], [0.5, 0.5]], 1)] * 3
+    steps = [{"forecasts": fs, "outcome": j} for fs, j in stream]
+    (tmp_path / "stream.json").write_text(json.dumps({"steps": steps}))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {"stream": stream})
