@@ -85,12 +85,9 @@ def main() -> int:
     report = ogd_run(config, stream)
 
     if args.curve:
-        curve = report.regret_curve()
+        curve, bound = report.regret_curve().tolist(), report.bound_curve().tolist()
         with open(args.curve, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for t in range(report.T):
-                bound_t = 3.0 * np.sqrt(args.experts) * report.exposure_bound * np.sqrt(t + 1)
-                writer.writerow([t + 1, float(curve[t]), float(bound_t)])
+            csv.writer(fh).writerows(zip(range(1, report.T + 1), curve, bound))
 
     print(
         json.dumps(

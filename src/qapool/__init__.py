@@ -32,7 +32,6 @@ from .rules import (
 )
 from .pooling import (
     PoolResult,
-    WeightedForecast,
     generalized_pool,
     invert_exposure,
     qa_pool,
@@ -41,7 +40,6 @@ from .learning import (
     LearningConfig,
     RegretReport,
     WeightVector,
-    as_weight_vector,
     loss_gradient,
     offline_best_weights,
     ogd_run,
@@ -82,7 +80,6 @@ __all__ = [
     "bregman",
     "has_convex_exposure",
     "exposure_norm_bound",
-    "WeightedForecast",
     "PoolResult",
     "qa_pool",
     "invert_exposure",
@@ -90,7 +87,6 @@ __all__ = [
     "WeightVector",
     "LearningConfig",
     "RegretReport",
-    "as_weight_vector",
     "weight_score",
     "loss_gradient",
     "project_to_simplex",

@@ -66,6 +66,7 @@ from .rules import (
     as_forecast,
     has_convex_exposure,
     _exposures,
+    _outcome,
     _score_matrix,
     _simplex_rows,
 )
@@ -198,19 +199,19 @@ def aggregator_utility(rule: RuleSpec, report, inputs, j: int) -> float:
     """Profit of reporting ``report`` while paying the experts: the
     report's score minus the weighted average of expert scores."""
     r = as_forecast(report)
-    if not 1 <= j <= r.n:
-        raise IndexError(f"outcome {j} out of range 1..{r.n}")
-    return float(_utilities(rule, r.probs[None], inputs)[0, j - 1])
+    return float(_utilities(rule, r.probs[None], inputs)[0, _outcome(j, r.n)])
 
 
 def surplus_report(rule: RuleSpec, inputs) -> SurplusReport:
     """Utilities of the pool across outcomes, with their spread."""
+    inputs = list(inputs)  # read once: pooled, then paid
     return _surplus(rule, qa_pool(rule, inputs).pooled, inputs)
 
 
 def maxmin_verify(rule: RuleSpec, inputs, trials: int, seed: int = 0) -> bool:
     """Check that no sampled alternative report beats the pool's
     guaranteed utility beyond tolerance 1e-10."""
+    inputs = list(inputs)  # read once: pooled, then paid
     pool = qa_pool(rule, inputs).pooled.probs
     rng = np.random.default_rng(seed)
     Q = _simplex_rows(random_simplex_point(rng, pool.size, _sampling_floor(rule), size=trials))

@@ -26,8 +26,8 @@ import numpy as np
 from . import analysis, files, learning, pooling
 from .errors import ExposureRangeError, QapoolError, SolverError
 from .rules import (
+    _bregman_matrix,
     _expected,
-    _exposures,
     _score_matrix,
     has_convex_exposure,
     parse_rule,
@@ -147,6 +147,8 @@ def _seed_of(args) -> int:
 
 def _cmd_pool(args) -> int:
     rule = parse_rule(args.rule)
+    if args.floor is not None and not args.generalized:
+        raise _UsageError("--floor applies only with --generalized")
     ff = files.load_forecast_file(args.input)
     weights = ff.weights.tolist()
     if args.weights is not None:
@@ -205,11 +207,7 @@ def _cmd_score(args) -> int:
 def _cmd_bregman(args) -> int:
     rule = parse_rule(args.rule)
     ff = files.load_forecast_file(args.input)
-    # D[a, b] = G(p_a) - G(p_b) - <g(p_b), p_a - p_b>, as rules.bregman
-    # computes one entry; the diagonal is exactly 0
-    P = ff.probs
-    G, E = _expected(rule, P), _exposures(rule, P)
-    D = G[:, None] - G[None, :] - np.einsum("bn,abn->ab", E, P[:, None] - P[None, :])
+    D = _bregman_matrix(rule, ff.probs)
     _emit({"rule": rule.label, "experts": list(ff.ids), "divergence": D})
     return 0
 
@@ -227,12 +225,9 @@ def _cmd_learn(args) -> int:
     )
     report = learning.ogd_run(config, sf)
     if args.emit_curve:
-        curve = report.regret_curve()
+        curve, bound = report.regret_curve().tolist(), report.bound_curve().tolist()
         with open(args.emit_curve, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for t in range(report.T):
-                bound_t = 3.0 * np.sqrt(config.m) * report.exposure_bound * np.sqrt(t + 1)
-                writer.writerow([t + 1, repr(float(curve[t])), repr(float(bound_t))])
+            csv.writer(fh).writerows(zip(range(1, report.T + 1), curve, bound))
     _emit(
         {
             "rule": rule.label,

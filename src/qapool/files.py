@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .rules import Forecast, _check_nonnegative, _simplex_rows
+from .rules import Forecast, _check_nonnegative, _read_only, _simplex_rows
 
 __all__ = [
     "ForecastFile",
@@ -54,11 +54,6 @@ __all__ = [
 
 DEFAULT_WEIGHT = 1.0
 _FLOAT_MAX = float(np.finfo(float).max)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,6 +7,8 @@ the weights (the pooled score is concave), its gradient in weights has
 entries <g(p_i), pool - e_j>, and with step sizes 1/(M sqrt(m t)) the
 cumulative regret against the best fixed weight vector in hindsight is
 at most 3 sqrt(m) M sqrt(T), where M bounds the exposure norms.
+_regret_bound writes that bound once; RegretReport.bound_curve gives it
+after each step, beside regret_curve.
 
 The online steps cannot be batched, since each weight vector depends on
 the one before it, so each step is made cheap instead: one row through
@@ -36,6 +38,8 @@ from .rules import (
     exposure_norm_bound,
     _check_nonnegative,
     _exposures,
+    _outcome,
+    _read_only,
     _score_matrix,
     _simplex_rows,
 )
@@ -45,7 +49,6 @@ __all__ = [
     "WeightVector",
     "LearningConfig",
     "RegretReport",
-    "as_weight_vector",
     "weight_score",
     "loss_gradient",
     "project_to_simplex",
@@ -64,9 +67,7 @@ class WeightVector:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weight vector must be one-dimensional, m >= 1")
-        w = _weight_rows(w)
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _read_only(_weight_rows(w)))
 
     @property
     def m(self) -> int:
@@ -90,12 +91,6 @@ def _weight_rows(W: np.ndarray) -> np.ndarray:
     if off.any():
         raise ValueError(f"weights sum to {float(total[off][0])!r}, not 1 within 1e-9")
     return W / total
-
-
-def as_weight_vector(value) -> WeightVector:
-    if isinstance(value, WeightVector):
-        return value
-    return WeightVector(np.asarray(value, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -149,6 +144,15 @@ class RegretReport:
     def regret_curve(self) -> np.ndarray:
         """Cumulative regret against the final best fixed weights."""
         return np.cumsum(self.per_step_loss - self.comparator_loss)
+
+    def bound_curve(self) -> np.ndarray:
+        """The regret bound after each step t = 1..T."""
+        return _regret_bound(self.best_weights.m, self.exposure_bound, np.arange(1, self.T + 1))
+
+
+def _regret_bound(m: int, M: float, t):
+    """3 sqrt(m) M sqrt(t): the regret bound after t steps (or an array of t)."""
+    return 3.0 * np.sqrt(m) * M * np.sqrt(t)
 
 
 # --------------------------------------------------------------------------
@@ -206,14 +210,8 @@ class _StreamEvaluator:
         self.rule = rule
         self.E = _exposures(rule, P)
         self.T, self.m, self.n = self.E.shape
-        off = (J < 1) | (J > self.n)
-        if off.any():
-            raise IndexError(f"outcome {J[off][0]} out of range 1..{self.n}")
-        self.J = J - 1
+        self.J = J - 1  # in 0..n-1: callers pass checked outcomes
         self._last: tuple[np.ndarray, np.ndarray] | None = None
-
-    def exposure_sup(self) -> float:
-        return float(np.linalg.norm(self.E, axis=2).max())
 
     def pools(self, w: np.ndarray, E: np.ndarray) -> np.ndarray:
         """Pools of the (k, m, n) exposure rows E under weights w: one
@@ -223,9 +221,7 @@ class _StreamEvaluator:
     def stream_pools(self, w: np.ndarray) -> np.ndarray:
         """Pools of every step under w; read-only, shared between calls."""
         if self._last is None or not np.array_equal(self._last[0], w):
-            X = self.pools(w, self.E)
-            X.flags.writeable = False
-            self._last = (w.copy(), X)
+            self._last = (w.copy(), _read_only(self.pools(w, self.E)))
         return self._last[1]
 
     def step_pool_and_grad(self, t: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,11 +238,8 @@ class _StreamEvaluator:
         S = _score_matrix(self.rule, X)
         return -S[np.arange(self.T), self.J]
 
-    def per_step_losses(self, w: np.ndarray) -> np.ndarray:
-        return self.losses(self.stream_pools(w))
-
     def total_loss(self, w: np.ndarray) -> float:
-        return float(self.per_step_losses(w).sum())
+        return float(self.losses(self.stream_pools(w)).sum())
 
     def total_grad(self, w: np.ndarray) -> np.ndarray:
         D = self.stream_pools(w).copy()
@@ -259,12 +252,12 @@ class _StreamEvaluator:
 # --------------------------------------------------------------------------
 
 def _one_step(rule: RuleSpec, forecasts, w, j: int) -> tuple[float, np.ndarray]:
-    wv = as_weight_vector(w)
+    wv = w if isinstance(w, WeightVector) else WeightVector(w)
     fs = [as_forecast(f) for f in forecasts]
     if len(fs) != wv.m:
         raise ValueError("one weight per forecast required")
     P = np.array([[f.probs for f in fs]])
-    ev = _StreamEvaluator(rule, (P, np.array([j], dtype=int)))
+    ev = _StreamEvaluator(rule, (P, np.array([_outcome(j, P.shape[2]) + 1])))
     x, grad = ev.step_pool_and_grad(0, wv.weights)
     return float(ev.losses(x[None])[0]), grad
 
@@ -341,14 +334,14 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
 
     with np.errstate(over="ignore"):  # a tiny M overflows a step, a huge one the bound
         etas = 1.0 / (M * np.sqrt(m * np.arange(1, T + 1)))
-        bound = float(3.0 * np.sqrt(m) * M * np.sqrt(T))
+        bound = float(_regret_bound(m, M, T))
     if not (np.isfinite(etas).all() and math.isfinite(bound)):
         raise ConfigError(
             f"exposure bound M = {M!r} leaves the step sizes or the regret bound non-finite"
         )
 
     ev = _StreamEvaluator(rule, (P[:T], J[:T]))
-    observed = ev.exposure_sup()
+    observed = float(np.linalg.norm(ev.E, axis=2).max())
     w = uniform_point(m)
     # the losses do not feed back into the weights: score all pools at once
     X = np.empty((T, n))
@@ -358,7 +351,7 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
     losses = ev.losses(X)
 
     best_w, best_loss = _solve_offline(ev)
-    comparator = ev.per_step_losses(best_w)
+    comparator = ev.losses(ev.stream_pools(best_w))
     return RegretReport(
         per_step_loss=losses,
         comparator_loss=comparator,

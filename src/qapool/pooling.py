@@ -4,10 +4,11 @@ The pool of weighted forecasts is the forecast whose exposure equals
 the weighted average of the input exposures (an equality in the
 sum-zero space, i.e. modulo the all-ones direction).  Weights are
 normalized internally, so scaling all weights leaves the pool fixed.
-Inputs take one path: _prepare turns them into (m, n) forecast and
-(m,) weight arrays, _check_weights makes every weight check, and _mix
-averages exposures into the canonical targets that every pool, the
-online learner and the exposure probe invert.
+Inputs are (forecast, weight) pairs and take one path: _prepare turns
+them into (m, n) forecast and (m,) weight arrays, _check_weights makes
+every weight check, and _mix averages exposures into the canonical
+targets that every pool, the online learner and the exposure probe
+invert.
 
 Inversion follows the rule's family record (rules._Family): quadratic
 and log invert in closed form (affine map and softmax); neglog, power,
@@ -49,10 +50,9 @@ from .rules import (
     _gradient,
     _simplex_rows,
 )
-from .simplex import project_simplex, project_simplex_floor, uniform_point
+from .simplex import project_simplex_floor, uniform_point
 
 __all__ = [
-    "WeightedForecast",
     "PoolResult",
     "qa_pool",
     "invert_exposure",
@@ -65,19 +65,6 @@ __all__ = [
 CLOSED_FORM = "closed_form"
 ROOT_FIND = "root_find"
 BREGMAN_MIN = "bregman_min"
-
-@dataclass(frozen=True)
-class WeightedForecast:
-    """A forecast together with a nonnegative reliability weight."""
-
-    forecast: Forecast
-    weight: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "forecast", as_forecast(self.forecast))
-        w = float(self.weight)
-        _check_nonnegative(np.array(w))
-        object.__setattr__(self, "weight", w)
 
 
 @dataclass(frozen=True)
@@ -104,12 +91,12 @@ class PoolResult:
 def _prepare(inputs) -> tuple[np.ndarray, np.ndarray]:
     """The (m, n) forecasts and (m,) weights of pooling inputs.
 
-    Inputs are WeightedForecast instances or (forecast, weight) pairs;
-    each forecast is checked by as_forecast, the weights by
-    _check_weights.  Zero weights are dropped, so that the sums over the
-    others run in the same order whatever zeros sit between them.
+    Inputs are (forecast, weight) pairs; each forecast is checked by
+    as_forecast, the weights by _check_weights.  Zero weights are
+    dropped, so that the sums over the others run in the same order
+    whatever zeros sit between them.
     """
-    pairs = [(x.forecast, x.weight) if isinstance(x, WeightedForecast) else x for x in inputs]
+    pairs = list(inputs)
     forecasts = [as_forecast(f) for f, _ in pairs]
     W = np.array([float(w) for _, w in pairs])
     nonzero = W != 0.0
@@ -229,11 +216,6 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     return out
 
 
-def _shift_problem(rule: RuleSpec, T: np.ndarray):
-    """Offsets, exponents and bracket per target row (see rules._Family)."""
-    return rule._impl.shift(T, rule.param)
-
-
 def _inverse_rows(
     rule: RuleSpec, T: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -241,7 +223,8 @@ def _inverse_rows(
     and why each row failed (0 where it did not).
 
     Families with a closed-form inverse use it; every other family goes
-    through one safeguarded Newton solve for all rows (see _shift_problem).
+    through one safeguarded Newton solve for all rows of the family's
+    shift problem (see rules._Family).
     A failed row is NaN and has code _UNATTAINABLE, _NOT_CONVERGED or
     _DEGENERATE; one failed row leaves the others as they would be alone.
     The codes are None when every row was inverted, so that the common
@@ -251,7 +234,7 @@ def _inverse_rows(
     if closed_form is not None:
         X = closed_form(T, rule.param)
     else:
-        a, p, q, lo, hi = _shift_problem(rule, T)
+        a, p, q, lo, hi = rule._impl.shift(T, rule.param)
         c = _solve_shift(a, p, lo, hi)
         with np.errstate(divide="ignore"):
             X = (a + c[:, None]) ** q
@@ -377,11 +360,9 @@ def _minimize_tilted(
 ) -> tuple[np.ndarray, float, bool]:
     """Minimize G(x) - <t, x> over the floored simplex."""
     n = t.size
-    if floor > 0.0:
-        def project(y: np.ndarray) -> np.ndarray:
-            return project_simplex_floor(y, floor)
-    else:
-        project = project_simplex
+
+    def project(y: np.ndarray) -> np.ndarray:
+        return project_simplex_floor(y, floor)
 
     def objective(x: np.ndarray) -> float:
         if floor <= 0.0 and rule.domain_kind == "open" and x.min() <= 0.0:
@@ -424,27 +405,21 @@ def invert_exposure(rule: RuleSpec, target) -> Forecast:
         raise ValueError("exposure target must be finite")
     X, res, fail = _certified_inverse(rule, t[None])
     _raise_first(rule, fail, res)
-    return _frozen(X[0])
+    return Forecast._trusted(X[0])
 
 
 def qa_pool(rule: RuleSpec, inputs) -> PoolResult:
     """Pool weighted forecasts by averaging exposures and inverting.
 
-    Inputs may be WeightedForecast instances or (forecast, weight)
-    pairs.  Zero-weight entries are dropped; total_weight reports the
-    sum of all supplied weights.  This is the one-row case of _pool_rows.
+    Inputs are (forecast, weight) pairs.  Zero-weight entries are
+    dropped; total_weight reports the sum of all supplied weights.  This
+    is the one-row case of _pool_rows.
     """
     P, W = _prepare(inputs)
     X, total, res, same = _pool_rows(rule, P[None], W[None])
     closed_form = same[0] or rule._impl.closed_form is not None
     method = CLOSED_FORM if closed_form else ROOT_FIND
-    return PoolResult(_frozen(X[0]), float(total[0]), float(res[0]), method)
-
-
-def _frozen(x: np.ndarray) -> Forecast:
-    # a row already checked and renormalized as Forecast would
-    x.flags.writeable = False
-    return Forecast._trusted(x)
+    return PoolResult(Forecast._trusted(X[0]), float(total[0]), float(res[0]), method)
 
 
 def generalized_pool(rule: RuleSpec, inputs, *, floor: float | None = None) -> PoolResult:
@@ -466,7 +441,7 @@ def generalized_pool(rule: RuleSpec, inputs, *, floor: float | None = None) -> P
     if floor is not None and not 0.0 <= floor * P.shape[1] < 1.0:
         raise ValueError("floor must satisfy 0 <= n*floor < 1")
     if same[0] and (floor is None or P[0].min() >= floor):
-        return PoolResult(_frozen(P[0]), float(total[0]), 0.0, BREGMAN_MIN)
+        return PoolResult(Forecast._trusted(P[0]), float(total[0]), 0.0, BREGMAN_MIN)
     t = _mix(_exposures(rule, P[None]), (W / W.sum())[None])[0]
     if floor is None:  # a working floor keeps the iterates inside an open domain
         floor = min(1e-12, 1e-3 * P.min()) if rule.domain_kind == "open" else 0.0

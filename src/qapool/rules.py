@@ -254,10 +254,19 @@ def _raise_first_bad(bad: np.ndarray, message: str, name: str | None) -> None:
     raise ValueError(message)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Make a (fresh) array read-only in place, without a copy."""
     a.flags.writeable = False
     return a
+
+
+def _outcome(j, n: int) -> int:
+    """The 0-based index of outcome j in 1..n; a bool or float is no outcome."""
+    if type(j) is not int and not isinstance(j, np.integer):
+        raise ValueError(f"outcome must be an integer, got {j!r}")
+    if not 1 <= j <= n:
+        raise IndexError(f"outcome {j} out of range 1..{n}")
+    return int(j) - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,7 +283,7 @@ class Forecast:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size < 2:
             raise ValueError("forecast needs at least two outcome probabilities")
-        object.__setattr__(self, "probs", _freeze(_simplex_rows(p)))
+        object.__setattr__(self, "probs", _read_only(_simplex_rows(p)))
 
     @property
     def n(self) -> int:
@@ -282,9 +291,9 @@ class Forecast:
 
     @classmethod
     def _trusted(cls, probs: np.ndarray) -> "Forecast":
-        """Wrap a read-only row already checked and normalized as above."""
+        """Wrap a row already checked and normalized as above, read-only."""
         f = object.__new__(cls)
-        object.__setattr__(f, "probs", probs)
+        object.__setattr__(f, "probs", _read_only(probs))
         return f
 
     @classmethod
@@ -294,10 +303,8 @@ class Forecast:
     @classmethod
     def one_hot(cls, n: int, j: int) -> "Forecast":
         """Point mass on outcome j (1-based)."""
-        if not 1 <= j <= n:
-            raise IndexError(f"outcome {j} out of range 1..{n}")
         p = np.zeros(n)
-        p[j - 1] = 1.0
+        p[_outcome(j, n)] = 1.0
         return cls(p)
 
     def __eq__(self, other: object) -> bool:
@@ -330,7 +337,7 @@ class ExposureVector:
         c = np.asarray(self.coords, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ValueError("exposure vector needs at least two coordinates")
-        object.__setattr__(self, "coords", _freeze(canonicalize(c)))
+        object.__setattr__(self, "coords", _read_only(canonicalize(c)))
 
     @property
     def n(self) -> int:
@@ -461,6 +468,13 @@ def _score_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     return _expected(rule, P)[:, None] + g - (g * P).sum(axis=1, keepdims=True)
 
 
+def _bregman_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
+    """D[a, b] = D(p_a || p_b) for the rows of a (k, n) forecast array;
+    the diagonal is exactly 0."""
+    G, E = _expected(rule, P), _exposures(rule, P)
+    return G[:, None] - G[None, :] - np.einsum("bn,abn->ab", E, P[:, None] - P[None, :])
+
+
 # --------------------------------------------------------------------------
 # public operations
 # --------------------------------------------------------------------------
@@ -486,9 +500,7 @@ def score(rule: RuleSpec, forecast, j: int) -> float:
     of gradient representative because e_j - p sums to zero.
     """
     p = as_forecast(forecast)
-    if not 1 <= j <= p.n:
-        raise IndexError(f"outcome {j} out of range 1..{p.n}")
-    return _score_matrix(rule, p.probs[None])[0, j - 1]
+    return _score_matrix(rule, p.probs[None])[0, _outcome(j, p.n)]
 
 
 def bregman(rule: RuleSpec, forecast_p, forecast_q) -> float:
@@ -497,13 +509,7 @@ def bregman(rule: RuleSpec, forecast_p, forecast_q) -> float:
     q = as_forecast(forecast_q)
     if p.n != q.n:
         raise ValueError("forecasts have different outcome counts")
-    _check_domain(rule, p.probs)
-    gq = _exposures(rule, q.probs)
-    return float(
-        _expected(rule, p.probs)
-        - _expected(rule, q.probs)
-        - np.dot(gq, p.probs - q.probs)
-    )
+    return float(_bregman_matrix(rule, np.stack([p.probs, q.probs]))[0, 1])
 
 
 def has_convex_exposure(rule: RuleSpec, n: int) -> bool:

@@ -81,6 +81,21 @@ class TestSurplusReport:
         rep = surplus_report(QUAD, [(p, 0.4), (p, 0.6)])
         assert rep.surplus == pytest.approx(0.0, abs=1e-12)
 
+    def test_one_shot_iterable_reads_like_a_list(self, rng):
+        inputs = random_instance(rng, parse_rule("neglog"), 3, 4)
+        want = surplus_report(parse_rule("neglog"), inputs)
+        got = surplus_report(parse_rule("neglog"), iter(inputs))
+        assert got.per_outcome_utility.tobytes() == want.per_outcome_utility.tobytes()
+        assert (got.surplus, got.equalization_gap) == (want.surplus, want.equalization_gap)
+
+    def test_outcome_must_be_an_integer_in_range(self):
+        for j in (0, 3):
+            with pytest.raises(IndexError, match=rf"outcome {j} out of range 1\.\.2"):
+                aggregator_utility(QUAD, [0.3, 0.7], QUAD_INSTANCE, j)
+        for j in (True, 1.0, 2.7):
+            with pytest.raises(ValueError, match="outcome must be an integer"):
+                aggregator_utility(QUAD, [0.3, 0.7], QUAD_INSTANCE, j)
+
     def test_quadratic_instance(self):
         rep = surplus_report(QUAD, QUAD_INSTANCE)
         assert rep.surplus == pytest.approx(0.08, abs=1e-12)
@@ -114,6 +129,11 @@ class TestMaxminVerify:
     def test_random_challengers_never_beat_pool(self, rule, rng):
         inputs = random_instance(rng, rule, 3, 3)
         assert maxmin_verify(rule, inputs, trials=200, seed=5)
+
+    def test_one_shot_iterable_reads_like_a_list(self, rng):
+        inputs = random_instance(rng, QUAD, 3, 3)
+        want = maxmin_verify(QUAD, inputs, trials=200, seed=5)
+        assert want and maxmin_verify(QUAD, iter(inputs), trials=200, seed=5) == want
 
     def test_single_input_pool_is_unbeatable(self, rng):
         p = random_probs(rng, 3, None)

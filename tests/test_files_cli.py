@@ -376,6 +376,12 @@ class TestCmdPool:
     def test_wrong_weight_count_exits_1(self, forecasts_json, capsys):
         assert main(["pool", "quadratic", "--weights", "1,2,3", forecasts_json]) == 1
 
+    def test_floor_without_generalized_exits_1(self, forecasts_json, capsys):
+        assert main(["pool", "log", forecasts_json, "--floor", "0.01"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qapool: error: --floor applies only with --generalized\n"
+
     def test_unknown_rule_exits_1(self, forecasts_json):
         assert main(["pool", "nosuchrule", forecasts_json]) == 1
 
@@ -594,18 +600,38 @@ class TestCmdLearn:
             "3f9f4cec5400b1e91d6adeb1409b83711d4ec042815f5bf49136dd944dab71be",
     }
 
-    @pytest.mark.parametrize("args", sorted(PINNED), ids=lambda a: a[0])
-    def test_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
-        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+    # sha256 of the --emit-curve CSV of the same commands, recorded before
+    # the curve was written from regret_curve() and bound_curve()
+    PINNED_CURVE = {
+        ("quadratic",): "0bde6fe2b50c0d14be3a684886963de13683058497eaa61c17e64a50e993032c",
+        ("log", "--M", "4", "--floor", "0.05"):
+            "e2078c4d8694c1e66a823cc7176b0635a1669462e6dd010bc600270f8b65dcc9",
+    }
+
+    @staticmethod
+    def pinned_stream(tmp_path):
         rng = np.random.default_rng(20260417)
         F = rng.dirichlet(np.ones(3), size=(200, 5))
         J = rng.integers(1, 4, size=200)
         steps = [{"forecasts": f, "outcome": j} for f, j in zip(F.tolist(), J.tolist())]
         path = tmp_path / "stream.json"
         path.write_text(json.dumps({"steps": steps}))
-        assert main(["learn", args[0], str(path), *args[1:]]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("args", sorted(PINNED), ids=lambda a: a[0])
+    def test_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
+        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+        assert main(["learn", args[0], self.pinned_stream(tmp_path), *args[1:]]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
+
+    @pytest.mark.parametrize("args", sorted(PINNED_CURVE), ids=lambda a: a[0])
+    def test_curve_bytes_are_pinned(self, tmp_path, args, capsys):
+        curve = tmp_path / "curve.csv"
+        argv = ["learn", args[0], self.pinned_stream(tmp_path), *args[1:]]
+        assert main([*argv, "--emit-curve", str(curve)]) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(curve.read_bytes()).hexdigest() == self.PINNED_CURVE[args]
 
 
 class TestOutputPins:

@@ -261,6 +261,14 @@ class TestOgdRun:
         assert curve.size == 200
         assert curve[-1] == pytest.approx(rep.cumulative_regret, abs=1e-9)
 
+    def test_bound_curve_ends_at_bound(self):
+        rep = ogd_run(LearningConfig(rule=QUAD, m=2), make_iid_stream(200))
+        bounds = rep.bound_curve()
+        assert bounds.size == 200
+        assert bounds[-1] == rep.bound  # bit for bit
+        assert bounds[0] == 3.0 * np.sqrt(2) * rep.exposure_bound
+        assert np.all(np.diff(bounds) > 0.0)
+
 
 class TestOfflineBestWeights:
     def test_perfect_expert_takes_all(self):
@@ -427,6 +435,13 @@ class TestOutcomeRange:
     @pytest.mark.parametrize("fn", [weight_score, loss_gradient])
     def test_out_of_range_outcome_rejected(self, fn, j):
         with pytest.raises(IndexError, match=rf"outcome {j} out of range 1\.\.2"):
+            fn(QUAD, [[0.5, 0.5], [0.1, 0.9]], [0.5, 0.5], j)
+
+    # neither truncated (2.7 as 2) nor read as 1 (True, 1.0)
+    @pytest.mark.parametrize("j", [True, 1.0, 2.7], ids=repr)
+    @pytest.mark.parametrize("fn", [weight_score, loss_gradient])
+    def test_non_integer_outcome_rejected(self, fn, j):
+        with pytest.raises(ValueError, match=rf"outcome must be an integer, got {j!r}"):
             fn(QUAD, [[0.5, 0.5], [0.1, 0.9]], [0.5, 0.5], j)
 
 

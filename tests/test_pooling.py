@@ -28,7 +28,6 @@ from qapool.pooling import (
     _inverse_rows,
     _invert_rows,
     _pool_rows,
-    _shift_problem,
     _solve_shift,
 )
 from qapool.rules import _gradient
@@ -394,7 +393,7 @@ class TestRowKernel:
         find_root = pytest.importorskip("scipy.optimize.elementwise").find_root
         eps = np.finfo(float).eps
         for n in (2, 3, 50):
-            a, p, _, lo, hi = _shift_problem(rule, kernel_targets(rng, rule, n))
+            a, p, _, lo, hi = rule._impl.shift(kernel_targets(rng, rule, n), rule.param)
             c = _solve_shift(a, p, lo, hi)
             lo, hi = np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape)
             open_ = hi > lo

@@ -48,6 +48,9 @@ class TestForecast:
         assert np.allclose(Forecast.uniform(4).probs, 0.25)
         with pytest.raises(IndexError):
             Forecast.one_hot(3, 4)
+        for j in (True, 1.0, 2.7):
+            with pytest.raises(ValueError, match="outcome must be an integer"):
+                Forecast.one_hot(3, j)
 
     def test_immutable(self):
         f = Forecast(np.array([0.3, 0.7]))
@@ -152,6 +155,13 @@ class TestScore:
             score(RuleSpec.quadratic(), [0.7, 0.3], 0)
         with pytest.raises(IndexError):
             score(RuleSpec.quadratic(), [0.7, 0.3], 3)
+        # a bool or a float does not name an outcome, not even True or 1.0
+        for j in (True, 1.0, 2.7):
+            with pytest.raises(ValueError, match=rf"outcome must be an integer, got {j!r}"):
+                score(RuleSpec.quadratic(), [0.7, 0.3], j)
+        assert score(RuleSpec.quadratic(), [0.7, 0.3], np.int64(1)) == score(
+            RuleSpec.quadratic(), [0.7, 0.3], 1
+        )
 
     @pytest.mark.parametrize("rule", CONVEX_RULES, ids=RULE_IDS)
     def test_expected_score_identity(self, rule, rng):

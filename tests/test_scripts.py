@@ -2,8 +2,10 @@
 end on tiny inputs."""
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -29,10 +31,15 @@ def run_script(name, *args):
     return done.stdout
 
 
-def test_regret_experiment():
-    doc = json.loads(run_script("regret_experiment.py", "--T", "50"))
+def test_regret_experiment(tmp_path):
+    curve = tmp_path / "curve.csv"
+    doc = json.loads(run_script("regret_experiment.py", "--T", "50", "--curve", str(curve)))
     assert doc["T"] == 50
     assert doc["cumulative_regret"] <= doc["bound"]
+    rows = list(csv.reader(curve.read_text().splitlines()))
+    assert [int(t) for t, _, _ in rows] == list(range(1, 51))
+    assert float(rows[-1][1]) == pytest.approx(doc["cumulative_regret"], abs=1e-9)
+    assert float(rows[-1][2]) == doc["bound"]
 
 
 def test_rule_audit_matrix():
@@ -79,6 +86,22 @@ def test_readme_quick_start(tmp_path, monkeypatch):
     block = block.split("```", 1)[0]
     used = set(re.findall(r"\bqp\.(\w+)", block))
     assert used and used <= set(qapool.__all__), used - set(qapool.__all__)
+    # every name README lists as removed is gone from qapool and from
+    # each submodule's __all__
+    listed = text.split("Removed names and their replacements:", 1)[1].split("\n\n")[1]
+    removed = {
+        name.rsplit(".", 1)[-1]
+        for bullet in listed.replace("\n  ", " ").splitlines()
+        if bullet.startswith("* `")
+        for name in re.findall(r"`([\w.]+)(?:\([^`]*\))?`", bullet.split(": ", 1)[0])
+    }
+    assert {"ExpertEntry", "WeightedForecast", "as_weight_vector"} <= removed, removed
+    modules = [
+        importlib.import_module(f"qapool.{m.name}") for m in pkgutil.iter_modules(qapool.__path__)
+    ]
+    for name in removed:
+        assert not hasattr(qapool, name), name
+        assert not any(name in getattr(m, "__all__", ()) for m in modules), name
     stream = [([[0.2, 0.8], [0.6, 0.4]], 2), ([[0.3, 0.7], [0.5, 0.5]], 1)] * 3
     steps = [{"forecasts": fs, "outcome": j} for fs, j in stream]
     (tmp_path / "stream.json").write_text(json.dumps({"steps": steps}))
