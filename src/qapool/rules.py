@@ -119,7 +119,8 @@ def _hs_shift(T: np.ndarray, c):
 def _from_min(T: np.ndarray, scale: float, p: float, q: float, hi: float):
     """Shift problem on [0, hi] for offsets a = (t - min t)/scale, p > 0."""
     a = (T - T.min(axis=1, keepdims=True)) / scale
-    h0 = (a**p).sum(axis=1)  # already past the constraint at zero shift?
+    with np.errstate(over="ignore"):  # an infinite h0 marks the row unattainable
+        h0 = (a**p).sum(axis=1)  # already past the constraint at zero shift?
     hi = np.where(h0 >= 1.0, 0.0, hi)
     return a, p, q, 0.0, np.where(h0 > 1.0 + 1e-12, np.nan, hi)
 

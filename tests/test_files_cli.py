@@ -625,6 +625,27 @@ class TestCmdLearn:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
 
+    # sha256 of stdout under the five root-find families, recorded before
+    # the shift solve got its Python-float path; each open family's --M is
+    # perfbench's exposure_bound(family, 3, 0.05)
+    PINNED_ROOT_FIND = {
+        ("spherical:2",): "520caddc922ba2475577b82d5b6706fcd570873653c890abcddc0769a08b62e7",
+        ("tsallis:1.5",): "8980cf24e09cc6c86e6699d9755d90fc4edc905782ba6dee2f4541357b6de8c1",
+        ("power:0.5", "--M", "4.1533119314590365", "--floor", "0.05"):
+            "68a328d28a5a11a4b54d21d1b7f58ed433c5a44a5c669a25a3fb8dcc83f52474",
+        ("neglog", "--M", "39.83716857408417", "--floor", "0.05"):
+            "017006efc0645e22cc858496c712ed3b96a13bf47d1a56af532d4aaaf2347d5d",
+        ("hs", "--M", "4.42635206378713", "--floor", "0.05"):
+            "d5a20c82666861b12ee7fbade0c1b5042d37207554f33c18faa51bb952005026",
+    }
+
+    @pytest.mark.parametrize("args", sorted(PINNED_ROOT_FIND), ids=lambda a: a[0])
+    def test_root_find_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
+        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+        assert main(["learn", args[0], self.pinned_stream(tmp_path), *args[1:]]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_ROOT_FIND[args]
+
     @pytest.mark.parametrize("args", sorted(PINNED_CURVE), ids=lambda a: a[0])
     def test_curve_bytes_are_pinned(self, tmp_path, args, capsys):
         curve = tmp_path / "curve.csv"

@@ -1,10 +1,15 @@
 """Pooling: defining identity, classical correspondences, inversion paths."""
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import qapool.pooling as pooling
 from qapool import (
     DegenerateError,
     DomainError,
@@ -20,6 +25,9 @@ from qapool import (
 )
 from qapool.pooling import (
     _NOT_CONVERGED,
+    _ROOT_XTOL,
+    _SCALAR_N,
+    _SCALAR_ROWS,
     _UNATTAINABLE,
     BREGMAN_MIN,
     CLOSED_FORM,
@@ -29,6 +37,7 @@ from qapool.pooling import (
     _invert_rows,
     _pool_rows,
     _solve_shift,
+    _solve_shift_small,
 )
 from qapool.rules import _gradient
 
@@ -195,6 +204,15 @@ class TestInvertExposure:
         )
         with pytest.raises(ExposureRangeError):
             invert_exposure(rule, t)
+
+    @pytest.mark.parametrize("rule", [RuleSpec.spherical(2.0), RuleSpec.tsallis(1.5)],
+                             ids=["spherical:2", "tsallis:1.5"])
+    def test_overflowing_offsets_raise_without_warning(self, rule):
+        # (a**p).sum overflows to inf, which marks the target unattainable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExposureRangeError, match="not attainable"):
+                invert_exposure(rule, [1e200, -1e200, 0.0])
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("rule", CONVEX_RULES, ids=RULE_IDS)
@@ -368,6 +386,50 @@ def kernel_targets(rng, rule, n, k=6, smallest=1e-6):
     return T - T.mean(axis=1, keepdims=True)
 
 
+# the families of the float-path comparisons: the shift exponent p at
+# -1, -2, -0.5, 0 (hs), 2 and 6 (spherical), 2 and 10 (tsallis)
+SMALL_RULES = [
+    RuleSpec.neglog(),
+    RuleSpec.hs(),
+    RuleSpec.power(0.5),
+    RuleSpec.power(-1.0),
+    RuleSpec.spherical(2.0),
+    RuleSpec.spherical(1.2),
+    RuleSpec.tsallis(1.5),
+    RuleSpec.tsallis(1.1),
+]
+SMALL_IDS = [r.label for r in SMALL_RULES]
+
+
+def numpy_shift(a, p, lo, hi):
+    """The numpy kernel of _solve_shift, at any problem size."""
+    with mock.patch.object(pooling, "_SCALAR_ROWS", -1):
+        return _solve_shift(a, p, lo, hi)
+
+
+def assert_same_shift(rule, T):
+    """The float path solves the shift problem of T's rows to the numpy
+    kernel's bits; returns the problem's bracket and the shifts."""
+    a, p, _, lo, hi = rule._impl.shift(T, rule.param)
+    c = _solve_shift_small(a, p, lo, hi)
+    assert np.array_equal(c, numpy_shift(a, p, lo, hi), equal_nan=True)
+    return np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape), c
+
+
+@st.composite
+def shift_targets(draw):
+    """A rule and a (k, n) array of canonical targets of the float path's
+    size, from forecasts whose coordinates span nine decades."""
+    rule = draw(st.sampled_from(SMALL_RULES))
+    n = draw(st.integers(2, _SCALAR_N))
+    k = draw(st.integers(1, _SCALAR_ROWS))
+    logs = draw(hnp.arrays(float, (k, n), elements=st.floats(-20.0, 0.0)))
+    X = np.exp(logs)
+    X /= X.sum(axis=1, keepdims=True)
+    T = _gradient(rule, X)
+    return rule, T - T.mean(axis=1, keepdims=True)
+
+
 class TestRowKernel:
     @pytest.mark.parametrize("rule", CONVEX_RULES, ids=RULE_IDS)
     def test_batch_rows_match_single_row_calls(self, rule, rng):
@@ -434,6 +496,83 @@ class TestRowKernel:
             qa_pool(RuleSpec.spherical(2.0), inputs)
         with pytest.raises(SolverError):
             invert_exposure(RuleSpec.tsallis(1.5), 1.5 * np.array([0.2, 0.3, 0.6]))
+
+    @pytest.mark.parametrize("rule", SMALL_RULES, ids=SMALL_IDS)
+    def test_float_path_matches_numpy_kernel(self, rule, rng):
+        # rows 0 and 1 of kernel_targets sit near the simplex boundary
+        for n in (2, 3, 7):
+            for k in (1, 2, 10, _SCALAR_ROWS):
+                for smallest in (1e-3, 1e-6, 1e-12):
+                    assert_same_shift(rule, kernel_targets(rng, rule, n, max(k, 2), smallest)[:k])
+
+    def test_float_path_matches_on_many_hs_rows(self, rng):
+        # math.log is off by an ulp from np.log on 0.3-2% of inputs, which
+        # moves about one hs shift in 400: 3000 rows catch a float log
+        rule = RuleSpec.hs()
+        for _ in range(250):
+            X = np.maximum(rng.dirichlet(np.ones(3), size=_SCALAR_ROWS), 0.05)
+            T = _gradient(rule, X / X.sum(axis=1, keepdims=True))
+            assert_same_shift(rule, T - T.mean(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("rule", SMALL_RULES, ids=SMALL_IDS)
+    def test_float_path_matches_on_far_targets(self, rule):
+        T = np.array([[1e8, -1e8, 0.0], [-1e8, 0.5e8, 0.5e8], [1e12, -1e12, 0.0],
+                      [3.0, -1.5, -1.5], [0.0, 0.0, 0.0]])
+        assert_same_shift(rule, T)
+
+    def test_float_path_matches_where_hs_starts_at_a_zero(self, rng):
+        # an hs row whose bracket starts at 0 has z_j = 0 at its start: log 0
+        # is -inf and 1/0 raises on floats, so the step is taken on numpy
+        # scalars, which give inf and a NaN step, then bisection
+        lo, _, _ = assert_same_shift(RuleSpec.hs(), kernel_targets(rng, RuleSpec.hs(), 3))
+        assert (lo == 0.0).any() and (lo > 0.0).any()
+
+    def test_float_path_matches_on_unattainable_rows(self, rng):
+        rule = RuleSpec.tsallis(3.0)  # p = 0.5, numpy's sqrt
+        vertices = (
+            exposure(rule, [1.0, 0.0, 0.0]).coords + exposure(rule, [0.0, 1.0, 0.0]).coords
+        )
+        inner = kernel_targets(rng, rule, 3, k=4)
+        _, hi, c = assert_same_shift(rule, np.vstack([inner[:2], 0.5 * vertices, inner[2:]]))
+        assert np.isnan(hi).tolist() == [False, False, True, False, False]
+        assert np.isnan(c).tolist() == [False, False, True, False, False]
+
+    @pytest.mark.parametrize("rule", [RuleSpec.tsallis(1.5), RuleSpec.spherical(2.0)],
+                             ids=["tsallis:1.5", "spherical:2"])
+    def test_float_path_matches_on_rows_that_start_converged(self, rule, rng):
+        # a vertex's exposure puts the constraint exactly at zero shift, so
+        # the bracket [0, 0] is within tolerance before any iteration
+        T = np.vstack([exposure(rule, [0.0, 1.0, 0.0]).coords, kernel_targets(rng, rule, 3, k=3)])
+        lo, hi, c = assert_same_shift(rule, T)
+        assert hi[0] - lo[0] <= _ROOT_XTOL * abs(c[0]) and not np.isnan(c).any()
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_float_path_matches_when_rows_run_out_of_iterations(self, cap, rng, monkeypatch):
+        monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", cap)
+        unconverged = 0
+        for rule in SMALL_RULES:
+            _, _, c = assert_same_shift(rule, kernel_targets(rng, rule, 3, k=_SCALAR_ROWS))
+            unconverged += np.isnan(c).sum()
+        assert unconverged > 0
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(problem=shift_targets())
+    def test_float_path_matches_numpy_kernel_under_hypothesis(self, problem):
+        assert_same_shift(*problem)
+
+    def test_short_problems_take_the_float_path(self, rng, monkeypatch):
+        shapes, small = [], _solve_shift_small
+
+        def spy(a, *args):
+            shapes.append(a.shape)
+            return small(a, *args)
+
+        monkeypatch.setattr(pooling, "_solve_shift_small", spy)
+        rule = RuleSpec.neglog()
+        for n, k in [(_SCALAR_N, _SCALAR_ROWS), (2, 1), (_SCALAR_N + 1, 1), (3, _SCALAR_ROWS + 1)]:
+            a, p, _, lo, hi = rule._impl.shift(kernel_targets(rng, rule, n, max(k, 2))[:k], None)
+            _solve_shift(a, p, lo, hi)
+        assert shapes == [(_SCALAR_ROWS, _SCALAR_N), (1, 2)]
 
 
 class TestRowFailures:
