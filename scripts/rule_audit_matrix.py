@@ -3,9 +3,10 @@
 
 Runs the inversion-failure probe and (where the pooling operator is
 total) the axiom suite for each rule family at the requested outcome
-counts, and prints one table row per combination.  The tsallis family
-above parameter 2 is expected to fail inversion at n > 2; everything
-else must show zero failures.
+counts, and prints one table row per combination.  The probe is judged
+as `qapool audit` judges it (ExposureProbeReport.verdict): the tsallis
+family above parameter 2 must show the vertex-pair failure at n > 2;
+everything else must show zero failures and zero solver failures.
 """
 
 import argparse
@@ -44,13 +45,14 @@ def main() -> int:
             probe_txt = f"{probe.failures}/{probe.samples}"
             if probe.canonical_vertex_failure is not None:
                 probe_txt += " +vertex" if probe.canonical_vertex_failure else ""
+            # the verdict `qapool audit` gives the probe
+            consistent, _ = probe.verdict(convex)
             if convex:
                 rep = axiom_suite(rule, n, max(30, args.samples // 5), args.seed)
                 axioms = "pass" if rep.all_passed else "FAIL"
-                consistent = probe.failures == 0 and rep.all_passed
+                consistent = consistent and rep.all_passed
             else:
                 axioms = "n/a"
-                consistent = probe.failures > 0 or bool(probe.canonical_vertex_failure)
             if not consistent:
                 bad += 1
             print(

@@ -48,11 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ExposureRangeError
-from .learning import _StreamEvaluator, _weight_rows
+from .learning import _losses, _weight_rows
 from .pooling import (
     _UNATTAINABLE,
     _certified_inverse,
     _check_weights,
+    _invert_rows,
     _mix,
     _pool_rows,
     _prepare,
@@ -155,6 +156,14 @@ class ExposureProbeReport:
     @property
     def failure_rate(self) -> float:
         return self.failures / self.samples
+
+    def verdict(self, convex: bool) -> tuple[bool, str]:
+        """Whether the probe came out as the rule's exposure range predicts,
+        given has_convex_exposure at its n, and what was expected."""
+        if convex:
+            ok = self.failures == 0 and self.solver_failures == 0
+            return ok, "no inversion failures expected for convex exposure"
+        return bool(self.canonical_vertex_failure), "probe must detect the vertex-pair failure"
 
 
 @dataclass(frozen=True)
@@ -459,9 +468,9 @@ def concavity_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> Concavit
 
     All samples are drawn first, each draw one bare generator call in
     sample order, and mapped to the simplex in bulk.  The samples with m
-    experts then form one stream, tripled, whose pools under the three
-    weight vectors of each step are inverted and scored in one batch
-    (learning.weight_score on every row).
+    experts then form one stream whose exposures, computed once and
+    tripled, are pooled under the three weight vectors of each step and
+    scored in one batch (learning.weight_score on every row).
     """
     _check_draws(n, samples)
     rng = np.random.default_rng(seed)
@@ -479,8 +488,9 @@ def concavity_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> Concavit
         P = _simplex_rows(_shell_points(E, _sampling_floor(rule)))
         V, W = _shell_points(VW).transpose(1, 0, 2)
         U = np.concatenate([c[:, None] * V + (1.0 - c[:, None]) * W, V, W])
-        ev = _StreamEvaluator(rule, (np.concatenate([P] * 3), np.tile(J, 3)))
-        mixed, at_v, at_w = -ev.losses(ev.pools(_weight_rows(U), ev.E)).reshape(3, J.size)
+        tripled = np.concatenate([_exposures(rule, P)] * 3)
+        X = _invert_rows(rule, _mix(tripled, _weight_rows(U)))
+        mixed, at_v, at_w = -_losses(rule, X, np.tile(J - 1, 3)).reshape(3, J.size)
         gap = mixed - c * at_v - (1.0 - c) * at_w
         worst = min(worst, float(gap.min()))
     return ConcavityReport(rule.label, n, samples, seed, worst)

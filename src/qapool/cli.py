@@ -262,12 +262,7 @@ def _cmd_audit(args) -> int:
         "solver_failures": probe.solver_failures,
         "canonical_vertex_failure": probe.canonical_vertex_failure,
     }
-    if convex:
-        probe_ok = probe.failures == 0 and probe.solver_failures == 0
-        probe_note = "no inversion failures expected for convex exposure"
-    else:
-        probe_ok = bool(probe.canonical_vertex_failure)
-        probe_note = "probe must detect the vertex-pair failure"
+    probe_ok, probe_note = probe.verdict(convex)
     checks.append({"name": "exposure_probe", "passed": probe_ok, "note": probe_note})
 
     if convex:

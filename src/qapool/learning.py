@@ -16,8 +16,9 @@ pooling's shared mix and inversion path, a gradient centred in place,
 and simplex.project_simplex on Python floats for small m.  Every step
 keeps the operations of the batched paths, so the pools, losses and
 weights are bit for bit those of the per-step numpy loop they replaced.
-The hindsight comparator is batched: the evaluator inverts all T steps
-at once for each weight vector the offline solve asks about.
+The hindsight comparator is batched: the offline solve inverts all T
+steps at once, once for each weight vector it asks about, and the
+comparator losses reuse the pools at its answer.
 """
 
 from __future__ import annotations
@@ -156,7 +157,7 @@ def _regret_bound(m: int, M: float, t):
 
 
 # --------------------------------------------------------------------------
-# stream handling and batched evaluation
+# stream handling, the loss, the step and the hindsight solve
 # --------------------------------------------------------------------------
 
 def _normalize_stream(stream, floor: float | None = None):
@@ -194,57 +195,60 @@ def _normalize_stream(stream, floor: float | None = None):
     return P, J
 
 
-class _StreamEvaluator:
-    """Precomputed exposures for a recorded stream.
+def _losses(rule: RuleSpec, X: np.ndarray, J) -> np.ndarray:
+    """Per-step losses -s(x_t; j_t) of the (T, n) pools X at the 0-based
+    outcomes J; the one place the learner's loss is written."""
+    return -_score_matrix(rule, X)[np.arange(X.shape[0]), J]
 
-    Losses and weight-gradients reduce to array algebra: with E[t] the
-    m x n matrix of canonical expert exposures at step t, the pool
-    solves g(x) = w @ E[t] and the loss gradient in w is
-    E[t] @ (x - e_j), up to an all-ones shift.  The pools of the whole
-    stream at the last weights asked for are kept, because the
-    hindsight solve asks for the loss and the gradient at each point.
+
+def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
+    """Pool of one step's (m, n) exposures E_t under w, and the loss
+    gradient in w at the 0-based outcome j, E_t @ (x - e_j) centred to
+    sum zero."""
+    x = _invert_rows(rule, _mix(E_t[None], w))[0]
+    d = x.copy()
+    d[j] -= 1.0  # x - e_j, the loss gradient's direction
+    g = E_t @ d
+    g -= np.add.reduce(g) / g.size  # canonicalize, in place
+    return x, g
+
+
+def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
+    """Best fixed weights for the (T, m, n) exposures E at the 0-based
+    outcomes J, and the (T, n) pools of the stream under them.
+
+    The loss and the gradient at a point share its pools: the pools of
+    the last point asked about are kept.
     """
+    T, m, _ = E.shape
+    rows, inv_t = np.arange(T), 1.0 / T
+    last_w = last_X = None  # the last weights asked about and their pools
 
-    def __init__(self, rule: RuleSpec, stream) -> None:
-        P, J = stream
-        self.rule = rule
-        self.E = _exposures(rule, P)
-        self.T, self.m, self.n = self.E.shape
-        self.J = J - 1  # in 0..n-1: callers pass checked outcomes
-        self._last: tuple[np.ndarray, np.ndarray] | None = None
+    def pools(w: np.ndarray) -> np.ndarray:
+        nonlocal last_w, last_X
+        if last_w is None or not np.array_equal(last_w, w):
+            last_w, last_X = w.copy(), _invert_rows(rule, _mix(E, w))
+        return last_X
 
-    def pools(self, w: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """Pools of the (k, m, n) exposure rows E under weights w: one
-        (m,) vector for every row, or one row of a (k, m) array per row."""
-        return _invert_rows(self.rule, _mix(E, w))
+    def grad(w: np.ndarray) -> np.ndarray:
+        D = pools(w).copy()
+        D[rows, J] -= 1.0
+        return canonicalize(np.einsum("tmn,tn->m", E, D)) * inv_t
 
-    def stream_pools(self, w: np.ndarray) -> np.ndarray:
-        """Pools of every step under w; read-only, shared between calls."""
-        if self._last is None or not np.array_equal(self._last[0], w):
-            self._last = (w.copy(), _read_only(self.pools(w, self.E)))
-        return self._last[1]
-
-    def step_pool_and_grad(self, t: int, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Pool of step t under w, and the loss gradient in w there."""
-        x = _invert_rows(self.rule, _mix(self.E[t : t + 1], w))[0]
-        d = x.copy()
-        d[self.J[t]] -= 1.0  # x - e_j, the loss gradient's direction
-        g = self.E[t] @ d
-        g -= np.add.reduce(g) / g.size  # canonicalize, in place
-        return x, g
-
-    def losses(self, X: np.ndarray) -> np.ndarray:
-        """Per-step losses -s(x_t; j_t) of the (T, n) pools X."""
-        S = _score_matrix(self.rule, X)
-        return -S[np.arange(self.T), self.J]
-
-    def total_loss(self, w: np.ndarray) -> float:
-        return float(self.losses(self.stream_pools(w)).sum())
-
-    def total_grad(self, w: np.ndarray) -> np.ndarray:
-        D = self.stream_pools(w).copy()
-        D[np.arange(self.T), self.J] -= 1.0
-        return canonicalize(np.einsum("tmn,tn->m", self.E, D))
+    # optimize the per-step mean so the first-order tolerances refer to
+    # a T-independent scale
+    w, kkt, converged = projected_gradient(
+        lambda w: float(_losses(rule, pools(w), J).sum()) * inv_t,
+        grad,
+        uniform_point(m),
+        project_simplex,
+        max_iter=1_000_000,
+    )
+    if not converged and not kkt <= 1e-6:
+        raise SolverError(
+            f"offline weight optimization stalled at KKT residual {kkt:.3e}"
+        )
+    return w, pools(w)
 
 
 # --------------------------------------------------------------------------
@@ -256,10 +260,10 @@ def _one_step(rule: RuleSpec, forecasts, w, j: int) -> tuple[float, np.ndarray]:
     fs = [as_forecast(f) for f in forecasts]
     if len(fs) != wv.m:
         raise ValueError("one weight per forecast required")
-    P = np.array([[f.probs for f in fs]])
-    ev = _StreamEvaluator(rule, (P, np.array([_outcome(j, P.shape[2]) + 1])))
-    x, grad = ev.step_pool_and_grad(0, wv.weights)
-    return float(ev.losses(x[None])[0]), grad
+    P = np.array([f.probs for f in fs])
+    j0 = _outcome(j, P.shape[1])
+    x, grad = _step(rule, _exposures(rule, P), j0, wv.weights)
+    return float(_losses(rule, x[None], j0)[0]), grad
 
 
 def weight_score(rule: RuleSpec, forecasts, w, j: int) -> float:
@@ -277,24 +281,6 @@ def project_to_simplex(y) -> WeightVector:
     return WeightVector(project_simplex(np.asarray(y, dtype=float)))
 
 
-def _solve_offline(ev: _StreamEvaluator) -> tuple[np.ndarray, float]:
-    # optimize the per-step mean so the first-order tolerances refer to
-    # a T-independent scale
-    inv_t = 1.0 / ev.T
-    w, kkt, converged = projected_gradient(
-        lambda w: ev.total_loss(w) * inv_t,
-        lambda w: ev.total_grad(w) * inv_t,
-        uniform_point(ev.m),
-        project_simplex,
-        max_iter=1_000_000,
-    )
-    if not converged and not kkt <= 1e-6:
-        raise SolverError(
-            f"offline weight optimization stalled at KKT residual {kkt:.3e}"
-        )
-    return w, ev.total_loss(w)
-
-
 def offline_best_weights(rule: RuleSpec, stream) -> tuple[WeightVector, float]:
     """Best fixed weights in hindsight and their total loss.
 
@@ -302,9 +288,10 @@ def offline_best_weights(rule: RuleSpec, stream) -> tuple[WeightVector, float]:
     scores over the weight simplex; the objective is concave, so
     projected gradient with backtracking converges to the global optimum.
     """
-    ev = _StreamEvaluator(rule, _normalize_stream(stream))
-    w, loss = _solve_offline(ev)
-    return WeightVector(w), loss
+    P, J = _normalize_stream(stream)
+    J = J - 1
+    w, X = _solve_offline(rule, _exposures(rule, P), J)
+    return WeightVector(w), float(_losses(rule, X, J).sum())
 
 
 def ogd_run(config: LearningConfig, stream) -> RegretReport:
@@ -340,18 +327,19 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
             f"exposure bound M = {M!r} leaves the step sizes or the regret bound non-finite"
         )
 
-    ev = _StreamEvaluator(rule, (P[:T], J[:T]))
-    observed = float(np.linalg.norm(ev.E, axis=2).max())
+    E, J = _exposures(rule, P[:T]), J[:T] - 1
+    observed = float(np.linalg.norm(E, axis=2).max())
     w = uniform_point(m)
     # the losses do not feed back into the weights: score all pools at once
     X = np.empty((T, n))
     for t, eta in enumerate(etas.tolist()):
-        X[t], grad = ev.step_pool_and_grad(t, w)
+        X[t], grad = _step(rule, E[t], J[t], w)
         w = project_simplex(w - eta * grad)
-    losses = ev.losses(X)
+    losses = _losses(rule, X, J)
 
-    best_w, best_loss = _solve_offline(ev)
-    comparator = ev.losses(ev.stream_pools(best_w))
+    best_w, best_pools = _solve_offline(rule, E, J)
+    comparator = _losses(rule, best_pools, J)
+    best_loss = float(comparator.sum())
     return RegretReport(
         per_step_loss=losses,
         comparator_loss=comparator,

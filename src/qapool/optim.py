@@ -23,6 +23,7 @@ import numpy as np
 __all__ = ["kkt_residual", "projected_gradient"]
 
 ARMIJO_C1 = 1e-4
+KKT_TOL = 1e-8  # the residual at which a solve counts as converged
 BACKTRACK = 0.5
 ACTIVE_ATOL = 1e-12
 NONMONOTONE_MEMORY = 10
@@ -52,7 +53,6 @@ def projected_gradient(
     project: Callable[[np.ndarray], np.ndarray],
     *,
     lower: float = 0.0,
-    tol: float = 1e-8,
     max_iter: int = 100_000,
 ) -> tuple[np.ndarray, float, bool]:
     """Minimize a smooth convex objective over a (floored) simplex.
@@ -71,7 +71,7 @@ def projected_gradient(
     kkt = np.inf
     for _ in range(max_iter):
         kkt = kkt_residual(g, x, lower)
-        if kkt <= tol:
+        if kkt <= KKT_TOL:
             return x, kkt, True
         if prev_x is not None:
             s = x - prev_x
@@ -103,4 +103,4 @@ def projected_gradient(
         if len(recent) > NONMONOTONE_MEMORY:
             recent.pop(0)
     kkt = kkt_residual(g, x, lower)
-    return x, kkt, kkt <= tol
+    return x, kkt, kkt <= KKT_TOL

@@ -497,10 +497,11 @@ def _scaled(tol: float, t: np.ndarray):
 def invert_exposure(rule: RuleSpec, target) -> Forecast:
     """The forecast whose canonical exposure equals ``target``.
 
-    Raises ValueError when the target is not finite, ExposureRangeError
-    when no forecast attains it (the failure mode of non-convex-exposure
-    rules), SolverError when a numeric path fails to certify the identity
-    to tolerance.
+    Raises ValueError when the target is not finite or overflows the
+    inverse's offsets, DomainError when the pool has a coordinate below
+    rules.OPEN_MIN, ExposureRangeError when no forecast attains it (the
+    failure mode of non-convex-exposure rules), SolverError when a
+    numeric path fails to certify the identity to tolerance.
     """
     if not isinstance(target, ExposureVector):
         with np.errstate(invalid="ignore", over="ignore"):  # NaN is refused below
@@ -509,7 +510,14 @@ def invert_exposure(rule: RuleSpec, target) -> Forecast:
     if not np.isfinite(t).all():
         # the kernel would spend every iteration on it and call that a solver failure
         raise ValueError("exposure target must be finite")
-    X, res, fail = _certified_inverse(rule, t[None])
+    try:
+        # a finite target can still be too spread out for the rule's offsets
+        with np.errstate(over="raise"):
+            X, res, fail = _certified_inverse(rule, t[None])
+    except FloatingPointError:
+        raise ValueError(
+            f"exposure target is too spread out to invert for rule {rule.label} in float64"
+        ) from None
     _raise_first(rule, fail, res)
     return Forecast._trusted(X[0])
 

@@ -50,7 +50,6 @@ __all__ = [
     "bregman",
     "has_convex_exposure",
     "exposure_norm_bound",
-    "OPEN_DOMAIN_FAMILIES",
     "FAMILIES",
 ]
 
@@ -112,8 +111,18 @@ def _below_max(T: np.ndarray) -> np.ndarray:
 
 def _hs_shift(T: np.ndarray, c):
     # x_j ~ 1/(u_j + d), u = gap below the max, geometric mean of u + d = 1/n
-    a = T.shape[1] * _below_max(T)
-    return a, 0.0, -1.0, np.maximum(0.0, 1.0 - a.max(axis=1)), 1.0
+    n = T.shape[1]
+    a = n * _below_max(T)
+    top = a.max(axis=1)
+    lo, hi = np.maximum(0.0, 1.0 - top), 1.0
+    # sum_j log(a_j + d) > 0 at d = OPEN_MIN max a / 2 needs max a > OPEN_MIN^(-1/n)
+    if np.count_nonzero(top > OPEN_MIN ** (-1.0 / n)):
+        # the root lies below that d, so x_min <= d/(max a + d) < OPEN_MIN:
+        # such a row's shift is pinned at d, and its pool fails the domain check
+        d = 0.5 * OPEN_MIN * top
+        below = np.log(a + d[:, None]).sum(axis=1) > 0.0
+        lo, hi = np.where(below, d, lo), np.where(below, d, hi)
+    return a, 0.0, -1.0, lo, hi
 
 
 def _from_min(T: np.ndarray, scale: float, p: float, q: float, hi: float):
@@ -210,7 +219,6 @@ _FAMILIES = {
 }
 
 FAMILIES = tuple(_FAMILIES)
-OPEN_DOMAIN_FAMILIES = frozenset(k for k, f in _FAMILIES.items() if f.open_domain)
 
 
 def _simplex_rows(P: np.ndarray, name: str | None = None) -> np.ndarray:
@@ -453,10 +461,20 @@ def _gradient(rule: RuleSpec, p: np.ndarray) -> np.ndarray:
 
 
 def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
-    """Canonical exposures of the forecasts on the last axis of P."""
+    """Canonical exposures of the forecasts on the last axis of P.
+
+    A forecast in the domain whose exposure overflows float64 (power
+    with a negative parameter, near the boundary) is a DomainError.
+    """
     _check_domain(rule, P)
-    g = _gradient(rule, P)
-    g -= g.sum(axis=-1, keepdims=True) / P.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        g = _gradient(rule, P)
+        g -= g.sum(axis=-1, keepdims=True) / P.shape[-1]
+    if not np.isfinite(g).all():
+        raise DomainError(
+            f"rule {rule.label}: a forecast lies too close to the simplex "
+            "boundary for its exposure to be finite"
+        )
     return g
 
 

@@ -320,8 +320,9 @@ def per_check_concavity_gap(rule, n: int, samples: int, seed: int) -> float:
     """concavity_probe's worst gap with one pools call per weight vector
     and expert count, each point drawn by its own sampler call."""
     from qapool.analysis import _check_draws, _sampling_floor
-    from qapool.learning import _StreamEvaluator, _weight_rows
-    from qapool.rules import _simplex_rows
+    from qapool.learning import _losses, _weight_rows
+    from qapool.pooling import _invert_rows, _mix
+    from qapool.rules import _exposures, _simplex_rows
     from qapool.simplex import random_simplex_point
 
     _check_draws(n, samples)
@@ -338,9 +339,9 @@ def per_check_concavity_gap(rule, n: int, samples: int, seed: int) -> float:
     worst = np.inf
     for m in sorted({d[0] for d in draws}):
         _, P, V, W, c, J = (np.array(x) for x in zip(*(d for d in draws if d[0] == m)))
-        ev = _StreamEvaluator(rule, (_simplex_rows(P), J))
+        E = _exposures(rule, _simplex_rows(P))
         mixed, at_v, at_w = (
-            -ev.losses(ev.pools(_weight_rows(U), ev.E))
+            -_losses(rule, _invert_rows(rule, _mix(E, _weight_rows(U))), J - 1)
             for U in (c[:, None] * V + (1.0 - c[:, None]) * W, V, W)
         )
         worst = min(worst, float((mixed - c * at_v - (1.0 - c) * at_w).min()))

@@ -24,7 +24,12 @@ from qapool import (
     surplus_report,
     weight_score,
 )
-from qapool.analysis import _cycle_sums, _distinct_points, sample_forecast
+from qapool.analysis import (
+    ExposureProbeReport,
+    _cycle_sums,
+    _distinct_points,
+    sample_forecast,
+)
 from qapool.rules import _exposures
 
 from conftest import CLOSED_RULES, CONVEX_RULES, RULE_IDS, random_instance, random_probs
@@ -300,6 +305,20 @@ class TestExposureProbe:
         rep = exposure_probe(rule, 2, 300, seed=1)
         assert rep.failures == 0
         assert rep.failure_rate == 0.0
+
+    @pytest.mark.parametrize(
+        "failures, solver_failures, vertex, convex, ok",
+        [
+            (0, 0, False, True, True),
+            (0, 1, False, True, False),  # a convex rule's solver failure fails
+            (2, 0, None, True, False),
+            (5, 0, True, False, True),
+            (5, 0, False, False, False),  # probe failures without the vertex pair
+        ],
+    )
+    def test_verdict(self, failures, solver_failures, vertex, convex, ok):
+        rep = ExposureProbeReport("r", 3, 10, 0, failures, solver_failures, vertex)
+        assert rep.verdict(convex)[0] is ok
 
 
 @pytest.mark.parametrize("probe", [axiom_suite, exposure_probe, concavity_probe])

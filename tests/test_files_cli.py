@@ -408,6 +408,20 @@ class TestCmdPool:
         assert out == ""
         assert err.startswith("qapool:") and "every support size" in err
 
+    @pytest.mark.parametrize("rule", [r.label for r in CONVEX_RULES] + ["tsallis:3"])
+    def test_overflowing_exposure_prints_one_error_line(self, rule, tmp_path, capsys):
+        # a valid open-domain file; power:-1's exposure -1/p^2 overflows at
+        # 1e-200, which must be one input error, not a numpy warning and a
+        # kernel spun to its iteration cap
+        path = write_experts(tmp_path, [[1e-200, 0.5, 0.5], [0.2, 0.3, 0.5]])
+        code = main(["pool", rule, path])
+        out, err = capsys.readouterr()
+        # every other family pools the file or reports one error line
+        assert (code == 0) == (err == "") and (code == 0) == (out != "")
+        assert code == 0 or err.startswith("qapool:") and len(err.splitlines()) == 1
+        if rule == "power:-1":
+            assert code == 1 and "exposure to be finite" in err
+
     def test_overflowing_kkt_residual_prints_one_stderr_line(self, tmp_path):
         # in a subprocess, since pytest would capture numpy's RuntimeWarning
         path = write_experts(tmp_path, [[1e-300, 0.5, 0.5], [0.2, 0.3, 0.5]])

@@ -19,8 +19,10 @@ from qapool import (
     score,
     weight_score,
 )
+from qapool import learning
 from qapool.files import StreamFile
-from qapool.learning import _StreamEvaluator, _normalize_stream
+from qapool.learning import _losses, _normalize_stream
+from qapool.pooling import _invert_rows, _mix
 from qapool.rules import Forecast, _exposures, _score_matrix
 from qapool.simplex import SCALAR_MAX
 
@@ -270,6 +272,13 @@ class TestOgdRun:
         assert np.all(np.diff(bounds) > 0.0)
 
 
+def total_losses(rule, stream, grid):
+    """The stream's total loss under each weight vector of the grid."""
+    P, J = _normalize_stream(stream)
+    E = _exposures(rule, P)
+    return [float(_losses(rule, _invert_rows(rule, _mix(E, g)), J - 1).sum()) for g in grid]
+
+
 class TestOfflineBestWeights:
     def test_perfect_expert_takes_all(self):
         # expert 1 always right, expert 2 always wrong
@@ -281,10 +290,7 @@ class TestOfflineBestWeights:
             stream.append(([right, wrong], j))
         w, loss = offline_best_weights(QUAD, stream)
         grid = brute_weight_grid(2, 1e-3)
-        from qapool.learning import _StreamEvaluator, _normalize_stream
-
-        ev = _StreamEvaluator(QUAD, _normalize_stream(stream))
-        grid_losses = [ev.total_loss(g) for g in grid]
+        grid_losses = total_losses(QUAD, stream, grid)
         k = int(np.argmin(grid_losses))
         assert np.allclose(w.weights, grid[k], atol=2e-3)
         assert w.weights[0] >= 0.99
@@ -303,13 +309,22 @@ class TestOfflineBestWeights:
             fs = [random_probs(rng, 3, None) for _ in range(2)]
             stream.append((fs, int(rng.integers(1, 4))))
         w, loss = offline_best_weights(QUAD, stream)
-        from qapool.learning import _StreamEvaluator, _normalize_stream
-
-        ev = _StreamEvaluator(QUAD, _normalize_stream(stream))
         grid = brute_weight_grid(2, 1e-4)
-        vals = np.array([ev.total_loss(g) for g in grid])
+        vals = np.array(total_losses(QUAD, stream, grid))
         assert loss <= vals.min() + 1e-8
         assert np.allclose(w.weights, grid[int(np.argmin(vals))], atol=1e-3)
+
+    # T = 10 takes the scalar shift kernel, T = 40 the numpy one
+    @pytest.mark.parametrize("T", [10, 40])
+    @pytest.mark.parametrize(
+        "rule", [QUAD, RuleSpec.spherical(2.0), RuleSpec.tsallis(1.5)], ids=str
+    )
+    def test_matches_ogd_run_bit_for_bit(self, rule, T):
+        sf, _ = make_stream_file(T=T)
+        w, loss = offline_best_weights(rule, sf)
+        report = ogd_run(LearningConfig(rule=rule, m=sf.m), sf)
+        assert np.array_equal(w.weights, report.best_weights.weights)
+        assert loss == report.best_fixed_loss
 
 
 class TestPoolConsistency:
@@ -408,20 +423,29 @@ class TestStreamTransport:
 
     def test_hindsight_solve_inverts_each_point_once(self, monkeypatch):
         asked, inverted = [], []
-        stream_pools, pools = _StreamEvaluator.stream_pools, _StreamEvaluator.pools
+        solve, mix = learning.projected_gradient, learning._mix
+        T = 10
 
-        def count_asked(self, w):
-            asked.append(w.tobytes())
-            return stream_pools(self, w)
+        def ask(f):
+            def asked_at(w):
+                asked.append(w.tobytes())
+                return f(w)
+            return asked_at
 
-        def count_inverted(self, w, E):
-            if E.shape[0] == self.T:
+        def count_asked(objective, gradient, x0, project, **kwargs):
+            w, kkt, converged = solve(ask(objective), ask(gradient), x0, project, **kwargs)
+            asked.append(w.tobytes())  # the comparator losses are taken at the answer
+            return w, kkt, converged
+
+        def count_inverted(E, w):
+            # every inversion of the whole stream mixes all T steps' exposures
+            if E.shape[0] == T:
                 inverted.append(w.tobytes())
-            return pools(self, w, E)
+            return mix(E, w)
 
-        monkeypatch.setattr(_StreamEvaluator, "stream_pools", count_asked)
-        monkeypatch.setattr(_StreamEvaluator, "pools", count_inverted)
-        sf, _ = make_stream_file(T=10)
+        monkeypatch.setattr(learning, "projected_gradient", count_asked)
+        monkeypatch.setattr(learning, "_mix", count_inverted)
+        sf, _ = make_stream_file(T=T)
         ogd_run(LearningConfig(rule=RuleSpec.spherical(2.0), m=sf.m), sf)
         # the loss, the gradient and the comparator losses share their points
         assert len(asked) > len(inverted)

@@ -39,7 +39,7 @@ from qapool.pooling import (
     _solve_shift,
     _solve_shift_small,
 )
-from qapool.rules import _gradient
+from qapool.rules import OPEN_MIN, _gradient
 
 from conftest import CONVEX_RULES, RULE_IDS, random_instance, random_probs
 from oracles import (
@@ -269,6 +269,37 @@ class TestNonFiniteTargets:
         # an input error, not a solver that ran out of iterations
         with pytest.raises(ValueError, match="finite"):
             invert_exposure(rule, [bad, 0.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "rule", CONVEX_RULES + [RuleSpec.tsallis(3.0)], ids=RULE_IDS + ["tsallis:3"]
+    )
+    def test_overflowing_offsets_raise_one_error(self, rule):
+        # a finite target whose gaps overflow float64: one error and no
+        # numpy warning, which the suite turns into a failure
+        want = ExposureRangeError if rule.family == "quadratic" else ValueError
+        with pytest.raises(want, match="outside|spread out"):
+            invert_exposure(rule, [1e308, -1e308, 0.0])
+
+    def test_hs_pool_below_open_min_is_a_domain_error(self, monkeypatch):
+        # the true pool's small coordinates are about 1e-600
+        t = [1e200, -1e200, 0.0]
+        with pytest.raises(DomainError) as want:
+            invert_exposure(RuleSpec.power(0.5), t)
+        # decided before the kernel iterates, not by running out of iterations
+        monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", 0)
+        with pytest.raises(DomainError) as got:
+            invert_exposure(RuleSpec.hs(), t)
+        assert str(got.value) == str(want.value).replace("power:0.5", "hs")
+
+    @pytest.mark.parametrize("k", [2, _SCALAR_ROWS + 1])
+    def test_hs_far_row_leaves_the_others_alone(self, k):
+        rule = RuleSpec.hs()
+        T = np.tile([0.3, -0.1, -0.2], (k, 1))
+        T[1] = [1e200, -1e200, 0.0]
+        X, fail = _inverse_rows(rule, T)
+        assert fail is None and X[1].min() < OPEN_MIN
+        alone = _inverse_rows(rule, T[:1])[0][0]
+        assert np.array_equal(np.delete(X, 1, axis=0), np.tile(alone, (k - 1, 1)))
 
 
 class TestSphericalPool:
