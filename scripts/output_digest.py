@@ -14,6 +14,14 @@ the same lines:
   python3 scripts/output_digest.py --seeds 1 23 > digest.txt
   python3 scripts/output_digest.py --seeds 1 --workloads cli_mix
 
+With ``--openblas-cores Haswell,Prescott`` the digest is made again in
+one child process per named OpenBLAS core (``OPENBLAS_CORETYPE``, set
+in the child's environment only) and once with the variable unset; it
+prints, prefixed with the core, every line that differs from the unset
+run's, and exits 1 if any line differs:
+
+  python3 scripts/output_digest.py --seeds 1 23 --openblas-cores Haswell,Prescott
+
 The program is imported from this checkout's ``src/``; the inputs come
 from ``perfbench.inputs``, which is only read.
 """
@@ -25,8 +33,10 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,13 +74,37 @@ def digest_lines(workload: str, seed: int, rep: int, workdir: Path) -> list[str]
     return lines
 
 
+def digest_under_core(core: str | None, seeds: list[int], workloads: list[str]) -> list[str]:
+    """The digest lines of a child process whose OpenBLAS core is ``core``
+    (None: OPENBLAS_CORETYPE unset)."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if core is not None:
+        env["OPENBLAS_CORETYPE"] = core
+    argv = [sys.executable, __file__, "--seeds", *map(str, seeds), "--workloads", *workloads]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     parser.add_argument(
         "--workloads", nargs="+", choices=sorted(inputs.WORKLOADS), default=list(inputs.WORKLOADS)
     )
+    parser.add_argument(
+        "--openblas-cores", metavar="CORE,...", type=lambda text: text.split(","),
+        help="compare the digest under each of these OPENBLAS_CORETYPE values with the default",
+    )
     args = parser.parse_args(argv)
+    if args.openblas_cores:
+        default = digest_under_core(None, args.seeds, args.workloads)
+        differ = 0
+        for core in args.openblas_cores:
+            for line, base in zip_longest(digest_under_core(core, args.seeds, args.workloads), default):
+                if line != base:
+                    differ += 1
+                    print(f"{core}\t{line}", flush=True)
+        return 1 if differ else 0
     # the CLI reads its default --seed from the environment
     os.environ.pop("QAPOOL_SEED", None)
     for workload in args.workloads:

@@ -71,7 +71,7 @@ from .rules import (
     _score_matrix,
     _simplex_rows,
 )
-from .simplex import _shell_points, random_simplex_point
+from .simplex import _ordered_dot, _shell_points, random_simplex_point
 
 __all__ = [
     "SurplusReport",
@@ -192,7 +192,7 @@ def _utilities(rule: RuleSpec, reports: np.ndarray, inputs) -> np.ndarray:
     _check_weights(P[None], W[None])
     k = reports.shape[0]
     S = _score_matrix(rule, np.vstack([reports, P]))
-    return S[:k] - (W / W.sum()) @ S[k:]
+    return S[:k] - _ordered_dot((W / W.sum())[:, None], S[k:], axis=0)
 
 
 def _surplus(rule: RuleSpec, report: Forecast, inputs) -> SurplusReport:
@@ -407,8 +407,8 @@ def _cycle_sums(rule: RuleSpec, cycles: list[np.ndarray]) -> np.ndarray:
     """sum_i <g(p_i), p_i - p_(i-1)> around each cycle of (k, n) points.
 
     One exposure call per cycle length; each total is summed term by term
-    in cycle order (cumsum), so it is bitwise the Python sum of the
-    one-vector np.dot values.
+    in cycle order (cumsum), so it is bitwise the in-order sum of the
+    one-vector _ordered_dot values.
     """
     totals = np.empty(len(cycles))
     lengths = np.array([len(c) for c in cycles])
@@ -416,7 +416,7 @@ def _cycle_sums(rule: RuleSpec, cycles: list[np.ndarray]) -> np.ndarray:
         at = np.flatnonzero(lengths == k)
         P = np.stack([cycles[i] for i in at])
         steps = P - np.roll(P, 1, axis=1)  # p_i - p_(i-1), cyclically
-        dots = (_exposures(rule, P)[..., None, :] @ steps[..., :, None])[..., 0, 0]
+        dots = _ordered_dot(_exposures(rule, P), steps)
         totals[at] = dots.cumsum(axis=1)[:, -1]
     return totals
 

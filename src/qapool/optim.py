@@ -20,6 +20,8 @@ from typing import Callable
 
 import numpy as np
 
+from .simplex import _ordered_dot
+
 __all__ = ["kkt_residual", "projected_gradient"]
 
 ARMIJO_C1 = 1e-4
@@ -43,7 +45,7 @@ def kkt_residual(grad: np.ndarray, x: np.ndarray, lower: float = 0.0) -> float:
     r[active] = np.minimum(r[active], 0.0)
     # a residual too large for float64 is inf, without numpy's warning
     with np.errstate(over="ignore"):
-        return float(np.linalg.norm(r))
+        return float(np.sqrt(_ordered_dot(r, r)))
 
 
 def projected_gradient(
@@ -76,9 +78,9 @@ def projected_gradient(
         if prev_x is not None:
             s = x - prev_x
             y = g - prev_g
-            sy = float(np.dot(s, y))
+            sy = float(_ordered_dot(s, y))
             if sy > 0.0:
-                step = min(STEP_MAX, max(STEP_MIN, float(np.dot(s, s)) / sy))
+                step = min(STEP_MAX, max(STEP_MIN, float(_ordered_dot(s, s)) / sy))
         f_ref = max(recent)
         eta = step
         accepted = False
@@ -89,7 +91,7 @@ def projected_gradient(
                 break  # displacement below float resolution: stalled
             f_trial = objective(trial)
             if np.isfinite(f_trial) and f_trial <= f_ref + ARMIJO_C1 * float(
-                np.dot(g, d)
+                _ordered_dot(g, d)
             ):
                 accepted = True
                 break

@@ -8,7 +8,9 @@ Inputs are (forecast, weight) pairs and take one path: _prepare turns
 them into (m, n) forecast and (m,) weight arrays, _check_weights makes
 every weight check, and _mix averages exposures into the canonical
 targets that every pool, the online learner and the exposure probe
-invert.
+invert.  _mix sums w_1 e_1 + w_2 e_2 + ... in expert order, not by a BLAS
+matvec (see simplex), so a row has the same bits on every CPU, in a
+batch or alone, and the learner's float loop can copy them.
 
 Inversion follows the rule's family record (rules._Family): quadratic
 and log invert in closed form (affine map and softmax); neglog, power,
@@ -70,7 +72,7 @@ from .rules import (
     _gradient,
     _simplex_rows,
 )
-from .simplex import project_simplex_floor, uniform_point
+from .simplex import _ordered_dot, project_simplex_floor, uniform_point
 
 __all__ = [
     "PoolResult",
@@ -157,19 +159,24 @@ def _check_weights(P: np.ndarray, W: np.ndarray):
 
 def _mix(E: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The (k, n) canonical w-averages of (k, m, n) exposure rows, under
-    one (m,) weight vector or a (k, m) array of them that sum to one."""
-    T = w @ E if w.ndim == 1 else (w[:, None, :] @ E)[:, 0]
+    one (m,) weight vector or a (k, m) array of them that sum to one:
+    one ordered reduction for few rows, and for many, at a third of the
+    cost, the same sums as one in-place addition per expert."""
+    if E.shape[0] < _MIX_SLICES:
+        T = _ordered_dot(w[..., None], E, axis=-2)
+    else:
+        T = w[..., 0, None] * E[:, 0]
+        for i in range(1, E.shape[1]):
+            T += w[..., i, None] * E[:, i]
     # np.add.reduce is what T.sum calls, without the method's wrapper
     T -= np.add.reduce(T, axis=1, keepdims=True) / T.shape[1]
     return T
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
-    # the Euclidean norm of each row, computed as np.linalg.norm computes
-    # the norm of one vector (a dot product), so a one-row batch is bitwise
-    # the single-vector value; a norm that overflows is inf
+    # the Euclidean norm of each row; a norm that overflows is inf
     with np.errstate(over="ignore"):
-        return np.sqrt((D[..., None, :] @ D[..., :, None])[..., 0, 0])
+        return np.sqrt(_ordered_dot(D, D))
 
 
 # --------------------------------------------------------------------------
@@ -191,6 +198,7 @@ _UNATTAINABLE, _NOT_CONVERGED, _DEGENERATE, _UNCERTIFIED = 1, 2, 3, 4
 # coordinates is solved on Python floats (see the module docstring)
 _SCALAR_ROWS = 12
 _SCALAR_N = 7
+_MIX_SLICES = 64  # _mix adds one expert at a time from this many rows on
 
 
 def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
@@ -473,7 +481,7 @@ def _minimize_tilted(
     def objective(x: np.ndarray) -> float:
         if floor <= 0.0 and rule.domain_kind == "open" and x.min() <= 0.0:
             return np.inf
-        return _expected(rule, x) - float(np.dot(t, x))
+        return _expected(rule, x) - float(_ordered_dot(t, x))
 
     def gradient(x: np.ndarray) -> np.ndarray:
         return _gradient(rule, x) - t

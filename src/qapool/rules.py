@@ -75,7 +75,8 @@ class _Family:
     pooling._solve_shift solves per row: offsets a, exponents p and q, and
     a bracket [lo, hi] for the shift s with sum_j z_j^p = 1 (sum_j log
     z_j = 0 at p = 0), z = a + s, giving x_j ~ z_j^q.  A NaN upper end
-    marks a row that no forecast attains.
+    marks a row that no forecast attains.  ``float_inverse`` is the closed
+    form on one row of Python floats (None: unattainable), for learning.
     """
 
     G: Callable
@@ -86,6 +87,7 @@ class _Family:
     norm_bound: Callable | None = None  # sup of ||grad G||_2 over the simplex
     convex_exposure: Callable = lambda c: True  # at n > 2; all have it at n = 2
     closed_form: Callable | None = None
+    float_inverse: Callable | None = None
     shift: Callable | None = None
 
 
@@ -103,6 +105,18 @@ def _quadratic_inverse(T: np.ndarray, c) -> np.ndarray:
 def _log_inverse(T: np.ndarray, c) -> np.ndarray:
     X = T - np.maximum.reduce(T, axis=1, keepdims=True)
     return np.exp(X, out=X)
+
+
+def _quadratic_inverse_floats(t: list, c) -> list | None:
+    k = 1.0 / len(t)
+    x = [0.5 * v + k for v in t]
+    # 0.5 t_j + 1/n is never -0.0, so this clip is np.maximum's
+    return None if min(x) < -1e-12 else [0.0 if v < 0.0 else v for v in x]
+
+
+def _log_inverse_floats(t: list, c) -> list:
+    top = max(t)
+    return np.exp([v - top for v in t]).tolist()
 
 
 def _below_max(T: np.ndarray) -> np.ndarray:
@@ -159,12 +173,14 @@ _FAMILIES = {
         grad=lambda p, c: 2.0 * p,
         norm_bound=lambda c, n: 2.0,  # ||2p|| peaks at a vertex
         closed_form=_quadratic_inverse,
+        float_inverse=_quadratic_inverse_floats,
     ),
     "log": _Family(
         G=lambda p, c: (p * np.log(p)).sum(axis=-1),
         grad=lambda p, c: np.log(p) + 1.0,
         open_domain=True,
         closed_form=_log_inverse,
+        float_inverse=_log_inverse_floats,
     ),
     "neglog": _Family(
         G=lambda p, c: -np.log(p).sum(axis=-1),
@@ -470,12 +486,17 @@ def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         g = _gradient(rule, P)
         g -= g.sum(axis=-1, keepdims=True) / P.shape[-1]
-    if not np.isfinite(g).all():
+    return _finite(rule, g)
+
+
+def _finite(rule: RuleSpec, v, what: str = "exposure"):
+    """v, unless some value in it is not finite: then a DomainError."""
+    if not np.isfinite(v).all():
         raise DomainError(
             f"rule {rule.label}: a forecast lies too close to the simplex "
-            "boundary for its exposure to be finite"
+            f"boundary for its {what} to be finite"
         )
-    return g
+    return v
 
 
 def _score_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
@@ -490,7 +511,7 @@ def _score_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
 def _bregman_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     """D[a, b] = D(p_a || p_b) for the rows of a (k, n) forecast array;
     the diagonal is exactly 0."""
-    G, E = _expected(rule, P), _exposures(rule, P)
+    E, G = _exposures(rule, P), _expected(rule, P)  # E refuses an overflow first
     return G[:, None] - G[None, :] - np.einsum("bn,abn->ab", E, P[:, None] - P[None, :])
 
 
@@ -502,14 +523,19 @@ def expected_reward(rule: RuleSpec, forecast) -> float:
     """G(p): the expected score of a truthful expert who believes p."""
     p = as_forecast(forecast)
     _check_domain(rule, p.probs)
-    return float(_expected(rule, p.probs))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        G = _expected(rule, p.probs)
+    return float(_finite(rule, G, "expected reward"))
 
 
 def exposure(rule: RuleSpec, forecast) -> ExposureVector:
     """The gradient of G at p, canonicalized to the sum-zero hyperplane."""
     p = as_forecast(forecast)
     _check_domain(rule, p.probs)
-    return ExposureVector(_gradient(rule, p.probs))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        e = ExposureVector(_gradient(rule, p.probs))
+    _finite(rule, e.coords)
+    return e
 
 
 def score(rule: RuleSpec, forecast, j: int) -> float:

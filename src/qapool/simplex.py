@@ -16,10 +16,17 @@ and y_i + tau are the same IEEE double operations; and since tau is
 never -0.0, neither is y_i + tau, so clipping by comparison with 0.0
 gives np.maximum's result, sign of zero included.  Ties sort in either
 order at no cost, as equal values add to the same sums.  A non-finite
-input raises before any arithmetic warns, on either path.  The cut
+input raises before any arithmetic warns, on either path.  The online
+learner's float loop calls _project_floats on its own lists.  The cut
 sits where the two paths cost the same: on a 2-core x86-64 VM (numpy
 2.4, CPython 3.11) the numpy path takes 11-19 us at every size up to
 64, the scalar path 2-4 us at m = 5, 7-12 us at 32 and 12-20 us at 64.
+
+Sums of products that reach the output are _ordered_dot, not a BLAS dot
+or matmul, whose summation order OpenBLAS picks for the CPU at load
+time.  np.add.reduce sums in one order on every CPU: from the first
+term along any axis but the last; along the last, in order below eight
+terms and pairwise from eight (numpy's pairwise_sum).
 
 The sampler draws Dirichlet(1, ..., 1) as n i.i.d. Exp(1) variates
 divided by their sum (Devroye, *Non-Uniform Random Variate Generation*,
@@ -66,13 +73,19 @@ def canonicalize(v: np.ndarray) -> np.ndarray:
     return v - v.sum() / v.size
 
 
+def _ordered_dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over ``axis`` of the products a * b (broadcast), in numpy's
+    fixed reduction order rather than a BLAS kernel's (module docstring)."""
+    return np.add.reduce(a * b, axis=axis)
+
+
 def project_simplex(y: np.ndarray) -> np.ndarray:
     """Euclidean projection of ``y`` onto {x >= 0, sum x = 1}."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a one-dimensional vector")
     if y.size <= SCALAR_MAX:
-        return _project_small(y)
+        return np.array(_project_floats(y.tolist()))
     if not np.isfinite(y).all():
         raise _unprojectable(y)
     u = np.sort(y)[::-1]
@@ -87,10 +100,9 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y + tau, 0.0)
 
 
-def _project_small(y: np.ndarray) -> np.ndarray:
-    """project_simplex on Python floats: the same sort, running sum,
-    threshold test, tau and clip, operation for operation."""
-    v = y.tolist()
+def _project_floats(v: list) -> list:
+    """project_simplex on a list of Python floats: the same sort, running
+    sum, threshold test, tau and clip, operation for operation."""
     css, tau = -0.0, None  # -0.0 + x is x: css runs as cumsum runs
     for k, u_k in enumerate(sorted(v, reverse=True), 1):
         css += u_k
@@ -99,9 +111,9 @@ def _project_small(y: np.ndarray) -> np.ndarray:
             tau = t  # the last passing k wins, as in the numpy path
     # a sum of finite values is finite unless it overflows
     if tau is None or not math.isfinite(css) and not all(map(math.isfinite, v)):
-        raise _unprojectable(y)
+        raise _unprojectable(np.array(v))
     # y_i + tau is never -0.0 (tau is not), so this clip is np.maximum's
-    return np.array([x + tau if x + tau > 0.0 else 0.0 for x in v])
+    return [x + tau if x + tau > 0.0 else 0.0 for x in v]
 
 
 def _unprojectable(y: np.ndarray) -> ValueError:

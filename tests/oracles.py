@@ -375,7 +375,8 @@ def reference_pools(rule, E: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pools of the (k, m, n) exposure rows E under the (m,) weights w."""
     from qapool.pooling import _solve_shift
 
-    T = w @ E
+    # sums of products in numpy's fixed order, not a BLAS kernel's
+    T = (w[:, None] * E).sum(axis=1)
     T -= T.sum(axis=1, keepdims=True) / T.shape[1]
     if rule.family == "quadratic":
         X = 0.5 * T + 1.0 / T.shape[1]
@@ -398,7 +399,7 @@ def reference_step(rule, E_t: np.ndarray, j: int, w: np.ndarray):
     x = reference_pools(rule, E_t[None], w)[0]
     d = x.copy()
     d[j] -= 1.0
-    g = E_t @ d
+    g = (E_t * d).sum(axis=1)
     return x, g - g.sum() / g.size
 
 

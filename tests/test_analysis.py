@@ -1,6 +1,8 @@
 """Max-min optimality, axiom suite, and exposure probes."""
 
 import math
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -231,8 +233,10 @@ class TestCyclicalMonotonicity:
         rng = np.random.default_rng(n)
         cycles = [_distinct_points(rng, n, rule, int(k)) for k in rng.integers(2, 6, size=40)]
         assert {len(c) for c in cycles} == {2, 3, 4, 5}
+        # each term's products summed by numpy, not by a BLAS dot, and the
+        # terms added in cycle order (reduce: Python >= 3.12's sum compensates)
         want = [
-            sum(float(np.dot(e, d)) for e, d in zip(_exposures(rule, P), P - np.roll(P, 1, axis=0)))
+            reduce(add, [float((e * d).sum()) for e, d in zip(_exposures(rule, P), P - np.roll(P, 1, axis=0))])
             for P in cycles
         ]
         assert _cycle_sums(rule, cycles).tolist() == want
@@ -435,9 +439,10 @@ def reference_axiom_suite(rule, n, samples, seed):
                 cand = sample_forecast(rng, n, rule).probs
                 if all(np.linalg.norm(cand - p) >= 1e-3 for p in pts):
                     pts.append(cand)
-            worst = min(worst, sum(
-                np.dot(exposure(rule, pts[i]).coords, pts[i] - pts[i - 1]) for i in range(k)
-            ))
+            # products summed by numpy, not a BLAS dot; terms added in order
+            worst = min(worst, reduce(add, [
+                (exposure(rule, pts[i]).coords * (pts[i] - pts[i - 1])).sum() for i in range(k)
+            ]))
         out["cyclical_monotonicity"] = (worst > 1e-12, worst)
     return out
 

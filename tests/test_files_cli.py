@@ -606,20 +606,23 @@ class TestCmdLearn:
         assert first == second
         assert json.loads(first)["seed"] == 123
 
-    # sha256 of stdout, recorded before the stream moved to array transport;
-    # a speed-up of `learn` must leave these bytes alone
+    # sha256 of stdout, recorded before the stream moved to array transport
+    # and re-recorded once when every sum of products left BLAS (so that no
+    # pin depends on the CPU's OpenBLAS kernel); a speed-up of `learn` must
+    # leave these bytes alone
     PINNED = {
-        ("quadratic",): "eef35ede10fdb2e8762ba275f11ebba128a403f36a8cc0bb7ab1ae45c31bd0f8",
+        ("quadratic",): "aa451769e4fe16beb693c813a1e8622c8580f2a975444f6aca7287f5631f15c6",
         ("log", "--M", "4", "--floor", "0.05"):
-            "3f9f4cec5400b1e91d6adeb1409b83711d4ec042815f5bf49136dd944dab71be",
+            "8db44e26049877d3775cd5194e64b95e2baae4e6770d8c3d19d713ec2debccb9",
     }
 
     # sha256 of the --emit-curve CSV of the same commands, recorded before
-    # the curve was written from regret_curve() and bound_curve()
+    # the curve was written from regret_curve() and bound_curve(), and
+    # re-recorded once when the sums left BLAS
     PINNED_CURVE = {
-        ("quadratic",): "0bde6fe2b50c0d14be3a684886963de13683058497eaa61c17e64a50e993032c",
+        ("quadratic",): "9931e19c0de351801b5d82cd3dbb94bc2e061397e2ef3b91a4beaeb84cade279",
         ("log", "--M", "4", "--floor", "0.05"):
-            "e2078c4d8694c1e66a823cc7176b0635a1669462e6dd010bc600270f8b65dcc9",
+            "afdec33930db23be996121235cc7bb0a88cad9dbf4c1531bb4a8b1185d4cb92c",
     }
 
     @staticmethod
@@ -640,17 +643,18 @@ class TestCmdLearn:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
 
     # sha256 of stdout under the five root-find families, recorded before
-    # the shift solve got its Python-float path; each open family's --M is
-    # perfbench's exposure_bound(family, 3, 0.05)
+    # the shift solve got its Python-float path and re-recorded once when
+    # the sums left BLAS; each open family's --M is perfbench's
+    # exposure_bound(family, 3, 0.05)
     PINNED_ROOT_FIND = {
-        ("spherical:2",): "520caddc922ba2475577b82d5b6706fcd570873653c890abcddc0769a08b62e7",
-        ("tsallis:1.5",): "8980cf24e09cc6c86e6699d9755d90fc4edc905782ba6dee2f4541357b6de8c1",
+        ("spherical:2",): "11cb8eccc3b1a7303b78461d6ce22553f1a1a98df0007aac71ebb71a623a8fb3",
+        ("tsallis:1.5",): "b13bf4b88a01663e31808f9c33faabc73ec09e9d05f549f2512d3356224c9338",
         ("power:0.5", "--M", "4.1533119314590365", "--floor", "0.05"):
-            "68a328d28a5a11a4b54d21d1b7f58ed433c5a44a5c669a25a3fb8dcc83f52474",
+            "b365f058ca1bc0c07ef5cfce9e704607915413245c059482483faef311349b73",
         ("neglog", "--M", "39.83716857408417", "--floor", "0.05"):
-            "017006efc0645e22cc858496c712ed3b96a13bf47d1a56af532d4aaaf2347d5d",
+            "d8281b7622240ec9f790558f1ffa39f382e688e9f4c4385bbebf6d231ad8eedd",
         ("hs", "--M", "4.42635206378713", "--floor", "0.05"):
-            "d5a20c82666861b12ee7fbade0c1b5042d37207554f33c18faa51bb952005026",
+            "82a630637489eaaaa6bf44c9dc594365c514ca0dcc5cb8bbc07a7e912509885f",
     }
 
     @pytest.mark.parametrize("args", sorted(PINNED_ROOT_FIND), ids=lambda a: a[0])
@@ -670,58 +674,59 @@ class TestCmdLearn:
 
 
 class TestOutputPins:
-    # sha256 of stdout, recorded before pooling's input path and exposure
+    # sha256 of stdout (the moved ones re-recorded once when every sum of
+    # products left BLAS), recorded before pooling's input path and exposure
     # average were merged; a refactor of pool, score, bregman, audit or
     # probe-exposure must leave these bytes alone
     PINNED = {
         ("pool", "quadratic"):
-            "2bec22d0f1249ccb231c80271eccacc3b928ae7f2c9545ce70e08c33008f9b36",
+            "18043ebfa92e7e665ed25cae17bd5bac8334518828605c13c40c513db020d568",
         ("pool", "hs"):
-            "16679d561fcd60e87af4126c3da9a3a637a9701862ff95cd7bc9a531213fcc1c",
+            "f6bb20f3c13803a7d11941f0ad17d0849d61da571a28fc90501d810a01ceaed4",
         ("pool", "neglog", "--generalized", "--floor", "1e-4"):
-            "cd6bafbd2f80a0042c3009be4a94c1f96b96dd94610344f0b79ece7b543d2cee",
+            "7c1ff093b6cd1383b62db4b73120b103690c087b7342226917228d6a1ac07ed2",
         ("pool", "power:0.5", "--weights", "0,1.25,0,0.5,2,0,0.75,1,3"):
-            "34755b87fdd43bd3c72f825eec874fd95302e7259e7dfcf174ead31faa0bbd23",
+            "a951855f166ceba2e1f691fea173ac6318a3795323582189930d625804f21cfb",
         ("score", "spherical:2"):
             "684059e3088c16030004c82d5fb30ae4d2725ab00403e8976808ccb0e7fd9b73",
         ("bregman", "tsallis:1.5"):
             "78a5aabb0ad50a66e44d05cbb4fa0f5eb9bdf392b47c37c6cd9aaad5f93faf2a",
         ("audit", "hs", "--n", "3", "--samples", "40"):
-            "ef99c531bbd0c5c7fd71aa1e15c1941dfeb3977b30ac2843b405ff662b6f48f0",
+            "5f0bce55cb54061460dc22f209f0f4f4aadfb5d86b1bf3b8ee50508d6a044867",
         ("probe-exposure", "tsallis:3", "--n", "3", "--samples", "200"):
             "1634a058df3b10bd39d42bc9b61db2178bf88168257139bc180174e31272e121",
         # recorded before the samplers drew in blocks: cycles at n=50 on the
         # open-domain shell, monotonicity pairs at n=2, and an hs probe
         ("audit", "log", "--n", "50", "--samples", "20"):
-            "74b89004f17ef3e6bec99772bd70900248798235a40ff4a5b126ff97ce3ea053",
+            "5f789594e7d595d1035ced8edf83225b6a23b20cab32354b2df81dd8a4dc1919",
         ("audit", "quadratic", "--n", "2", "--samples", "20"):
-            "83dc4563ffbac6c517c2b9728de148de516cd7ec36ece64ca5ecd7cc98845f15",
+            "39b246957c8f12e8c6a7df5ddcbd63b23dcf7692af1516b0782739ece91b9a56",
         ("probe-exposure", "hs", "--n", "3", "--samples", "200"):
             "f7ddce0996744e09958705166bb4f2a2f0a03faf8b1ba413b6b3f6bc1551f3c0",
         # recorded before the axiom suite's checks were pooled in two
         # batches and the draws transformed in bulk: the root-find families
         ("audit", "neglog", "--n", "3", "--samples", "20"):
-            "5756d593026dde6db0e595a2ebc8a93e534e441cb176b195afd4f6b8a9ea8a51",
+            "949568c7555d4cc1f5211053db681c910ac0e65961ca08f4ab12392f5aef9857",
         ("audit", "power:0.5", "--n", "3", "--samples", "20"):
-            "ccd3dabc41d074c5c2b3957cfb642f60780510367d4a1deaccaf4d102cd09680",
+            "0d77bbbfbc735a8719606bc359a2f3a27b0bc38edafd735231e85d69ff7dd311",
         ("audit", "spherical:2", "--n", "3", "--samples", "20"):
-            "7f95d5034cfd89ebae5b15e54a3cd726c3fbf74ae686e2ffc39d095dde5d2940",
+            "525c850ccf65f7b1cd2b6059035b490e7110572da98b441d9d034bdf92a1acfe",
         ("audit", "tsallis:1.5", "--n", "3", "--samples", "20"):
-            "4a077a56700798d5e775d2250c5d1532cc8c5cbc26daaeccff92d13afa6ba4e9",
+            "cca6708818721393a18d939e5d0bf4cbaf88036a998fe7ffbdb40cb0be4ececc",
         ("probe-exposure", "spherical:2", "--n", "3", "--samples", "50"):
             "c8285d8bab85cf4d435f835f188aaee6ff29e5ffc0513d3af2318e430771ad42",
     }
 
     # sha256 of the `pool RULE FILE --out OUT` file, recorded before forecast
-    # files were loaded as arrays; the written pool is result.pooled bit for bit
+    # files were loaded as arrays and re-recorded once when the sums left
+    # BLAS; the written pool is result.pooled bit for bit
     PINNED_OUT = {
-        "quadratic": "7efa8bda715f81e1bd15612e34ffcd80509b532b13c91ce393966937680fe346",
-        "hs": "8facf21955eb7573b922407ea58660e15da97a3fe4ca2acb2c3798ba42a937a1",
+        "quadratic": "07dc581f10bbebfa84e9afba8d34eb0d4b709051ca8277afd683c63e27034d19",
+        "hs": "6fc81f208cb77e2d7f230b4da19a7050172b976a253cacdb082fc92216c792e2",
     }
 
-    @pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
-    def test_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
-        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+    @staticmethod
+    def pinned_experts(tmp_path):
         rng = np.random.default_rng(20261018)
         experts = [
             {"id": f"x{i}", "probs": p, "weight": w}
@@ -734,27 +739,95 @@ class TestOutputPins:
         ]
         path = tmp_path / "experts.json"
         path.write_text(json.dumps({"n": 4, "experts": experts}))
+        return str(path)
+
+    @staticmethod
+    def pinned_argv(args, path):
         argv = list(args)
         if args[0] in ("pool", "score", "bregman"):
-            argv.insert(2, str(path))
-        assert main(argv) == 0
+            argv.insert(2, path)
+        return argv
+
+    @pytest.mark.parametrize("args", sorted(PINNED), ids=" ".join)
+    def test_output_bytes_are_pinned(self, tmp_path, args, capsys, monkeypatch):
+        monkeypatch.delenv("QAPOOL_SEED", raising=False)
+        assert main(self.pinned_argv(args, self.pinned_experts(tmp_path))) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
 
     @pytest.mark.parametrize("rule", sorted(PINNED_OUT))
     def test_out_file_bytes_are_pinned(self, tmp_path, rule, capsys):
         # the input of test_output_bytes_are_pinned
-        rng = np.random.default_rng(20261018)
-        P = rng.dirichlet(np.ones(4), size=9).tolist()
-        W = rng.uniform(0.2, 2.0, size=9).tolist()
-        experts = [{"id": f"x{i}", "probs": p, "weight": w} for i, (p, w) in enumerate(zip(P, W))]
-        path = tmp_path / "experts.json"
-        path.write_text(json.dumps({"n": 4, "experts": experts}))
+        path = self.pinned_experts(tmp_path)
         out = tmp_path / "pooled.json"
-        assert main(["pool", rule, str(path), "--out", str(out)]) == 0
+        assert main(["pool", rule, path, "--out", str(out)]) == 0
         pooled = json.loads(capsys.readouterr().out)["pooled"]
         assert json.loads(out.read_text())["experts"][0]["probs"] == pooled
         assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_OUT[rule]
+
+
+# runs (argv, written file or None) pairs read as JSON from stdin through
+# the CLI in-process; prints each exit code and the sha256 of the file or
+# of stdout
+PIN_CHILD = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from qapool.cli import main
+for argv, written in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    data = Path(written).read_bytes() if written else out.getvalue().encode()
+    print(code, hashlib.sha256(data).hexdigest())
+"""
+
+
+class TestPinsAcrossOpenBlasCores:
+    def test_every_core_prints_the_pinned_bytes(self, tmp_path):
+        # every pin of TestCmdLearn and TestOutputPins, in one child process
+        # per OpenBLAS kernel choice: no pinned byte may depend on the order
+        # in which the CPU's BLAS kernel sums
+        stream = TestCmdLearn.pinned_stream(tmp_path)
+        experts = TestOutputPins.pinned_experts(tmp_path)
+        jobs, pins = [], []
+        for table in (TestCmdLearn.PINNED, TestCmdLearn.PINNED_ROOT_FIND):
+            for args, sha in table.items():
+                jobs.append((["learn", args[0], stream, *args[1:]], None))
+                pins.append(sha)
+        for args, sha in TestCmdLearn.PINNED_CURVE.items():
+            jobs.append((["learn", args[0], stream, *args[1:], "--emit-curve", "curve.csv"], "curve.csv"))
+            pins.append(sha)
+        for args, sha in TestOutputPins.PINNED.items():
+            jobs.append((TestOutputPins.pinned_argv(args, experts), None))
+            pins.append(sha)
+        for rule, sha in TestOutputPins.PINNED_OUT.items():
+            jobs.append((["pool", rule, experts, "--out", "pooled.json"], "pooled.json"))
+            pins.append(sha)
+        try:
+            from numpy._core._multiarray_umath import __cpu_features__ as cpu
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_features__ as cpu
+
+        # Haswell's kernels need AVX2 and FMA; forcing them elsewhere would crash
+        haswell = cpu.get("AVX2") and cpu.get("FMA3")
+        cores = [None, "Prescott"] + (["Haswell"] if haswell else [])
+        children = []
+        for core in cores:
+            env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "QAPOOL_SEED")}
+            env["PYTHONPATH"] = str(Path(qapool.__file__).parents[1])
+            if core is not None:
+                env["OPENBLAS_CORETYPE"] = core
+            workdir = tmp_path / str(core)
+            workdir.mkdir()
+            child = subprocess.Popen(
+                [sys.executable, "-c", PIN_CHILD], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE, text=True, env=env, cwd=workdir,
+            )
+            children.append((core, child))
+        done = [(core, child, *child.communicate(json.dumps(jobs), timeout=120)) for core, child in children]
+        for core, child, out, err in done:
+            assert child.returncode == 0, err
+            assert out.splitlines() == [f"0 {sha}" for sha in pins], core
 
 
 class TestParserReuse:

@@ -21,8 +21,9 @@ from qapool import (
 )
 from qapool import learning
 from qapool.files import StreamFile
-from qapool.learning import _losses, _normalize_stream
-from qapool.pooling import _invert_rows, _mix
+from qapool.errors import ExposureRangeError
+from qapool.learning import _float_steps, _float_sum, _losses, _normalize_stream, _step
+from qapool.pooling import _SCALAR_N, _invert_rows, _mix
 from qapool.rules import Forecast, _exposures, _score_matrix
 from qapool.simplex import SCALAR_MAX
 
@@ -472,7 +473,9 @@ class TestOutcomeRange:
 class TestBitForBitReference:
     """ogd_run, weight_score and loss_gradient against the per-step loop
     and numpy projection of oracles.reference_ogd, bit for bit: the
-    scalar projection and the trimmed one-row path keep every operation."""
+    scalar projection, the trimmed one-row path and the float loop keep
+    every operation.  The sizes sit on both sides of the float loop's
+    cuts, m <= SCALAR_MAX and n <= _SCALAR_N."""
 
     # (rule, M, forecast floor): open-domain rules need both M and a floor
     CONFIGS = [
@@ -483,8 +486,8 @@ class TestBitForBitReference:
         (RuleSpec.hs(), 10.0, 0.01),
     ]
 
-    @pytest.mark.parametrize("m", [1, 5, 2 * SCALAR_MAX])
-    @pytest.mark.parametrize("n", [2, 3, 50])
+    @pytest.mark.parametrize("m", [1, 5, SCALAR_MAX, SCALAR_MAX + 1, 2 * SCALAR_MAX])
+    @pytest.mark.parametrize("n", [2, 3, _SCALAR_N, _SCALAR_N + 1, 50])
     @pytest.mark.parametrize(
         "rule, M, floor", CONFIGS, ids=[f"{r.label}-floor={f}" for r, _, f in CONFIGS]
     )
@@ -506,3 +509,42 @@ class TestBitForBitReference:
             fs = [Forecast._trusted(p) for p in P[t]]
             assert weight_score(rule, fs, Wt[t], j) == _score_matrix(rule, x[None])[0, j - 1]
             assert loss_gradient(rule, fs, Wt[t], j).tobytes() == g.tobytes()
+
+    def check_long_stream(self, rule, M, floor, m, n, T, seed):
+        rng = np.random.default_rng(seed)
+        sf = StreamFile(rng.dirichlet(np.ones(n), size=(T, m)), rng.integers(1, n + 1, size=T))
+        rep = ogd_run(LearningConfig(rule=rule, m=m, M=M, forecast_floor=floor), sf)
+        P, J = _normalize_stream(sf, floor)
+        X, _, Wt, losses, final, _ = reference_ogd(rule, P, J, rep.exposure_bound)
+        assert rep.per_step_loss.tobytes() == losses.tobytes()
+        assert rep.final_weights.weights.tobytes() == WeightVector(final).weights.tobytes()
+        return Wt
+
+    def test_long_quadratic_stream(self):
+        # m = 9 takes the float loop's pairwise mean of the gradient
+        self.check_long_stream(QUAD, None, None, 9, 3, 500, 16)
+
+    def test_log_stream_whose_projection_zeroes_a_weight(self):
+        # a small M takes long steps, which push weights onto the boundary
+        Wt = self.check_long_stream(RuleSpec.logarithmic(), 0.5, 0.01, 5, 3, 200, 17)
+        assert np.count_nonzero(Wt[1:] == 0.0)
+
+    def test_float_inverse_raises_the_numpy_steps_error(self):
+        # exposures no forecast has: their average lies outside the
+        # quadratic rule's range, which _step and the float loop refuse alike
+        E = np.array([[[-3.0, 1.5, 1.5], [1.0, -0.5, -0.5]]])
+        w = np.array([0.5, 0.5])
+        with pytest.raises(ExposureRangeError) as numpy_step:
+            _step(QUAD, E[0], 0, w)
+        with pytest.raises(ExposureRangeError) as float_loop:
+            _float_steps(QUAD, E, np.array([0]), np.array([0.1]), w.tolist())
+        assert str(float_loop.value) == str(numpy_step.value)
+        assert "outside the quadratic rule's range" in str(numpy_step.value)
+
+    def test_float_sum_is_numpys_reduction(self):
+        rng = np.random.default_rng(18)
+        for size in range(1, 2 * SCALAR_MAX + 1):
+            for _ in range(20):
+                v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+                assert _float_sum(v.tolist()) == np.add.reduce(v), size
+

@@ -1,6 +1,8 @@
 """Pooling: defining identity, classical correspondences, inversion paths."""
 
 import warnings
+from functools import reduce
+from operator import add
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from qapool.pooling import (
     _ROOT_XTOL,
     _SCALAR_N,
     _SCALAR_ROWS,
+    _MIX_SLICES,
     _UNATTAINABLE,
     BREGMAN_MIN,
     CLOSED_FORM,
@@ -35,6 +38,7 @@ from qapool.pooling import (
     _certified_inverse,
     _inverse_rows,
     _invert_rows,
+    _mix,
     _pool_rows,
     _solve_shift,
     _solve_shift_small,
@@ -604,6 +608,26 @@ class TestRowKernel:
             a, p, _, lo, hi = rule._impl.shift(kernel_targets(rng, rule, n, max(k, 2))[:k], None)
             _solve_shift(a, p, lo, hi)
         assert shapes == [(_SCALAR_ROWS, _SCALAR_N), (1, 2)]
+
+
+class TestOrderedMix:
+    """_mix's two forms add the same products in the same order, so a row
+    mixed in a large batch has the bits it has alone, and those are the
+    bits of the products added in expert order on Python floats."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 48, 96])
+    @pytest.mark.parametrize("n", [2, 3, 8, 50])
+    def test_batched_rows_match_single_rows(self, m, n):
+        rng = np.random.default_rng([m, n])
+        E = rng.standard_normal((_MIX_SLICES + 3, m, n)) * 10.0 ** rng.integers(-4, 4, (1, m, n))
+        w = rng.dirichlet(np.ones(m))
+        W = rng.dirichlet(np.ones(m), size=E.shape[0])
+        many, rows = _mix(E, w), np.vstack([_mix(E[i : i + 1], w) for i in range(E.shape[0])])
+        assert many.tobytes() == rows.tobytes()
+        many, rows = _mix(E, W), np.vstack([_mix(E[i : i + 1], W[i : i + 1]) for i in range(E.shape[0])])
+        assert many.tobytes() == rows.tobytes()
+        t = [reduce(add, [float(w[i]) * E[0, i, j] for i in range(m)]) for j in range(n)]
+        assert _mix(E[:1], w)[0].tobytes() == (np.array(t) - np.add.reduce(t) / n).tobytes()
 
 
 class TestRowFailures:

@@ -110,6 +110,11 @@ class TestExpectedReward:
         with pytest.raises(DomainError):
             expected_reward(rule, [1.0, 0.0])
 
+    def test_overflowing_reward_is_a_domain_error(self):
+        # sum p^-3 overflows at 1e-200: one error, no numpy warning, no inf
+        with pytest.raises(DomainError, match="expected reward to be finite"):
+            expected_reward(RuleSpec.power(-3.0), [1e-200, 0.5, 0.5])
+
     def test_closed_domain_accepts_boundary(self):
         assert expected_reward(RuleSpec.quadratic(), [1.0, 0.0]) == pytest.approx(1.0)
         assert expected_reward(RuleSpec.spherical(2), [1.0, 0.0]) == pytest.approx(1.0)
@@ -127,6 +132,12 @@ class TestExposure:
     def test_spherical_vertex(self):
         e = exposure(RuleSpec.spherical(2), [1.0, 0.0])
         assert np.allclose(e.coords, [0.5, -0.5])
+
+    def test_overflowing_exposure_is_a_domain_error(self):
+        # -1/p^2 overflows at 1e-200, as in _exposures: one error, no
+        # numpy warning, no NaN coordinates
+        with pytest.raises(DomainError, match="exposure to be finite"):
+            exposure(RuleSpec.power(-1.0), [1e-200, 0.5, 0.5])
 
     def test_canonicalization_sums_to_zero(self, rng):
         for rule in CONVEX_RULES:

@@ -80,6 +80,12 @@ def test_output_digest():
     assert run_script("output_digest.py", *args) == out
 
 
+def test_output_digest_across_openblas_cores():
+    # nothing differs, so nothing is printed and the script exits 0
+    args = ("--seeds", "1", "--workloads", "cli_mix", "--openblas-cores", "Prescott")
+    assert run_script("output_digest.py", *args) == ""
+
+
 def test_readme_quick_start(tmp_path, monkeypatch):
     text = (Path(__file__).parents[1] / "README.md").read_text()
     block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
