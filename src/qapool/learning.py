@@ -13,16 +13,14 @@ after each step, beside regret_curve.
 The online steps cannot be batched, since each weight vector depends on
 the one before it, so each step is made cheap instead.  _step is one
 row through pooling's shared mix and inversion path.  For a closed-form
-family (quadratic, log) with m <= simplex.SCALAR_MAX and n <=
-pooling._SCALAR_N, where a numpy call costs more than the arithmetic,
-_float_steps runs the whole loop on lists, one step of E at a time: mix,
-centring, the family's float_inverse (one np.exp call per step for
-log), row-sum check, gradient and projection, in _step's order, so the
-pools and weights are bit for bit the numpy loop's.  That needs sums
-without BLAS, whose order the CPU's kernel picks: _step sums with
-np.add.reduce, whose order is fixed (in order below eight terms, as in
-the mix and each gradient entry; pairwise from eight, which _float_sum
-copies for the gradient's mean over m).
+family (quadratic, log) with m and n at most _FLOAT_MAX, where a numpy
+call costs more than the arithmetic, _float_steps runs the whole loop on
+lists, one step of E at a time: mix, centring, the family's
+float_inverse (one np.exp call per step for log), row-sum check,
+gradient and projection, in _step's order, so the pools and weights are
+bit for bit the numpy loop's.  That needs sums without BLAS, whose order
+the CPU's kernel picks: _step sums with np.add.reduce, which adds fewer
+than eight terms in order, as the float loop does.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses reuse the pools at its answer.
@@ -40,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .files import StreamFile, _stack_steps
 from .optim import projected_gradient
-from .pooling import _SCALAR_N, _invert_rows, _mix
+from .pooling import _invert_rows, _mix
 from .rules import (
     Forecast,
     RuleSpec,
@@ -54,7 +52,7 @@ from .rules import (
     _simplex_rows,
 )
 from .simplex import (
-    SCALAR_MAX, _ordered_dot, _project_floats, canonicalize, project_simplex, uniform_point,
+    _ordered_dot, _project_floats, canonicalize, project_simplex, uniform_point,
 )
 
 __all__ = [
@@ -224,26 +222,21 @@ def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
     return x, g
 
 
-def _float_sum(v: list) -> float:
-    """np.add.reduce of at most 128 floats in numpy's order: in order below
-    eight terms; from eight, eight interleaved running sums added
-    pairwise, then the terms left over, in order."""
-    # the float paths add with reduce(add, ...), in order from the first
-    # term: Python >= 3.12's sum() compensates, and pyproject allows 3.10
-    if len(v) < 8:
-        return reduce(add, v)
-    full = len(v) - len(v) % 8
-    r = [reduce(add, v[k:full:8]) for k in range(8)]
-    return reduce(add, v[full:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+# the float loop's largest m and n: np.add.reduce sums fewer than eight
+# terms in order, as the float loop's sums do
+_FLOAT_MAX = 7
 
 
 def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray, w: list):
     """ogd_run's loop on Python floats (module docstring), converting E one
-    step at a time: each step's pool and the final weights.  A target the
+    step at a time: the (T, n) pools and the final weights.  A target the
     float inverse refuses goes to _step, which raises its error."""
+    # the sums add with reduce(add, ...), in order from the first term:
+    # Python >= 3.12's sum() compensates, and pyproject allows 3.10
     inverse, c = rule._impl.float_inverse, rule.param
-    X = []
-    for E_t, rows, j, eta in zip(E, map(np.ndarray.tolist, E), J.tolist(), etas.tolist()):
+    X = np.empty((E.shape[0], E.shape[2]))
+    steps = zip(E, map(np.ndarray.tolist, E), J.tolist(), etas.tolist())
+    for k, (E_t, rows, j, eta) in enumerate(steps):
         t = [reduce(add, map(mul, w, col)) for col in zip(*rows)]  # _mix
         mean = reduce(add, t) / len(t)
         x = inverse([v - mean for v in t], c)
@@ -253,11 +246,11 @@ def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray,
             d = x.copy()
             d[j] -= 1.0
             g = [reduce(add, map(mul, row, d)) for row in rows]
-            mean = _float_sum(g) / len(g)
+            mean = reduce(add, g) / len(g)
             g = [v - mean for v in g]
         else:
             x, g = (a.tolist() for a in _step(rule, E_t, j, np.array(w)))
-        X.append(x)
+        X[k] = x
         w = _project_floats([a - eta * b for a, b in zip(w, g)])
     return X, w
 
@@ -380,8 +373,9 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
     observed = float(np.linalg.norm(E, axis=2).max())
     w = uniform_point(m)
     # the losses do not feed back into the weights: score all pools at once
-    if rule._impl.float_inverse is not None and m <= SCALAR_MAX and n <= _SCALAR_N:
-        X, w = map(np.array, _float_steps(rule, E, J, etas, w.tolist()))
+    if rule._impl.float_inverse is not None and max(m, n) <= _FLOAT_MAX:
+        X, w = _float_steps(rule, E, J, etas, w.tolist())
+        w = np.array(w)
     else:
         X = np.empty((T, n))
         for t, eta in enumerate(etas.tolist()):

@@ -22,8 +22,8 @@ from qapool import (
 from qapool import learning
 from qapool.files import StreamFile
 from qapool.errors import ExposureRangeError
-from qapool.learning import _float_steps, _float_sum, _losses, _normalize_stream, _step
-from qapool.pooling import _SCALAR_N, _invert_rows, _mix
+from qapool.learning import _FLOAT_MAX, _float_steps, _losses, _normalize_stream, _step
+from qapool.pooling import _invert_rows, _mix
 from qapool.rules import Forecast, _exposures, _score_matrix
 from qapool.simplex import SCALAR_MAX
 
@@ -475,7 +475,8 @@ class TestBitForBitReference:
     and numpy projection of oracles.reference_ogd, bit for bit: the
     scalar projection, the trimmed one-row path and the float loop keep
     every operation.  The sizes sit on both sides of the float loop's
-    cuts, m <= SCALAR_MAX and n <= _SCALAR_N."""
+    cut, m and n <= _FLOAT_MAX, and of the scalar projection's,
+    m <= SCALAR_MAX."""
 
     # (rule, M, forecast floor): open-domain rules need both M and a floor
     CONFIGS = [
@@ -486,8 +487,10 @@ class TestBitForBitReference:
         (RuleSpec.hs(), 10.0, 0.01),
     ]
 
-    @pytest.mark.parametrize("m", [1, 5, SCALAR_MAX, SCALAR_MAX + 1, 2 * SCALAR_MAX])
-    @pytest.mark.parametrize("n", [2, 3, _SCALAR_N, _SCALAR_N + 1, 50])
+    @pytest.mark.parametrize(
+        "m", [1, 5, _FLOAT_MAX, _FLOAT_MAX + 1, SCALAR_MAX, SCALAR_MAX + 1, 2 * SCALAR_MAX]
+    )
+    @pytest.mark.parametrize("n", [2, 3, _FLOAT_MAX, _FLOAT_MAX + 1, 50])
     @pytest.mark.parametrize(
         "rule, M, floor", CONFIGS, ids=[f"{r.label}-floor={f}" for r, _, f in CONFIGS]
     )
@@ -521,8 +524,8 @@ class TestBitForBitReference:
         return Wt
 
     def test_long_quadratic_stream(self):
-        # m = 9 takes the float loop's pairwise mean of the gradient
-        self.check_long_stream(QUAD, None, None, 9, 3, 500, 16)
+        # the float loop's largest m, over many steps
+        self.check_long_stream(QUAD, None, None, _FLOAT_MAX, 3, 500, 16)
 
     def test_log_stream_whose_projection_zeroes_a_weight(self):
         # a small M takes long steps, which push weights onto the boundary
@@ -540,11 +543,4 @@ class TestBitForBitReference:
             _float_steps(QUAD, E, np.array([0]), np.array([0.1]), w.tolist())
         assert str(float_loop.value) == str(numpy_step.value)
         assert "outside the quadratic rule's range" in str(numpy_step.value)
-
-    def test_float_sum_is_numpys_reduction(self):
-        rng = np.random.default_rng(18)
-        for size in range(1, 2 * SCALAR_MAX + 1):
-            for _ in range(20):
-                v = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
-                assert _float_sum(v.tolist()) == np.add.reduce(v), size
 
