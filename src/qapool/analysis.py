@@ -412,7 +412,8 @@ def _cycle_sums(rule: RuleSpec, cycles: list[np.ndarray]) -> np.ndarray:
     """
     totals = np.empty(len(cycles))
     lengths = np.array([len(c) for c in cycles])
-    for k in np.unique(lengths):
+    # a set, not np.unique, whose first call imports numpy.ma
+    for k in sorted(set(lengths.tolist())):
         at = np.flatnonzero(lengths == k)
         P = np.stack([cycles[i] for i in at])
         steps = P - np.roll(P, 1, axis=1)  # p_i - p_(i-1), cyclically

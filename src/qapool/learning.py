@@ -12,15 +12,14 @@ after each step, beside regret_curve.
 
 The online steps cannot be batched, since each weight vector depends on
 the one before it, so each step is made cheap instead.  _step is one
-row through pooling's shared mix and inversion path.  For a closed-form
-family (quadratic, log) with m and n at most _FLOAT_MAX, where a numpy
-call costs more than the arithmetic, _float_steps runs the whole loop on
-lists, one step of E at a time: mix, centring, the family's
-float_inverse (one np.exp call per step for log), row-sum check,
-gradient and projection, in _step's order, so the pools and weights are
-bit for bit the numpy loop's.  That needs sums without BLAS, whose order
-the CPU's kernel picks: _step sums with np.add.reduce, which adds fewer
-than eight terms in order, as the float loop does.
+row through pooling's shared mix and inversion path.  With m and n at
+most simplex._ORDERED_MAX, where numpy sums a row in order and a numpy
+call costs more than the arithmetic, _float_steps runs the whole loop
+on lists, one step of E at a time: mix, centring, inversion, row-sum
+check, gradient and projection, in _step's order, so the pools and
+weights are bit for bit the numpy loop's.  It inverts with the family's
+float_inverse where it has one (quadratic and log; one np.exp call per
+step for log), and passes its one row to pooling._invert_rows otherwise.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses reuse the pools at its answer.
@@ -38,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .files import StreamFile, _stack_steps
 from .optim import projected_gradient
-from .pooling import _invert_rows, _mix
+from .pooling import _invert_rows, _mix, _row_norms
 from .rules import (
     Forecast,
     RuleSpec,
@@ -52,7 +51,7 @@ from .rules import (
     _simplex_rows,
 )
 from .simplex import (
-    _ordered_dot, _project_floats, canonicalize, project_simplex, uniform_point,
+    _ORDERED_MAX, _ordered_dot, _project_floats, canonicalize, project_simplex, uniform_point,
 )
 
 __all__ = [
@@ -222,36 +221,31 @@ def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
     return x, g
 
 
-# the float loop's largest m and n: np.add.reduce sums fewer than eight
-# terms in order, as the float loop's sums do
-_FLOAT_MAX = 7
-
-
 def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray, w: list):
     """ogd_run's loop on Python floats (module docstring), converting E one
-    step at a time: the (T, n) pools and the final weights.  A target the
-    float inverse refuses goes to _step, which raises its error."""
+    step at a time: the (T, n) pools and the final weights.  A row the
+    family's float inverse does not give goes to _invert_rows, which
+    inverts it as _step does, or raises _step's error."""
     # the sums add with reduce(add, ...), in order from the first term:
     # Python >= 3.12's sum() compensates, and pyproject allows 3.10
     inverse, c = rule._impl.float_inverse, rule.param
     X = np.empty((E.shape[0], E.shape[2]))
-    steps = zip(E, map(np.ndarray.tolist, E), J.tolist(), etas.tolist())
-    for k, (E_t, rows, j, eta) in enumerate(steps):
+    steps = zip(map(np.ndarray.tolist, E), J.tolist(), etas.tolist())
+    for k, (rows, j, eta) in enumerate(steps):
         t = [reduce(add, map(mul, w, col)) for col in zip(*rows)]  # _mix
         mean = reduce(add, t) / len(t)
-        x = inverse([v - mean for v in t], c)
+        t = [v - mean for v in t]
+        x = None if inverse is None else inverse(t, c)
         s = math.nan if x is None else reduce(add, x)
         if 0.0 < s < math.inf:
             x = [v / s for v in x]
-            d = x.copy()
-            d[j] -= 1.0
-            g = [reduce(add, map(mul, row, d)) for row in rows]
-            mean = reduce(add, g) / len(g)
-            g = [v - mean for v in g]
-        else:
-            x, g = (a.tolist() for a in _step(rule, E_t, j, np.array(w)))
+        else:  # a shift family, or a target the float inverse refuses
+            x = _invert_rows(rule, np.array([t]))[0].tolist()
         X[k] = x
-        w = _project_floats([a - eta * b for a, b in zip(w, g)])
+        x[j] -= 1.0  # x - e_j, the loss gradient's direction
+        g = [reduce(add, map(mul, row, x)) for row in rows]
+        mean = reduce(add, g) / len(g)
+        w = _project_floats([a - eta * (b - mean) for a, b in zip(w, g)])
     return X, w
 
 
@@ -370,10 +364,10 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
         )
 
     E, J = _exposures(rule, P[:T]), J[:T] - 1
-    observed = float(np.linalg.norm(E, axis=2).max())
+    observed = float(_row_norms(E).max())
     w = uniform_point(m)
     # the losses do not feed back into the weights: score all pools at once
-    if rule._impl.float_inverse is not None and max(m, n) <= _FLOAT_MAX:
+    if max(m, n) <= _ORDERED_MAX:
         X, w = _float_steps(rule, E, J, etas, w.tolist())
         w = np.array(w)
     else:

@@ -26,22 +26,26 @@ as the error a one-row call raises (_raise_first).  _pool_rows pools a
 row as qa_pool checks one collection; qa_pool is its one-row case, and
 the audit suites pool whole arrays of seeded draws through it.
 
-A shift problem of at most _SCALAR_ROWS rows of n <= _SCALAR_N
+A shift problem of at most _SCALAR_ROWS rows of n <= _ORDERED_MAX
 coordinates (the online learner's one row per step, the hindsight
 solve's batch of a short stream, a one-row pool) is solved on Python
 floats by _solve_shift_small, the numpy kernel's operations in its
-order, and gives the same bits.  numpy sums a row of at most seven terms
-in order from the first (from eight it sums pairwise), so the float path
-does too.  numpy's z**2 is z*z and its z**-1 is 1/z, so those are taken
-on floats; log and every other power are not correctly rounded, and
-math.log and Python's ** differ from numpy's on some inputs, so they
-take one numpy call per iteration on the active rows' z.  Python raises
-where numpy divides by zero (the hs row that starts at z_j = 0), so such
-a row's step is redone on numpy scalars.  The cut sits where the two
-paths cost the same: on a 2-core x86-64 VM (numpy 2.4, CPython 3.11) the
-float path is 6.5x faster at one row of n = 3, 1.3x at 10 rows and even
-at 12, and the crossover falls to 9 rows at n = 7 and rises to 15 at
-n = 2.
+order, and gives the same bits; the cut in n is where numpy stops
+summing a row in order (see simplex).  numpy's z**2 is z*z and its
+z**-1 is 1/z, so those are taken on floats; log and every other power
+are not correctly rounded, and math.log and Python's ** differ from
+numpy's on some inputs, so they take one numpy call per iteration on
+the active rows' z.  Python raises where numpy divides by zero (the hs
+row that starts at z_j = 0), so such a row's step is redone on numpy
+scalars.  The cut in rows is for speed: on a 2-core x86-64 VM (numpy
+2.4, CPython 3.11) the float path is 6.5x faster at one row of n = 3,
+1.3x at 10 rows and even at 12 (9 rows at n = 7, 15 at n = 2), and with
+it at every row count the cli_mix benchmark ran slower in 29 of 30
+paired in-process runs (median 116 -> 140 ms).  _mix's cut,
+_MIX_SLICES, is for speed too, and both its forms give the same bits:
+one ordered reduction is the faster at one row, one in-place addition
+per expert at the 20,000-row hindsight batches of the learn_bulk
+benchmark.
 
 The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the closed simplex of the weighted sum of Bregman
@@ -72,7 +76,7 @@ from .rules import (
     _gradient,
     _simplex_rows,
 )
-from .simplex import _ordered_dot, project_simplex_floor, uniform_point
+from .simplex import _ORDERED_MAX, _ordered_dot, project_simplex_floor, uniform_point
 
 __all__ = [
     "PoolResult",
@@ -144,7 +148,7 @@ def _check_weights(P: np.ndarray, W: np.ndarray):
         raise DegenerateError("cannot pool an empty collection")
     _check_nonnegative(W)
     with np.errstate(over="ignore"):
-        total = W.cumsum(axis=1)[:, -1]  # added in order, as Python's sum adds
+        total = W.cumsum(axis=1)[:, -1]  # in order at every m; np.sum goes pairwise from 8
     if not np.isfinite(total).all():
         # normalizing by an infinite total would zero every weight
         over = float(total[~np.isfinite(total)][0])
@@ -194,10 +198,9 @@ _ROOT_XTOL = 4.0 * np.finfo(float).eps
 _UNATTAINABLE, _NOT_CONVERGED, _DEGENERATE, _UNCERTIFIED = 1, 2, 3, 4
 
 
-# a shift problem of at most _SCALAR_ROWS rows of at most _SCALAR_N
+# a shift problem of at most _SCALAR_ROWS rows of at most _ORDERED_MAX
 # coordinates is solved on Python floats (see the module docstring)
 _SCALAR_ROWS = 12
-_SCALAR_N = 7
 _MIX_SLICES = 64  # _mix adds one expert at a time from this many rows on
 
 
@@ -211,14 +214,14 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     NaN upper end (no admissible shift) and a row still unconverged after
     _ROOT_MAX_ITER iterations come back as NaN.
 
-    A (k, n) problem with k <= _SCALAR_ROWS and n <= _SCALAR_N goes to
+    A (k, n) problem with k <= _SCALAR_ROWS and n <= _ORDERED_MAX goes to
     _solve_shift_small, which makes these operations on Python floats and
     returns the same bits: numpy's per-call overhead, some 30 ufunc calls
     per iteration, costs more than the arithmetic on so few values.  The
     numpy kernel below takes every other call.
     """
     k, n = a.shape
-    if k <= _SCALAR_ROWS and n <= _SCALAR_N:
+    if k <= _SCALAR_ROWS and n <= _ORDERED_MAX:
         return _solve_shift_small(a, p, lo, hi)
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
     # start at the end from which Newton approaches the root without

@@ -6,27 +6,31 @@ sort the coordinates, find the largest support size rho for which the
 water-filling threshold keeps all supported coordinates positive, then
 clip.  It is exact up to floating-point rounding, O(m log m).
 
-A vector of at most SCALAR_MAX coordinates is projected on Python
-floats, where numpy's per-call overhead would cost more than the
-arithmetic (the online learner projects one m-vector per step).  The
-scalar path makes the numpy path's operations in its order, so both
-give the same bits: the sort is descending; the running sum adds in
-order from -0.0, as cumsum does; the test u_k + (1 - css_k)/k > 0, tau
-and y_i + tau are the same IEEE double operations; and since tau is
+The projection runs on Python floats at every size: the online
+learner projects one m-vector per step, where numpy's per-call overhead
+costs more than the arithmetic, and its float loop calls _project_floats
+on its own lists.  It makes the operations of the numpy formulation
+(np.sort reversed, cumsum, np.maximum) in their order, so both give the
+same bits: the sort is descending; the running sum adds in order from
+-0.0, as cumsum does at every length; the test u_k + (1 - css_k)/k > 0,
+tau and y_i + tau are the same IEEE double operations; and since tau is
 never -0.0, neither is y_i + tau, so clipping by comparison with 0.0
 gives np.maximum's result, sign of zero included.  Ties sort in either
 order at no cost, as equal values add to the same sums.  A non-finite
-input raises before any arithmetic warns, on either path.  The online
-learner's float loop calls _project_floats on its own lists.  The cut
-sits where the two paths cost the same: on a 2-core x86-64 VM (numpy
-2.4, CPython 3.11) the numpy path takes 11-19 us at every size up to
-64, the scalar path 2-4 us at m = 5, 7-12 us at 32 and 12-20 us at 64.
+input raises before any arithmetic warns.
+On a 2-core x86-64 VM (numpy 2.4, CPython 3.11) it costs what the numpy
+formulation costs at n = 50, the largest vector a benchmark workload
+projects, and about 2.4x and 9x as much at n = 100 and 1000.
 
 Sums of products that reach the output are _ordered_dot, not a BLAS dot
 or matmul, whose summation order OpenBLAS picks for the CPU at load
 time.  np.add.reduce sums in one order on every CPU: from the first
-term along any axis but the last; along the last, in order below eight
-terms and pairwise from eight (numpy's pairwise_sum).
+term along any axis but the last; along the last, in order for at most
+_ORDERED_MAX (seven) terms and pairwise from eight (numpy's
+pairwise_sum).  The float paths of pooling and learning add with
+reduce(add, ...), in order from the first term, so they give numpy's
+bits on rows of at most _ORDERED_MAX terms, and that is the one size
+cut they share for the sake of the bits.
 
 The sampler draws Dirichlet(1, ..., 1) as n i.i.d. Exp(1) variates
 divided by their sum (Devroye, *Non-Uniform Random Variate Generation*,
@@ -61,9 +65,9 @@ __all__ = [
     "uniform_point",
 ]
 
-# vectors of at most this many coordinates are projected on Python floats,
-# where numpy's per-call overhead costs more than the arithmetic
-SCALAR_MAX = 48
+# np.add.reduce adds at most this many terms along the last axis in
+# order from the first, as reduce(add, ...) adds them (module docstring)
+_ORDERED_MAX = 7
 
 
 def canonicalize(v: np.ndarray) -> np.ndarray:
@@ -84,32 +88,20 @@ def project_simplex(y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size < 1:
         raise ValueError("expected a one-dimensional vector")
-    if y.size <= SCALAR_MAX:
-        return np.array(_project_floats(y.tolist()))
-    if not np.isfinite(y).all():
-        raise _unprojectable(y)
-    u = np.sort(y)[::-1]
-    css = u.cumsum()
-    # largest k with u_k + (1 - sum_{i<=k} u_i)/k > 0; k = 1 always passes
-    # in exact arithmetic, but not when 1 - u_1 rounds to -u_1
-    passing = (u + (1.0 - css) / np.arange(1, y.size + 1) > 0).nonzero()[0]
-    if passing.size == 0:
-        raise _unprojectable(y)
-    rho = passing[-1]
-    tau = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(y + tau, 0.0)
+    return np.array(_project_floats(y.tolist()))
 
 
 def _project_floats(v: list) -> list:
-    """project_simplex on a list of Python floats: the same sort, running
-    sum, threshold test, tau and clip, operation for operation."""
+    """project_simplex on a list of Python floats: sort, running sum,
+    threshold test, tau and clip, in the numpy formulation's order."""
     css, tau = -0.0, None  # -0.0 + x is x: css runs as cumsum runs
     for k, u_k in enumerate(sorted(v, reverse=True), 1):
         css += u_k
         t = (1.0 - css) / k
         if u_k + t > 0.0:
-            tau = t  # the last passing k wins, as in the numpy path
-    # a sum of finite values is finite unless it overflows
+            tau = t  # the last passing k wins
+    # k = 1 always passes in exact arithmetic, but not when 1 - u_1 rounds
+    # to -u_1; a sum of finite values is finite unless it overflows
     if tau is None or not math.isfinite(css) and not all(map(math.isfinite, v)):
         raise _unprojectable(np.array(v))
     # y_i + tau is never -0.0 (tau is not), so this clip is np.maximum's

@@ -576,6 +576,25 @@ class TestCmdLearn:
         assert done.stderr.startswith("qapool: input error:")
         assert "forecast_floor" in done.stderr
 
+    def test_overflowing_exposure_norm_prints_one_stderr_line(self, tmp_path):
+        # in a subprocess, since pytest would capture numpy's RuntimeWarning:
+        # the norm of the exposure -1/1e-170 overflows to inf without one
+        path = tmp_path / "stream.json"
+        forecasts = [[1e-170, 0.5, 0.5], [0.2, 0.3, 0.5]]
+        path.write_text(json.dumps({"steps": [{"forecasts": forecasts, "outcome": 1}]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "qapool.cli", "learn", "neglog", str(path),
+             "--M", "1e200", "--floor", "1e-171"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("qapool:")
+
     @pytest.mark.parametrize(
         "args",
         [("quadratic", "--M", "1e308"), ("quadratic", "--M", "inf"),
@@ -885,6 +904,22 @@ class TestCmdAuditAndProbe:
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["all_passed"] is True
+
+    def test_audit_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, some 15 ms of a
+        # fresh process; the axiom suite groups its cycles without it
+        env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+        code = (
+            "import sys\n"
+            "from qapool.cli import main\n"
+            "code = main(['audit', 'quadratic', '--n', '3', '--samples', '20'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "0 False"
 
     def test_audit_log_n2_monotonicity(self, capsys):
         assert main(["audit", "log", "--n", "2", "--samples", "40"]) == 0

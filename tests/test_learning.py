@@ -22,10 +22,10 @@ from qapool import (
 from qapool import learning
 from qapool.files import StreamFile
 from qapool.errors import ExposureRangeError
-from qapool.learning import _FLOAT_MAX, _float_steps, _losses, _normalize_stream, _step
+from qapool.learning import _float_steps, _losses, _normalize_stream, _step
 from qapool.pooling import _invert_rows, _mix
 from qapool.rules import Forecast, _exposures, _score_matrix
-from qapool.simplex import SCALAR_MAX
+from qapool.simplex import _ORDERED_MAX
 
 from conftest import random_probs
 from oracles import (
@@ -473,10 +473,9 @@ class TestOutcomeRange:
 class TestBitForBitReference:
     """ogd_run, weight_score and loss_gradient against the per-step loop
     and numpy projection of oracles.reference_ogd, bit for bit: the
-    scalar projection, the trimmed one-row path and the float loop keep
+    float projection, the trimmed one-row path and the float loop keep
     every operation.  The sizes sit on both sides of the float loop's
-    cut, m and n <= _FLOAT_MAX, and of the scalar projection's,
-    m <= SCALAR_MAX."""
+    cut, m and n <= _ORDERED_MAX, and reach m = 96."""
 
     # (rule, M, forecast floor): open-domain rules need both M and a floor
     CONFIGS = [
@@ -487,10 +486,8 @@ class TestBitForBitReference:
         (RuleSpec.hs(), 10.0, 0.01),
     ]
 
-    @pytest.mark.parametrize(
-        "m", [1, 5, _FLOAT_MAX, _FLOAT_MAX + 1, SCALAR_MAX, SCALAR_MAX + 1, 2 * SCALAR_MAX]
-    )
-    @pytest.mark.parametrize("n", [2, 3, _FLOAT_MAX, _FLOAT_MAX + 1, 50])
+    @pytest.mark.parametrize("m", [1, 5, _ORDERED_MAX, _ORDERED_MAX + 1, 48, 49, 96])
+    @pytest.mark.parametrize("n", [2, 3, _ORDERED_MAX, _ORDERED_MAX + 1, 50])
     @pytest.mark.parametrize(
         "rule, M, floor", CONFIGS, ids=[f"{r.label}-floor={f}" for r, _, f in CONFIGS]
     )
@@ -521,26 +518,54 @@ class TestBitForBitReference:
         X, _, Wt, losses, final, _ = reference_ogd(rule, P, J, rep.exposure_bound)
         assert rep.per_step_loss.tobytes() == losses.tobytes()
         assert rep.final_weights.weights.tobytes() == WeightVector(final).weights.tobytes()
-        return Wt
+        return Wt, _exposures(rule, P)
 
     def test_long_quadratic_stream(self):
         # the float loop's largest m, over many steps
-        self.check_long_stream(QUAD, None, None, _FLOAT_MAX, 3, 500, 16)
+        self.check_long_stream(QUAD, None, None, _ORDERED_MAX, 3, 500, 16)
 
     def test_log_stream_whose_projection_zeroes_a_weight(self):
         # a small M takes long steps, which push weights onto the boundary
-        Wt = self.check_long_stream(RuleSpec.logarithmic(), 0.5, 0.01, 5, 3, 200, 17)
+        Wt, _ = self.check_long_stream(RuleSpec.logarithmic(), 0.5, 0.01, 5, 3, 200, 17)
         assert np.count_nonzero(Wt[1:] == 0.0)
 
-    def test_float_inverse_raises_the_numpy_steps_error(self):
-        # exposures no forecast has: their average lies outside the
-        # quadratic rule's range, which _step and the float loop refuse alike
-        E = np.array([[[-3.0, 1.5, 1.5], [1.0, -0.5, -0.5]]])
+    @pytest.mark.parametrize(
+        "rule, M, floor",
+        [(RuleSpec.neglog(), 10.0, 0.01), (RuleSpec.hs(), 10.0, 0.01),
+         (RuleSpec.tsallis(1.5), None, None)],
+        ids=["neglog", "hs", "tsallis:1.5"],
+    )
+    def test_long_shift_family_stream(self, rule, M, floor, monkeypatch):
+        # a family without a float inverse runs the float loop, which hands
+        # each step's one row to _invert_rows: _step is never called
+        def no_step(*args):
+            raise AssertionError("the float loop called _step")
+
+        monkeypatch.setattr(learning, "_step", no_step)
+        Wt, E = self.check_long_stream(rule, M, floor, 5, 3, 500, 18)
+        if rule.family == "hs":
+            # the shift solve starts at z_j = 0 on some rows, which the
+            # float kernel redoes on numpy scalars, and elsewhere on others
+            _, _, _, lo, _ = rule._impl.shift(_mix(E, Wt), rule.param)
+            assert (lo == 0.0).any() and (lo > 0.0).any()
+
+    # exposures whose average no forecast has: outside the quadratic
+    # rule's range, and for tsallis:3 the average of two vertices, where the
+    # shift solve finds no admissible shift
+    UNATTAINABLE = [
+        (QUAD, [[-3.0, 1.5, 1.5], [1.0, -0.5, -0.5]], "outside the quadratic rule's range"),
+        (RuleSpec.tsallis(3.0), _exposures(RuleSpec.tsallis(3.0), np.eye(3)[:2]),
+         "not attainable for rule tsallis:3"),
+    ]
+
+    @pytest.mark.parametrize("rule, E, message", UNATTAINABLE, ids=["quadratic", "tsallis:3"])
+    def test_float_loop_raises_the_numpy_steps_error(self, rule, E, message):
+        E = np.array([E])
         w = np.array([0.5, 0.5])
         with pytest.raises(ExposureRangeError) as numpy_step:
-            _step(QUAD, E[0], 0, w)
+            _step(rule, E[0], 0, w)
         with pytest.raises(ExposureRangeError) as float_loop:
-            _float_steps(QUAD, E, np.array([0]), np.array([0.1]), w.tolist())
+            _float_steps(rule, E, np.array([0]), np.array([0.1]), w.tolist())
         assert str(float_loop.value) == str(numpy_step.value)
-        assert "outside the quadratic rule's range" in str(numpy_step.value)
+        assert message in str(numpy_step.value)
 

@@ -28,7 +28,6 @@ from qapool import (
 from qapool.pooling import (
     _NOT_CONVERGED,
     _ROOT_XTOL,
-    _SCALAR_N,
     _SCALAR_ROWS,
     _MIX_SLICES,
     _UNATTAINABLE,
@@ -44,6 +43,7 @@ from qapool.pooling import (
     _solve_shift_small,
 )
 from qapool.rules import OPEN_MIN, _gradient
+from qapool.simplex import _ORDERED_MAX
 
 from conftest import CONVEX_RULES, RULE_IDS, random_instance, random_probs
 from oracles import (
@@ -456,7 +456,7 @@ def shift_targets(draw):
     """A rule and a (k, n) array of canonical targets of the float path's
     size, from forecasts whose coordinates span nine decades."""
     rule = draw(st.sampled_from(SMALL_RULES))
-    n = draw(st.integers(2, _SCALAR_N))
+    n = draw(st.integers(2, _ORDERED_MAX))
     k = draw(st.integers(1, _SCALAR_ROWS))
     logs = draw(hnp.arrays(float, (k, n), elements=st.floats(-20.0, 0.0)))
     X = np.exp(logs)
@@ -604,10 +604,11 @@ class TestRowKernel:
 
         monkeypatch.setattr(pooling, "_solve_shift_small", spy)
         rule = RuleSpec.neglog()
-        for n, k in [(_SCALAR_N, _SCALAR_ROWS), (2, 1), (_SCALAR_N + 1, 1), (3, _SCALAR_ROWS + 1)]:
+        sizes = [(_ORDERED_MAX, _SCALAR_ROWS), (2, 1), (_ORDERED_MAX + 1, 1), (3, _SCALAR_ROWS + 1)]
+        for n, k in sizes:
             a, p, _, lo, hi = rule._impl.shift(kernel_targets(rng, rule, n, max(k, 2))[:k], None)
             _solve_shift(a, p, lo, hi)
-        assert shapes == [(_SCALAR_ROWS, _SCALAR_N), (1, 2)]
+        assert shapes == [(_SCALAR_ROWS, _ORDERED_MAX), (1, 2)]
 
 
 class TestOrderedMix:
