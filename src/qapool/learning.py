@@ -15,11 +15,17 @@ the one before it, so each step is made cheap instead.  _step is one
 row through pooling's shared mix and inversion path.  With m and n at
 most simplex._ORDERED_MAX, where numpy sums a row in order and a numpy
 call costs more than the arithmetic, _float_steps runs the whole loop
-on lists, one step of E at a time: mix, centring, inversion, row-sum
-check, gradient and projection, in _step's order, so the pools and
-weights are bit for bit the numpy loop's.  It inverts with the family's
-float_inverse where it has one (quadratic and log; one np.exp call per
-step for log), and passes its one row to pooling._invert_rows otherwise.
+on Python floats, one step of E at a time: mix, centring, inversion,
+row-sum check, gradient and projection, in _step's order, so the pools
+and weights are bit for bit the numpy loop's.  The loop is a kernel
+generated for the stream's shape (_kernel): with m and n fixed, every
+sum is one expression on named locals, added from the first term as
+numpy adds, and a step's only calls are the inverse, the fallback
+inversion and the projection.  A shape's kernel is compiled at its
+first run, never at import, and kept (42 shapes at most).  It inverts
+with the family's float_inverse where it has one (quadratic and log;
+one np.exp call per step for log), and passes its one row to
+pooling._invert_rows otherwise.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses reuse the pools at its answer.
@@ -29,8 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import add, mul
+from functools import cache
 
 import numpy as np
 
@@ -222,31 +227,54 @@ def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
 
 
 def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray, w: list):
-    """ogd_run's loop on Python floats (module docstring), converting E one
-    step at a time: the (T, n) pools and the final weights.  A row the
-    family's float inverse does not give goes to _invert_rows, which
-    inverts it as _step does, or raises _step's error."""
-    # the sums add with reduce(add, ...), in order from the first term:
-    # Python >= 3.12's sum() compensates, and pyproject allows 3.10
-    inverse, c = rule._impl.float_inverse, rule.param
-    X = np.empty((E.shape[0], E.shape[2]))
-    steps = zip(map(np.ndarray.tolist, E), J.tolist(), etas.tolist())
-    for k, (rows, j, eta) in enumerate(steps):
-        t = [reduce(add, map(mul, w, col)) for col in zip(*rows)]  # _mix
-        mean = reduce(add, t) / len(t)
-        t = [v - mean for v in t]
-        x = None if inverse is None else inverse(t, c)
-        s = math.nan if x is None else reduce(add, x)
-        if 0.0 < s < math.inf:
-            x = [v / s for v in x]
-        else:  # a shift family, or a target the float inverse refuses
-            x = _invert_rows(rule, np.array([t]))[0].tolist()
-        X[k] = x
-        x[j] -= 1.0  # x - e_j, the loss gradient's direction
-        g = [reduce(add, map(mul, row, x)) for row in rows]
-        mean = reduce(add, g) / len(g)
-        w = _project_floats([a - eta * (b - mean) for a, b in zip(w, g)])
-    return X, w
+    """ogd_run's loop on Python floats (module docstring), by the kernel of
+    E's shape: the (T, n) pools and the final weights.  A row the family's
+    float inverse does not give goes to _invert_rows, which inverts it as
+    _step does, or raises _step's error."""
+    inverse = rule._impl.float_inverse or (lambda t, c: None)
+    return _kernel(*E.shape[1:])(rule, inverse, E, J, etas, *w)
+
+
+@cache
+def _kernel(m: int, n: int):
+    """The float loop for m experts and n outcomes, generated as
+    straight-line Python on named locals: the step's exposures e{i}_{j},
+    the weights w{i}, the mix t{j}, the pool x{j} and the gradient g{i}.
+    Fixed m and n let each sum be one expression, a + b + c, which Python
+    adds from the left as np.add.reduce does on at most _ORDERED_MAX
+    terms; Python >= 3.12's sum() compensates, and pyproject allows 3.10.
+    E is converted one step at a time.  Built at a shape's first run and
+    kept, as collections.namedtuple builds its class."""
+    total = " + ".join
+    W, T, X, G = ([f"{a}{i}" for i in range(k)] for a, k in zip("wtxg", (m, n, n, m)))
+    rows = ", ".join("(" + ", ".join(f"e{i}_{j}" for j in range(n)) + ",)" for i in range(m))
+    src = "\n".join([
+        f"def kernel(rule, inverse, E, J, etas, {', '.join(W)}):",
+        f"    pools, c, nans = np.empty((len(J), {n})), rule.param, ({'nan, ' * n})",
+        "    steps = zip(map(np.ndarray.tolist, E), J.tolist(), etas.tolist())",
+        f"    for k, (({rows},), j, eta) in enumerate(steps):",
+        *(f"        t{j} = {total(f'w{i} * e{i}_{j}' for i in range(m))}" for j in range(n)),
+        f"        mean = ({total(T)}) / {n}",
+        f"        t = [{', '.join(f'{v} - mean' for v in T)}]",
+        f"        {', '.join(X)}, = inverse(t, c) or nans",
+        f"        s = {total(X)}",
+        "        if 0.0 < s < inf:",
+        f"            x = [{', '.join(f'{v} / s' for v in X)}]",
+        "        else:  # a shift family, or a target the float inverse refuses",
+        "            x = _invert_rows(rule, np.array([t]))[0].tolist()",
+        "        pools[k] = x",
+        "        x[j] -= 1.0  # x - e_j, the loss gradient's direction",
+        f"        {', '.join(X)}, = x",
+        *(f"        g{i} = {total(f'e{i}_{j} * x{j}' for j in range(n))}" for i in range(m)),
+        f"        mean = ({total(G)}) / {m}",
+        f"        {', '.join(W)}, = _project_floats(["
+        f"{', '.join(f'w{i} - eta * (g{i} - mean)' for i in range(m))}])",
+        f"    return pools, [{', '.join(W)}]",
+    ])
+    scope = {"np": np, "inf": math.inf, "nan": math.nan,
+             "_invert_rows": _invert_rows, "_project_floats": _project_floats}
+    exec(compile(src, f"<ogd kernel m={m} n={n}>", "exec"), scope)
+    return scope["kernel"]
 
 
 def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
@@ -365,6 +393,9 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
 
     E, J = _exposures(rule, P[:T]), J[:T] - 1
     observed = float(_row_norms(E).max())
+    if math.isinf(observed):  # the squares overflow, E does not (_exposures)
+        top = np.abs(E).max()
+        observed = float(top * _row_norms(E / top).max())
     w = uniform_point(m)
     # the losses do not feed back into the weights: score all pools at once
     if max(m, n) <= _ORDERED_MAX:

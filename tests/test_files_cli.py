@@ -533,6 +533,37 @@ class TestCmdScoreAndBregman:
         assert np.all(np.abs(D[off] - want[off]) <= 1e-12 * np.abs(want[off]))
 
 
+def simd_targets():
+    """numpy's SIMD dispatch targets, and whether each is enabled here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return {t: __cpu_features__[t] for t in __cpu_dispatch__}
+
+
+# the targets every sha256 pin of TestCmdLearn and TestOutputPins was
+# recorded under (numpy 2.4 on x86-64 with AVX-512): ten of the 27 pins move
+# when numpy's dispatch is limited to AVX2, so a failing pin names both
+PIN_SIMD_TARGETS = {"X86_V3": True, "X86_V4": True, "AVX512_ICL": True, "AVX512_SPR": True}
+PIN_NOTE = f"numpy SIMD targets here: {simd_targets()}; pins recorded under: {PIN_SIMD_TARGETS}"
+
+
+def test_limited_simd_dispatch_reports_other_targets():
+    if not simd_targets().get("X86_V3"):
+        pytest.skip("needs a CPU where numpy dispatches to X86_V3 (AVX2 and more)")
+    env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": "AVX2",
+           "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+    code = "import json, test_files_cli as t; print(json.dumps(t.simd_targets()))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env,
+        cwd=Path(__file__).parent, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) != PIN_SIMD_TARGETS
+    assert json.loads(done.stdout) != simd_targets()
+
+
 class TestCmdLearn:
     def test_report_and_curve(self, stream_json, tmp_path, capsys):
         curve = tmp_path / "curve.csv"
@@ -594,6 +625,17 @@ class TestCmdLearn:
         assert done.returncode == 1 and done.stdout == ""
         assert len(done.stderr.splitlines()) == 1
         assert done.stderr.startswith("qapool:")
+
+    @pytest.mark.parametrize("M, exceeded", [("1e200", False), ("1e100", True)])
+    def test_one_expert_whose_exposure_norm_overflows(self, tmp_path, capsys, M, exceeded):
+        # the squares of the exposure -1/1e-170 overflow, the norm does not:
+        # it is measured on the exposures scaled by their largest magnitude
+        path = tmp_path / "stream.json"
+        path.write_text(json.dumps({"steps": [{"forecasts": [[1e-170, 0.5, 0.5]], "outcome": 1}]}))
+        assert main(["learn", "neglog", str(path), "--M", M, "--floor", "1e-171"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["observed_exposure_sup"] == 8.16496580927726e+169
+        assert doc["exposure_bound_exceeded"] is exceeded
 
     @pytest.mark.parametrize(
         "args",
@@ -659,7 +701,7 @@ class TestCmdLearn:
         monkeypatch.delenv("QAPOOL_SEED", raising=False)
         assert main(["learn", args[0], self.pinned_stream(tmp_path), *args[1:]]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args], PIN_NOTE
 
     # sha256 of stdout under the five root-find families, recorded before
     # the shift solve got its Python-float path and re-recorded once when
@@ -681,7 +723,7 @@ class TestCmdLearn:
         monkeypatch.delenv("QAPOOL_SEED", raising=False)
         assert main(["learn", args[0], self.pinned_stream(tmp_path), *args[1:]]) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_ROOT_FIND[args]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_ROOT_FIND[args], PIN_NOTE
 
     @pytest.mark.parametrize("args", sorted(PINNED_CURVE), ids=lambda a: a[0])
     def test_curve_bytes_are_pinned(self, tmp_path, args, capsys):
@@ -689,7 +731,7 @@ class TestCmdLearn:
         argv = ["learn", args[0], self.pinned_stream(tmp_path), *args[1:]]
         assert main([*argv, "--emit-curve", str(curve)]) == 0
         capsys.readouterr()
-        assert hashlib.sha256(curve.read_bytes()).hexdigest() == self.PINNED_CURVE[args]
+        assert hashlib.sha256(curve.read_bytes()).hexdigest() == self.PINNED_CURVE[args], PIN_NOTE
 
 
 class TestOutputPins:
@@ -772,7 +814,7 @@ class TestOutputPins:
         monkeypatch.delenv("QAPOOL_SEED", raising=False)
         assert main(self.pinned_argv(args, self.pinned_experts(tmp_path))) == 0
         out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args]
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args], PIN_NOTE
 
     @pytest.mark.parametrize("rule", sorted(PINNED_OUT))
     def test_out_file_bytes_are_pinned(self, tmp_path, rule, capsys):
@@ -782,7 +824,7 @@ class TestOutputPins:
         assert main(["pool", rule, path, "--out", str(out)]) == 0
         pooled = json.loads(capsys.readouterr().out)["pooled"]
         assert json.loads(out.read_text())["experts"][0]["probs"] == pooled
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_OUT[rule]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.PINNED_OUT[rule], PIN_NOTE
 
 
 # runs (argv, written file or None) pairs read as JSON from stdin through

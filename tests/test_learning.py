@@ -1,7 +1,11 @@
 """Weight learning: gradients, projections, concavity, regret guarantees."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -569,3 +573,53 @@ class TestBitForBitReference:
         assert str(float_loop.value) == str(numpy_step.value)
         assert message in str(numpy_step.value)
 
+
+class TestKernel:
+    """The float loop's generated kernel (learning._kernel) at every shape it
+    is built for, m in 1.._ORDERED_MAX and n in 2.._ORDERED_MAX, against
+    oracles.reference_ogd bit for bit: each of its sums must add from the
+    first term, as numpy does on rows this short."""
+
+    # (rule, M, forecast floor): a closed-form family on each side of the
+    # domain, and a shift family, whose every step goes to _invert_rows
+    FAMILIES = [(QUAD, None, None), (RuleSpec.logarithmic(), 10.0, 0.05),
+                (RuleSpec.neglog(), 10.0, 0.05)]
+
+    @pytest.mark.parametrize("m", range(1, _ORDERED_MAX + 1))
+    @pytest.mark.parametrize("n", range(2, _ORDERED_MAX + 1))
+    @pytest.mark.parametrize("rule, M, floor", FAMILIES, ids=[r.label for r, _, _ in FAMILIES])
+    def test_every_shape_matches_the_reference(self, rule, M, floor, n, m, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("ogd_run called _step at m, n <= _ORDERED_MAX")
+
+        runs, kernel_loop = [], learning._float_steps
+        monkeypatch.setattr(learning, "_step", no_step)
+        monkeypatch.setattr(learning, "_float_steps", lambda *a: runs.append(kernel_loop(*a)) or runs[-1])
+        rng = np.random.default_rng([m, n, 40])
+        # a small Dirichlet concentration puts quadratic pools on the boundary
+        sf = StreamFile(rng.dirichlet(np.full(n, 0.5), size=(40, m)), rng.integers(1, n + 1, size=40))
+        rep = ogd_run(LearningConfig(rule=rule, m=m, M=M, forecast_floor=floor), sf)
+        P, J = _normalize_stream(sf, floor)
+        X, _, _, losses, final, _ = reference_ogd(rule, P, J, rep.exposure_bound)
+        (pools, weights), = runs
+        assert pools.tobytes() == X.tobytes()
+        assert np.array(weights).tobytes() == final.tobytes()
+        assert rep.per_step_loss.tobytes() == losses.tobytes()
+
+    def test_no_kernel_is_built_at_import(self):
+        # the CLI's import and parser build no kernel, so setup time measures
+        # the same work as before the loop was generated; a run builds its own
+        code = (
+            "import qapool.cli, qapool.learning as learning\n"
+            "from qapool import LearningConfig, RuleSpec, ogd_run\n"
+            "qapool.cli.build_parser()\n"
+            "print(learning._kernel.cache_info().currsize)\n"
+            "ogd_run(LearningConfig(rule=RuleSpec.quadratic(), m=2), [([[.5, .5], [.2, .8]], 1)])\n"
+            "print(learning._kernel.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(learning.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
