@@ -42,7 +42,7 @@ import numpy as np
 from .errors import ConfigError, SolverError
 from .files import StreamFile, _stack_steps
 from .optim import projected_gradient
-from .pooling import _invert_rows, _mix, _row_norms
+from .pooling import _compiled, _invert_rows, _mix, _row_norms
 from .rules import (
     Forecast,
     RuleSpec,
@@ -271,10 +271,10 @@ def _kernel(m: int, n: int):
         f"{', '.join(f'w{i} - eta * (g{i} - mean)' for i in range(m))}])",
         f"    return pools, [{', '.join(W)}]",
     ])
-    scope = {"np": np, "inf": math.inf, "nan": math.nan,
-             "_invert_rows": _invert_rows, "_project_floats": _project_floats}
-    exec(compile(src, f"<ogd kernel m={m} n={n}>", "exec"), scope)
-    return scope["kernel"]
+    return _compiled(src, f"ogd kernel m={m} n={n}", {
+        "np": np, "inf": math.inf, "nan": math.nan,
+        "_invert_rows": _invert_rows, "_project_floats": _project_floats,
+    })
 
 
 def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):

@@ -61,7 +61,9 @@ def projected_gradient(
 
     Returns (x, kkt, converged).  Non-finite trial objectives count as
     Armijo failures, so domains where the objective blows up at the
-    boundary are handled as long as iterates can stay interior.
+    boundary are handled as long as iterates can stay interior.  A trial
+    point the projection refuses (too large for float64 to project) is
+    an Armijo failure too.
     """
     x = project(np.asarray(x0, dtype=float))
     f = objective(x)
@@ -85,7 +87,11 @@ def projected_gradient(
         eta = step
         accepted = False
         for _ in range(100):
-            trial = project(x - eta * g)
+            try:
+                trial = project(x - eta * g)
+            except ValueError:
+                eta *= BACKTRACK
+                continue
             d = trial - x
             if not np.any(d):
                 break  # displacement below float resolution: stalled

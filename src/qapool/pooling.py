@@ -31,21 +31,22 @@ coordinates (the online learner's one row per step, the hindsight
 solve's batch of a short stream, a one-row pool) is solved on Python
 floats by _solve_shift_small, the numpy kernel's operations in its
 order, and gives the same bits; the cut in n is where numpy stops
-summing a row in order (see simplex).  numpy's z**2 is z*z and its
-z**-1 is 1/z, so those are taken on floats; log and every other power
-are not correctly rounded, and math.log and Python's ** differ from
-numpy's on some inputs, so they take one numpy call per iteration on
-the active rows' z.  Python raises where numpy divides by zero (the hs
-row that starts at z_j = 0), so such a row's step is redone on numpy
-scalars.  The cut in rows is for speed: on a 2-core x86-64 VM (numpy
-2.4, CPython 3.11) the float path is 6.5x faster at one row of n = 3,
-1.3x at 10 rows and even at 12 (9 rows at n = 7, 15 at n = 2), and with
-it at every row count the cli_mix benchmark ran slower in 29 of 30
-paired in-process runs (median 116 -> 140 ms).  _mix's cut,
-_MIX_SLICES, is for speed too, and both its forms give the same bits:
-one ordered reduction is the faster at one row, one in-place addition
-per expert at the 20,000-row hindsight batches of the learn_bulk
-benchmark.
+summing a row in order (see simplex).  Its iterations run in a kernel
+generated for the row length n and the exponent's kind (_shift_kernel).
+numpy's z**2 is z*z and its z**-1 is 1/z, so those are taken on
+floats; log and every other power are not correctly rounded, and
+math.log and Python's ** differ from numpy's on some inputs, so they
+take one numpy call per iteration on the active rows' z.  Python raises
+where numpy divides by zero (the hs row that starts at z_j = 0), so
+such a row's step is redone on numpy scalars.  The cut in rows is for
+speed: on a 2-core x86-64 VM (numpy 2.4, CPython 3.11) the float path
+is 6.6x (log) to 27x (z*z) faster than the numpy kernel at one row of
+n = 3 and 1.1x to 5.5x at 12 rows for every kind and n, but log and
+power are 0.8x at 20 rows of n = 7 and 0.6x at 48 rows of n = 3.
+_mix's cut, _MIX_SLICES, is for speed too, and both its forms give the
+same bits: one ordered reduction is the faster at one row, one in-place
+addition per expert at the 20,000-row hindsight batches of the
+learn_bulk benchmark.
 
 The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the closed simplex of the weighted sum of Bregman
@@ -58,8 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, truediv
+from functools import cache
 
 import numpy as np
 
@@ -264,73 +264,119 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
 def _solve_shift_small(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     """_solve_shift on Python floats: the same start, Newton step, bracket
     update, tolerance, bisection, iteration cap and NaN rows, operation for
-    operation, and so the same bits (see the module docstring).
-
-    Log and every power but 2 and -1 take one numpy call per iteration on
-    the (r, n) array of the r active rows' z, the array the numpy kernel
-    passes it.  A row whose step divides by zero is redone on numpy
-    scalars, which give numpy's inf or NaN where Python floats raise.
-    """
-    k = a.shape[0]
-    A = a.tolist()
+    operation, and so the same bits (see the module docstring).  The
+    iterations run in the kernel of a's row length and p's kind."""
+    k, n = a.shape
     # a family's bracket end is a (k,) array or one float for every row
     lo = lo.tolist() if isinstance(lo, np.ndarray) else [float(lo)] * k
     hi = hi.tolist() if isinstance(hi, np.ndarray) else [float(hi)] * k
     xtol = float(_ROOT_XTOL)
     out = list(hi if p >= 1.0 else lo)
-    # each active row as (index, shift, lower end, upper end)
+    # each active row as (index, shift, lower end, upper end, *offsets)
     rows = []
-    for i in range(k):
+    for i, row in enumerate(a.tolist()):
         if hi[i] != hi[i]:
             out[i] = math.nan
         elif hi[i] - lo[i] > xtol * abs(out[i]):
-            rows.append((i, out[i], lo[i], hi[i]))
+            rows.append((i, out[i], lo[i], hi[i], *row))
+    kernel = _shift_kernel(n, _SHIFT_KINDS.get(p, "power"))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_ROOT_MAX_ITER):
-            if not rows:
-                break
-            Z = [[x + c for x in A[i]] for i, c, _, _ in rows]
-            if p == 2.0 or p == -1.0:
-                U = [None] * len(rows)
-            else:
-                U = (np.log(Z) if p == 0.0 else np.array(Z) ** p).tolist()
-            left = []
-            for (i, c, lo_i, hi_i), z, terms in zip(rows, Z, U):
-                try:
-                    step, tol = _shift_step(p, xtol, c, z, terms)
-                except ZeroDivisionError:
-                    z = [np.float64(x) for x in z]
-                    step, tol = map(float, _shift_step(p, xtol, c, z, terms))
-                if step > 0.0:
-                    hi_i = c
-                if step < 0.0:
-                    lo_i = c
-                done = abs(step) <= tol or hi_i - lo_i <= tol
-                c = c - step
-                if not (c > lo_i and c < hi_i or done):
-                    c = 0.5 * (lo_i + hi_i)
-                if done:
-                    out[i] = c
-                else:
-                    left.append((i, c, lo_i, hi_i))
-            rows = left
-    for i, _, _, _ in rows:
-        out[i] = math.nan
+        kernel(rows, out, p, xtol, _ROOT_MAX_ITER)
     return np.array(out, dtype=float)
 
 
-def _shift_step(p: float, xtol: float, c: float, z: list, terms: list | None):
-    """One row's Newton step f/df and convergence tolerance at shift c, z = a + c."""
-    # reduce(add, ...) sums in order from the first term, as numpy sums a short row
-    if p == 0.0:
-        f, size = reduce(add, terms), reduce(add, map(abs, terms))
-        df = reduce(add, [1.0 / x for x in z])
+# numpy's z**2 is z*z and its z**-1 is 1/z, which floats give; log and any
+# other power take numpy's (module docstring)
+_SHIFT_KINDS = {2.0: "square", -1.0: "reciprocal", 0.0: "log"}
+
+
+@cache
+def _shift_kernel(n: int, kind: str):
+    """_solve_shift_small's iterations for rows of n offsets, generated as
+    straight-line Python on named locals: offsets a{j}, z{j} = a{j} + c and
+    the terms t{j} of the sum.  Fixed n lets each sum be one expression,
+    a + b + c, which adds from the first term as numpy does on at most
+    _ORDERED_MAX terms (see learning._kernel).
+
+    The log and power kinds take their terms from one numpy call per
+    iteration on the (r, n) array of the r active rows' z, the array the
+    numpy kernel passes it, so the rows iterate together; a square or
+    reciprocal row depends on no other row and iterates to the end alone.
+    A row whose step divides by zero (the hs row that starts at z_j = 0)
+    is redone on numpy scalars, which give numpy's inf or NaN where Python
+    floats raise.  The iteration cap is an argument, read at each call.
+    Built at a kernel's first use and kept: 24 kernels at most."""
+    total = " + ".join
+    A, Z, T = ([f"{v}{j}" for j in range(n)] for v in "azt")
+    a, z, t = ", ".join(A), ", ".join(Z), ", ".join(T)
+    alone = kind == "square" or kind == "reciprocal"  # no numpy call couples the rows
+    step = []
+    if alone:
+        power = "{0} * {0}" if kind == "square" else "1.0 / {0}"
+        step.append(f"{t} = {', '.join(power.format(v) for v in Z)}")
+    if kind == "log":
+        step += [f"f, size = {total(T)}, {total(f'abs({v})' for v in T)}",
+                 f"df = {total(f'1.0 / {v}' for v in Z)}"]
     else:
-        if terms is None:
-            terms = [x * x for x in z] if p == 2.0 else [1.0 / x for x in z]
-        size = reduce(add, terms)
-        f, df = size - 1.0, p * reduce(add, map(truediv, terms, z))
-    return f / df, xtol * (abs(c) + size / abs(df))
+        step += [f"size = {total(T)}",
+                 f"f, df = size - 1.0, p * ({total(f'{u} / {v}' for u, v in zip(T, Z))})"]
+    step += ["step, tol = f / df, xtol * (abs(c) + size / abs(df))"]
+    newton = [
+        f"{z} = {', '.join(f'{v} + c' for v in A)}",
+        "try:",
+        *(f"    {line}" for line in step),
+        "except ZeroDivisionError:",
+        f"    {z} = {', '.join(f'float64({v})' for v in Z)}",
+        *(f"    {line}" for line in step),
+        "    step, tol = float(step), float(tol)",
+        "if step > 0.0:",
+        "    hi = c",
+        "if step < 0.0:",
+        "    lo = c",
+        "done = abs(step) <= tol or hi - lo <= tol",
+        "c = c - step",
+        "if not (c > lo and c < hi or done):",
+        "    c = 0.5 * (lo + hi)",
+    ]
+    if alone:
+        loop = [
+            f"    for i, c, lo, hi, {a} in rows:",
+            "        for _ in range(max_iter):",
+            *(f"            {line}" for line in newton),
+            "            if done:",
+            "                out[i] = c",
+            "                break",
+            "        else:",
+            "            out[i] = nan",
+        ]
+    else:
+        zs = f"[({', '.join(f'{v} + c' for v in A)}) for _, c, _, _, {a} in rows]"
+        loop = [
+            "    for _ in range(max_iter):",
+            "        if not rows:",
+            "            return",
+            f"        U = {f'np.log({zs})' if kind == 'log' else f'(np.array({zs}) ** p)'}.tolist()",
+            "        left = []",
+            f"        for (i, c, lo, hi, {a}), ({t}) in zip(rows, U):",
+            *(f"            {line}" for line in newton),
+            "            if done:",
+            "                out[i] = c",
+            "            else:",
+            f"                left.append((i, c, lo, hi, {a}))",
+            "        rows = left",
+            "    for i, *_ in rows:",
+            "        out[i] = nan",
+        ]
+    src = "\n".join(["def kernel(rows, out, p, xtol, max_iter):", *loop])
+    return _compiled(src, f"shift kernel n={n} {kind}",
+                     {"np": np, "nan": math.nan, "float64": np.float64})
+
+
+def _compiled(src: str, name: str, scope: dict):
+    """The function ``kernel`` that the generated source src defines, run
+    under the file name <name> with scope as its globals."""
+    exec(compile(src, f"<{name}>", "exec"), scope)
+    return scope["kernel"]
 
 
 def _inverse_rows(

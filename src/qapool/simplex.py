@@ -27,10 +27,10 @@ or matmul, whose summation order OpenBLAS picks for the CPU at load
 time.  np.add.reduce sums in one order on every CPU: from the first
 term along any axis but the last; along the last, in order for at most
 _ORDERED_MAX (seven) terms and pairwise from eight (numpy's
-pairwise_sum).  The float paths of pooling and learning add with
-reduce(add, ...), in order from the first term, so they give numpy's
-bits on rows of at most _ORDERED_MAX terms, and that is the one size
-cut they share for the sake of the bits.
+pairwise_sum).  The float paths of pooling and learning add in
+generated kernels, as one expression a + b + c that adds from the first
+term, so they give numpy's bits on rows of at most _ORDERED_MAX terms,
+and that is the one size cut they share for the sake of the bits.
 
 The sampler draws Dirichlet(1, ..., 1) as n i.i.d. Exp(1) variates
 divided by their sum (Devroye, *Non-Uniform Random Variate Generation*,
@@ -66,7 +66,7 @@ __all__ = [
 ]
 
 # np.add.reduce adds at most this many terms along the last axis in
-# order from the first, as reduce(add, ...) adds them (module docstring)
+# order from the first, as a + b + c adds them (module docstring)
 _ORDERED_MAX = 7
 
 

@@ -1,8 +1,12 @@
 """Pooling: defining identity, classical correspondences, inversion paths."""
 
+import os
+import subprocess
+import sys
 import warnings
 from functools import reduce
 from operator import add
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -534,8 +538,9 @@ class TestRowKernel:
 
     @pytest.mark.parametrize("rule", SMALL_RULES, ids=SMALL_IDS)
     def test_float_path_matches_numpy_kernel(self, rule, rng):
-        # rows 0 and 1 of kernel_targets sit near the simplex boundary
-        for n in (2, 3, 7):
+        # rows 0 and 1 of kernel_targets sit near the simplex boundary; each
+        # n is a kernel of its own (_shift_kernel)
+        for n in range(2, _ORDERED_MAX + 1):
             for k in (1, 2, 10, _SCALAR_ROWS):
                 for smallest in (1e-3, 1e-6, 1e-12):
                     assert_same_shift(rule, kernel_targets(rng, rule, n, max(k, 2), smallest)[:k])
@@ -609,6 +614,24 @@ class TestRowKernel:
             a, p, _, lo, hi = rule._impl.shift(kernel_targets(rng, rule, n, max(k, 2))[:k], None)
             _solve_shift(a, p, lo, hi)
         assert shapes == [(_SCALAR_ROWS, _ORDERED_MAX), (1, 2)]
+
+    def test_no_shift_kernel_is_built_at_import(self):
+        # the CLI's import and parser build no kernel, so setup time measures
+        # the same work as before the solve was generated; a pool builds its own
+        code = (
+            "import qapool.cli, qapool.pooling as pooling\n"
+            "from qapool import RuleSpec, qa_pool\n"
+            "qapool.cli.build_parser()\n"
+            "print(pooling._shift_kernel.cache_info().currsize)\n"
+            "qa_pool(RuleSpec.neglog(), [([.2, .3, .5], 1.0), ([.5, .25, .25], 2.0)])\n"
+            "print(pooling._shift_kernel.cache_info().currsize)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pooling.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["0", "1"]
 
 
 class TestOrderedMix:
