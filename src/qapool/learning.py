@@ -22,10 +22,14 @@ generated for the stream's shape (_kernel): with m and n fixed, every
 sum is one expression on named locals, added from the first term as
 numpy adds, and a step's only calls are the inverse, the fallback
 inversion and the projection.  A shape's kernel is compiled at its
-first run, never at import, and kept (42 shapes at most).  It inverts
-with the family's float_inverse where it has one (quadratic and log;
-one np.exp call per step for log), and passes its one row to
-pooling._invert_rows otherwise.
+first run, never at import, and kept (42 shapes at most).  Every family
+inverts on floats: quadratic and log by their float_inverse (one np.exp
+call per step for log), the root-find families by
+pooling._float_shift_inverse on their float_shift, which runs the
+shift solve's generated kernel on the row directly.  Only a row the
+float inverse refuses (unattainable, unconverged, non-finite, or one
+the numpy setup must decide) goes to pooling._invert_rows, which
+inverts it as _step does or raises _step's error.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses reuse the pools at its answer.
@@ -35,14 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
 from .errors import ConfigError, SolverError
 from .files import StreamFile, _stack_steps
 from .optim import projected_gradient
-from .pooling import _compiled, _invert_rows, _mix, _row_norms
+from .pooling import _compiled, _float_shift_inverse, _invert_rows, _mix, _row_norms
 from .rules import (
     Forecast,
     RuleSpec,
@@ -228,10 +232,12 @@ def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
 
 def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray, w: list):
     """ogd_run's loop on Python floats (module docstring), by the kernel of
-    E's shape: the (T, n) pools and the final weights.  A row the family's
-    float inverse does not give goes to _invert_rows, which inverts it as
-    _step does, or raises _step's error."""
-    inverse = rule._impl.float_inverse or (lambda t, c: None)
+    E's shape: the (T, n) pools and the final weights.  The family's float
+    inverse is its closed form's twin or, for a root-find family, the
+    float shift solve; a row it refuses goes to _invert_rows, which
+    inverts it as _step does, or raises _step's error."""
+    impl = rule._impl
+    inverse = impl.float_inverse or partial(_float_shift_inverse, impl.float_shift)
     return _kernel(*E.shape[1:])(rule, inverse, E, J, etas, *w)
 
 
@@ -260,7 +266,7 @@ def _kernel(m: int, n: int):
         f"        s = {total(X)}",
         "        if 0.0 < s < inf:",
         f"            x = [{', '.join(f'{v} / s' for v in X)}]",
-        "        else:  # a shift family, or a target the float inverse refuses",
+        "        else:  # a target the float inverse refuses",
         "            x = _invert_rows(rule, np.array([t]))[0].tolist()",
         "        pools[k] = x",
         "        x[j] -= 1.0  # x - e_j, the loss gradient's direction",

@@ -27,12 +27,16 @@ row as qa_pool checks one collection; qa_pool is its one-row case, and
 the audit suites pool whole arrays of seeded draws through it.
 
 A shift problem of at most _SCALAR_ROWS rows of n <= _ORDERED_MAX
-coordinates (the online learner's one row per step, the hindsight
-solve's batch of a short stream, a one-row pool) is solved on Python
-floats by _solve_shift_small, the numpy kernel's operations in its
-order, and gives the same bits; the cut in n is where numpy stops
-summing a row in order (see simplex).  Its iterations run in a kernel
-generated for the row length n and the exponent's kind (_shift_kernel).
+coordinates (the hindsight solve's batch of a short stream, a one-row
+pool) is solved on Python floats by _solve_shift_small, the numpy
+kernel's operations in its order, and gives the same bits; the cut in
+n is where numpy stops summing a row in order (see simplex).  Its
+iterations run in a kernel generated for the row length n and the
+exponent's kind (_shift_kernel).  The online learner's one row per step
+skips the numpy setup around that kernel as well: _float_shift_inverse
+takes a row of Python floats through the family's float setup
+(rules._Family.float_shift), the kernel and the power-back, and leaves
+a row it cannot finish on floats to _inverse_rows.
 numpy's z**2 is z*z and its z**-1 is 1/z, so those are taken on
 floats; log and every other power are not correctly rounded, and
 math.log and Python's ** differ from numpy's on some inputs, so they
@@ -264,25 +268,59 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
 def _solve_shift_small(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     """_solve_shift on Python floats: the same start, Newton step, bracket
     update, tolerance, bisection, iteration cap and NaN rows, operation for
-    operation, and so the same bits (see the module docstring).  The
-    iterations run in the kernel of a's row length and p's kind."""
-    k, n = a.shape
+    operation, and so the same bits (see the module docstring)."""
+    k = a.shape[0]
     # a family's bracket end is a (k,) array or one float for every row
     lo = lo.tolist() if isinstance(lo, np.ndarray) else [float(lo)] * k
     hi = hi.tolist() if isinstance(hi, np.ndarray) else [float(hi)] * k
+    return np.array(_solve_shift_floats(a.tolist(), p, lo, hi), dtype=float)
+
+
+def _solve_shift_floats(a: list, p: float, lo: list, hi: list) -> list:
+    """The shifts of _solve_shift_small's rows of offsets a and bracket ends
+    lo and hi, all lists of Python floats.  The iterations run in the
+    kernel of the rows' length and p's kind."""
     xtol = float(_ROOT_XTOL)
     out = list(hi if p >= 1.0 else lo)
     # each active row as (index, shift, lower end, upper end, *offsets)
     rows = []
-    for i, row in enumerate(a.tolist()):
+    for i, row in enumerate(a):
         if hi[i] != hi[i]:
             out[i] = math.nan
         elif hi[i] - lo[i] > xtol * abs(out[i]):
             rows.append((i, out[i], lo[i], hi[i], *row))
-    kernel = _shift_kernel(n, _SHIFT_KINDS.get(p, "power"))
+    kernel = _shift_kernel(len(a[0]), _SHIFT_KINDS.get(p, "power"))
     with np.errstate(divide="ignore", invalid="ignore"):
         kernel(rows, out, p, xtol, _ROOT_MAX_ITER)
-    return np.array(out, dtype=float)
+    return out
+
+
+def _float_shift_inverse(setup, t: list, c) -> list | None:
+    """A shift family's inverse of one target row t of Python floats, up to
+    scale, for learning's float loop: the family's float setup
+    (rules._Family.float_shift), the float shift solve, and the power-back
+    z**q, each as _inverse_rows makes them, and so the same bits.  z**2 is
+    z*z and z**-1 is 1/z; any other q takes one numpy call.  None for a
+    row left to _inverse_rows, which inverts it or finds its failure: a
+    row the setup refuses, a NaN or infinite offset, a shift that did not
+    converge, and a zero z under a negative q."""
+    problem = setup(t, c)
+    if problem is None:
+        return None
+    a, p, q, lo, hi = problem
+    if not sum(a) < math.inf:  # the offsets are >= 0 unless NaN
+        return None
+    s, = _solve_shift_floats([a], p, [lo], [hi])
+    if s != s:
+        return None
+    z = [v + s for v in a]
+    if q < 0.0 and not min(z) > 0.0:
+        return None
+    if q == 2.0:
+        return [v * v for v in z]
+    if q == -1.0:
+        return [1.0 / v for v in z]
+    return (np.array(z) ** q).tolist()
 
 
 # numpy's z**2 is z*z and its z**-1 is 1/z, which floats give; log and any

@@ -75,8 +75,15 @@ class _Family:
     pooling._solve_shift solves per row: offsets a, exponents p and q, and
     a bracket [lo, hi] for the shift s with sum_j z_j^p = 1 (sum_j log
     z_j = 0 at p = 0), z = a + s, giving x_j ~ z_j^q.  A NaN upper end
-    marks a row that no forecast attains.  ``float_inverse`` is the closed
-    form on one row of Python floats (None: unattainable), for learning.
+    marks a row that no forecast attains.
+
+    Each inverse has a twin on one row of Python floats, for learning's
+    float loop, which makes numpy's operations in numpy's order and so
+    gives the same bits: ``float_inverse`` beside the closed form, and
+    ``float_shift`` beside the shift, whose problem pooling's one-row
+    float solve (_float_shift_inverse) inverts.  A twin returns None for
+    a row it leaves to the numpy path: one that no forecast attains, and
+    any other its docstring names.
     """
 
     G: Callable
@@ -89,6 +96,7 @@ class _Family:
     closed_form: Callable | None = None
     float_inverse: Callable | None = None
     shift: Callable | None = None
+    float_shift: Callable | None = None
 
 
 _ABOVE_ONE = (lambda c: c is not None and c > 1.0, "requires parameter > 1")
@@ -123,6 +131,11 @@ def _below_max(T: np.ndarray) -> np.ndarray:
     return T.max(axis=1, keepdims=True) - T
 
 
+def _below_max_floats(t: list) -> list:
+    top = max(t)
+    return [top - v for v in t]
+
+
 def _hs_shift(T: np.ndarray, c):
     # x_j ~ 1/(u_j + d), u = gap below the max, geometric mean of u + d = 1/n
     n = T.shape[1]
@@ -139,6 +152,17 @@ def _hs_shift(T: np.ndarray, c):
     return a, 0.0, -1.0, lo, hi
 
 
+def _hs_shift_floats(t: list, c):
+    """_hs_shift on one row; None for a row past the guard, whose pinned
+    shift the numpy setup finds."""
+    n = len(t)
+    a = [n * v for v in _below_max_floats(t)]
+    top = max(a)
+    if top > OPEN_MIN ** (-1.0 / n):
+        return None
+    return a, 0.0, -1.0, max(0.0, 1.0 - top), 1.0
+
+
 def _from_min(T: np.ndarray, scale: float, p: float, q: float, hi: float):
     """Shift problem on [0, hi] for offsets a = (t - min t)/scale, p > 0."""
     a = (T - T.min(axis=1, keepdims=True)) / scale
@@ -148,10 +172,32 @@ def _from_min(T: np.ndarray, scale: float, p: float, q: float, hi: float):
     return a, p, q, 0.0, np.where(h0 > 1.0 + 1e-12, np.nan, hi)
 
 
+def _from_min_floats(t: list, scale: float, p: float, q: float, hi: float):
+    """_from_min on one row; None where its upper end is NaN."""
+    low = min(t)
+    a = [(v - low) / scale for v in t]
+    if p == 2.0:  # numpy's a**2 is a*a
+        terms = [v * v for v in a]
+    else:
+        with np.errstate(over="ignore"):
+            terms = (np.array(a) ** p).tolist()
+    h0 = -0.0  # -0.0 + x is x: h0 adds in order, as numpy sums at n <= 7
+    for v in terms:
+        h0 += v
+    if h0 > 1.0 + 1e-12:
+        return None
+    return a, p, q, 0.0, 0.0 if h0 >= 1.0 else hi
+
+
 def _spherical_shift(T: np.ndarray, c: float):
     # v + e on the unit b-sphere, v the gap above the min, e in [0, n^(-1/b)]
     b = c / (c - 1.0)
     return _from_min(T, 1.0, b, 1.0 / (c - 1.0), T.shape[1] ** (-1.0 / b))
+
+
+def _spherical_shift_floats(t: list, c: float):
+    b = c / (c - 1.0)
+    return _from_min_floats(t, 1.0, b, 1.0 / (c - 1.0), len(t) ** (-1.0 / b))
 
 
 def _spherical_grad(p: np.ndarray, c: float) -> np.ndarray:
@@ -189,6 +235,7 @@ _FAMILIES = {
         bounded=lambda c: False,
         # g = -1/x: sum_j 1/(u_j + d) = 1 with u the gap below the max, d in [1, n]
         shift=lambda T, c: (_below_max(T), -1.0, -1.0, 1.0, float(T.shape[1])),
+        float_shift=lambda t, c: (_below_max_floats(t), -1.0, -1.0, 1.0, float(len(t))),
     ),
     "power": _Family(
         G=lambda p, c: _power_sign(c) * np.power(p, c).sum(axis=-1),
@@ -204,6 +251,10 @@ _FAMILIES = {
             _below_max(T) / abs(c), 1.0 / (c - 1.0), 1.0 / (c - 1.0),
             1.0, T.shape[1] ** (1.0 - c),
         ),
+        float_shift=lambda t, c: (
+            [v / abs(c) for v in _below_max_floats(t)], 1.0 / (c - 1.0), 1.0 / (c - 1.0),
+            1.0, len(t) ** (1.0 - c),
+        ),
     ),
     "spherical": _Family(
         G=lambda p, c: np.power(p, c).sum(axis=-1) ** (1.0 / c),
@@ -213,6 +264,7 @@ _FAMILIES = {
         # peaks at the barycenter for c < 2 and at a vertex for c >= 2
         norm_bound=lambda c, n: float(n ** max(0.0, 1.0 / c - 0.5)),
         shift=_spherical_shift,
+        float_shift=_spherical_shift_floats,
     ),
     "tsallis": _Family(
         G=lambda p, c: np.power(p, c).sum(axis=-1),
@@ -225,12 +277,16 @@ _FAMILIES = {
         shift=lambda T, c: _from_min(
             T, c, 1.0 / (c - 1.0), 1.0 / (c - 1.0), T.shape[1] ** (1.0 - c)
         ),
+        float_shift=lambda t, c: _from_min_floats(
+            t, c, 1.0 / (c - 1.0), 1.0 / (c - 1.0), len(t) ** (1.0 - c)
+        ),
     ),
     "hs": _Family(
         G=_hs_G,
         grad=lambda p, c: _hs_G(p, c)[..., None] / (p.shape[-1] * p),
         open_domain=True,
         shift=_hs_shift,
+        float_shift=_hs_shift_floats,
     ),
 }
 

@@ -38,6 +38,20 @@ CLOSED_RULES = [
 
 RULE_IDS = [r.label for r in CONVEX_RULES]
 
+# the shift families of the float-path comparisons: the shift exponent p
+# at -1, -2, -0.5, 0 (hs), 2 and 6 (spherical), 2 and 10 (tsallis)
+SMALL_RULES = [
+    RuleSpec.neglog(),
+    RuleSpec.hs(),
+    RuleSpec.power(0.5),
+    RuleSpec.power(-1.0),
+    RuleSpec.spherical(2.0),
+    RuleSpec.spherical(1.2),
+    RuleSpec.tsallis(1.5),
+    RuleSpec.tsallis(1.1),
+]
+SMALL_IDS = [r.label for r in SMALL_RULES]
+
 
 def sampling_floor(rule: RuleSpec) -> float:
     """Interior shell for open-domain rules, keeping exposure magnitudes

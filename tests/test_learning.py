@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,15 +24,14 @@ from qapool import (
     score,
     weight_score,
 )
-from qapool import learning
+from qapool import learning, pooling
 from qapool.files import StreamFile
-from qapool.errors import ExposureRangeError
 from qapool.learning import _float_steps, _losses, _normalize_stream, _step
 from qapool.pooling import _invert_rows, _mix
 from qapool.rules import Forecast, _exposures, _score_matrix
 from qapool.simplex import _ORDERED_MAX
 
-from conftest import random_probs
+from conftest import SMALL_RULES, random_probs
 from oracles import (
     brute_weight_grid,
     reference_ogd,
@@ -540,8 +540,8 @@ class TestBitForBitReference:
         ids=["neglog", "hs", "tsallis:1.5"],
     )
     def test_long_shift_family_stream(self, rule, M, floor, monkeypatch):
-        # a family without a float inverse runs the float loop, which hands
-        # each step's one row to _invert_rows: _step is never called
+        # the float loop inverts every step's one row on floats, the hs rows
+        # whose solve starts at z_j = 0 among them: _step is never called
         def no_step(*args):
             raise AssertionError("the float loop called _step")
 
@@ -553,48 +553,101 @@ class TestBitForBitReference:
             _, _, _, lo, _ = rule._impl.shift(_mix(E, Wt), rule.param)
             assert (lo == 0.0).any() and (lo > 0.0).any()
 
-    # exposures whose average no forecast has: outside the quadratic
-    # rule's range, and for tsallis:3 the average of two vertices, where the
-    # shift solve finds no admissible shift
-    UNATTAINABLE = [
-        (QUAD, [[-3.0, 1.5, 1.5], [1.0, -0.5, -0.5]], "outside the quadratic rule's range"),
-        (RuleSpec.tsallis(3.0), _exposures(RuleSpec.tsallis(3.0), np.eye(3)[:2]),
-         "not attainable for rule tsallis:3"),
-    ]
+    # one step of two experts' exposures, _ROOT_MAX_ITER, whether the float
+    # inverse refuses the row, and what the numpy step prints.  Refused:
+    # exposure averages outside the quadratic rule's range and, for
+    # tsallis:3, the average of two vertices, where no shift is admissible;
+    # an hs row past the guard of _hs_shift; offsets that overflow; shifts
+    # left unconverged.  Taken on floats: an hs row whose solve starts at
+    # z_j = 0, which the shift kernel redoes on numpy scalars.
+    STEPS = {
+        "quadratic": (QUAD, [[-3.0, 1.5, 1.5], [1.0, -0.5, -0.5]], None, True,
+                      "outside the quadratic rule's range"),
+        "tsallis:3": (RuleSpec.tsallis(3.0), _exposures(RuleSpec.tsallis(3.0), np.eye(3)[:2]),
+                      None, True, "not attainable for rule tsallis:3"),
+        "hs-starts-at-zero": (RuleSpec.hs(), _exposures(RuleSpec.hs(), np.array(
+            [[0.05, 0.05, 0.9], [0.9, 0.05, 0.05]])), None, False, None),
+        "hs-past-the-guard": (RuleSpec.hs(), [[-2e100, 1e100, 1e100]] * 2, None, True, None),
+        "power:-1-overflowing-offsets": (RuleSpec.power(-1.0), [[1.5e308, -1.5e308, 0.0]] * 2,
+                                         None, True, "overflow encountered in subtract"),
+        **{f"max-iter-{cap}": (RuleSpec.neglog(), _exposures(RuleSpec.neglog(), np.array(
+            [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])), cap, True, f"converge in {cap} iterations")
+           for cap in (0, 1)},
+    }
 
-    @pytest.mark.parametrize("rule, E, message", UNATTAINABLE, ids=["quadratic", "tsallis:3"])
-    def test_float_loop_raises_the_numpy_steps_error(self, rule, E, message):
-        E = np.array([E])
-        w = np.array([0.5, 0.5])
-        with pytest.raises(ExposureRangeError) as numpy_step:
-            _step(rule, E[0], 0, w)
-        with pytest.raises(ExposureRangeError) as float_loop:
-            _float_steps(rule, E, np.array([0]), np.array([0.1]), w.tolist())
-        assert str(float_loop.value) == str(numpy_step.value)
-        assert message in str(numpy_step.value)
+    @staticmethod
+    def printed(run):
+        """The error run raises (its type and message) or the bits of the
+        pool it returns, and the messages of the warnings it issues."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = run().tobytes()
+            except Exception as error:
+                result = f"{type(error).__name__}: {error}"
+        return result, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("rule, E, cap, refused, message", STEPS.values(), ids=STEPS)
+    def test_float_loop_raises_the_numpy_steps_error(self, rule, E, cap, refused, message,
+                                                     monkeypatch):
+        # the float loop prints what the numpy step prints, and no warning
+        # of its own; a refused row is the one call of its fallback
+        if cap is not None:
+            monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", cap)
+        E, w = np.array([E], dtype=float), np.array([0.5, 0.5])
+        fallbacks = []
+        monkeypatch.setitem(learning._kernel(2, 3).__globals__, "_invert_rows",
+                            lambda *a: fallbacks.append(a) or _invert_rows(*a))
+        numpy_step = self.printed(lambda: _step(rule, E[0], 0, w)[0])
+        float_loop = self.printed(
+            lambda: _float_steps(rule, E, np.array([0]), np.array([1e-3]), w.tolist())[0][0]
+        )
+        assert float_loop == numpy_step
+        assert len(fallbacks) == refused
+        assert message is None or message in str(numpy_step)
 
 
 class TestKernel:
     """The float loop's generated kernel (learning._kernel) at every shape it
     is built for, m in 1.._ORDERED_MAX and n in 2.._ORDERED_MAX, against
     oracles.reference_ogd bit for bit: each of its sums must add from the
-    first term, as numpy does on rows this short."""
+    first term, as numpy does on rows this short.  Every family inverts
+    each step of an in-range stream on floats, never by _invert_rows."""
 
     # (rule, M, forecast floor): a closed-form family on each side of the
-    # domain, and a shift family, whose every step goes to _invert_rows
+    # domain, and a shift family
     FAMILIES = [(QUAD, None, None), (RuleSpec.logarithmic(), 10.0, 0.05),
                 (RuleSpec.neglog(), 10.0, 0.05)]
+    # the other shift families, at the corner shapes
+    SHIFT_FAMILIES = [
+        (rule, 10.0, 0.05) if rule.domain_kind == "open" else (rule, None, None)
+        for rule in SMALL_RULES if rule.family != "neglog"
+    ]
 
     @pytest.mark.parametrize("m", range(1, _ORDERED_MAX + 1))
     @pytest.mark.parametrize("n", range(2, _ORDERED_MAX + 1))
     @pytest.mark.parametrize("rule, M, floor", FAMILIES, ids=[r.label for r, _, _ in FAMILIES])
     def test_every_shape_matches_the_reference(self, rule, M, floor, n, m, monkeypatch):
+        self.check(rule, M, floor, n, m, monkeypatch)
+
+    @pytest.mark.parametrize("m", [1, 5, _ORDERED_MAX])
+    @pytest.mark.parametrize("n", [2, 3, _ORDERED_MAX])
+    @pytest.mark.parametrize(
+        "rule, M, floor", SHIFT_FAMILIES, ids=[r.label for r, _, _ in SHIFT_FAMILIES]
+    )
+    def test_shift_families_match_the_reference(self, rule, M, floor, n, m, monkeypatch):
+        self.check(rule, M, floor, n, m, monkeypatch)
+
+    def check(self, rule, M, floor, n, m, monkeypatch):
         def no_step(*args):
             raise AssertionError("ogd_run called _step at m, n <= _ORDERED_MAX")
 
-        runs, kernel_loop = [], learning._float_steps
+        runs, kernel_loop, fallbacks = [], learning._float_steps, []
         monkeypatch.setattr(learning, "_step", no_step)
         monkeypatch.setattr(learning, "_float_steps", lambda *a: runs.append(kernel_loop(*a)) or runs[-1])
+        # the kernel's own fallback, not the hindsight solve's inversion
+        monkeypatch.setitem(learning._kernel(m, n).__globals__, "_invert_rows",
+                            lambda *a: fallbacks.append(a) or _invert_rows(*a))
         rng = np.random.default_rng([m, n, 40])
         # a small Dirichlet concentration puts quadratic pools on the boundary
         sf = StreamFile(rng.dirichlet(np.full(n, 0.5), size=(40, m)), rng.integers(1, n + 1, size=40))
@@ -605,21 +658,33 @@ class TestKernel:
         assert pools.tobytes() == X.tobytes()
         assert np.array(weights).tobytes() == final.tobytes()
         assert rep.per_step_loss.tobytes() == losses.tobytes()
+        assert fallbacks == []
 
     def test_no_kernel_is_built_at_import(self):
         # the CLI's import and parser build no kernel, so setup time measures
-        # the same work as before the loop was generated; a run builds its own
+        # the same work as before the loop was generated; a run builds its
+        # own.  A root-find family's float inverse is one function with no
+        # per-family state: one hs run at m = 2, n = 3 builds the loop's
+        # kernel and the one shift kernel (n = 3, log) that its steps and its
+        # hindsight solve share, and nothing else
+        kernels = (
+            "print(learning._kernel.cache_info().currsize, "
+            "pooling._shift_kernel.cache_info().currsize)\n"
+        )
         code = (
-            "import qapool.cli, qapool.learning as learning\n"
+            "import qapool.cli, qapool.learning as learning, qapool.pooling as pooling\n"
             "from qapool import LearningConfig, RuleSpec, ogd_run\n"
             "qapool.cli.build_parser()\n"
-            "print(learning._kernel.cache_info().currsize)\n"
-            "ogd_run(LearningConfig(rule=RuleSpec.quadratic(), m=2), [([[.5, .5], [.2, .8]], 1)])\n"
-            "print(learning._kernel.cache_info().currsize)\n"
+            + kernels
+            + "ogd_run(LearningConfig(rule=RuleSpec.quadratic(), m=2), [([[.5, .5], [.2, .8]], 1)])\n"
+            + kernels
+            + "config = LearningConfig(rule=RuleSpec.hs(), m=2, M=10.0, forecast_floor=0.05)\n"
+            "ogd_run(config, [([[.2, .3, .5], [.6, .3, .1]], 1), ([[.1, .1, .8], [.3, .3, .4]], 3)])\n"
+            + kernels
         )
         env = {**os.environ, "PYTHONPATH": str(Path(learning.__file__).parents[1])}
         done = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["0", "1"]
+        assert done.stdout.splitlines() == ["0 0", "1 0", "2 1"]

@@ -39,6 +39,7 @@ from qapool.pooling import (
     CLOSED_FORM,
     ROOT_FIND,
     _certified_inverse,
+    _float_shift_inverse,
     _inverse_rows,
     _invert_rows,
     _mix,
@@ -49,7 +50,9 @@ from qapool.pooling import (
 from qapool.rules import OPEN_MIN, _gradient
 from qapool.simplex import _ORDERED_MAX
 
-from conftest import CONVEX_RULES, RULE_IDS, random_instance, random_probs
+from conftest import (
+    CONVEX_RULES, RULE_IDS, SMALL_IDS, SMALL_RULES, random_instance, random_probs,
+)
 from oracles import (
     grid_argmin,
     spg_inverse,
@@ -425,21 +428,6 @@ def kernel_targets(rng, rule, n, k=6, smallest=1e-6):
     return T - T.mean(axis=1, keepdims=True)
 
 
-# the families of the float-path comparisons: the shift exponent p at
-# -1, -2, -0.5, 0 (hs), 2 and 6 (spherical), 2 and 10 (tsallis)
-SMALL_RULES = [
-    RuleSpec.neglog(),
-    RuleSpec.hs(),
-    RuleSpec.power(0.5),
-    RuleSpec.power(-1.0),
-    RuleSpec.spherical(2.0),
-    RuleSpec.spherical(1.2),
-    RuleSpec.tsallis(1.5),
-    RuleSpec.tsallis(1.1),
-]
-SMALL_IDS = [r.label for r in SMALL_RULES]
-
-
 def numpy_shift(a, p, lo, hi):
     """The numpy kernel of _solve_shift, at any problem size."""
     with mock.patch.object(pooling, "_SCALAR_ROWS", -1):
@@ -632,6 +620,83 @@ class TestRowKernel:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["0", "1"]
+
+
+class TestFloatShift:
+    """The float twin of each shift family's setup (rules._Family.float_shift)
+    and the one-row float inverse of the online learner
+    (pooling._float_shift_inverse), against the numpy setup and inversion
+    of the same row, bit for bit."""
+
+    TWIN_RULES = SMALL_RULES + [RuleSpec.tsallis(3.0), RuleSpec.spherical(3.0)]
+
+    @staticmethod
+    def rows(rng, rule, n):
+        """Canonical targets: forecasts near the boundary, far targets at
+        scales 1e-3 to 1e12, rows on either side of hs's guard, and for a
+        closed-domain rule the averages of two vertices' exposures."""
+        T = [kernel_targets(rng, rule, n, 6, smallest) for smallest in (1e-3, 1e-12)]
+        T.append(rng.normal(size=(8, n)) * 10.0 ** rng.uniform(-3.0, 12.0, size=(8, 1)))
+        # max a = n (max t - min t) of hs at 0.5 and at n times the guard
+        guard = OPEN_MIN ** (-1.0 / n)
+        T.append(np.outer([0.5 * guard / n, guard], np.eye(n)[0]))
+        if rule.domain_kind == "closed":
+            V = _gradient(rule, np.eye(n))
+            T.append(0.5 * (V[:, None] + V[None]).reshape(-1, n))
+        T = np.vstack(T)
+        return T - T.mean(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("rule", TWIN_RULES, ids=[r.label for r in TWIN_RULES])
+    def test_float_setup_is_the_numpy_setup(self, rule, rng):
+        # the same offsets, exponents and bracket, and None exactly where the
+        # numpy setup marks the row unattainable, or the row is past hs's guard
+        def bits(v):
+            return np.asarray(v, dtype=float).reshape(-1).tobytes()
+
+        refused = kept = 0
+        for n in range(2, _ORDERED_MAX + 1):
+            for t in self.rows(rng, rule, n):
+                a, p, q, lo, hi = rule._impl.shift(t[None], rule.param)
+                twin = rule._impl.float_shift(t.tolist(), rule.param)
+                past_guard = rule.family == "hs" and a.max() > OPEN_MIN ** (-1.0 / n)
+                if np.isnan(hi).any() or past_guard:
+                    assert twin is None
+                    refused += 1
+                else:
+                    assert [bits(v) for v in twin] == [bits(v) for v in (a, p, q, lo, hi)]
+                    kept += 1
+        assert kept and (refused or rule.family in ("neglog", "power"))
+
+    @pytest.mark.parametrize("rule", SMALL_RULES, ids=SMALL_IDS)
+    def test_float_inverse_is_the_numpy_inverse(self, rule, rng):
+        for n in range(2, _ORDERED_MAX + 1):
+            for t in kernel_targets(rng, rule, n, _SCALAR_ROWS):
+                x = _float_shift_inverse(rule._impl.float_shift, t.tolist(), rule.param)
+                X, fail = _inverse_rows(rule, t[None])
+                total = reduce(add, x)  # in order, as the learner's kernel sums
+                assert fail is None and np.array([v / total for v in x]).tobytes() == X.tobytes()
+
+    def test_refused_rows(self, monkeypatch):
+        tsallis = RuleSpec.tsallis(3.0)
+        neglog = _gradient(RuleSpec.neglog(), np.array([0.2, 0.3, 0.5]))
+        refused = [
+            # no admissible shift: the average of two vertices' exposures
+            (tsallis, 0.5 * (_gradient(tsallis, np.eye(3)[:2]).sum(axis=0))),
+            (RuleSpec.hs(), [2e100, -1e100, -1e100]),  # past the guard
+            (RuleSpec.power(-1.0), [1.5e308, -1.5e308, 0.0]),  # offsets overflow
+            (RuleSpec.neglog(), [np.nan, 0.0, 0.0]),
+        ]
+        for rule, t in refused:
+            t = np.asarray(t, dtype=float)
+            assert _float_shift_inverse(rule._impl.float_shift, (t - t.mean()).tolist(),
+                                        rule.param) is None
+        # a shift that ends at 0 leaves z_j = 0 under q = -1
+        zero = ([0.0, 1.0], 2.0, -1.0, 0.0, 0.0)
+        assert _float_shift_inverse(lambda t, c: zero, [0.0, 0.0], None) is None
+        for cap in (0, 1):  # unconverged
+            monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", cap)
+            t = neglog - neglog.mean()
+            assert _float_shift_inverse(RuleSpec.neglog()._impl.float_shift, t.tolist(), None) is None
 
 
 class TestOrderedMix:

@@ -64,19 +64,25 @@ def test_score_gap_table():
 
 
 def test_output_digest():
-    args = ("--seeds", "1", "--workloads", "cli_mix")
+    # cli_mix, and learn_rootfind: every root-find family's online loop
+    args = ("--seeds", "1", "--workloads", "cli_mix", "learn_rootfind")
     out = run_script("output_digest.py", *args)
     lines = out.splitlines()
-    assert lines
+    commands = {"cli_mix": ("pool", "score", "bregman", "probe-exposure", "audit"),
+                "learn_rootfind": ("learn",)}
     for line in lines:
         workload, seed, rep, argv, code, stdout, stderr = line.split("\t")
-        assert (workload, seed) == ("cli_mix", "1") and rep in ("0", "1")
-        assert argv.split()[0] in ("pool", "score", "bregman", "probe-exposure", "audit")
+        assert workload in commands and seed == "1" and rep in ("0", "1")
+        assert argv.split()[0] in commands[workload]
         assert "/" not in argv.replace("<work>/", "")
-        assert code in ("exit=0", "exit=2")
+        assert code in (("exit=0", "exit=2") if workload == "cli_mix" else ("exit=0",))
         for field, name in ((stdout, "stdout="), (stderr, "stderr=")):
             assert field.startswith(name) and len(field) == len(name) + 64
-    assert {line.split("\t")[2] for line in lines} == {"0", "1"}
+    assert {tuple(line.split("\t")[:3:2]) for line in lines} == {
+        (workload, rep) for workload in commands for rep in ("0", "1")
+    }
+    learned = {line.split("\t")[3].split()[1] for line in lines if line.startswith("learn")}
+    assert learned and all(qapool.parse_rule(rule)._impl.shift for rule in learned)
     assert run_script("output_digest.py", *args) == out
 
 
