@@ -32,7 +32,15 @@ the numpy setup must decide) goes to pooling._invert_rows, which
 inverts it as _step does or raises _step's error.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
-comparator losses reuse the pools at its answer.
+comparator losses reuse the pools at its answer.  It is projected Newton
+on the weight simplex (optim.newton_simplex) with the exact Hessian of
+the per-step mean loss, (1/T) sum_t E_t J_t E_t^T, where J_t, the
+derivative of step t's pool in its target, is diagonal plus low rank
+(rules._tangent_inverse), so the Hessian costs a few elementwise
+products and ordered sums over the stream.  The answer is certified by
+the Frank-Wolfe gap of the mean loss, at most optim.GAP_TOL = 1e-12,
+and RegretReport.hindsight_gap keeps it; a solve that cannot reach it
+raises SolverError naming the gap.
 """
 
 from __future__ import annotations
@@ -43,9 +51,9 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError
 from .files import StreamFile, _stack_steps
-from .optim import projected_gradient
+from .optim import newton_simplex
 from .pooling import _compiled, _float_shift_inverse, _invert_rows, _mix, _row_norms
 from .rules import (
     Forecast,
@@ -58,6 +66,7 @@ from .rules import (
     _read_only,
     _score_matrix,
     _simplex_rows,
+    _tangent_inverse,
 )
 from .simplex import (
     _ORDERED_MAX, _ordered_dot, _project_floats, canonicalize, project_simplex, uniform_point,
@@ -154,6 +163,9 @@ class RegretReport:
     observed_exposure_sup: float
     exposure_bound_exceeded: bool
     final_weights: WeightVector | None = field(repr=False, default=None)
+    # the Frank-Wolfe gap of best_weights' per-step mean loss: best_fixed_loss
+    # is within T times it of the true hindsight optimum (not printed)
+    hindsight_gap: float = field(repr=False, default=math.nan)
 
     @property
     def T(self) -> int:
@@ -283,12 +295,22 @@ def _kernel(m: int, n: int):
     })
 
 
+# products per block of the hindsight Hessian's sum over the stream (1 MB)
+_HESS_BLOCK = 1 << 17
+
+
 def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
     """Best fixed weights for the (T, m, n) exposures E at the 0-based
-    outcomes J, and the (T, n) pools of the stream under them.
+    outcomes J, the (T, n) pools of the stream under them, and the
+    Frank-Wolfe gap of the per-step mean loss there, at most
+    optim.GAP_TOL.
 
-    The loss and the gradient at a point share its pools: the pools of
-    the last point asked about are kept.
+    The loss, the gradient and the Hessian at a point share its pools:
+    the pools of the last point asked about are kept.  The Hessian of the
+    mean loss is (1/T) sum_t E_t J_t E_t^T, with J_t the derivative of the
+    step's pool in its target (rules._tangent_inverse): with B_t = E_t
+    (I - pi_t 1^T) diag(d_t)^(1/2), it is (1/T) sum_t B_t B_t^T, exactly
+    symmetric.
     """
     T, m, _ = E.shape
     rows, inv_t = np.arange(T), 1.0 / T
@@ -300,25 +322,29 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
             last_w, last_X = w.copy(), _invert_rows(rule, _mix(E, w))
         return last_X
 
-    def grad(w: np.ndarray) -> np.ndarray:
-        D = pools(w).copy()
+    # the per-step mean, so that the gap tolerance is T-independent
+    def value_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+        X = pools(w)
+        D = X.copy()
         D[rows, J] -= 1.0
-        return canonicalize(np.einsum("tmn,tn->m", E, D)) * inv_t
+        grad = canonicalize(np.einsum("tmn,tn->m", E, D)) * inv_t
+        return float(_losses(rule, X, J).sum()) * inv_t, grad
 
-    # optimize the per-step mean so the first-order tolerances refer to
-    # a T-independent scale
-    w, kkt, converged = projected_gradient(
-        lambda w: float(_losses(rule, pools(w), J).sum()) * inv_t,
-        grad,
-        uniform_point(m),
-        project_simplex,
-        max_iter=1_000_000,
-    )
-    if not converged and not kkt <= 1e-6:
-        raise SolverError(
-            f"offline weight optimization stalled at KKT residual {kkt:.3e}"
-        )
-    return w, pools(w)
+    def hess(w: np.ndarray) -> np.ndarray:
+        d, pi = _tangent_inverse(rule, pools(w))
+        H = np.zeros((m, m))
+        # an overflowing Hessian is not finite, and the solve stalls on it
+        with np.errstate(over="ignore", invalid="ignore"):
+            B = (E - _ordered_dot(E, pi[:, None, :])[..., None]) * np.sqrt(d)[:, None, :]
+            B = B.transpose(1, 0, 2).reshape(m, -1)  # expert i's terms, every step's outcomes
+            cols = max(1, _HESS_BLOCK // (m * m))
+            for lo in range(0, B.shape[1], cols):
+                Bc = B[:, lo:lo + cols]
+                H += np.add.reduce(Bc[:, None] * Bc[None], axis=2)
+        return H * inv_t
+
+    w, _, gap = newton_simplex(value_grad, hess, uniform_point(m))
+    return w, pools(w), gap
 
 
 # --------------------------------------------------------------------------
@@ -356,11 +382,14 @@ def offline_best_weights(rule: RuleSpec, stream) -> tuple[WeightVector, float]:
 
     The stream is taken as by ogd_run.  Maximizes the summed pooled
     scores over the weight simplex; the objective is concave, so
-    projected gradient with backtracking converges to the global optimum.
+    projected Newton converges to the global optimum, and the answer's
+    Frank-Wolfe gap certifies it: the per-step mean of the total loss is
+    within 1e-12 of its minimum.  A solve that cannot certify raises
+    SolverError.
     """
     P, J = _normalize_stream(stream)
     J = J - 1
-    w, X = _solve_offline(rule, _exposures(rule, P), J)
+    w, X, _ = _solve_offline(rule, _exposures(rule, P), J)
     return WeightVector(w), float(_losses(rule, X, J).sum())
 
 
@@ -414,7 +443,7 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
             w = project_simplex(w - eta * grad)
     losses = _losses(rule, X, J)
 
-    best_w, best_pools = _solve_offline(rule, E, J)
+    best_w, best_pools, gap = _solve_offline(rule, E, J)
     comparator = _losses(rule, best_pools, J)
     best_loss = float(comparator.sum())
     return RegretReport(
@@ -428,4 +457,5 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
         observed_exposure_sup=observed,
         exposure_bound_exceeded=bool(observed > M),
         final_weights=WeightVector(w),
+        hindsight_gap=gap,
     )

@@ -68,7 +68,12 @@ class _Family:
     """Everything the library knows about one rule family.
 
     Functions take the rule parameter c (None for families without one).
-    G and grad act on the last axis of (..., n) forecast arrays.  The
+    G, grad and hess act on the last axis of (..., n) forecast arrays.
+    hess is the diagonal h of G's Hessian.  For the separable families
+    that is the whole Hessian; for the 1-homogeneous ones (``homogeneous``:
+    hs and spherical), whose gradient is constant along rays so that
+    H p = 0, the Hessian is diag(h) - (h p)(h p)^T / <p, h p>
+    (_tangent_inverse inverts it on the tangent space).  The
     inverse takes a (k, n) array of canonical exposure targets: either a
     ``closed_form`` returning forecasts up to scale (a NaN row for a target
     that no forecast attains), or a ``shift`` for the problem
@@ -88,6 +93,8 @@ class _Family:
 
     G: Callable
     grad: Callable
+    hess: Callable
+    homogeneous: bool = False
     open_domain: bool = False
     param: tuple = (lambda c: c is None, "takes no parameter")  # check, message
     bounded: Callable = lambda c: True  # G is finite on the closed simplex
@@ -205,6 +212,11 @@ def _spherical_grad(p: np.ndarray, c: float) -> np.ndarray:
     return s ** (1.0 / c - 1.0) * np.power(p, c - 1.0)
 
 
+def _spherical_hess(p: np.ndarray, c: float) -> np.ndarray:
+    s = np.power(p, c).sum(axis=-1, keepdims=True)
+    return (c - 1.0) * s ** (1.0 / c - 1.0) * np.power(p, c - 2.0)
+
+
 def _hs_G(p: np.ndarray, c) -> np.ndarray:
     return -np.exp(np.log(p).sum(axis=-1) / p.shape[-1])
 
@@ -217,6 +229,7 @@ _FAMILIES = {
     "quadratic": _Family(
         G=lambda p, c: (p * p).sum(axis=-1),
         grad=lambda p, c: 2.0 * p,
+        hess=lambda p, c: np.full_like(p, 2.0),
         norm_bound=lambda c, n: 2.0,  # ||2p|| peaks at a vertex
         closed_form=_quadratic_inverse,
         float_inverse=_quadratic_inverse_floats,
@@ -224,6 +237,7 @@ _FAMILIES = {
     "log": _Family(
         G=lambda p, c: (p * np.log(p)).sum(axis=-1),
         grad=lambda p, c: np.log(p) + 1.0,
+        hess=lambda p, c: 1.0 / p,
         open_domain=True,
         closed_form=_log_inverse,
         float_inverse=_log_inverse_floats,
@@ -231,6 +245,7 @@ _FAMILIES = {
     "neglog": _Family(
         G=lambda p, c: -np.log(p).sum(axis=-1),
         grad=lambda p, c: -1.0 / p,
+        hess=lambda p, c: 1.0 / (p * p),
         open_domain=True,
         bounded=lambda c: False,
         # g = -1/x: sum_j 1/(u_j + d) = 1 with u the gap below the max, d in [1, n]
@@ -240,6 +255,7 @@ _FAMILIES = {
     "power": _Family(
         G=lambda p, c: _power_sign(c) * np.power(p, c).sum(axis=-1),
         grad=lambda p, c: _power_sign(c) * c * np.power(p, c - 1.0),
+        hess=lambda p, c: _power_sign(c) * c * (c - 1.0) * np.power(p, c - 2.0),
         open_domain=True,
         param=(
             lambda c: c is not None and (c < 0.0 or 0.0 < c < 1.0),
@@ -259,6 +275,8 @@ _FAMILIES = {
     "spherical": _Family(
         G=lambda p, c: np.power(p, c).sum(axis=-1) ** (1.0 / c),
         grad=_spherical_grad,
+        hess=_spherical_hess,
+        homogeneous=True,
         param=_ABOVE_ONE,
         # the raw gradient lives on the unit c/(c-1)-sphere; its l2 norm
         # peaks at the barycenter for c < 2 and at a vertex for c >= 2
@@ -269,6 +287,7 @@ _FAMILIES = {
     "tsallis": _Family(
         G=lambda p, c: np.power(p, c).sum(axis=-1),
         grad=lambda p, c: c * np.power(p, c - 1.0),
+        hess=lambda p, c: c * (c - 1.0) * np.power(p, c - 2.0),
         param=_ABOVE_ONE,
         # sum p^(2(c-1)) peaks at a vertex for c >= 1.5, barycenter below
         norm_bound=lambda c, n: float(c * n ** max(0.0, 1.5 - c)),
@@ -284,6 +303,8 @@ _FAMILIES = {
     "hs": _Family(
         G=_hs_G,
         grad=lambda p, c: _hs_G(p, c)[..., None] / (p.shape[-1] * p),
+        hess=lambda p, c: -_hs_G(p, c)[..., None] / (p.shape[-1] * p * p),
+        homogeneous=True,
         open_domain=True,
         shift=_hs_shift,
         float_shift=_hs_shift_floats,
@@ -530,6 +551,25 @@ def _expected(rule: RuleSpec, p: np.ndarray):
 def _gradient(rule: RuleSpec, p: np.ndarray) -> np.ndarray:
     """Raw gradient of G along the last axis of a (..., n) array."""
     return rule._impl.grad(p, rule.param)
+
+
+def _tangent_inverse(rule: RuleSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The derivative J = dx/dt of the inverse exposure map at the pools on
+    the last axis of X, as (d, pi) with J = (I - pi 1^T) diag(d) (I - 1 pi^T).
+
+    J inverts G's Hessian H on the tangent space: H dx = dt + (dlam) 1
+    with sum dx = 0.  With d = 1/h, the separable families (H = diag(h))
+    give J = D - d d^T / sum d, which is that form at pi = d / sum d; the
+    1-homogeneous families (H x = 0) give it at pi = x.  A coordinate
+    where h is 0 or not finite (a pool on the boundary, where G has no
+    second derivative) is held fixed: its d is 0.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = rule._impl.hess(X, rule.param)
+        d = np.divide(1.0, h, out=np.zeros_like(h), where=(h > 0.0) & (h < np.inf))
+        if rule._impl.homogeneous:
+            return d, X
+        return d, d / np.add.reduce(d, axis=-1, keepdims=True)
 
 
 def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:

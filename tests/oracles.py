@@ -403,10 +403,26 @@ def reference_step(rule, E_t: np.ndarray, j: int, w: np.ndarray):
     return x, g - g.sum() / g.size
 
 
+def hindsight_loss_and_gap(rule, E: np.ndarray, J0: np.ndarray, w: np.ndarray):
+    """The total loss of the pools of the (T, m, n) exposures E under the
+    weights w at the 0-based outcomes J0, and the Frank-Wolfe gap
+    <g, w> - min_i g_i of the per-step mean loss there, g its gradient."""
+    from qapool.rules import _score_matrix
+
+    X = reference_pools(rule, E, w)
+    rows = np.arange(E.shape[0])
+    D = X.copy()
+    D[rows, J0] -= 1.0
+    g = (E * D[:, None, :]).sum(axis=(0, 2)) / E.shape[0]
+    return float(-_score_matrix(rule, X)[rows, J0].sum()), float(g @ w - g.min())
+
+
 def reference_ogd(rule, P: np.ndarray, J: np.ndarray, M: float):
-    """ogd_run's loop and hindsight solve on a checked, clamped (T, m, n)
-    stream with 1-based outcomes: per-step pools, gradients, weights
-    (before each step), losses, the final and the best fixed weights."""
+    """ogd_run's loop on a checked, clamped (T, m, n) stream with 1-based
+    outcomes, and its hindsight solve as it was made before projected
+    Newton replaced SPG: per-step pools, gradients, weights (before each
+    step), losses, the final weights, and the best fixed weights by SPG
+    (an oracle the Newton answer must match within SPG's tolerance)."""
     from qapool.optim import projected_gradient
     from qapool.rules import _exposures, _score_matrix
 

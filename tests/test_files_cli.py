@@ -613,8 +613,8 @@ class TestCmdLearn:
     def test_overflowing_exposure_norm_prints_one_stderr_line(self, tmp_path):
         # in a subprocess, since pytest would capture numpy's RuntimeWarning:
         # the norm of the exposure -1/1e-170 overflows to inf without one.
-        # The hindsight solve's first trial points are too large to project;
-        # it counts them as failed line-search trials and stalls
+        # The hindsight solve's Hessian overflows, so no Newton step can be
+        # taken, and the solve stalls at the gap of its starting point
         path = tmp_path / "stream.json"
         forecasts = [[1e-170, 0.5, 0.5], [0.2, 0.3, 0.5]]
         path.write_text(json.dumps({"steps": [{"forecasts": forecasts, "outcome": 1}]}))
@@ -629,7 +629,8 @@ class TestCmdLearn:
         )
         assert done.returncode == 3 and done.stdout == ""
         assert done.stderr == (
-            "qapool: solver failure: offline weight optimization stalled at KKT residual inf\n"
+            "qapool: solver failure: projected Newton stalled at Frank-Wolfe gap 5.000e+169, "
+            "above 1e-12\n"
         )
 
     @pytest.mark.parametrize("M, exceeded", [("1e200", False), ("1e100", True)])
@@ -673,23 +674,26 @@ class TestCmdLearn:
         assert first == second
         assert json.loads(first)["seed"] == 123
 
-    # sha256 of stdout, recorded before the stream moved to array transport
-    # and re-recorded once when every sum of products left BLAS (so that no
-    # pin depends on the CPU's OpenBLAS kernel); a speed-up of `learn` must
-    # leave these bytes alone
+    # sha256 of stdout, recorded before the stream moved to array transport,
+    # re-recorded once when every sum of products left BLAS (so that no pin
+    # depends on the CPU's OpenBLAS kernel), and once when projected Newton
+    # replaced SPG in the hindsight solve (best_weights, best_fixed_loss and
+    # cumulative_regret moved; the Frank-Wolfe gap fell on every pinned
+    # stream); a speed-up of `learn` must leave these bytes alone
     PINNED = {
-        ("quadratic",): "aa451769e4fe16beb693c813a1e8622c8580f2a975444f6aca7287f5631f15c6",
+        ("quadratic",): "6110e90bee8bc5cb2ed879b42e68e7901c911ac63c2fcb569563f647defe61c3",
         ("log", "--M", "4", "--floor", "0.05"):
-            "8db44e26049877d3775cd5194e64b95e2baae4e6770d8c3d19d713ec2debccb9",
+            "5005315784fdd637915fba8595f7875aad6a8e8a2546eb67b655a735de404710",
     }
 
     # sha256 of the --emit-curve CSV of the same commands, recorded before
-    # the curve was written from regret_curve() and bound_curve(), and
-    # re-recorded once when the sums left BLAS
+    # the curve was written from regret_curve() and bound_curve(),
+    # re-recorded once when the sums left BLAS, and once when projected
+    # Newton replaced SPG (the comparator losses moved)
     PINNED_CURVE = {
-        ("quadratic",): "9931e19c0de351801b5d82cd3dbb94bc2e061397e2ef3b91a4beaeb84cade279",
+        ("quadratic",): "546c8d26d3b7ac8ca1d1659937fc8652051bfa71b27e1a62ebd7a57f08fcc308",
         ("log", "--M", "4", "--floor", "0.05"):
-            "afdec33930db23be996121235cc7bb0a88cad9dbf4c1531bb4a8b1185d4cb92c",
+            "661aa15661491f4ca40df77d79951f4c40b0514863f0f6b3c8a14f9aec00bbc5",
     }
 
     @staticmethod
@@ -710,18 +714,18 @@ class TestCmdLearn:
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[args], PIN_NOTE
 
     # sha256 of stdout under the five root-find families, recorded before
-    # the shift solve got its Python-float path and re-recorded once when
-    # the sums left BLAS; each open family's --M is perfbench's
-    # exposure_bound(family, 3, 0.05)
+    # the shift solve got its Python-float path, re-recorded once when the
+    # sums left BLAS, and once when projected Newton replaced SPG; each
+    # open family's --M is perfbench's exposure_bound(family, 3, 0.05)
     PINNED_ROOT_FIND = {
-        ("spherical:2",): "11cb8eccc3b1a7303b78461d6ce22553f1a1a98df0007aac71ebb71a623a8fb3",
-        ("tsallis:1.5",): "b13bf4b88a01663e31808f9c33faabc73ec09e9d05f549f2512d3356224c9338",
+        ("spherical:2",): "be9d718ca606821c19c04be48e93d13af34cb51008e0cb0ef0e46aa8431dcebf",
+        ("tsallis:1.5",): "a0c9c768f810bd1faf1ad0420e074affc34595ae176982c235bde56fcfd58697",
         ("power:0.5", "--M", "4.1533119314590365", "--floor", "0.05"):
-            "b365f058ca1bc0c07ef5cfce9e704607915413245c059482483faef311349b73",
+            "df67bfcc3dc637bce3e48bc18876f0856c678dd60c0e95edf4f51d79d1f2f848",
         ("neglog", "--M", "39.83716857408417", "--floor", "0.05"):
-            "d8281b7622240ec9f790558f1ffa39f382e688e9f4c4385bbebf6d231ad8eedd",
+            "3309d936b2f839d2820fd48d94676c99b03371acfd41b8df8a2ec9385c58b716",
         ("hs", "--M", "4.42635206378713", "--floor", "0.05"):
-            "82a630637489eaaaa6bf44c9dc594365c514ca0dcc5cb8bbc07a7e912509885f",
+            "59123023065516ad83b236f13ebd72180042559cb082dfea7915403dc9f18308",
     }
 
     @pytest.mark.parametrize("args", sorted(PINNED_ROOT_FIND), ids=lambda a: a[0])

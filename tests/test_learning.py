@@ -24,16 +24,19 @@ from qapool import (
     score,
     weight_score,
 )
-from qapool import learning, pooling
-from qapool.files import StreamFile
+from qapool import learning, optim, pooling
+from qapool.errors import SolverError
+from qapool.files import StreamFile, load_stream_file
 from qapool.learning import _float_steps, _losses, _normalize_stream, _step
+from qapool.optim import newton_simplex
 from qapool.pooling import _invert_rows, _mix
-from qapool.rules import Forecast, _exposures, _score_matrix
-from qapool.simplex import _ORDERED_MAX
+from qapool.rules import Forecast, _exposures, _score_matrix, parse_rule
+from qapool.simplex import _ORDERED_MAX, project_simplex, uniform_point
 
 from conftest import SMALL_RULES, random_probs
 from oracles import (
     brute_weight_grid,
+    hindsight_loss_and_gap,
     reference_ogd,
     reference_step,
     weighted_arithmetic_mean,
@@ -428,7 +431,7 @@ class TestStreamTransport:
 
     def test_hindsight_solve_inverts_each_point_once(self, monkeypatch):
         asked, inverted = [], []
-        solve, mix = learning.projected_gradient, learning._mix
+        solve, mix = learning.newton_simplex, learning._mix
         T = 10
 
         def ask(f):
@@ -437,10 +440,10 @@ class TestStreamTransport:
                 return f(w)
             return asked_at
 
-        def count_asked(objective, gradient, x0, project, **kwargs):
-            w, kkt, converged = solve(ask(objective), ask(gradient), x0, project, **kwargs)
+        def count_asked(value_grad, hess, x0):
+            w, f, gap = solve(ask(value_grad), ask(hess), x0)
             asked.append(w.tobytes())  # the comparator losses are taken at the answer
-            return w, kkt, converged
+            return w, f, gap
 
         def count_inverted(E, w):
             # every inversion of the whole stream mixes all T steps' exposures
@@ -448,13 +451,84 @@ class TestStreamTransport:
                 inverted.append(w.tobytes())
             return mix(E, w)
 
-        monkeypatch.setattr(learning, "projected_gradient", count_asked)
+        monkeypatch.setattr(learning, "newton_simplex", count_asked)
         monkeypatch.setattr(learning, "_mix", count_inverted)
         sf, _ = make_stream_file(T=T)
         ogd_run(LearningConfig(rule=RuleSpec.spherical(2.0), m=sf.m), sf)
-        # the loss, the gradient and the comparator losses share their points
+        # the loss and gradient, the Hessian and the comparator losses share
+        # their points
         assert len(asked) > len(inverted)
         assert sorted(inverted) == sorted(set(asked))
+
+
+class TestHindsightNewton:
+    """The hindsight comparator's projected-Newton solve: certified by the
+    Frank-Wolfe gap of the per-step mean loss, in few stream inversions,
+    or a SolverError that names the gap."""
+
+    def test_benchmark_streams_certify_in_few_inversions(self, tmp_path, monkeypatch):
+        # the 40 learn_rootfind streams of seeds 1 and 23: four 10-step
+        # streams of m = 5, n = 3 under each of five root-find families
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+        from perfbench.inputs import make_learn_rootfind
+
+        mix, counts = learning._mix, []
+
+        def count_inverted(E, w):
+            counts[-1] += E.shape[0] == 10  # an inversion of the whole stream
+            return mix(E, w)
+
+        monkeypatch.setattr(learning, "_mix", count_inverted)
+        for seed in (1, 23):
+            (tmp_path / str(seed)).mkdir()
+            for op in make_learn_rootfind(tmp_path / str(seed), seed, 0):
+                _, family, path, *options = op.argv
+                options = dict(zip(options[::2], map(float, options[1::2])))
+                sf = load_stream_file(path)
+                config = LearningConfig(
+                    rule=parse_rule(family), m=sf.m, M=options.get("--M"),
+                    forecast_floor=options.get("--floor"),
+                )
+                counts.append(0)
+                assert ogd_run(config, sf).hindsight_gap <= 1e-12, op.key
+        assert len(counts) == 40
+        assert max(counts) <= 8
+
+    def test_a_solve_that_cannot_certify_names_its_gap(self):
+        # a flat f whose gradient claims descent: no trial point meets
+        # Armijo's condition, so the gap stays at its start, 1/3
+        def value_grad(x):
+            return 0.0, np.array([1.0, 0.0, 0.0])
+
+        with pytest.raises(SolverError, match=r"Frank-Wolfe gap 3\.333e-01, above 1e-12$"):
+            newton_simplex(value_grad, lambda x: np.eye(3), uniform_point(3))
+
+    def test_learn_raises_when_its_solve_cannot_certify(self, monkeypatch):
+        # one Newton step from the barycenter does not certify this stream
+        monkeypatch.setattr(optim, "NEWTON_MAX_ITER", 1)
+        sf, _ = make_stream_file(T=10)
+        with pytest.raises(SolverError, match=r"stalled at Frank-Wolfe gap [0-9.e+-]+, above"):
+            ogd_run(LearningConfig(rule=RuleSpec.spherical(2.0), m=sf.m), sf)
+
+    @pytest.mark.parametrize("c", [[0.5, 0.3, 0.2, 0.0], [2.0, -1.0, 0.3, 0.1], [0.0, 0.0, 5.0, 5.0]])
+    def test_quadratic_objective_gives_the_projection(self, c):
+        # f = |x - c|^2 / 2 is minimized over the simplex by c's projection
+        c = np.array(c)
+        x, f, gap = newton_simplex(
+            lambda x: (0.5 * float((x - c) @ (x - c)), x - c), lambda x: np.eye(4), uniform_point(4)
+        )
+        assert gap <= 1e-12
+        assert np.abs(x - project_simplex(c)).max() <= 1e-12
+
+    def test_singular_hessian_of_identical_experts(self):
+        # f = (a . x - b)^2 / 2 with two equal entries of a: the Hessian
+        # a a^T is singular, and damping still finds a certified minimizer
+        a, b = np.array([1.0, 1.0, 3.0, -2.0]), 2.5
+        x, f, gap = newton_simplex(
+            lambda x: (0.5 * (a @ x - b) ** 2, (a @ x - b) * a), lambda x: np.outer(a, a),
+            uniform_point(4),
+        )
+        assert gap <= 1e-12 and f <= 1e-24
 
 
 class TestOutcomeRange:
@@ -478,7 +552,8 @@ class TestBitForBitReference:
     """ogd_run, weight_score and loss_gradient against the per-step loop
     and numpy projection of oracles.reference_ogd, bit for bit: the
     float projection, the trimmed one-row path and the float loop keep
-    every operation.  The sizes sit on both sides of the float loop's
+    every operation.  The hindsight weights are checked against the
+    oracle's SPG answer by certificate, not by bits.  The sizes sit on both sides of the float loop's
     cut, m and n <= _ORDERED_MAX, and reach m = 96."""
 
     # (rule, M, forecast floor): open-domain rules need both M and a floor
@@ -504,8 +579,16 @@ class TestBitForBitReference:
         assert rep.per_step_loss.tobytes() == losses.tobytes()
         # both reports renormalize their weights as WeightVector does
         assert rep.final_weights.weights.tobytes() == WeightVector(final).weights.tobytes()
-        assert rep.best_weights.weights.tobytes() == WeightVector(best).weights.tobytes()
         E = _exposures(rule, P)
+        # no faster solver can give SPG's bits: the hindsight weights are
+        # certified by their Frank-Wolfe gap, and are the SPG oracle's
+        # within its tolerance (ROADMAP item 2, "Pins")
+        w = rep.best_weights.weights
+        loss, gap = hindsight_loss_and_gap(rule, E, J - 1, w)
+        spg_loss, _ = hindsight_loss_and_gap(rule, E, J - 1, best)
+        assert gap <= 1e-12
+        assert rep.best_fixed_loss <= spg_loss + 1e-12 * max(1.0, abs(spg_loss))
+        assert np.abs(w - WeightVector(best).weights).max() <= 1e-6
         for t in (0, J.size - 1):
             # both functions renormalize the weights they are given
             w, j = WeightVector(Wt[t]).weights, int(J[t])

@@ -22,6 +22,9 @@ from qapool import (
     score,
 )
 
+from qapool.pooling import _invert_rows
+from qapool.rules import _exposures, _tangent_inverse
+
 from conftest import CONVEX_RULES, RULE_IDS, random_probs, sampling_floor
 from oracles import fd_canonical_gradient, kl_divergence
 
@@ -336,3 +339,103 @@ class TestPropernessProperty:
         truthful = sum(p[j - 1] * score(rule, p, j) for j in (1, 2, 3))
         lying = sum(p[j - 1] * score(rule, x, j) for j in (1, 2, 3))
         assert truthful >= lying - 1e-12
+
+
+# every family, plus tsallis:3 (no convex exposure) and spherical:3
+HESS_RULES = CONVEX_RULES + [RuleSpec.tsallis(3.0)]
+
+
+def hess_point(rule, n, where):
+    """The barycenter, or a seeded interior point with one coordinate at
+    1e-4, near the boundary."""
+    if where == "barycenter":
+        return np.full(n, 1.0 / n)
+    p = np.random.default_rng([n, len(rule.label)]).dirichlet(np.ones(n))
+    p[0] = 1e-4
+    return p / p.sum()
+
+
+def tangent_inverse_matrix(rule, p):
+    """J = (I - pi 1^T) diag(d) (I - 1 pi^T) from rules._tangent_inverse."""
+    d, pi = _tangent_inverse(rule, p[None])
+    P = np.eye(p.size) - np.outer(pi[0], np.ones(p.size))
+    return P @ np.diag(d[0]) @ P.T
+
+
+class TestHessian:
+    """The family record's hess (the diagonal of G's Hessian, plus the
+    rank-one term that H p = 0 fixes for the 1-homogeneous families) and
+    the derivative J of the inverse exposure map built from it."""
+
+    @pytest.mark.parametrize("where", ["barycenter", "boundary"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 50])
+    @pytest.mark.parametrize("rule", HESS_RULES, ids=lambda r: r.label)
+    def test_hess_is_the_derivative_of_grad(self, rule, n, where):
+        p = hess_point(rule, n, where)
+        h = rule._impl.hess(p, rule.param)
+        H = np.diag(h)
+        if rule._impl.homogeneous:
+            hp = h * p
+            H -= np.outer(hp, hp) / (p @ hp)
+        # central differences along each coordinate, steps relative to it;
+        # each column within 1e-6 of its largest entry, or of the rounding
+        # error of the differenced gradient
+        steps = 1e-5 * p
+        grad = rule._impl.grad
+        D = np.diag(steps)
+        fd = (grad(p + D, rule.param) - grad(p - D, rule.param)).T / (2.0 * steps)
+        noise = 1e-15 * np.abs(grad(p, rule.param)).max() / steps
+        assert np.all(np.abs(fd - H) <= 1e-6 * np.abs(H).max(axis=0) + noise)
+
+    @pytest.mark.parametrize("where", ["barycenter", "boundary"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 50])
+    @pytest.mark.parametrize("rule", HESS_RULES, ids=lambda r: r.label)
+    def test_tangent_inverse_is_the_derivative_of_the_inverse(self, rule, n, where):
+        p = hess_point(rule, n, where)
+        J = tangent_inverse_matrix(rule, p)
+        assert np.allclose(J.sum(axis=0), 0.0, atol=1e-12 * np.abs(J).max())
+        t = _exposures(rule, p[None])[0]
+        # each canonical direction e_k - 1/n, with steps that move the pool
+        # by a small fraction of its least coordinate: the best of three,
+        # since truncation grows with the step and the rounding of large
+        # exposures (power:-1 near the boundary) shrinks with it
+        V = np.eye(n) - 1.0 / n
+        errors = []
+        for fraction in (1e-2, 1e-3, 1e-4):
+            step = fraction * p.min() / np.abs(J).max()
+            X = _invert_rows(rule, np.concatenate([t + step * V, t - step * V]))
+            errors.append(np.abs((X[:n] - X[n:]).T / (2.0 * step) - J).max())
+        assert min(errors) <= 1e-5 * np.abs(J).max()
+
+    @pytest.mark.parametrize("rule", HESS_RULES, ids=lambda r: r.label)
+    def test_tangent_inverse_matches_mpmath(self, rule):
+        # J is the top-left block of the inverse of [[H, 1], [1^T, 0]]: it
+        # solves H dx + mu 1 = dt with sum dx = 0, H by 40-digit differences
+        # of G written out in mpmath
+        import mpmath
+
+        G = {
+            "quadratic": lambda p, c: sum(x * x for x in p),
+            "log": lambda p, c: sum(x * mpmath.log(x) for x in p),
+            "neglog": lambda p, c: -sum(mpmath.log(x) for x in p),
+            "power": lambda p, c: (-1 if 0 < c < 1 else 1) * sum(x**c for x in p),
+            "spherical": lambda p, c: sum(x**c for x in p) ** (1 / c),
+            "tsallis": lambda p, c: sum(x**c for x in p),
+            "hs": lambda p, c: -mpmath.fprod(p) ** (mpmath.mpf(1) / len(p)),
+        }[rule.family]
+        c = None if rule.param is None else mpmath.mpf(rule.param)
+        with mpmath.workdps(40):
+            for p in (np.array([0.2, 0.3, 0.5]), np.array([1e-3, 0.25, 0.749])):
+                q = [mpmath.mpf(float(x)) for x in p]
+                K = mpmath.zeros(4, 4)
+                for i in range(3):
+                    for j in range(3):
+                        order = [0, 0, 0]
+                        order[i] += 1
+                        order[j] += 1
+                        K[i, j] = mpmath.diff(lambda *x: G(x, c), q, order)
+                    K[i, 3] = K[3, i] = 1
+                inverse = K**-1
+                want = np.array([[float(inverse[i, j]) for j in range(3)] for i in range(3)])
+                got = tangent_inverse_matrix(rule, p)
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
