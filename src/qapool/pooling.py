@@ -53,10 +53,13 @@ addition per expert at the 20,000-row hindsight batches of the
 learn_bulk benchmark.
 
 The generalized pool drops the solvability requirement: it returns the
-unique minimizer over the closed simplex of the weighted sum of Bregman
-divergences from the candidate to each input, found by projected
-gradient descent (the gradient of that objective is exactly
-g(x) - average exposure).
+unique minimizer over the (floored) simplex of the weighted sum of
+Bregman divergences from the candidate to each input, G(x) - <t, x> up
+to a constant, t the average exposure.  optim.newton_simplex finds it
+with the family's Hessian (rules._Family.hess) and certifies it by the
+Frank-Wolfe gap of that objective divided by max(1, max|t|), so that
+the tolerance means the same at every exposure scale; a solve that
+cannot reach it is a SolverError naming the gap (_minimize_tilted).
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ from functools import cache
 import numpy as np
 
 from .errors import DegenerateError, DomainError, ExposureRangeError, SolverError
-from .optim import projected_gradient
+from .optim import newton_simplex
 from .rules import (
     ExposureVector,
     Forecast,
@@ -80,7 +83,7 @@ from .rules import (
     _gradient,
     _simplex_rows,
 )
-from .simplex import _ORDERED_MAX, _ordered_dot, project_simplex_floor, uniform_point
+from .simplex import _ORDERED_MAX, _ordered_dot, uniform_point
 
 __all__ = [
     "PoolResult",
@@ -556,24 +559,44 @@ def _pool_rows(
 # convex minimization for the generalized pool
 # --------------------------------------------------------------------------
 
-def _minimize_tilted(
-    rule: RuleSpec, t: np.ndarray, floor: float
-) -> tuple[np.ndarray, float, bool]:
-    """Minimize G(x) - <t, x> over the floored simplex."""
+def _minimize_tilted(rule: RuleSpec, t: np.ndarray, floor: float, x0: np.ndarray) -> np.ndarray:
+    """The minimizer of G(x) - <t, x> over the floored simplex
+    {x >= floor, sum x = 1}, found by projected Newton from its point x0
+    and certified by the Frank-Wolfe gap, or SolverError naming the gap.
+
+    The solve runs on the unit simplex in y, x = floor + s y with
+    s = 1 - n floor, on the objective divided by sigma = max(1, max|t|),
+    so that the gap tolerance means the same at every exposure scale.
+    Its gradient is s (g(x) - t) / sigma, and its Hessian is
+    s^2 / sigma times G's: diag(h), less (h x)(h x)^T / <x, h x> for the
+    1-homogeneous families (rules._Family).  At a boundary coordinate
+    where G has no second derivative (h not finite at x_j = 0), h_j is
+    taken as 0, so that the coordinate can still leave the boundary.
+    """
     n = t.size
+    slack = 1.0 - n * floor
+    sigma = max(1.0, float(np.abs(t).max()))
 
-    def project(y: np.ndarray) -> np.ndarray:
-        return project_simplex_floor(y, floor)
+    def value_grad(y: np.ndarray) -> tuple[float, np.ndarray]:
+        x = floor + slack * y
+        value = float(_expected(rule, x)) - float(_ordered_dot(t, x))
+        return value / sigma, (_gradient(rule, x) - t) * (slack / sigma)
 
-    def objective(x: np.ndarray) -> float:
-        if floor <= 0.0 and rule.domain_kind == "open" and x.min() <= 0.0:
-            return np.inf
-        return _expected(rule, x) - float(_ordered_dot(t, x))
+    def hess(y: np.ndarray) -> np.ndarray:
+        x = floor + slack * y
+        h = rule._impl.hess(x, rule.param)
+        h[(x == 0.0) & ~np.isfinite(h)] = 0.0
+        H = np.diag(h)
+        if rule._impl.homogeneous:
+            v = h * x
+            H -= np.multiply.outer(v, v) / _ordered_dot(x, v)
+        return H * (slack * slack / sigma)
 
-    def gradient(x: np.ndarray) -> np.ndarray:
-        return _gradient(rule, x) - t
-
-    return projected_gradient(objective, gradient, uniform_point(n), project, lower=floor)
+    # G, g and h may overflow near a tiny floor; the solve refuses the
+    # non-finite values and stalls, naming the gap
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        y, _, _ = newton_simplex(value_grad, hess, (x0 - floor) / slack)
+    return floor + slack * y
 
 
 def _scaled(tol: float, t: np.ndarray):
@@ -638,7 +661,9 @@ def generalized_pool(rule: RuleSpec, inputs, *, floor: float | None = None) -> P
     average has no exact inverse; whenever qa_pool succeeds the two
     agree.  Rules whose G itself diverges at the boundary (neglog,
     power with negative parameter) need an explicit interior ``floor``
-    shrinking the feasible set to {x : x_j >= floor}.
+    shrinking the feasible set to {x : x_j >= floor}.  The pool is
+    certified by the Frank-Wolfe gap of its objective (_minimize_tilted);
+    a solve that cannot certify raises SolverError naming the gap.
     """
     P, W = _prepare(inputs)
     total, _, _, same = _check_weights(P[None], W[None])
@@ -652,14 +677,20 @@ def generalized_pool(rule: RuleSpec, inputs, *, floor: float | None = None) -> P
     if same[0] and (floor is None or P[0].min() >= floor):
         return PoolResult(Forecast._trusted(P[0]), float(total[0]), 0.0, BREGMAN_MIN)
     t = _mix(_exposures(rule, P[None]), (W / W.sum())[None])[0]
-    if floor is None:  # a working floor keeps the iterates inside an open domain
-        floor = min(1e-12, 1e-3 * P.min()) if rule.domain_kind == "open" else 0.0
-    x, kkt, converged = _minimize_tilted(rule, t, floor)
-    if not converged and not kkt <= _scaled(1e-7, t):
-        raise SolverError(
-            f"generalized pooling under {rule.label} stalled at KKT "
-            f"residual {kkt:.3e}"
-        )
+    # a working floor keeps the iterates inside an open domain
+    near = 1e-3 * P.min() if rule.domain_kind == "open" else 0.0
+    floor = floor or min(1e-12, near)
+    # A Newton step can land on the floor, from where an open family's
+    # pool climbs back by a bounded factor per step (hs by 2.5), so a tiny
+    # floor would cost some log(x / floor) steps.  A first solve at the
+    # floor `near`, 1e-3 times the least input probability, keeps such a
+    # climb short, and the second starts next to its answer.
+    x = uniform_point(t.size)
+    try:
+        for f in (near, floor) if floor < near else (floor,):
+            x = _minimize_tilted(rule, t, f, x)
+    except SolverError as err:
+        raise SolverError(f"generalized pooling under {rule.label}: {err}") from None
     pooled = Forecast(x)
     res = float(_row_norms(_exposures(rule, pooled.probs) - t))
     return PoolResult(pooled, float(total[0]), res, BREGMAN_MIN)

@@ -60,7 +60,6 @@ import numpy as np
 __all__ = [
     "canonicalize",
     "project_simplex",
-    "project_simplex_floor",
     "random_simplex_point",
     "uniform_point",
 ]
@@ -113,22 +112,6 @@ def _unprojectable(y: np.ndarray) -> ValueError:
         "cannot project onto the simplex: the threshold test fails at "
         f"every support size (largest |y_i| is {np.abs(y).max():.3g})"
     )
-
-
-def project_simplex_floor(y: np.ndarray, floor: float) -> np.ndarray:
-    """Projection onto the shrunken simplex {x >= floor, sum x = 1}.
-
-    Requires n*floor < 1.  Substituting x = floor + z reduces to a
-    standard simplex projection scaled by (1 - n*floor).
-    """
-    y = np.asarray(y, dtype=float)
-    if floor <= 0.0:
-        return project_simplex(y)
-    slack = 1.0 - y.size * floor
-    if slack <= 0.0:
-        raise ValueError("floor too large for the dimension")
-    z = project_simplex((y - floor) / slack)
-    return floor + slack * z
 
 
 def uniform_point(n: int) -> np.ndarray:

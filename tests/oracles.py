@@ -168,7 +168,7 @@ def all_distributions(rng: np.random.Generator, n: int, count: int,
 def spg_inverse(rule, t):
     """The forecast whose canonical exposure is t, as the minimizer of the
     tilted objective G(x) - <t, x> over the simplex (its gradient is
-    g(x) - t), found by optim.projected_gradient from the barycenter.
+    g(x) - t), found by projected_gradient (SPG, below) from the barycenter.
 
     Iterates stay above 1e-12 on an open domain.  A stall whose KKT
     residual is within the scale-aware 1e-7 counts as float-optimal; a
@@ -177,9 +177,8 @@ def spg_inverse(rule, t):
     """
     from qapool import ExposureVector, Forecast
     from qapool.errors import ExposureRangeError, SolverError
-    from qapool.optim import projected_gradient
     from qapool.rules import _expected, _exposures, _gradient
-    from qapool.simplex import project_simplex, project_simplex_floor
+    from qapool.simplex import project_simplex
 
     t = ExposureVector(np.asarray(t, dtype=float)).coords
     floor = 1e-12 if rule.domain_kind == "open" else 0.0
@@ -212,6 +211,171 @@ def spg_inverse(rule, t):
 # call per draw, as the axiom suite and the concavity probe ran before
 # their pools were stacked and their draws transformed in bulk
 # --------------------------------------------------------------------------
+
+# --------------------------------------------------------------------------
+# spectral projected gradient: the library's simplex solver before
+# projected Newton replaced it, kept as the reference the Newton solves
+# are checked against, with its floored projection and KKT residual
+# --------------------------------------------------------------------------
+
+ARMIJO_C1 = 1e-4
+KKT_TOL = 1e-8  # the residual at which a solve counts as converged
+BACKTRACK = 0.5
+ACTIVE_ATOL = 1e-12
+NONMONOTONE_MEMORY = 10
+STEP_MIN = 1e-14
+STEP_MAX = 1e14
+
+
+def project_simplex_floor(y: np.ndarray, floor: float) -> np.ndarray:
+    """Projection onto the shrunken simplex {x >= floor, sum x = 1}.
+
+    Requires n*floor < 1.  Substituting x = floor + z reduces to a
+    standard simplex projection scaled by (1 - n*floor).
+    """
+    from qapool.simplex import project_simplex
+
+    y = np.asarray(y, dtype=float)
+    if floor <= 0.0:
+        return project_simplex(y)
+    slack = 1.0 - y.size * floor
+    if slack <= 0.0:
+        raise ValueError("floor too large for the dimension")
+    z = project_simplex((y - floor) / slack)
+    return floor + slack * z
+
+
+def kkt_residual(grad: np.ndarray, x: np.ndarray, lower: float = 0.0) -> float:
+    """First-order violation of stationarity at x for the floored simplex
+    {x >= lower, sum x = 1}: with A the active lower bounds and lam the
+    mean gradient over free coordinates, r_j = grad_j - lam for free j and
+    min(0, grad_j - lam) for active j; the residual is ||r||_2, which
+    vanishes exactly at the constrained minimizer of a convex objective."""
+    from qapool.simplex import _ordered_dot
+
+    active = x <= lower + ACTIVE_ATOL
+    free = ~active
+    if not np.any(free):
+        # floors sum below 1, so at least one coordinate is free
+        raise ValueError("no free coordinate above the lower bound")
+    lam = grad[free].mean()
+    r = grad - lam
+    r[active] = np.minimum(r[active], 0.0)
+    # a residual too large for float64 is inf, without numpy's warning
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(_ordered_dot(r, r)))
+
+
+def projected_gradient(objective, gradient, x0: np.ndarray, project, *,
+                       lower: float = 0.0, max_iter: int = 100_000):
+    """Minimize a smooth convex objective over a (floored) simplex by the
+    Barzilai-Borwein spectral rule safeguarded by a non-monotone Armijo
+    backtracking line search (the SPG scheme of Birgin, Martinez &
+    Raydan).
+
+    Returns (x, kkt, converged).  Non-finite trial objectives count as
+    Armijo failures, so domains where the objective blows up at the
+    boundary are handled as long as iterates can stay interior.  A trial
+    point the projection refuses (too large for float64 to project) is
+    an Armijo failure too.
+    """
+    from qapool.simplex import _ordered_dot
+
+    x = project(np.asarray(x0, dtype=float))
+    f = objective(x)
+    g = gradient(x)
+    recent = [f]
+    step = 1.0
+    prev_x = prev_g = None
+    kkt = np.inf
+    for _ in range(max_iter):
+        kkt = kkt_residual(g, x, lower)
+        if kkt <= KKT_TOL:
+            return x, kkt, True
+        if prev_x is not None:
+            s = x - prev_x
+            y = g - prev_g
+            sy = float(_ordered_dot(s, y))
+            if sy > 0.0:
+                step = min(STEP_MAX, max(STEP_MIN, float(_ordered_dot(s, s)) / sy))
+        f_ref = max(recent)
+        eta = step
+        accepted = False
+        for _ in range(100):
+            try:
+                trial = project(x - eta * g)
+            except ValueError:
+                eta *= BACKTRACK
+                continue
+            d = trial - x
+            if not np.any(d):
+                break  # displacement below float resolution: stalled
+            f_trial = objective(trial)
+            if np.isfinite(f_trial) and f_trial <= f_ref + ARMIJO_C1 * float(
+                _ordered_dot(g, d)
+            ):
+                accepted = True
+                break
+            eta *= BACKTRACK
+        if not accepted:
+            return x, kkt, False
+        prev_x, prev_g = x, g
+        x, f = trial, f_trial
+        g = gradient(x)
+        recent.append(f)
+        if len(recent) > NONMONOTONE_MEMORY:
+            recent.pop(0)
+    kkt = kkt_residual(g, x, lower)
+    return x, kkt, kkt <= KKT_TOL
+
+
+def spg_tilted_minimizer(rule, t: np.ndarray, floor: float):
+    """SPG from the barycenter on G(x) - <t, x> over the floored simplex,
+    as the library's generalized pool ran it: (x, kkt, converged), with
+    the objective infinite off an open domain when there is no floor."""
+    from qapool.rules import _expected, _gradient
+    from qapool.simplex import _ordered_dot
+
+    def objective(x):
+        if floor <= 0.0 and rule.domain_kind == "open" and x.min() <= 0.0:
+            return np.inf
+        return _expected(rule, x) - float(_ordered_dot(t, x))
+
+    return projected_gradient(
+        objective,
+        lambda x: _gradient(rule, x) - t,
+        np.full(t.size, 1.0 / t.size),
+        lambda y: project_simplex_floor(y, floor),
+        lower=floor,
+    )
+
+
+
+def float_solve_damped(A: list, b: list, damping: float) -> list:
+    """optim._solve_damped as it ran at every size before its rank-one
+    updates went to numpy: the same elimination, entry by entry, on lists
+    of Python floats (A a list of rows, of which the lower triangle is
+    read; A and b are overwritten)."""
+    size = len(b)
+    top = max([abs(A[i][i]) for i in range(size)], default=0.0)
+    mu = damping * top if top > 0.0 else 1.0
+    pivots = []
+    for i in range(size):
+        pivot = A[i][i] + mu
+        pivot = pivot if pivot >= mu else mu
+        pivots.append(pivot)
+        for j in range(i + 1, size):
+            row, lower = A[j], A[j][i] / pivot
+            for c in range(i + 1, j + 1):
+                row[c] -= lower * A[c][i]
+            b[j] -= lower * b[i]
+    v = [0.0] * size
+    for i in range(size - 1, -1, -1):
+        total = b[i]
+        for c in range(i + 1, size):
+            total -= A[c][i] * v[c]
+        v[i] = total / pivots[i]
+    return v
 
 def _per_draw_weighted(rng, n, floor, count, per):
     from qapool.rules import _simplex_rows
@@ -423,7 +587,6 @@ def reference_ogd(rule, P: np.ndarray, J: np.ndarray, M: float):
     Newton replaced SPG: per-step pools, gradients, weights (before each
     step), losses, the final weights, and the best fixed weights by SPG
     (an oracle the Newton answer must match within SPG's tolerance)."""
-    from qapool.optim import projected_gradient
     from qapool.rules import _exposures, _score_matrix
 
     E = _exposures(rule, P)

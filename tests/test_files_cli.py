@@ -398,17 +398,19 @@ class TestCmdPool:
         assert abs(back.probs[0].sum() - 1.0) <= 1e-9
 
     def test_unprojectable_gradient_step_is_a_solver_failure(self, tmp_path, capsys):
-        # the first gradient step of the generalized pool lands near 1e299,
-        # where the simplex projection's threshold test cancels to zero; the
-        # line search counts each such trial as failed, so a valid file ends
-        # as a stalled solve, not as an input error
+        # the exposure average spans some 1e300, so at the barycenter the
+        # scaled objective is all but linear and the Newton step leaves the
+        # simplex by a factor near 1e298, which no halving of the arc
+        # undoes; a valid file ends as a stalled solve that names its
+        # Frank-Wolfe gap, not as an input error
         path = write_experts(tmp_path, [[1e-300, 0.5, 0.5], [0.2, 0.3, 0.5]])
         argv = ["pool", "neglog", path, "--generalized", "--floor", "1e-320"]
         assert main(argv) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == (
-            "qapool: solver failure: generalized pooling under neglog stalled at KKT residual inf\n"
+            "qapool: solver failure: generalized pooling under neglog: projected Newton "
+            "stalled at Frank-Wolfe gap 5.000e-01, above 1e-12\n"
         )
 
     @pytest.mark.parametrize("rule", [r.label for r in CONVEX_RULES] + ["tsallis:3"])
@@ -754,8 +756,10 @@ class TestOutputPins:
             "18043ebfa92e7e665ed25cae17bd5bac8334518828605c13c40c513db020d568",
         ("pool", "hs"):
             "f6bb20f3c13803a7d11941f0ad17d0849d61da571a28fc90501d810a01ceaed4",
+        # re-recorded when projected Newton replaced SPG in the generalized
+        # pool: its residual went 3.4e-9 -> 1.0e-13
         ("pool", "neglog", "--generalized", "--floor", "1e-4"):
-            "7c1ff093b6cd1383b62db4b73120b103690c087b7342226917228d6a1ac07ed2",
+            "57a8479e66399f3b689aa35bfe1c264e6f579a8e57ec54bd4eb9063bd100d667",
         ("pool", "power:0.5", "--weights", "0,1.25,0,0.5,2,0,0.75,1,3"):
             "a951855f166ceba2e1f691fea173ac6318a3795323582189930d625804f21cfb",
         ("score", "spherical:2"):

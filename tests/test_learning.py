@@ -36,6 +36,7 @@ from qapool.simplex import _ORDERED_MAX, project_simplex, uniform_point
 from conftest import SMALL_RULES, random_probs
 from oracles import (
     brute_weight_grid,
+    float_solve_damped,
     hindsight_loss_and_gap,
     reference_ogd,
     reference_step,
@@ -530,6 +531,20 @@ class TestHindsightNewton:
         )
         assert gap <= 1e-12 and f <= 1e-24
 
+
+    @pytest.mark.parametrize("size", [1, 2, 5, optim._OUTER_ROWS, optim._OUTER_ROWS + 1,
+                                      optim._OUTER_ROWS + 2, 30, 49])
+    def test_elimination_is_the_float_loop_bit_for_bit(self, size):
+        # rank-one updates on numpy for a large trailing block, the float
+        # loop for a small one: either way the float loop's bits, on a
+        # well-conditioned, a singular (rank 2) and a zero matrix
+        rng = np.random.default_rng(size)
+        X, Y = rng.normal(size=(size, size)), rng.normal(size=(size, 2))
+        b = rng.normal(size=size)
+        for A in (X @ X.T + np.eye(size), Y @ Y.T, np.zeros((size, size))):
+            A = (A + A.T) / 2.0
+            expected = float_solve_damped(A.tolist(), b.tolist(), optim._DAMPING)
+            assert optim._solve_damped(A.copy(), b.copy()) == expected
 
 class TestOutcomeRange:
     # the outcome must name one of the n forecast coordinates; j = 0 would

@@ -9,14 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapool import project_to_simplex
-from qapool.simplex import (
-    _shell_points,
-    project_simplex,
-    project_simplex_floor,
-    random_simplex_point,
-)
+from qapool.simplex import _shell_points, project_simplex, random_simplex_point
 
-from oracles import numpy_project_simplex, project_simplex_faces
+from oracles import numpy_project_simplex, project_simplex_faces, project_simplex_floor
 
 
 class TestProjectSimplex:
