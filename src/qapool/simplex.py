@@ -22,15 +22,15 @@ On a 2-core x86-64 VM (numpy 2.4, CPython 3.11) it costs what the numpy
 formulation costs at n = 50, the largest vector a benchmark workload
 projects, and about 2.4x and 9x as much at n = 100 and 1000.
 
-Sums of products that reach the output are _ordered_dot, not a BLAS dot
-or matmul, whose summation order OpenBLAS picks for the CPU at load
-time.  np.add.reduce sums in one order on every CPU: from the first
-term along any axis but the last; along the last, in order for at most
-_ORDERED_MAX (seven) terms and pairwise from eight (numpy's
-pairwise_sum).  The float paths of pooling and learning add in
-generated kernels, as one expression a + b + c that adds from the first
-term, so they give numpy's bits on rows of at most _ORDERED_MAX terms,
-and that is the one size cut they share for the sake of the bits.
+Every sum whose bits reach the output is _ordered_sum, the last slice of
+np.add.accumulate: numpy documents it as the running sum, so it adds
+from the first term in index order at every length, as a left fold
+a + b + c does (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2nd ed., ch. 4).  np.add.reduce adds a row pairwise from
+eight terms on, and BLAS in the order OpenBLAS picks for the CPU.
+_ordered_dot and canonicalize are built on it, and the generated float
+kernels of pooling and learning add as a + b + c, so the numpy and float
+paths give the same bits at every size.
 
 The sampler draws Dirichlet(1, ..., 1) as n i.i.d. Exp(1) variates
 divided by their sum (Devroye, *Non-Uniform Random Variate Generation*,
@@ -64,22 +64,22 @@ __all__ = [
     "uniform_point",
 ]
 
-# np.add.reduce adds at most this many terms along the last axis in
-# order from the first, as a + b + c adds them (module docstring)
-_ORDERED_MAX = 7
 
-
-def canonicalize(v: np.ndarray) -> np.ndarray:
-    """Project onto the sum-zero hyperplane by subtracting the mean."""
-    v = np.asarray(v, dtype=float)
-    # the value of v.mean(), without its Python-level overhead on hot paths
-    return v - v.sum() / v.size
+def _ordered_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum over a nonempty ``axis``, from the first term in index order."""
+    s = np.add.accumulate(a, axis)
+    return s[..., -1] if axis == -1 else s[(slice(None),) * (axis % s.ndim) + (-1,)]
 
 
 def _ordered_dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum over ``axis`` of the products a * b (broadcast), in numpy's
-    fixed reduction order rather than a BLAS kernel's (module docstring)."""
-    return np.add.reduce(a * b, axis=axis)
+    """Sum over ``axis`` of the products a * b (broadcast), in order."""
+    return _ordered_sum(a * b, axis)
+
+
+def canonicalize(v: np.ndarray) -> np.ndarray:
+    """Each row (last axis) less its mean: the sum-zero projection."""
+    v = np.asarray(v, dtype=float)
+    return v - _ordered_sum(v)[..., None] / v.shape[-1]
 
 
 def project_simplex(y: np.ndarray) -> np.ndarray:
@@ -127,8 +127,8 @@ def _shell_points(e: np.ndarray, floor: float = 0.0) -> np.ndarray:
     slack = 1.0 - e.shape[-1] * floor
     if slack <= 0.0:
         raise ValueError("floor too large for the dimension")
-    # cumsum, not sum: the row total is summed in order, as dirichlet sums it
-    return floor + slack * (e * (1.0 / e.cumsum(axis=-1)[..., -1:]))
+    # the row total is summed in order, as dirichlet sums it
+    return floor + slack * (e * (1.0 / _ordered_sum(e)[..., None]))
 
 
 def random_simplex_point(

@@ -11,6 +11,10 @@ share with the library.
 
 from __future__ import annotations
 
+import math
+import operator
+from functools import reduce
+
 import numpy as np
 
 
@@ -334,12 +338,14 @@ def spg_tilted_minimizer(rule, t: np.ndarray, floor: float):
     as the library's generalized pool ran it: (x, kkt, converged), with
     the objective infinite off an open domain when there is no floor."""
     from qapool.rules import _expected, _gradient
-    from qapool.simplex import _ordered_dot
 
+    # <t, x> correctly rounded: SPG reaches its KKT tolerance with little
+    # to spare (a neglog case at n = 10 ends at 9.97e-9 against 1e-8), and
+    # its rounding should not hinge on the order a library sum adds in
     def objective(x):
         if floor <= 0.0 and rule.domain_kind == "open" and x.min() <= 0.0:
             return np.inf
-        return _expected(rule, x) - float(_ordered_dot(t, x))
+        return _expected(rule, x) - math.fsum((t * x).tolist())
 
     return projected_gradient(
         objective,
@@ -535,13 +541,19 @@ def numpy_project_simplex(y: np.ndarray) -> np.ndarray:
     return np.maximum(y + tau, 0.0)
 
 
+def left_fold(a, axis: int = -1):
+    """The sum over ``axis`` of an array, added slice by slice from the
+    first in index order, as a + b + c adds: the order is fixed here, not
+    by numpy's reductions."""
+    return reduce(operator.add, np.moveaxis(np.asarray(a, dtype=float), axis, 0))
+
+
 def reference_pools(rule, E: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pools of the (k, m, n) exposure rows E under the (m,) weights w."""
     from qapool.pooling import _solve_shift
 
-    # sums of products in numpy's fixed order, not a BLAS kernel's
-    T = (w[:, None] * E).sum(axis=1)
-    T -= T.sum(axis=1, keepdims=True) / T.shape[1]
+    T = left_fold(w[:, None] * E, axis=1)
+    T -= left_fold(T)[:, None] / T.shape[1]
     if rule.family == "quadratic":
         X = 0.5 * T + 1.0 / T.shape[1]
         assert X.min() >= -1e-12
@@ -553,7 +565,7 @@ def reference_pools(rule, E: np.ndarray, w: np.ndarray) -> np.ndarray:
         c = _solve_shift(a, p, lo, hi)
         with np.errstate(divide="ignore"):
             X = (a + c[:, None]) ** q
-    s = X.sum(axis=1, keepdims=True)
+    s = left_fold(X)[:, None]
     assert np.isfinite(s).all() and s.min() > 0.0
     return X / s
 
@@ -563,8 +575,8 @@ def reference_step(rule, E_t: np.ndarray, j: int, w: np.ndarray):
     x = reference_pools(rule, E_t[None], w)[0]
     d = x.copy()
     d[j] -= 1.0
-    g = (E_t * d).sum(axis=1)
-    return x, g - g.sum() / g.size
+    g = left_fold(E_t * d)
+    return x, g - left_fold(g) / g.size
 
 
 def hindsight_loss_and_gap(rule, E: np.ndarray, J0: np.ndarray, w: np.ndarray):
@@ -577,16 +589,18 @@ def hindsight_loss_and_gap(rule, E: np.ndarray, J0: np.ndarray, w: np.ndarray):
     rows = np.arange(E.shape[0])
     D = X.copy()
     D[rows, J0] -= 1.0
-    g = (E * D[:, None, :]).sum(axis=(0, 2)) / E.shape[0]
-    return float(-_score_matrix(rule, X)[rows, J0].sum()), float(g @ w - g.min())
+    g = left_fold(left_fold(E * D[:, None, :]), axis=0) / E.shape[0]
+    loss = left_fold(-_score_matrix(rule, X)[rows, J0])
+    return float(loss), float(left_fold(g * w) - g.min())
 
 
-def reference_ogd(rule, P: np.ndarray, J: np.ndarray, M: float):
+def reference_ogd(rule, P: np.ndarray, J: np.ndarray, M: float, spg: bool = True):
     """ogd_run's loop on a checked, clamped (T, m, n) stream with 1-based
     outcomes, and its hindsight solve as it was made before projected
     Newton replaced SPG: per-step pools, gradients, weights (before each
     step), losses, the final weights, and the best fixed weights by SPG
-    (an oracle the Newton answer must match within SPG's tolerance)."""
+    (an oracle the Newton answer must match within SPG's tolerance), or
+    None when ``spg`` is false."""
     from qapool.rules import _exposures, _score_matrix
 
     E = _exposures(rule, P)
@@ -607,11 +621,13 @@ def reference_ogd(rule, P: np.ndarray, J: np.ndarray, M: float):
         D = reference_pools(rule, E, v)
         D[rows, J0] -= 1.0
         g = np.einsum("tmn,tn->m", E, D)
-        return g - g.sum() / g.size
+        return g - left_fold(g) / g.size
 
+    if not spg:
+        return X, G, Wt, losses(X), w, None
     inv_t = 1.0 / T
     best, _, _ = projected_gradient(
-        lambda v: float(losses(reference_pools(rule, E, v)).sum()) * inv_t,
+        lambda v: float(left_fold(losses(reference_pools(rule, E, v)))) * inv_t,
         lambda v: total_grad(v) * inv_t,
         np.full(m, 1.0 / m),
         numpy_project_simplex,

@@ -233,10 +233,10 @@ class TestCyclicalMonotonicity:
         rng = np.random.default_rng(n)
         cycles = [_distinct_points(rng, n, rule, int(k)) for k in rng.integers(2, 6, size=40)]
         assert {len(c) for c in cycles} == {2, 3, 4, 5}
-        # each term's products summed by numpy, not by a BLAS dot, and the
-        # terms added in cycle order (reduce: Python >= 3.12's sum compensates)
+        # each term's products and the terms added in order, as a left fold
+        # adds (reduce: Python >= 3.12's sum compensates)
         want = [
-            reduce(add, [float((e * d).sum()) for e, d in zip(_exposures(rule, P), P - np.roll(P, 1, axis=0))])
+            reduce(add, [reduce(add, (e * d).tolist()) for e, d in zip(_exposures(rule, P), P - np.roll(P, 1, axis=0))])
             for P in cycles
         ]
         assert _cycle_sums(rule, cycles).tolist() == want
@@ -436,12 +436,15 @@ def reference_axiom_suite(rule, n, samples, seed):
             k = int(rng.integers(2, 6))
             pts = []
             while len(pts) < k:
-                cand = sample_forecast(rng, n, rule).probs
-                if all(np.linalg.norm(cand - p) >= 1e-3 for p in pts):
+                cand = sample_forecast(rng, n, rule)
+                if all(np.linalg.norm(cand.probs - p.probs) >= 1e-3 for p in pts):
                     pts.append(cand)
-            # products summed by numpy, not a BLAS dot; terms added in order
+            # products and terms added in order, as a left fold adds; each
+            # point's exposure is taken of the Forecast itself, which a
+            # second renormalization could move by an ulp
             worst = min(worst, reduce(add, [
-                (exposure(rule, pts[i]).coords * (pts[i] - pts[i - 1])).sum() for i in range(k)
+                reduce(add, (exposure(rule, pts[i]).coords * (pts[i].probs - pts[i - 1].probs)).tolist())
+                for i in range(k)
             ]))
         out["cyclical_monotonicity"] = (worst > 1e-12, worst)
     return out

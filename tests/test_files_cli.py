@@ -681,21 +681,24 @@ class TestCmdLearn:
     # depends on the CPU's OpenBLAS kernel), and once when projected Newton
     # replaced SPG in the hindsight solve (best_weights, best_fixed_loss and
     # cumulative_regret moved; the Frank-Wolfe gap fell on every pinned
-    # stream); a speed-up of `learn` must leave these bytes alone
+    # stream), and once when every sum became an in-order left fold
+    # (simplex._ordered_sum: the T = 200 loss sums moved); a speed-up of
+    # `learn` must leave these bytes alone
     PINNED = {
-        ("quadratic",): "6110e90bee8bc5cb2ed879b42e68e7901c911ac63c2fcb569563f647defe61c3",
+        ("quadratic",): "4b8484dc83fe0829aeddb18adcdade66107faf8d1b32881738d2a9b335184988",
         ("log", "--M", "4", "--floor", "0.05"):
-            "5005315784fdd637915fba8595f7875aad6a8e8a2546eb67b655a735de404710",
+            "f4b778700165c8ba4736ebaee60acd06e9fdded56afbc72ea98d11ffb5ef306f",
     }
 
     # sha256 of the --emit-curve CSV of the same commands, recorded before
     # the curve was written from regret_curve() and bound_curve(),
-    # re-recorded once when the sums left BLAS, and once when projected
-    # Newton replaced SPG (the comparator losses moved)
+    # re-recorded once when the sums left BLAS, once when projected Newton
+    # replaced SPG (the comparator losses moved), and once when every sum
+    # became an in-order left fold
     PINNED_CURVE = {
-        ("quadratic",): "546c8d26d3b7ac8ca1d1659937fc8652051bfa71b27e1a62ebd7a57f08fcc308",
+        ("quadratic",): "6d39593a38c70ce6be9972f8acffd4b6735b58c90d438e6004d391a11d47d8c2",
         ("log", "--M", "4", "--floor", "0.05"):
-            "661aa15661491f4ca40df77d79951f4c40b0514863f0f6b3c8a14f9aec00bbc5",
+            "2b304402b6ca605f46c696311cd1a7c00babe3cadbae624c26d8c3d1771361a6",
     }
 
     @staticmethod
@@ -717,17 +720,18 @@ class TestCmdLearn:
 
     # sha256 of stdout under the five root-find families, recorded before
     # the shift solve got its Python-float path, re-recorded once when the
-    # sums left BLAS, and once when projected Newton replaced SPG; each
+    # sums left BLAS, once when projected Newton replaced SPG, and once when
+    # every sum became an in-order left fold; each
     # open family's --M is perfbench's exposure_bound(family, 3, 0.05)
     PINNED_ROOT_FIND = {
-        ("spherical:2",): "be9d718ca606821c19c04be48e93d13af34cb51008e0cb0ef0e46aa8431dcebf",
-        ("tsallis:1.5",): "a0c9c768f810bd1faf1ad0420e074affc34595ae176982c235bde56fcfd58697",
+        ("spherical:2",): "333580b69f0865c3ddefa0449db7f6c29acd0785bc2f846713928d42cd9f9de4",
+        ("tsallis:1.5",): "4463b3e92b755b1a76357885d1f321733d52a50a6aaad7724b7c15f53295d9f4",
         ("power:0.5", "--M", "4.1533119314590365", "--floor", "0.05"):
-            "df67bfcc3dc637bce3e48bc18876f0856c678dd60c0e95edf4f51d79d1f2f848",
+            "15b2cc01bffa8c4a10f88b042bae1df401d95e4ab2e0a2ae4882b80c9978b86a",
         ("neglog", "--M", "39.83716857408417", "--floor", "0.05"):
-            "3309d936b2f839d2820fd48d94676c99b03371acfd41b8df8a2ec9385c58b716",
+            "37f07f62881f262022ee21a326dd0a1d0fd1657fd9072661597028468a9bb6d7",
         ("hs", "--M", "4.42635206378713", "--floor", "0.05"):
-            "59123023065516ad83b236f13ebd72180042559cb082dfea7915403dc9f18308",
+            "0b8733be052b52e18798ad20fcd9698cdc54ec8a95a0bac3cfa52ba51a583888",
     }
 
     @pytest.mark.parametrize("args", sorted(PINNED_ROOT_FIND), ids=lambda a: a[0])
@@ -748,24 +752,26 @@ class TestCmdLearn:
 
 class TestOutputPins:
     # sha256 of stdout (the moved ones re-recorded once when every sum of
-    # products left BLAS), recorded before pooling's input path and exposure
+    # products left BLAS, and once when every sum became an in-order left
+    # fold: the nine-expert weight totals, bregman's former einsum and the
+    # n = 50 audit moved), recorded before pooling's input path and exposure
     # average were merged; a refactor of pool, score, bregman, audit or
     # probe-exposure must leave these bytes alone
     PINNED = {
         ("pool", "quadratic"):
-            "18043ebfa92e7e665ed25cae17bd5bac8334518828605c13c40c513db020d568",
+            "3b81aa02a00807c3ac178ccbe74e39dd2187448062cfae53e09f1b832b622de0",
         ("pool", "hs"):
-            "f6bb20f3c13803a7d11941f0ad17d0849d61da571a28fc90501d810a01ceaed4",
+            "8577319bb9b25fe620bcb0b205146e7ec080fd29e1ac57936d739640c5aaa5ff",
         # re-recorded when projected Newton replaced SPG in the generalized
         # pool: its residual went 3.4e-9 -> 1.0e-13
         ("pool", "neglog", "--generalized", "--floor", "1e-4"):
-            "57a8479e66399f3b689aa35bfe1c264e6f579a8e57ec54bd4eb9063bd100d667",
+            "20d7226e9731be4d27d51094440f6f646848ba89742ffb498a9638b818eced31",
         ("pool", "power:0.5", "--weights", "0,1.25,0,0.5,2,0,0.75,1,3"):
             "a951855f166ceba2e1f691fea173ac6318a3795323582189930d625804f21cfb",
         ("score", "spherical:2"):
             "684059e3088c16030004c82d5fb30ae4d2725ab00403e8976808ccb0e7fd9b73",
         ("bregman", "tsallis:1.5"):
-            "78a5aabb0ad50a66e44d05cbb4fa0f5eb9bdf392b47c37c6cd9aaad5f93faf2a",
+            "f909249968df02c50e48a2edbb97fda63e47424db788a31f218dc67913697a0c",
         ("audit", "hs", "--n", "3", "--samples", "40"):
             "5f0bce55cb54061460dc22f209f0f4f4aadfb5d86b1bf3b8ee50508d6a044867",
         ("probe-exposure", "tsallis:3", "--n", "3", "--samples", "200"):
@@ -773,7 +779,7 @@ class TestOutputPins:
         # recorded before the samplers drew in blocks: cycles at n=50 on the
         # open-domain shell, monotonicity pairs at n=2, and an hs probe
         ("audit", "log", "--n", "50", "--samples", "20"):
-            "5f789594e7d595d1035ced8edf83225b6a23b20cab32354b2df81dd8a4dc1919",
+            "431cba4ee4db698812f10c5a820647e4083273f28fa26f25fa273012e031a054",
         ("audit", "quadratic", "--n", "2", "--samples", "20"):
             "39b246957c8f12e8c6a7df5ddcbd63b23dcf7692af1516b0782739ece91b9a56",
         ("probe-exposure", "hs", "--n", "3", "--samples", "200"):
@@ -794,10 +800,11 @@ class TestOutputPins:
 
     # sha256 of the `pool RULE FILE --out OUT` file, recorded before forecast
     # files were loaded as arrays and re-recorded once when the sums left
-    # BLAS; the written pool is result.pooled bit for bit
+    # BLAS and once when they became in-order left folds (the nine-expert
+    # weight total moved); the written pool is result.pooled bit for bit
     PINNED_OUT = {
-        "quadratic": "07dc581f10bbebfa84e9afba8d34eb0d4b709051ca8277afd683c63e27034d19",
-        "hs": "6fc81f208cb77e2d7f230b4da19a7050172b976a253cacdb082fc92216c792e2",
+        "quadratic": "7efa8bda715f81e1bd15612e34ffcd80509b532b13c91ce393966937680fe346",
+        "hs": "8facf21955eb7573b922407ea58660e15da97a3fe4ca2acb2c3798ba42a937a1",
     }
 
     @staticmethod

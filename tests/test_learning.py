@@ -6,6 +6,8 @@ import re
 import subprocess
 import sys
 import warnings
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +29,11 @@ from qapool import (
 from qapool import learning, optim, pooling
 from qapool.errors import SolverError
 from qapool.files import StreamFile, load_stream_file
-from qapool.learning import _float_steps, _losses, _normalize_stream, _step
+from qapool.learning import _KERNEL_MAX, _float_steps, _losses, _normalize_stream, _step
 from qapool.optim import newton_simplex
 from qapool.pooling import _invert_rows, _mix
 from qapool.rules import Forecast, _exposures, _score_matrix, parse_rule
-from qapool.simplex import _ORDERED_MAX, project_simplex, uniform_point
+from qapool.simplex import project_simplex, uniform_point
 
 from conftest import SMALL_RULES, random_probs
 from oracles import (
@@ -358,7 +360,7 @@ class TestStreamTransport:
             for i, f in enumerate(fs):
                 # the clamp as it ran on one Forecast at a time
                 p = np.maximum(f.probs, floor)
-                assert np.array_equal(P[t, i], Forecast(p / p.sum()).probs)
+                assert np.array_equal(P[t, i], Forecast(p / reduce(add, p.tolist())).probs)
         assert np.array_equal(J, sf.outcomes)
         P2, J2 = _normalize_stream(pairs, floor)
         assert np.array_equal(P2, P) and np.array_equal(J2, J)
@@ -568,8 +570,10 @@ class TestBitForBitReference:
     and numpy projection of oracles.reference_ogd, bit for bit: the
     float projection, the trimmed one-row path and the float loop keep
     every operation.  The hindsight weights are checked against the
-    oracle's SPG answer by certificate, not by bits.  The sizes sit on both sides of the float loop's
-    cut, m and n <= _ORDERED_MAX, and reach m = 96."""
+    oracle's SPG answer by certificate, not by bits.  The sizes sit on both
+    sides of the float loop's cut, m and n <= _KERNEL_MAX, and reach m = 96;
+    with the cut forced up, the float loop is the numpy loop at m, n up to
+    50."""
 
     # (rule, M, forecast floor): open-domain rules need both M and a floor
     CONFIGS = [
@@ -580,8 +584,8 @@ class TestBitForBitReference:
         (RuleSpec.hs(), 10.0, 0.01),
     ]
 
-    @pytest.mark.parametrize("m", [1, 5, _ORDERED_MAX, _ORDERED_MAX + 1, 48, 49, 96])
-    @pytest.mark.parametrize("n", [2, 3, _ORDERED_MAX, _ORDERED_MAX + 1, 50])
+    @pytest.mark.parametrize("m", [1, 5, _KERNEL_MAX, _KERNEL_MAX + 1, 48, 49, 96])
+    @pytest.mark.parametrize("n", [2, 3, _KERNEL_MAX, _KERNEL_MAX + 1, 50])
     @pytest.mark.parametrize(
         "rule, M, floor", CONFIGS, ids=[f"{r.label}-floor={f}" for r, _, f in CONFIGS]
     )
@@ -612,6 +616,29 @@ class TestBitForBitReference:
             assert weight_score(rule, fs, Wt[t], j) == _score_matrix(rule, x[None])[0, j - 1]
             assert loss_gradient(rule, fs, Wt[t], j).tobytes() == g.tobytes()
 
+    @pytest.mark.parametrize("m", [8, 20, 50])
+    @pytest.mark.parametrize("n", [8, 20, 50])
+    @pytest.mark.parametrize(
+        "rule, M, floor", CONFIGS, ids=[f"{r.label}-floor={f}" for r, _, f in CONFIGS]
+    )
+    def test_float_loop_above_its_cut_is_the_numpy_loop(self, rule, M, floor, n, m,
+                                                         monkeypatch):
+        rng = np.random.default_rng([n, m, 8])
+        sf = StreamFile(rng.dirichlet(np.ones(n), size=(6, m)), rng.integers(1, n + 1, size=6))
+        config = LearningConfig(rule=rule, m=m, M=M, forecast_floor=floor)
+        runs, kernel_loop = [], learning._float_steps
+        monkeypatch.setattr(learning, "_float_steps", lambda *a: runs.append(a) or kernel_loop(*a))
+        reports = []
+        for cut in (50, 0):  # the float loop, then the numpy loop of _step
+            monkeypatch.setattr(learning, "_KERNEL_MAX", cut)
+            reports.append(ogd_run(config, sf))
+        assert len(runs) == 1
+        P, J = _normalize_stream(sf, floor)
+        _, _, _, losses, final, _ = reference_ogd(rule, P, J, reports[0].exposure_bound, spg=False)
+        for rep in reports:
+            assert rep.per_step_loss.tobytes() == losses.tobytes()
+            assert rep.final_weights.weights.tobytes() == WeightVector(final).weights.tobytes()
+
     def check_long_stream(self, rule, M, floor, m, n, T, seed):
         rng = np.random.default_rng(seed)
         sf = StreamFile(rng.dirichlet(np.ones(n), size=(T, m)), rng.integers(1, n + 1, size=T))
@@ -624,7 +651,7 @@ class TestBitForBitReference:
 
     def test_long_quadratic_stream(self):
         # the float loop's largest m, over many steps
-        self.check_long_stream(QUAD, None, None, _ORDERED_MAX, 3, 500, 16)
+        self.check_long_stream(QUAD, None, None, _KERNEL_MAX, 3, 500, 16)
 
     def test_log_stream_whose_projection_zeroes_a_weight(self):
         # a small M takes long steps, which push weights onto the boundary
@@ -707,10 +734,11 @@ class TestBitForBitReference:
 
 class TestKernel:
     """The float loop's generated kernel (learning._kernel) at every shape it
-    is built for, m in 1.._ORDERED_MAX and n in 2.._ORDERED_MAX, against
-    oracles.reference_ogd bit for bit: each of its sums must add from the
-    first term, as numpy does on rows this short.  Every family inverts
-    each step of an in-range stream on floats, never by _invert_rows."""
+    is built for, m in 1.._KERNEL_MAX and n in 2.._KERNEL_MAX, and with the
+    cut forced up at m, n in {8, 20, 50}, against oracles.reference_ogd bit
+    for bit: each of its sums must add from the first term, as the oracle's
+    left folds add.  Every family inverts each step of an in-range stream
+    on floats, never by _invert_rows."""
 
     # (rule, M, forecast floor): a closed-form family on each side of the
     # domain, and a shift family
@@ -722,23 +750,33 @@ class TestKernel:
         for rule in SMALL_RULES if rule.family != "neglog"
     ]
 
-    @pytest.mark.parametrize("m", range(1, _ORDERED_MAX + 1))
-    @pytest.mark.parametrize("n", range(2, _ORDERED_MAX + 1))
+    @pytest.mark.parametrize("m", range(1, _KERNEL_MAX + 1))
+    @pytest.mark.parametrize("n", range(2, _KERNEL_MAX + 1))
     @pytest.mark.parametrize("rule, M, floor", FAMILIES, ids=[r.label for r, _, _ in FAMILIES])
     def test_every_shape_matches_the_reference(self, rule, M, floor, n, m, monkeypatch):
         self.check(rule, M, floor, n, m, monkeypatch)
 
-    @pytest.mark.parametrize("m", [1, 5, _ORDERED_MAX])
-    @pytest.mark.parametrize("n", [2, 3, _ORDERED_MAX])
+    @pytest.mark.parametrize("m", [1, 5, _KERNEL_MAX])
+    @pytest.mark.parametrize("n", [2, 3, _KERNEL_MAX])
     @pytest.mark.parametrize(
         "rule, M, floor", SHIFT_FAMILIES, ids=[r.label for r, _, _ in SHIFT_FAMILIES]
     )
     def test_shift_families_match_the_reference(self, rule, M, floor, n, m, monkeypatch):
         self.check(rule, M, floor, n, m, monkeypatch)
 
+    @pytest.mark.parametrize("m", [8, 20, 50])
+    @pytest.mark.parametrize("n", [8, 20, 50])
+    @pytest.mark.parametrize(
+        "rule, M, floor", FAMILIES + SHIFT_FAMILIES,
+        ids=[r.label for r, _, _ in FAMILIES + SHIFT_FAMILIES],
+    )
+    def test_shapes_above_the_cut_match_the_reference(self, rule, M, floor, n, m, monkeypatch):
+        monkeypatch.setattr(learning, "_KERNEL_MAX", 50)
+        self.check(rule, M, floor, n, m, monkeypatch)
+
     def check(self, rule, M, floor, n, m, monkeypatch):
         def no_step(*args):
-            raise AssertionError("ogd_run called _step at m, n <= _ORDERED_MAX")
+            raise AssertionError("ogd_run called _step at m, n <= _KERNEL_MAX")
 
         runs, kernel_loop, fallbacks = [], learning._float_steps, []
         monkeypatch.setattr(learning, "_step", no_step)
@@ -751,7 +789,7 @@ class TestKernel:
         sf = StreamFile(rng.dirichlet(np.full(n, 0.5), size=(40, m)), rng.integers(1, n + 1, size=40))
         rep = ogd_run(LearningConfig(rule=rule, m=m, M=M, forecast_floor=floor), sf)
         P, J = _normalize_stream(sf, floor)
-        X, _, _, losses, final, _ = reference_ogd(rule, P, J, rep.exposure_bound)
+        X, _, _, losses, final, _ = reference_ogd(rule, P, J, rep.exposure_bound, spg=False)
         (pools, weights), = runs
         assert pools.tobytes() == X.tobytes()
         assert np.array(weights).tobytes() == final.tobytes()

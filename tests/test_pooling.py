@@ -32,6 +32,7 @@ from qapool import (
 from qapool.pooling import (
     _NOT_CONVERGED,
     _ROOT_XTOL,
+    _SCALAR_COLS,
     _SCALAR_ROWS,
     _MIX_SLICES,
     _UNATTAINABLE,
@@ -48,7 +49,6 @@ from qapool.pooling import (
     _solve_shift_small,
 )
 from qapool.rules import OPEN_MIN, _gradient
-from qapool.simplex import _ORDERED_MAX
 
 from conftest import (
     CONVEX_RULES, RULE_IDS, SMALL_IDS, SMALL_RULES, random_instance, random_probs,
@@ -537,7 +537,7 @@ def shift_targets(draw):
     """A rule and a (k, n) array of canonical targets of the float path's
     size, from forecasts whose coordinates span nine decades."""
     rule = draw(st.sampled_from(SMALL_RULES))
-    n = draw(st.integers(2, _ORDERED_MAX))
+    n = draw(st.integers(2, _SCALAR_COLS))
     k = draw(st.integers(1, _SCALAR_ROWS))
     logs = draw(hnp.arrays(float, (k, n), elements=st.floats(-20.0, 0.0)))
     X = np.exp(logs)
@@ -617,10 +617,27 @@ class TestRowKernel:
     def test_float_path_matches_numpy_kernel(self, rule, rng):
         # rows 0 and 1 of kernel_targets sit near the simplex boundary; each
         # n is a kernel of its own (_shift_kernel)
-        for n in range(2, _ORDERED_MAX + 1):
+        for n in range(2, _SCALAR_COLS + 1):
             for k in (1, 2, 10, _SCALAR_ROWS):
                 for smallest in (1e-3, 1e-6, 1e-12):
                     assert_same_shift(rule, kernel_targets(rng, rule, n, max(k, 2), smallest)[:k])
+
+    @pytest.mark.parametrize("n", [_SCALAR_COLS + 1, 50])
+    @pytest.mark.parametrize("rule", SMALL_RULES, ids=SMALL_IDS)
+    def test_float_path_above_the_cut_matches_numpy_kernel(self, rule, n, rng, monkeypatch):
+        # the float kernel gives the numpy kernel's bits at any row length:
+        # with the cut forced up, _solve_shift takes it at n = 8 and 50
+        monkeypatch.setattr(pooling, "_SCALAR_COLS", 50)
+        shapes, small = [], _solve_shift_small
+        monkeypatch.setattr(pooling, "_solve_shift_small",
+                            lambda a, *args: shapes.append(a.shape) or small(a, *args))
+        for k in (1, 2, _SCALAR_ROWS):
+            for smallest in (1e-3, 1e-6, 1e-12):
+                T = kernel_targets(rng, rule, n, max(k, 2), smallest)[:k]
+                a, p, _, lo, hi = rule._impl.shift(T, rule.param)
+                assert np.array_equal(_solve_shift(a, p, lo, hi), numpy_shift(a, p, lo, hi),
+                                      equal_nan=True)
+        assert shapes == [(k, n) for k in (1, 2, _SCALAR_ROWS) for _ in range(3)]
 
     def test_float_path_matches_on_many_hs_rows(self, rng):
         # math.log is off by an ulp from np.log on 0.3-2% of inputs, which
@@ -686,11 +703,11 @@ class TestRowKernel:
 
         monkeypatch.setattr(pooling, "_solve_shift_small", spy)
         rule = RuleSpec.neglog()
-        sizes = [(_ORDERED_MAX, _SCALAR_ROWS), (2, 1), (_ORDERED_MAX + 1, 1), (3, _SCALAR_ROWS + 1)]
+        sizes = [(_SCALAR_COLS, _SCALAR_ROWS), (2, 1), (_SCALAR_COLS + 1, 1), (3, _SCALAR_ROWS + 1)]
         for n, k in sizes:
             a, p, _, lo, hi = rule._impl.shift(kernel_targets(rng, rule, n, max(k, 2))[:k], None)
             _solve_shift(a, p, lo, hi)
-        assert shapes == [(_SCALAR_ROWS, _ORDERED_MAX), (1, 2)]
+        assert shapes == [(_SCALAR_ROWS, _SCALAR_COLS), (1, 2)]
 
     def test_no_shift_kernel_is_built_at_import(self):
         # the CLI's import and parser build no kernel, so setup time measures
@@ -743,7 +760,7 @@ class TestFloatShift:
             return np.asarray(v, dtype=float).reshape(-1).tobytes()
 
         refused = kept = 0
-        for n in range(2, _ORDERED_MAX + 1):
+        for n in range(2, _SCALAR_COLS + 1):
             for t in self.rows(rng, rule, n):
                 a, p, q, lo, hi = rule._impl.shift(t[None], rule.param)
                 twin = rule._impl.float_shift(t.tolist(), rule.param)
@@ -758,7 +775,7 @@ class TestFloatShift:
 
     @pytest.mark.parametrize("rule", SMALL_RULES, ids=SMALL_IDS)
     def test_float_inverse_is_the_numpy_inverse(self, rule, rng):
-        for n in range(2, _ORDERED_MAX + 1):
+        for n in range(2, _SCALAR_COLS + 1):
             for t in kernel_targets(rng, rule, n, _SCALAR_ROWS):
                 x = _float_shift_inverse(rule._impl.float_shift, t.tolist(), rule.param)
                 X, fail = _inverse_rows(rule, t[None])
@@ -805,7 +822,7 @@ class TestOrderedMix:
         many, rows = _mix(E, W), np.vstack([_mix(E[i : i + 1], W[i : i + 1]) for i in range(E.shape[0])])
         assert many.tobytes() == rows.tobytes()
         t = [reduce(add, [float(w[i]) * E[0, i, j] for i in range(m)]) for j in range(n)]
-        assert _mix(E[:1], w)[0].tobytes() == (np.array(t) - np.add.reduce(t) / n).tobytes()
+        assert _mix(E[:1], w)[0].tobytes() == (np.array(t) - reduce(add, t) / n).tobytes()
 
 
 class TestRowFailures:
