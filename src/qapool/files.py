@@ -19,8 +19,23 @@ Stream files: JSON only, 1-based outcomes:
     {"steps": [{"forecasts": [[0.1, 0.9], [0.5, 0.5]], "outcome": 2}]}
 
 A loaded stream is a ``StreamFile`` holding two read-only arrays: the
-(T, m, n) forecasts, parsed with one ``np.array`` call, and the (T,)
-integer outcomes.  ``learning.ogd_run`` takes it as it is.
+(T, m, n) forecasts and the (T,) integer outcomes.  ``learning.ogd_run``
+takes it as it is.  The forecasts are flattened once into one list of
+numbers, which the type check reads and one ``np.array`` call converts;
+a stream that is not T steps of m rows of n numbers goes to the
+step-by-step checks, which name the first bad step.
+
+A long stream decodes to many lists and dicts, all alive until the
+arrays are built, and every few hundred of them would start a cyclic
+garbage collection that scans them all: a 20,000-step stream of m = 5,
+n = 3 (7 MB) started about 200, one or two of them full, for 22 to 37
+ms of a 200 ms load (2-core x86-64 VM, CPython 3.11).  None of them can
+find garbage, since a decoded document holds no cycles, so
+``load_stream_file`` pauses the collector until the document is dropped
+and then restores the caller's setting, also on an error (as
+Mercurial's ``util.nogc`` does around its parsers).  Pausing
+``json.loads`` alone would leave a full collection over the live
+document for the array building to start.
 
 Both records check and renormalize every forecast row in one call to
 ``rules._simplex_rows``, as ``Forecast`` does one row, so a loaded row
@@ -34,6 +49,7 @@ step only when it fails.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -274,7 +290,18 @@ def _forecasts_from_csv(path: Path) -> ForecastFile:
 
 
 def load_stream_file(path: str | Path) -> StreamFile:
-    doc = json.loads(Path(path).read_text())
+    # the cyclic GC stays paused until the decoded document is dropped
+    # (module docstring), and the caller's GC state is restored on error too
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _stream_from_json(json.loads(Path(path).read_text()))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _stream_from_json(doc) -> StreamFile:
     if not isinstance(doc, dict) or not isinstance(doc.get("steps"), list):
         raise ValueError("stream JSON must be an object with a 'steps' list")
     rows = doc["steps"]
@@ -292,12 +319,28 @@ def load_stream_file(path: str | Path) -> StreamFile:
         raise ValueError(f"step {k}: expected an object with 'forecasts' and 'outcome'")
     outcomes = [row["outcome"] for row in rows]
     _check_outcomes(outcomes)
-    raw = [row["forecasts"] for row in rows]
+    return StreamFile(_step_forecasts([row["forecasts"] for row in rows]), np.array(outcomes))
+
+
+def _step_forecasts(raw: list) -> np.ndarray:
+    """The (T, m, n) array of T steps of m rows of n JSON numbers, made
+    from one flat list of the numbers, which is also what the type check
+    reads.  Anything else goes to _stack_steps and _check_numbers, which
+    name the first offending step."""
+    try:
+        m, n = len(raw[0]), len(raw[0][0])
+        regular = set(map(len, raw)) == {m} and set(map(len, chain.from_iterable(raw))) == {n}
+    except (TypeError, LookupError):  # a step or row that is no list
+        regular = False
+    if regular:
+        flat = list(_flatten(raw, 2))
+        if _are_numbers(flat, 0):
+            return np.array(flat, dtype=float).reshape(len(raw), m, n)
     P = _stack_steps(raw)
     # np.array converts strings and booleans; the (T, m, n) shape puts
     # every probability under two levels of lists per step
     _check_numbers(raw, 2, "step", "forecast probabilities must be numbers")
-    return StreamFile(P, np.array(outcomes))
+    return P
 
 
 def _check_outcomes(outcomes: list) -> None:

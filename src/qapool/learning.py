@@ -36,12 +36,13 @@ setup must decide) goes to pooling._invert_rows, which inverts it as
 _step does or raises _step's error.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
-comparator losses reuse the pools at its answer.  It is projected Newton
-on the weight simplex (optim.newton_simplex) with the exact Hessian of
-the per-step mean loss, (1/T) sum_t E_t J_t E_t^T, where J_t, the
-derivative of step t's pool in its target, is diagonal plus low rank
+comparator losses are the ones it scored at its answer.  It is projected
+Newton on the weight simplex (optim.newton_simplex) with the exact
+Hessian of the per-step mean loss, (1/T) sum_t E_t J_t E_t^T, where J_t,
+the derivative of step t's pool in its target, is diagonal plus low rank
 (rules._tangent_inverse), so the Hessian costs a few elementwise
-products and ordered sums over the stream.  The answer is certified by
+products and ordered sums over the stream, of its upper triangle only
+(_gram).  The answer is certified by
 the Frank-Wolfe gap of the mean loss, at most optim.GAP_TOL = 1e-12,
 and RegretReport.hindsight_gap keeps it; a solve that cannot reach it
 raises SolverError naming the gap.
@@ -298,26 +299,57 @@ def _kernel(m: int, n: int):
 
 
 _KERNEL_MAX = 7  # the float loop's largest m and n (module docstring)
-# products per block of the hindsight Hessian's sum over the stream (1 MB)
+# the hindsight Hessian adds B's columns in blocks of _HESS_BLOCK // m^2, the
+# full (m, m) square of a block being 1 MB of products; the blocks fix the order
 _HESS_BLOCK = 1 << 17
+
+
+@cache
+def _triangle(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs (i, j), i <= j, of an (m, m) symmetric matrix, and the
+    (m, m) array of each entry's pair index."""
+    i, j = np.triu_indices(m)
+    pair = np.empty((m, m), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(i.size)
+    for a in (i, j, pair):
+        a.flags.writeable = False
+    return i, j, pair
+
+
+def _gram(B: np.ndarray) -> np.ndarray:
+    """B B^T of an (m, k) array B, each entry's k products added in order
+    over blocks of _HESS_BLOCK // m^2 columns, block sums added in order.
+    Only the upper triangle is summed: B_ic B_jc and B_jc B_ic are the same
+    product, so the lower triangle has the upper's bits."""
+    m = B.shape[0]
+    i, j, pair = _triangle(m)
+    h = np.zeros(i.size)
+    cols = max(1, _HESS_BLOCK // (m * m))
+    for lo in range(0, B.shape[1], cols):
+        Bc = B[:, lo:lo + cols]
+        h += _ordered_dot(Bc.take(i, 0), Bc.take(j, 0))
+    return h.take(pair)
 
 
 def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
     """Best fixed weights for the (T, m, n) exposures E at the 0-based
-    outcomes J, the (T, n) pools of the stream under them, and the
+    outcomes J, the (T,) losses of the stream under them, and the
     Frank-Wolfe gap of the per-step mean loss there, at most
     optim.GAP_TOL.
 
     The loss, the gradient and the Hessian at a point share its pools:
-    the pools of the last point asked about are kept.  The Hessian of the
-    mean loss is (1/T) sum_t E_t J_t E_t^T, with J_t the derivative of the
-    step's pool in its target (rules._tangent_inverse): with B_t = E_t
-    (I - pi_t 1^T) diag(d_t)^(1/2), it is (1/T) sum_t B_t B_t^T, exactly
-    symmetric.
+    the pools of the last point asked about are kept, and so are the
+    losses of the last point evaluated, which newton_simplex returns.
+    The Hessian of the mean loss is (1/T) sum_t E_t J_t E_t^T, with J_t
+    the derivative of the step's pool in its target
+    (rules._tangent_inverse): with B_t = E_t (I - pi_t 1^T)
+    diag(d_t)^(1/2), it is (1/T) sum_t B_t B_t^T, exactly symmetric
+    (_gram).
     """
     T, m, _ = E.shape
     rows, inv_t = np.arange(T), 1.0 / T
     last_w = last_X = None  # the last weights asked about and their pools
+    losses = None  # the losses at the last point value_grad was asked at
 
     def pools(w: np.ndarray) -> np.ndarray:
         nonlocal last_w, last_X
@@ -327,28 +359,25 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
 
     # the per-step mean, so that the gap tolerance is T-independent
     def value_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
+        nonlocal losses
         X = pools(w)
         D = X.copy()
         D[rows, J] -= 1.0
         # einsum's own loop, not BLAS: any ordered form costs twice as much
         grad = canonicalize(np.einsum("tmn,tn->m", E, D)) * inv_t
-        return float(_ordered_sum(_losses(rule, X, J))) * inv_t, grad
+        losses = _losses(rule, X, J)
+        return float(_ordered_sum(losses)) * inv_t, grad
 
     def hess(w: np.ndarray) -> np.ndarray:
         d, pi = _tangent_inverse(rule, pools(w))
-        H = np.zeros((m, m))
         # an overflowing Hessian is not finite, and the solve stalls on it
         with np.errstate(over="ignore", invalid="ignore"):
             B = (E - _ordered_dot(E, pi[:, None, :])[..., None]) * np.sqrt(d)[:, None, :]
-            B = B.transpose(1, 0, 2).reshape(m, -1)  # expert i's terms, every step's outcomes
-            cols = max(1, _HESS_BLOCK // (m * m))
-            for lo in range(0, B.shape[1], cols):
-                Bc = B[:, lo:lo + cols]
-                H += _ordered_dot(Bc[:, None], Bc[None])
-        return H * inv_t
+            # expert i's terms, every step's outcomes
+            return _gram(B.transpose(1, 0, 2).reshape(m, -1)) * inv_t
 
     w, _, gap = newton_simplex(value_grad, hess, uniform_point(m))
-    return w, pools(w), gap
+    return w, losses, gap
 
 
 # --------------------------------------------------------------------------
@@ -393,8 +422,8 @@ def offline_best_weights(rule: RuleSpec, stream) -> tuple[WeightVector, float]:
     """
     P, J = _normalize_stream(stream)
     J = J - 1
-    w, X, _ = _solve_offline(rule, _exposures(rule, P), J)
-    return WeightVector(w), float(_ordered_sum(_losses(rule, X, J)))
+    w, losses, _ = _solve_offline(rule, _exposures(rule, P), J)
+    return WeightVector(w), float(_ordered_sum(losses))
 
 
 def ogd_run(config: LearningConfig, stream) -> RegretReport:
@@ -447,8 +476,7 @@ def ogd_run(config: LearningConfig, stream) -> RegretReport:
             w = project_simplex(w - eta * grad)
     losses = _losses(rule, X, J)
 
-    best_w, best_pools, gap = _solve_offline(rule, E, J)
-    comparator = _losses(rule, best_pools, J)
+    best_w, comparator, gap = _solve_offline(rule, E, J)
     best_loss = float(_ordered_sum(comparator))
     return RegretReport(
         per_step_loss=losses,

@@ -9,8 +9,10 @@ them into (m, n) forecast and (m,) weight arrays, _check_weights makes
 every weight check, and _mix averages exposures into the canonical
 targets that every pool, the online learner and the exposure probe
 invert.  _mix sums w_1 e_1 + w_2 e_2 + ... in expert order, not by a BLAS
-matvec (see simplex), so a row has the same bits on every CPU, in a
-batch or alone, and the learner's float loop can copy them.
+matvec: it is one simplex._ordered_dot, which adds one expert's products
+at a time across a batch of many rows, so a row has the same bits on
+every CPU, in a batch or alone, and the learner's float loop can copy
+them.
 
 Inversion follows the rule's family record (rules._Family): quadratic
 and log invert in closed form (affine map and softmax); neglog, power,
@@ -49,10 +51,6 @@ rows for every kind and n <= 7, but log and power are 0.8x at 20 rows
 of n = 7, 0.6x at 48 rows of n = 3 and 0.25x to 0.55x at 12 rows of
 n = 50.  A kernel for n = 50 compiles in 2 to 5 ms, what 10 to 20
 one-row solves save; one for n = 5000 does not compile (RecursionError).
-_mix's cut, _MIX_SLICES, is for speed too, and both its forms give the
-same bits: one ordered reduction is the faster at one row, one in-place
-addition per expert at the 20,000-row hindsight batches of the
-learn_bulk benchmark.
 
 The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the (floored) simplex of the weighted sum of
@@ -172,16 +170,8 @@ def _check_weights(P: np.ndarray, W: np.ndarray):
 
 def _mix(E: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The (k, n) canonical w-averages of (k, m, n) exposure rows, under
-    one (m,) weight vector or a (k, m) array of them that sum to one:
-    one ordered reduction for few rows, and for many, at a third of the
-    cost, the same sums as one in-place addition per expert."""
-    if E.shape[0] < _MIX_SLICES:
-        T = _ordered_dot(w[..., None], E, axis=-2)
-    else:
-        T = w[..., 0, None] * E[:, 0]
-        for i in range(1, E.shape[1]):
-            T += w[..., i, None] * E[:, i]
-    return canonicalize(T)
+    one (m,) weight vector or a (k, m) array of them that sum to one."""
+    return canonicalize(_ordered_dot(w[..., None], E, axis=-2))
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
@@ -208,7 +198,6 @@ _UNATTAINABLE, _NOT_CONVERGED, _DEGENERATE, _UNCERTIFIED = 1, 2, 3, 4
 # a shift problem of at most _SCALAR_ROWS rows of at most _SCALAR_COLS
 # coordinates is solved on Python floats (see the module docstring)
 _SCALAR_ROWS, _SCALAR_COLS = 12, 7
-_MIX_SLICES = 64  # _mix adds one expert at a time from this many rows on
 
 
 def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:

@@ -32,6 +32,26 @@ _ordered_dot and canonicalize are built on it, and the generated float
 kernels of pooling and learning add as a + b + c, so the numpy and float
 paths give the same bits at every size.
 
+accumulate runs one latency-bound inner loop per row, so many short
+rows are folded by slices instead: s = a[..., 0] + a[..., 1], then
+s += a[..., k] for each later term, the same left fold with the same
+bits, but each add is one vector add across all the rows
+(_slice_fold).  _ordered_dot forms each slice's products as it adds
+them, so a broadcast product is never built whole.  The cut is timed:
+slices when the rows number at least _SLICE_RATIO = 20 times the terms
+and there are at least _SLICE_SIZE = 256 values; a smaller sum is not
+even tested, so the short sums of a 10-step stream cost what they cost
+on accumulate alone.  On a 2-core x86-64 VM (numpy 2.4,
+CPython 3.11), slices against accumulate: 29 against 371 us at
+(20000, 3); 271 against 1875 us for the 20,000 x 5 rows of 3 terms of
+the hindsight solve, and 678 against 2080 us for its 20,000 x 3 rows of
+5 experts (axis -2); 7.6 against 15.8 us at (400, 8).  They lose with
+few rows or long ones: 2.4 against 1.1 us at (10, 3), 3.6 against 2.0
+us at (10, 5, 3), 58 against 5.7 us at (20, 50), and 3.6 against 0.46
+ms at (25, 5242), a block of the hindsight Hessian.  The ratio is
+conservative for long rows: (400, 50) stays on accumulate, 70 us where
+slices take 44.
+
 The sampler draws Dirichlet(1, ..., 1) as n i.i.d. Exp(1) variates
 divided by their sum (Devroye, *Non-Uniform Random Variate Generation*,
 1986, ch. XI).  Generator.dirichlet builds it the same way: each
@@ -65,15 +85,51 @@ __all__ = [
 ]
 
 
+# a sum folds by slices from _SLICE_SIZE values on, and with at least
+# _SLICE_RATIO rows per term (see the module docstring)
+_SLICE_SIZE, _SLICE_RATIO = 256, 20
+_accumulate = np.add.accumulate
+
+
 def _ordered_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum over a nonempty ``axis``, from the first term in index order."""
-    s = np.add.accumulate(a, axis)
+    size = a.size
+    if size >= _SLICE_SIZE and size >= _SLICE_RATIO * a.shape[axis] ** 2:
+        return _slice_fold(a, None, axis)
+    s = _accumulate(a, axis)
     return s[..., -1] if axis == -1 else s[(slice(None),) * (axis % s.ndim) + (-1,)]
 
 
 def _ordered_dot(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum over ``axis`` of the products a * b (broadcast), in order."""
-    return _ordered_sum(a * b, axis)
+    """Sum over ``axis`` of the products a * b (broadcast), in order; the
+    cut reads the larger operand as the products' shape."""
+    big = a if a.size >= b.size else b
+    size = big.size
+    if size >= _SLICE_SIZE and size >= _SLICE_RATIO * big.shape[axis] ** 2:
+        return _slice_fold(a, b, axis)
+    s = _accumulate(a * b, axis)  # as _ordered_sum(a * b, axis), past its cut
+    return s[..., -1] if axis == -1 else s[(slice(None),) * (axis % s.ndim) + (-1,)]
+
+
+def _slice_fold(a: np.ndarray, b: np.ndarray | None, axis: int) -> np.ndarray:
+    """The sum over ``axis`` of a, or of the products a * b, as the left
+    fold of its slices: each add is one vector add across all the rows,
+    and a product is formed as its slice is added."""
+    if axis >= 0:  # count from the end, where broadcast operands align
+        axis -= a.ndim if b is None else max(a.ndim, b.ndim)
+    if b is not None and (min(a.ndim, b.ndim) < -axis or a.shape[axis] != b.shape[axis]):
+        a, b = np.broadcast_arrays(a, b)  # an operand broadcasts along the axis
+    n = a.shape[axis]
+    tail = (slice(None),) * (-1 - axis)
+    at = (..., 0) + tail
+    if b is None:  # a[at] is a view of a, so the first add makes the sum
+        s, first = (a[at].copy(), 1) if n == 1 else (a[at] + a[(..., 1) + tail], 2)
+    else:
+        s, first = a[at] * b[at], 1
+    for k in range(first, n):
+        at = (..., k) + tail
+        s += a[at] if b is None else a[at] * b[at]
+    return s
 
 
 def canonicalize(v: np.ndarray) -> np.ndarray:

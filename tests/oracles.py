@@ -548,6 +548,18 @@ def left_fold(a, axis: int = -1):
     return reduce(operator.add, np.moveaxis(np.asarray(a, dtype=float), axis, 0))
 
 
+def full_gram(B: np.ndarray, cols: int) -> np.ndarray:
+    """B B^T of an (m, k) array B as the full (m, m, cols) square of
+    products, one block of ``cols`` columns at a time, each block's sum a
+    left fold added to the total: the order of the hindsight Hessian."""
+    m = B.shape[0]
+    H = np.zeros((m, m))
+    for lo in range(0, B.shape[1], cols):
+        Bc = B[:, lo:lo + cols]
+        H += left_fold(Bc[:, None] * Bc[None])
+    return H
+
+
 def reference_pools(rule, E: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Pools of the (k, m, n) exposure rows E under the (m,) weights w."""
     from qapool.pooling import _solve_shift

@@ -1,5 +1,6 @@
 """File formats, CLI commands, exit codes, and output determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -256,6 +257,10 @@ def _bad_step_2(forecasts=GOOD, outcome=1):
 # name -> (steps, the step the error must name)
 MALFORMED_STREAMS = {
     "ragged-rows": (_bad_step_2([[0.5, 0.5], [0.2, 0.3, 0.5]]), 2),
+    "ragged-same-count": (_bad_step_2([[0.2, 0.3, 0.5], [1.0]]), 2),
+    "string-step": (_bad_step_2("ab"), 2),
+    "object-step": (_bad_step_2({"a": [0.5, 0.5], "b": [0.1, 0.9]}), 2),
+    "number-row": (_bad_step_2([[0.5, 0.5], 1.0]), 2),
     "m-changes": (_bad_step_2([[0.5, 0.5]]), 2),
     "n-is-1": ([{"forecasts": [[1.0], [1.0]], "outcome": 1}] * 3, 0),
     "nan": (_bad_step_2([[NAN, 0.5], [0.1, 0.9]]), 2),
@@ -331,6 +336,35 @@ class TestStreamFiles:
         for t, st in enumerate(steps):
             for i, row in enumerate(st["forecasts"]):
                 assert np.array_equal(sf.forecasts[t, i], Forecast(row).probs)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_restores_the_callers_gc_state(self, tmp_path, stream_json, enabled):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"steps": MALFORMED_STREAMS["string"][0]}))
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            load_stream_file(stream_json)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="step 2"):
+                load_stream_file(bad)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_no_collection_runs_while_a_stream_loads(self, tmp_path):
+        # 2000 steps decode to 8000 lists and dicts, far past the
+        # collector's first threshold of 700 allocations
+        steps = [{"forecasts": GOOD, "outcome": 1 + t % 2} for t in range(2000)]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"steps": steps}))
+        phases = []
+        gc.callbacks.append(record := lambda phase, info: phases.append(phase))
+        try:
+            sf = load_stream_file(path)
+        finally:
+            gc.callbacks.remove(record)
+        assert sf.forecasts.shape == (2000, 2, 2) and phases == []
 
     def test_varying_expert_count(self, tmp_path):
         path = tmp_path / "s.json"

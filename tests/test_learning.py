@@ -39,6 +39,7 @@ from conftest import SMALL_RULES, random_probs
 from oracles import (
     brute_weight_grid,
     float_solve_damped,
+    full_gram,
     hindsight_loss_and_gap,
     reference_ogd,
     reference_step,
@@ -547,6 +548,39 @@ class TestHindsightNewton:
             A = (A + A.T) / 2.0
             expected = float_solve_damped(A.tolist(), b.tolist(), optim._DAMPING)
             assert optim._solve_damped(A.copy(), b.copy()) == expected
+
+
+class TestHindsightSums:
+    """The hindsight solve sums only the upper triangle of its Hessian, and
+    ogd_run's comparator losses are the ones the solve kept."""
+
+    @staticmethod
+    def stream(T: int) -> StreamFile:
+        rng = np.random.default_rng(T)
+        F = np.maximum(rng.dirichlet(np.ones(3), size=(T, 5)), 0.05)
+        return StreamFile(F / F.sum(axis=-1, keepdims=True), rng.integers(1, 4, size=T))
+
+    @pytest.mark.parametrize("T", [10, 2000])
+    @pytest.mark.parametrize("spec", ["quadratic", "neglog"])
+    def test_triangle_is_the_full_square_fold(self, T, spec, monkeypatch):
+        grams, gram = [], learning._gram
+        monkeypatch.setattr(learning, "_gram", lambda B: grams.append((B, gram(B))) or grams[-1][1])
+        offline_best_weights(parse_rule(spec), self.stream(T))
+        assert grams
+        cols = learning._HESS_BLOCK // 25  # two blocks at T = 2000
+        for B, H in grams:
+            assert B.shape == (5, 3 * T)
+            assert H.tobytes() == np.ascontiguousarray(H.T).tobytes()  # exactly symmetric
+            assert H.tobytes() == full_gram(B, cols).tobytes()
+
+    @pytest.mark.parametrize("spec", ["quadratic", "neglog"])
+    def test_comparator_losses_are_those_of_the_best_weights(self, spec):
+        rule, sf = parse_rule(spec), self.stream(10)
+        report = ogd_run(LearningConfig(rule=rule, m=5, M=100.0, forecast_floor=0.01), sf)
+        P, J = _normalize_stream(sf, floor=0.01)
+        X = _invert_rows(rule, _mix(_exposures(rule, P), report.best_weights.weights))
+        assert report.comparator_loss.tobytes() == _losses(rule, X, J - 1).tobytes()
+
 
 class TestOutcomeRange:
     # the outcome must name one of the n forecast coordinates; j = 0 would

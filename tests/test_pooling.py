@@ -34,7 +34,6 @@ from qapool.pooling import (
     _ROOT_XTOL,
     _SCALAR_COLS,
     _SCALAR_ROWS,
-    _MIX_SLICES,
     _UNATTAINABLE,
     BREGMAN_MIN,
     CLOSED_FORM,
@@ -806,15 +805,17 @@ class TestFloatShift:
 
 
 class TestOrderedMix:
-    """_mix's two forms add the same products in the same order, so a row
-    mixed in a large batch has the bits it has alone, and those are the
-    bits of the products added in expert order on Python floats."""
+    """_mix adds each row's products in expert order whether its batch is
+    summed by slices or by rows (simplex._ordered_dot), so a row mixed in a
+    large batch has the bits it has alone, and those are the bits of the
+    products added in expert order on Python floats."""
 
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 9, 48, 96])
     @pytest.mark.parametrize("n", [2, 3, 8, 50])
     def test_batched_rows_match_single_rows(self, m, n):
         rng = np.random.default_rng([m, n])
-        E = rng.standard_normal((_MIX_SLICES + 3, m, n)) * 10.0 ** rng.integers(-4, 4, (1, m, n))
+        # under simplex's cut, 67 rows fold by slices at 17 of these 28 (m, n); one row never
+        E = rng.standard_normal((67, m, n)) * 10.0 ** rng.integers(-4, 4, (1, m, n))
         w = rng.dirichlet(np.ones(m))
         W = rng.dirichlet(np.ones(m), size=E.shape[0])
         many, rows = _mix(E, w), np.vstack([_mix(E[i : i + 1], w) for i in range(E.shape[0])])

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import qapool
-from qapool import LearningConfig, RuleSpec, learning, ogd_run, pooling, qa_pool
+from qapool import LearningConfig, RuleSpec, learning, ogd_run, pooling, qa_pool, simplex
 from qapool.files import StreamFile
-from qapool.simplex import _ordered_sum
+from qapool.simplex import _ordered_dot, _ordered_sum
 
 from oracles import left_fold
 
@@ -95,6 +95,47 @@ def test_ordered_sum_is_the_left_fold(n, axis):
     with np.errstate(over="ignore", invalid="ignore"):
         batch = _ordered_sum(np.stack([a, a[::-1] if axis == -1 else a[:, ::-1]]), axis)
     assert batch[0].tobytes() == want.tobytes()
+
+
+def slice_cut(n: int) -> int:
+    """The fewest rows of n terms that simplex folds by slices."""
+    return max(simplex._SLICE_RATIO * n, -(-simplex._SLICE_SIZE // n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 9])
+@pytest.mark.parametrize("axis", [-1, -2])
+def test_slice_fold_is_the_left_fold(n, axis, monkeypatch):
+    # batches of fold_rows around the cut: one row short of it, at it, and
+    # four times it; the last two fold by slices, the first accumulates
+    folded = []
+    fold = simplex._slice_fold
+    monkeypatch.setattr(simplex, "_slice_fold", lambda *args: folded.append(1) or fold(*args))
+    rng = np.random.default_rng(n)
+    for rows, by_slices in ((slice_cut(n) - 1, False), (slice_cut(n), True), (4 * slice_cut(n), True)):
+        a = np.resize(fold_rows(n), (rows, n))
+        b = 1.0 + rng.random((rows, n))  # keeps each zero's sign, and the overflow
+        if axis == -2:
+            a, b = a.T.copy(), b.T.copy()
+        for got, want in ((lambda: _ordered_sum(a, axis), lambda: left_fold(a, axis)),
+                          (lambda: _ordered_dot(a, b, axis), lambda: left_fold(a * b, axis))):
+            folded.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert got().tobytes() == want().tobytes()  # sign of zero and NaN included
+            assert folded == [1] * by_slices
+            if n > 1:  # the 1e308 rows overflow on either path
+                with np.errstate(over="raise", invalid="ignore"), pytest.raises(FloatingPointError):
+                    got()
+
+
+@pytest.mark.parametrize("shapes", [((400, 1), (400, 3)), ((3,), (400, 3)), ((400, 3), (1, 400, 3))])
+@pytest.mark.parametrize("axis", [-1, 0])
+def test_slice_fold_of_broadcast_operands(shapes, axis):
+    # an operand may broadcast along the summed axis or lack it
+    rng = np.random.default_rng(len(shapes[0]))
+    a, b = (rng.standard_normal(shape) for shape in shapes)
+    want = left_fold(a * b, axis)
+    assert _ordered_dot(a, b, axis).tobytes() == want.tobytes()
+    assert simplex._slice_fold(a, b, axis).tobytes() == want.tobytes()
 
 
 def test_no_kernel_is_built_above_its_cut(monkeypatch):
