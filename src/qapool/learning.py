@@ -27,13 +27,13 @@ cost: in a fresh process (2-vCPU x86-64 VM, numpy 2.4, CPython 3.11),
 ten quadratic steps at m = 8, n = 3 take 2.1 ms with the kernel's
 compilation and 1.2 ms on numpy (0.44 and 0.96 ms warm), and a 50 x 50
 kernel compiles in 52 ms, where ten numpy steps take 1.7 ms.  Every
-family inverts on floats: quadratic and log by their float_inverse (one
-np.exp call per step for log), the root-find families by
-pooling._float_shift_inverse on their float_shift, which runs the shift
-solve's generated kernel on the row directly.  Only a row the float
-inverse refuses (unattainable, unconverged, non-finite, or one the numpy
-setup must decide) goes to pooling._invert_rows, which inverts it as
-_step does or raises _step's error.
+family inverts on floats, by the one-row inverse pooling._float_inverse
+gives it: quadratic and log by their closed form's twin (one np.exp call
+per step for log), the root-find families by the float shift solve,
+which runs the shift solve's generated kernel on the row directly.  Only
+a row the float inverse refuses (unattainable, unconverged, non-finite,
+or one the numpy setup must decide) goes to pooling._invert_rows, which
+inverts it as _step does or raises _step's error.
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses are the ones it scored at its answer.  It is projected
@@ -52,14 +52,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
 from .errors import ConfigError
 from .files import StreamFile, _stack_steps
 from .optim import newton_simplex
-from .pooling import _compiled, _float_shift_inverse, _invert_rows, _mix, _row_norms
+from .pooling import _compiled, _float_inverse, _invert_rows, _mix, _row_norms
 from .rules import (
     Forecast,
     RuleSpec,
@@ -248,12 +248,9 @@ def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
 def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray, w: list):
     """ogd_run's loop on Python floats (module docstring), by the kernel of
     E's shape: the (T, n) pools and the final weights.  The family's float
-    inverse is its closed form's twin or, for a root-find family, the
-    float shift solve; a row it refuses goes to _invert_rows, which
-    inverts it as _step does, or raises _step's error."""
-    impl = rule._impl
-    inverse = impl.float_inverse or partial(_float_shift_inverse, impl.float_shift)
-    return _kernel(*E.shape[1:])(rule, inverse, E, J, etas, *w)
+    inverse is pooling._float_inverse; a row it refuses goes to
+    _invert_rows, which inverts it as _step does, or raises _step's error."""
+    return _kernel(*E.shape[1:])(rule, _float_inverse(rule), E, J, etas, *w)
 
 
 @cache
@@ -338,8 +335,9 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
     optim.GAP_TOL.
 
     The loss, the gradient and the Hessian at a point share its pools:
-    the pools of the last point asked about are kept, and so are the
-    losses of the last point evaluated, which newton_simplex returns.
+    value_grad keeps the pools and losses of the last point it was asked
+    at, and newton_simplex asks for the Hessian only there and returns
+    that point.
     The Hessian of the mean loss is (1/T) sum_t E_t J_t E_t^T, with J_t
     the derivative of the step's pool in its target
     (rules._tangent_inverse): with B_t = E_t (I - pi_t 1^T)
@@ -348,19 +346,12 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
     """
     T, m, _ = E.shape
     rows, inv_t = np.arange(T), 1.0 / T
-    last_w = last_X = None  # the last weights asked about and their pools
-    losses = None  # the losses at the last point value_grad was asked at
-
-    def pools(w: np.ndarray) -> np.ndarray:
-        nonlocal last_w, last_X
-        if last_w is None or not np.array_equal(last_w, w):
-            last_w, last_X = w.copy(), _invert_rows(rule, _mix(E, w))
-        return last_X
+    X = losses = None  # the pools and losses at the last point value_grad was asked at
 
     # the per-step mean, so that the gap tolerance is T-independent
     def value_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
-        nonlocal losses
-        X = pools(w)
+        nonlocal X, losses
+        X = _invert_rows(rule, _mix(E, w))
         D = X.copy()
         D[rows, J] -= 1.0
         # einsum's own loop, not BLAS: any ordered form costs twice as much
@@ -369,7 +360,7 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
         return float(_ordered_sum(losses)) * inv_t, grad
 
     def hess(w: np.ndarray) -> np.ndarray:
-        d, pi = _tangent_inverse(rule, pools(w))
+        d, pi = _tangent_inverse(rule, X)  # w is value_grad's last point
         # an overflowing Hessian is not finite, and the solve stalls on it
         with np.errstate(over="ignore", invalid="ignore"):
             B = (E - _ordered_dot(E, pi[:, None, :])[..., None]) * np.sqrt(d)[:, None, :]

@@ -19,26 +19,29 @@ and log invert in closed form (affine map and softmax); neglog, power,
 hs, tsallis and spherical reduce to one monotone equation per target
 for the additive constant that the all-ones quotient leaves free, with
 a closed-form bracket per family.  One safeguarded Newton kernel
-solves that equation for a whole (k, n) array of targets at once and
-reports, per row, a target no forecast attains, a solve that ran out of
-iterations, or a degenerate inverse; one failed row leaves the others
-untouched, and a caller that needs every row raises the first failure
-as the error a one-row call raises (_raise_first).  _pool_rows pools a
+solves that equation for a whole (k, n) array of targets at once.
+_inverse_rows reports, in one (k,) array of codes, each row's failure: a
+target no forecast attains, a solve that ran out of iterations, or a
+degenerate inverse; one failed row leaves the others untouched, and a
+caller that needs every row raises the first failure as the error a
+one-row call raises (_raise_first).  _pool_rows pools a
 (k, m, n) array of weighted forecast rows and checks and certifies each
 row as qa_pool checks one collection; qa_pool is its one-row case, and
 the audit suites pool whole arrays of seeded draws through it.
 
 A shift problem of at most _SCALAR_ROWS rows of n <= _SCALAR_COLS
 coordinates (the hindsight solve's batch of a short stream, a one-row
-pool) is solved on Python floats by _solve_shift_small, the numpy
-kernel's operations in its order, and gives the same bits at any size,
-since both add every sum in order (see simplex).  Its iterations run in
-a kernel generated for the row length n and the exponent's kind
-(_shift_kernel).  The online learner's one row per step skips the numpy
-setup around that kernel as well: _float_shift_inverse takes a row of
-Python floats through the family's float setup
-(rules._Family.float_shift), the kernel and the power-back, and leaves a
-row it cannot finish on floats to _inverse_rows.  numpy's z**2 is z*z
+pool) is solved by _solve_shift on Python floats (_solve_shift_floats),
+the numpy kernel's operations in its order, and gives the same bits at
+any size, since both add every sum in order (see simplex).  Its
+iterations run in a kernel generated for the row length n and the
+exponent's kind (_shift_kernel).  The online learner's one row per step
+skips the numpy setup around that kernel as well: _float_inverse gives
+it the family's one-row float inverse, the closed form's twin or
+_float_shift_inverse, which takes a row of Python floats through the
+family's float setup (rules._Family.float_shift), the kernel and the
+power-back, and leaves a row it cannot finish on floats to
+_inverse_rows.  numpy's z**2 is z*z
 and its z**-1 is 1/z, so those are taken on floats; log and every other
 power are not correctly rounded, and math.log and Python's ** differ
 from numpy's on some inputs, so they take one numpy call per iteration
@@ -56,7 +59,7 @@ The generalized pool drops the solvability requirement: it returns the
 unique minimizer over the (floored) simplex of the weighted sum of
 Bregman divergences from the candidate to each input, G(x) - <t, x> up
 to a constant, t the average exposure.  optim.newton_simplex finds it
-with the family's Hessian (rules._Family.hess) and certifies it by the
+with G's Hessian (rules._hessian) and certifies it by the
 Frank-Wolfe gap of that objective divided by max(1, max|t|), so that
 the tolerance means the same at every exposure scale; a solve that
 cannot reach it is a SolverError naming the gap (_minimize_tilted).
@@ -66,7 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -81,6 +84,7 @@ from .rules import (
     _expected,
     _exposures,
     _gradient,
+    _hessian,
     _simplex_rows,
 )
 from .simplex import _ordered_dot, _ordered_sum, canonicalize, uniform_point
@@ -210,15 +214,18 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     NaN upper end (no admissible shift) and a row still unconverged after
     _ROOT_MAX_ITER iterations come back as NaN.
 
-    A (k, n) problem with k <= _SCALAR_ROWS and n <= _SCALAR_COLS goes to
-    _solve_shift_small, which makes these operations on Python floats and
-    returns the same bits: numpy's per-call overhead, some 30 ufunc calls
-    per iteration, costs more than the arithmetic on so few values.  The
-    numpy kernel below takes every other call.
+    A (k, n) problem with k <= _SCALAR_ROWS and n <= _SCALAR_COLS is
+    solved by _solve_shift_floats, which makes these operations on Python
+    floats and returns the same bits: numpy's per-call overhead, some 30
+    ufunc calls per iteration, costs more than the arithmetic on so few
+    values.  The numpy kernel below takes every other call.
     """
     k, n = a.shape
     if k <= _SCALAR_ROWS and n <= _SCALAR_COLS:
-        return _solve_shift_small(a, p, lo, hi)
+        # a family's bracket end is a (k,) array or one float for every row
+        lo = lo.tolist() if isinstance(lo, np.ndarray) else [float(lo)] * k
+        hi = hi.tolist() if isinstance(hi, np.ndarray) else [float(hi)] * k
+        return np.array(_solve_shift_floats(a.tolist(), p, lo, hi), dtype=float)
     lo, hi = np.full(k, lo, dtype=float), np.full(k, hi, dtype=float)
     # start at the end from which Newton approaches the root without
     # overshooting: hi when sum z^p is convex and increasing (p >= 1),
@@ -257,21 +264,12 @@ def _solve_shift(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
     return out
 
 
-def _solve_shift_small(a: np.ndarray, p: float, lo, hi) -> np.ndarray:
-    """_solve_shift on Python floats: the same start, Newton step, bracket
-    update, tolerance, bisection, iteration cap and NaN rows, operation for
-    operation, and so the same bits (see the module docstring)."""
-    k = a.shape[0]
-    # a family's bracket end is a (k,) array or one float for every row
-    lo = lo.tolist() if isinstance(lo, np.ndarray) else [float(lo)] * k
-    hi = hi.tolist() if isinstance(hi, np.ndarray) else [float(hi)] * k
-    return np.array(_solve_shift_floats(a.tolist(), p, lo, hi), dtype=float)
-
-
 def _solve_shift_floats(a: list, p: float, lo: list, hi: list) -> list:
-    """The shifts of _solve_shift_small's rows of offsets a and bracket ends
-    lo and hi, all lists of Python floats.  The iterations run in the
-    kernel of the rows' length and p's kind."""
+    """_solve_shift on Python floats, for rows of offsets a and bracket ends
+    lo and hi, all lists: the same start, Newton step, bracket update,
+    tolerance, bisection, iteration cap and NaN rows, operation for
+    operation, and so the same bits (see the module docstring).  The
+    iterations run in the kernel of the rows' length and p's kind."""
     xtol = float(_ROOT_XTOL)
     out = list(hi if p >= 1.0 else lo)
     # each active row as (index, shift, lower end, upper end, *offsets)
@@ -315,6 +313,13 @@ def _float_shift_inverse(setup, t: list, c) -> list | None:
     return (np.array(z) ** q).tolist()
 
 
+def _float_inverse(rule: RuleSpec):
+    """The family's inverse of one target row of Python floats, for
+    learning's float loop: the closed form's twin (rules._Family.
+    float_inverse), or _float_shift_inverse on the family's float setup."""
+    return rule._impl.float_inverse or partial(_float_shift_inverse, rule._impl.float_shift)
+
+
 # numpy's z**2 is z*z and its z**-1 is 1/z, which floats give; log and any
 # other power take numpy's (module docstring)
 _SHIFT_KINDS = {2.0: "square", -1.0: "reciprocal", 0.0: "log"}
@@ -322,7 +327,7 @@ _SHIFT_KINDS = {2.0: "square", -1.0: "reciprocal", 0.0: "log"}
 
 @cache
 def _shift_kernel(n: int, kind: str):
-    """_solve_shift_small's iterations for rows of n offsets, generated as
+    """_solve_shift_floats' iterations for rows of n offsets, generated as
     straight-line Python on named locals: offsets a{j}, z{j} = a{j} + c and
     the terms t{j} of the sum.  Fixed n lets each sum be one expression,
     a + b + c, which adds from the first term as _solve_shift does.
@@ -408,19 +413,16 @@ def _compiled(src: str, name: str, scope: dict):
     return scope["kernel"]
 
 
-def _inverse_rows(
-    rule: RuleSpec, T: np.ndarray
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _inverse_rows(rule: RuleSpec, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Forecasts whose canonical exposures are the rows of a (k, n) array,
-    and why each row failed (0 where it did not).
+    and the (k,) int8 codes of why each row failed (0 where it did not).
 
     Families with a closed-form inverse use it; every other family goes
     through one safeguarded Newton solve for all rows of the family's
     shift problem (see rules._Family).
     A failed row is NaN and has code _UNATTAINABLE, _NOT_CONVERGED or
     _DEGENERATE; one failed row leaves the others as they would be alone.
-    The codes are None when every row was inverted, so that the common
-    case (one row per online-learning step) allocates and checks nothing.
+    The codes are worked out only when some row's sum shows a failure.
     """
     closed_form = rule._impl.closed_form
     if closed_form is not None:
@@ -432,14 +434,10 @@ def _inverse_rows(
             X = (a + c[:, None]) ** q
     s = _ordered_sum(X)[:, None]
     # every row sum is finite and positive (not NaN) when the least sum is
-    # above 0 and the largest below inf; one row's sum is both
-    if s.size == 1:
-        least = most = s.item()
-    else:
-        least, most = np.minimum.reduce(s, axis=None), np.maximum.reduce(s, axis=None)
-    if 0.0 < least and most < np.inf:
+    # above 0 and the largest below inf
+    if 0.0 < np.minimum.reduce(s, axis=None) and np.maximum.reduce(s, axis=None) < np.inf:
         X /= s
-        return X, None
+        return X, np.zeros(X.shape[0], np.int8)
     bad = ~(np.isfinite(s[:, 0]) & (s[:, 0] > 0.0))
     fail = np.where(bad, _DEGENERATE, 0).astype(np.int8)
     if closed_form is not None:
@@ -454,14 +452,14 @@ def _inverse_rows(
 
 
 def _raise_first(
-    rule: RuleSpec, fail: np.ndarray | None, res: np.ndarray | None = None,
+    rule: RuleSpec, fail: np.ndarray, res: np.ndarray | None = None,
     doing: str = "inversion for",
 ) -> None:
     """Raise, for the first failed row, the error a one-row call raises.
 
     ``res`` and ``doing`` word the residual certificate's failure.
     """
-    if fail is None or not np.count_nonzero(fail):
+    if not np.count_nonzero(fail):
         return
     i = int((fail != 0).argmax())
     if fail[i] == _UNATTAINABLE:
@@ -488,8 +486,7 @@ def _raise_first(
 def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
     """The forecasts of _inverse_rows; raises the first failed row's error."""
     X, fail = _inverse_rows(rule, T)
-    if fail is not None:
-        _raise_first(rule, fail)
+    _raise_first(rule, fail)
     return X
 
 
@@ -504,8 +501,6 @@ def _certified_inverse(
     certificate res <= _scaled(1e-8, t) is marked _UNCERTIFIED.
     """
     X, fail = _inverse_rows(rule, T)
-    if fail is None:
-        fail = np.zeros(X.shape[0], dtype=np.int8)
     ok = fail == 0
     res = np.full(X.shape[0], np.nan)
     if ok.any():
@@ -556,10 +551,7 @@ def _minimize_tilted(rule: RuleSpec, t: np.ndarray, floor: float, x0: np.ndarray
     s = 1 - n floor, on the objective divided by sigma = max(1, max|t|),
     so that the gap tolerance means the same at every exposure scale.
     Its gradient is s (g(x) - t) / sigma, and its Hessian is
-    s^2 / sigma times G's: diag(h), less (h x)(h x)^T / <x, h x> for the
-    1-homogeneous families (rules._Family).  At a boundary coordinate
-    where G has no second derivative (h not finite at x_j = 0), h_j is
-    taken as 0, so that the coordinate can still leave the boundary.
+    s^2 / sigma times G's (rules._hessian).
     """
     n = t.size
     slack = 1.0 - n * floor
@@ -571,14 +563,7 @@ def _minimize_tilted(rule: RuleSpec, t: np.ndarray, floor: float, x0: np.ndarray
         return value / sigma, (_gradient(rule, x) - t) * (slack / sigma)
 
     def hess(y: np.ndarray) -> np.ndarray:
-        x = floor + slack * y
-        h = rule._impl.hess(x, rule.param)
-        h[(x == 0.0) & ~np.isfinite(h)] = 0.0
-        H = np.diag(h)
-        if rule._impl.homogeneous:
-            v = h * x
-            H -= np.multiply.outer(v, v) / _ordered_dot(x, v)
-        return H * (slack * slack / sigma)
+        return _hessian(rule, floor + slack * y) * (slack * slack / sigma)
 
     # G, g and h may overflow near a tiny floor; the solve refuses the
     # non-finite values and stalls, naming the gap

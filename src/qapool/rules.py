@@ -30,6 +30,7 @@ one record there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -72,8 +73,9 @@ class _Family:
     hess is the diagonal h of G's Hessian.  For the separable families
     that is the whole Hessian; for the 1-homogeneous ones (``homogeneous``:
     hs and spherical), whose gradient is constant along rays so that
-    H p = 0, the Hessian is diag(h) - (h p)(h p)^T / <p, h p>
-    (_tangent_inverse inverts it on the tangent space).  The
+    H p = 0, the Hessian is diag(h) - (h p)(h p)^T / <p, h p>.  Only this
+    module reads hess and homogeneous: _hessian builds H, and
+    _tangent_inverse inverts it on the tangent space.  The
     inverse takes a (k, n) array of canonical exposure targets: either a
     ``closed_form`` returning forecasts up to scale (a NaN row for a target
     that no forecast attains), or a ``shift`` for the problem
@@ -86,9 +88,10 @@ class _Family:
     float loop, which makes numpy's operations in numpy's order and so
     gives the same bits: ``float_inverse`` beside the closed form, and
     ``float_shift`` beside the shift, whose problem pooling's one-row
-    float solve (_float_shift_inverse) inverts.  A twin returns None for
-    a row it leaves to the numpy path: one that no forecast attains, and
-    any other its docstring names.
+    float solve (_float_shift_inverse) inverts.  pooling._float_inverse
+    picks a family's twin, so the learner reads no field here.  A twin
+    returns None for a row it leaves to the numpy path: one that no
+    forecast attains, and any other its docstring names.
     """
 
     G: Callable
@@ -470,6 +473,8 @@ class RuleSpec:
         valid, requirement = impl.param
         if not valid(self.param):
             raise ConfigError(f"{self.family} rule {requirement}")
+        if self.param is not None and not math.isfinite(self.param):
+            raise ConfigError(f"{self.family} rule requires a finite parameter")
         kind = "open" if impl.open_domain else "closed"
         object.__setattr__(self, "domain_kind", kind)
         object.__setattr__(self, "_impl", impl)
@@ -506,7 +511,8 @@ class RuleSpec:
     def label(self) -> str:
         if self.param is None:
             return self.family
-        return f"{self.family}:{self.param:g}"
+        # the shortest text that parses back to the parameter, 1 for 1.0
+        return f"{self.family}:{repr(float(self.param)).removesuffix('.0')}"
 
     def __str__(self) -> str:
         return self.label
@@ -553,6 +559,22 @@ def _gradient(rule: RuleSpec, p: np.ndarray) -> np.ndarray:
     return rule._impl.grad(p, rule.param)
 
 
+def _hessian(rule: RuleSpec, x: np.ndarray) -> np.ndarray:
+    """G's (n, n) Hessian at the point x: diag(h), less (h x)(h x)^T /
+    <x, h x> for the 1-homogeneous families (_Family).  At a boundary
+    coordinate where G has no second derivative (h not finite at x_j = 0),
+    h_j is taken as 0, so that the coordinate can still leave the
+    boundary; the caller decides which floating-point errors numpy
+    reports."""
+    h = rule._impl.hess(x, rule.param)
+    h[(x == 0.0) & ~np.isfinite(h)] = 0.0
+    H = np.diag(h)
+    if rule._impl.homogeneous:
+        v = h * x
+        H -= np.multiply.outer(v, v) / _ordered_dot(x, v)
+    return H
+
+
 def _tangent_inverse(rule: RuleSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The derivative J = dx/dt of the inverse exposure map at the pools on
     the last axis of X, as (d, pi) with J = (I - pi 1^T) diag(d) (I - 1 pi^T).
@@ -579,7 +601,7 @@ def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     with a negative parameter, near the boundary) is a DomainError.
     """
     _check_domain(rule, P)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused by _finite
         return _finite(rule, canonicalize(_gradient(rule, P)))
 
 
@@ -626,7 +648,7 @@ def exposure(rule: RuleSpec, forecast) -> ExposureVector:
     """The gradient of G at p, canonicalized to the sum-zero hyperplane."""
     p = as_forecast(forecast)
     _check_domain(rule, p.probs)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused by _finite
         e = ExposureVector(_gradient(rule, p.probs))
     _finite(rule, e.coords)
     return e

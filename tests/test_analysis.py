@@ -616,7 +616,6 @@ class TestStackedBatchesMatchPerCheckReference:
 
         def stub(r, T):
             X, fail = real(r, T)
-            fail = np.zeros(T.shape[0], dtype=np.int8) if fail is None else fail
             for name in marked:
                 t, code = codes[name]
                 fail[(T == t).all(axis=1)] = code

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -977,6 +978,30 @@ class TestParserReuse:
         assert capsys.readouterr().out == score
         assert built == [1]
         cli._parser.cache_clear()
+
+
+# each command and its arguments after the rule; {f} is a forecast file, {s} a stream
+COMMANDS = {
+    "pool": ["pool", "{f}"], "pool-generalized": ["pool", "{f}", "--generalized"],
+    "score": ["score", "{f}"], "bregman": ["bregman", "{f}"], "learn": ["learn", "{s}"],
+    "audit": ["audit", "--samples", "5"], "probe-exposure": ["probe-exposure", "--samples", "5"],
+}
+
+
+@pytest.mark.parametrize("c", ["2000", "1e308"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_spherical_underflow_exits_1_without_numpy_warning(
+    command, c, forecasts_json, stream_json, capsys
+):
+    # sum p^c underflows to 0, whose power 1/c - 1 divides by zero: the
+    # exposure is refused as not finite, and numpy prints nothing of it
+    name, *args = [a.format(f=forecasts_json, s=stream_json) for a in COMMANDS[command]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([name, f"spherical:{c}", *args]) == 1
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == [] and out == ""
+    assert err.startswith("qapool: ") and err.count("\n") == 1
 
 
 class TestCmdAuditAndProbe:

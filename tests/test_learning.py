@@ -534,6 +534,52 @@ class TestHindsightNewton:
         )
         assert gap <= 1e-12 and f <= 1e-24
 
+    @staticmethod
+    def exp_value_grad(x, t=np.array([4.0, -1.0, 2.5, 0.0])):
+        # f = sum exp(3 x_i) - <t, x>: convex, minimized in several Newton steps
+        e = np.exp(3.0 * x)
+        return float(e.sum() - t @ x), 3.0 * e - t
+
+    # the exp problem, and a flat f whose gradient claims descent, on which
+    # every arc fails
+    PROBLEMS = {
+        "exp": (exp_value_grad, lambda x: np.diag(9.0 * np.exp(3.0 * x))),
+        "flat": (lambda x: (0.0, np.array([1.0, 0.0, 0.0, 0.0])), lambda x: np.eye(4)),
+    }
+
+    @pytest.mark.parametrize("problem, cap", [("exp", None), ("exp", 2), ("flat", None)],
+                             ids=["converges", "runs-out", "stalls"])
+    def test_hessian_is_asked_only_at_the_last_evaluated_point(self, problem, cap, monkeypatch):
+        # the hindsight solve keeps no pools of its own: its Hessian reads the
+        # pools of value_grad's last point, and its losses are that point's
+        value_grad, hess = self.PROBLEMS[problem]
+        if cap is not None:
+            monkeypatch.setattr(optim, "NEWTON_MAX_ITER", cap)
+        asked = []  # (which, x, what value_grad returned)
+
+        def counted_value_grad(x):
+            got = value_grad(x)
+            asked.append(("value_grad", x.tobytes(), got))
+            return got
+
+        def counted_hess(x):
+            asked.append(("hess", x.tobytes(), None))
+            return hess(x)
+
+        try:
+            x, f, _ = newton_simplex(counted_value_grad, counted_hess, uniform_point(4))
+        except SolverError:
+            x = None
+        assert (x is None) == (problem != "exp" or cap is not None)
+        hessians = [i for i, (which, _, _) in enumerate(asked) if which == "hess"]
+        assert len(hessians) >= (3 if problem == "exp" and cap is None else 1)
+        for i in hessians:
+            last = [a for a in asked[:i] if a[0] == "value_grad"][-1]
+            assert asked[i][1] == last[1]
+        assert asked[-1][0] == "value_grad"  # no Hessian after the last evaluation
+        if x is not None:
+            assert x.tobytes() == asked[-1][1] and f == asked[-1][2][0]
+
 
     @pytest.mark.parametrize("size", [1, 2, 5, optim._OUTER_ROWS, optim._OUTER_ROWS + 1,
                                       optim._OUTER_ROWS + 2, 30, 49])

@@ -45,7 +45,6 @@ from qapool.pooling import (
     _mix,
     _pool_rows,
     _solve_shift,
-    _solve_shift_small,
 )
 from qapool.rules import OPEN_MIN, _gradient
 
@@ -308,7 +307,7 @@ class TestNonFiniteTargets:
         T = np.tile([0.3, -0.1, -0.2], (k, 1))
         T[1] = [1e200, -1e200, 0.0]
         X, fail = _inverse_rows(rule, T)
-        assert fail is None and X[1].min() < OPEN_MIN
+        assert not fail.any() and X[1].min() < OPEN_MIN
         alone = _inverse_rows(rule, T[:1])[0][0]
         assert np.array_equal(np.delete(X, 1, axis=0), np.tile(alone, (k - 1, 1)))
 
@@ -522,11 +521,28 @@ def numpy_shift(a, p, lo, hi):
         return _solve_shift(a, p, lo, hi)
 
 
+def float_shift(a, p, lo, hi):
+    """The float path of _solve_shift, at any problem size."""
+    k, n = a.shape
+    with mock.patch.multiple(pooling, _SCALAR_ROWS=max(k, _SCALAR_ROWS),
+                             _SCALAR_COLS=max(n, _SCALAR_COLS)):
+        return _solve_shift(a, p, lo, hi)
+
+
+def float_shapes(monkeypatch):
+    """The (rows, n) of each problem _solve_shift passes to its float path,
+    in order, from now on."""
+    shapes, floats = [], pooling._solve_shift_floats
+    monkeypatch.setattr(pooling, "_solve_shift_floats",
+                        lambda a, *args: shapes.append((len(a), len(a[0]))) or floats(a, *args))
+    return shapes
+
+
 def assert_same_shift(rule, T):
     """The float path solves the shift problem of T's rows to the numpy
     kernel's bits; returns the problem's bracket and the shifts."""
     a, p, _, lo, hi = rule._impl.shift(T, rule.param)
-    c = _solve_shift_small(a, p, lo, hi)
+    c = float_shift(a, p, lo, hi)
     assert np.array_equal(c, numpy_shift(a, p, lo, hi), equal_nan=True)
     return np.broadcast_to(lo, c.shape), np.broadcast_to(hi, c.shape), c
 
@@ -627,9 +643,7 @@ class TestRowKernel:
         # the float kernel gives the numpy kernel's bits at any row length:
         # with the cut forced up, _solve_shift takes it at n = 8 and 50
         monkeypatch.setattr(pooling, "_SCALAR_COLS", 50)
-        shapes, small = [], _solve_shift_small
-        monkeypatch.setattr(pooling, "_solve_shift_small",
-                            lambda a, *args: shapes.append(a.shape) or small(a, *args))
+        shapes = float_shapes(monkeypatch)
         for k in (1, 2, _SCALAR_ROWS):
             for smallest in (1e-3, 1e-6, 1e-12):
                 T = kernel_targets(rng, rule, n, max(k, 2), smallest)[:k]
@@ -694,13 +708,7 @@ class TestRowKernel:
         assert_same_shift(*problem)
 
     def test_short_problems_take_the_float_path(self, rng, monkeypatch):
-        shapes, small = [], _solve_shift_small
-
-        def spy(a, *args):
-            shapes.append(a.shape)
-            return small(a, *args)
-
-        monkeypatch.setattr(pooling, "_solve_shift_small", spy)
+        shapes = float_shapes(monkeypatch)
         rule = RuleSpec.neglog()
         sizes = [(_SCALAR_COLS, _SCALAR_ROWS), (2, 1), (_SCALAR_COLS + 1, 1), (3, _SCALAR_ROWS + 1)]
         for n, k in sizes:
@@ -779,7 +787,7 @@ class TestFloatShift:
                 x = _float_shift_inverse(rule._impl.float_shift, t.tolist(), rule.param)
                 X, fail = _inverse_rows(rule, t[None])
                 total = reduce(add, x)  # in order, as the learner's kernel sums
-                assert fail is None and np.array([v / total for v in x]).tobytes() == X.tobytes()
+                assert not fail.any() and np.array([v / total for v in x]).tobytes() == X.tobytes()
 
     def test_refused_rows(self, monkeypatch):
         tsallis = RuleSpec.tsallis(3.0)
@@ -869,7 +877,7 @@ class TestRowFailures:
         rule = RuleSpec.spherical(2.0)
         T = kernel_targets(rng, rule, 3)
         want, clean = _inverse_rows(rule, T)
-        assert clean is None  # no failure codes when every row inverted
+        assert not clean.any()  # every row inverted
         monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", 1)
         X, fail = _inverse_rows(rule, T)
         assert set(fail.tolist()) <= {0, _NOT_CONVERGED} and _NOT_CONVERGED in fail

@@ -23,7 +23,7 @@ from qapool import (
 )
 
 from qapool.pooling import _invert_rows
-from qapool.rules import _exposures, _tangent_inverse
+from qapool.rules import _exposures, _hessian, _tangent_inverse
 
 from conftest import CONVEX_RULES, RULE_IDS, random_probs, sampling_floor
 from oracles import fd_canonical_gradient, kl_divergence
@@ -73,7 +73,8 @@ class TestRuleSpec:
 
     @pytest.mark.parametrize(
         "bad", ["brier", "power", "power:1", "power:0", "power:2",
-                "spherical:1", "tsallis:1", "quadratic:2", "tsallis:abc"]
+                "spherical:1", "tsallis:1", "quadratic:2", "tsallis:abc",
+                "tsallis:inf", "spherical:inf", "power:-inf"]
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(ConfigError):
@@ -89,7 +90,10 @@ class TestRuleSpec:
         assert RuleSpec.hs().domain_kind == "open"
 
     def test_label_round_trip(self):
-        for rule in CONVEX_RULES:
+        # parameters that a rounded label would print as 1, 0.3 and 1.23457e+06
+        more = [RuleSpec.tsallis(1.0000001), RuleSpec.power(0.30000000000000004),
+                RuleSpec.spherical(1234567.0)]
+        for rule in CONVEX_RULES + more:
             assert parse_rule(rule.label) == rule
 
 
@@ -363,7 +367,7 @@ def tangent_inverse_matrix(rule, p):
 
 
 class TestHessian:
-    """The family record's hess (the diagonal of G's Hessian, plus the
+    """G's Hessian (rules._hessian: the family record's diagonal, plus the
     rank-one term that H p = 0 fixes for the 1-homogeneous families) and
     the derivative J of the inverse exposure map built from it."""
 
@@ -372,11 +376,7 @@ class TestHessian:
     @pytest.mark.parametrize("rule", HESS_RULES, ids=lambda r: r.label)
     def test_hess_is_the_derivative_of_grad(self, rule, n, where):
         p = hess_point(rule, n, where)
-        h = rule._impl.hess(p, rule.param)
-        H = np.diag(h)
-        if rule._impl.homogeneous:
-            hp = h * p
-            H -= np.outer(hp, hp) / (p @ hp)
+        H = _hessian(rule, p)
         # central differences along each coordinate, steps relative to it;
         # each column within 1e-6 of its largest entry, or of the rounding
         # error of the differenced gradient
