@@ -17,23 +17,31 @@ _KERNEL_MAX, where a numpy call costs more than the arithmetic,
 _float_steps runs the whole loop on Python floats, one step of E at a
 time: mix, centring, inversion, row-sum check, gradient and projection,
 in _step's order, so the pools and weights are bit for bit the numpy
-loop's.  The loop is a kernel generated for the stream's shape
-(_kernel): with m and n fixed, every sum is one expression on named
-locals, added from the first term as simplex._ordered_sum adds, and a
-step's only calls are the inverse, the fallback inversion and the
-projection.  A shape's kernel is compiled at its first run, never at
-import, and kept (42 shapes at most).  The cut is for speed and compile
-cost: in a fresh process (2-vCPU x86-64 VM, numpy 2.4, CPython 3.11),
-ten quadratic steps at m = 8, n = 3 take 2.1 ms with the kernel's
-compilation and 1.2 ms on numpy (0.44 and 0.96 ms warm), and a 50 x 50
-kernel compiles in 52 ms, where ten numpy steps take 1.7 ms.  Every
-family inverts on floats, by the one-row inverse pooling._float_inverse
-gives it: quadratic and log by their closed form's twin (one np.exp call
-per step for log), the root-find families by the float shift solve,
-which runs the shift solve's generated kernel on the row directly.  Only
-a row the float inverse refuses (unattainable, unconverged, non-finite,
-or one the numpy setup must decide) goes to pooling._invert_rows, which
-inverts it as _step does or raises _step's error.
+loop's.  The loop is a kernel generated for the stream's shape and its
+family's kind of float inverse (_kernel): with m and n fixed, every sum
+is one expression on named locals, added from the first term as
+simplex._ordered_sum adds, and the inverse and the projection are
+written into it.  pooling._float_inverse gives the inverse as source:
+quadratic's and log's closed form (rules._Family.float_inverse), inlined,
+or for the root-find families one call of the float shift solve, which
+runs the shift solve's generated kernel on the row directly.  The
+projection is simplex._projection_lines, the loop of
+simplex._project_floats unrolled for m weights.  So a quadratic step
+calls only min and sorted, and a log step max, sorted and one np.exp;
+a root-find step also calls its inverse.  The fallbacks are called only
+for the rows and steps they must decide: a row the float inverse
+refuses (unattainable, unconverged, non-finite, or one the numpy setup
+must decide) goes to pooling._invert_rows, which inverts it as _step
+does or raises _step's error, and a step where no projection threshold
+passes or the running sum is not finite goes to the loop, which raises
+its error or gives its answer.  A kernel is compiled at its first run,
+never at import, and kept: 126 at most, for 42 shapes and three kinds
+of inverse (quadratic, log, and one shared by the root-find families).
+The cut is for speed and compile cost: in a fresh process (2-vCPU
+x86-64 VM, numpy 2.4, CPython 3.11), ten quadratic steps at m = 8,
+n = 3 take 1.2 ms with the kernel's compilation and 0.4 ms on numpy
+(0.06 and 0.23 ms warm), and a 50 x 50 kernel compiles in 28 ms, where
+ten numpy steps take 0.7 ms (medians of seven processes).
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses are the ones it scored at its answer.  It is projected
@@ -74,7 +82,8 @@ from .rules import (
     _tangent_inverse,
 )
 from .simplex import (
-    _ordered_dot, _ordered_sum, _project_floats, canonicalize, project_simplex, uniform_point,
+    _ordered_dot, _ordered_sum, _project_floats, _projection_lines, canonicalize, project_simplex,
+    uniform_point,
 )
 
 __all__ = [
@@ -247,50 +256,60 @@ def _step(rule: RuleSpec, E_t: np.ndarray, j, w: np.ndarray):
 
 def _float_steps(rule: RuleSpec, E: np.ndarray, J: np.ndarray, etas: np.ndarray, w: list):
     """ogd_run's loop on Python floats (module docstring), by the kernel of
-    E's shape: the (T, n) pools and the final weights.  The family's float
-    inverse is pooling._float_inverse; a row it refuses goes to
-    _invert_rows, which inverts it as _step does, or raises _step's error."""
-    return _kernel(*E.shape[1:])(rule, _float_inverse(rule), E, J, etas, *w)
+    E's shape and the family's float inverse (pooling._float_inverse): the
+    (T, n) pools and the final weights.  A row the float inverse refuses
+    goes to _invert_rows, which inverts it as _step does, or raises _step's
+    error."""
+    source, inverse = _float_inverse(rule, E.shape[2])
+    return _kernel(*E.shape[1:], source)(rule, inverse, E.reshape(len(E), -1), J, etas, *w)
 
 
 @cache
-def _kernel(m: int, n: int):
-    """The float loop for m experts and n outcomes, generated as
+def _kernel(m: int, n: int, source: str):
+    """The float loop for m experts, n outcomes and the float inverse whose
+    source is ``source`` (pooling._float_inverse), generated as
     straight-line Python on named locals: the step's exposures e{i}_{j},
-    the weights w{i}, the mix t{j}, the pool x{j} and the gradient g{i}.
-    Fixed m and n let each sum be one expression, a + b + c, which Python
-    adds from the left as simplex._ordered_sum does; Python >= 3.12's sum()
-    compensates, and pyproject allows 3.10.
-    E is converted one step at a time.  Built at a shape's first run and
-    kept, as collections.namedtuple builds its class."""
+    the weights w{i}, the mix and then the centred targets t{j}, the pool
+    x{j}, the gradient g{i} and the unprojected weights y{i}.  Fixed m and
+    n let each sum be one expression, a + b + c, which Python adds from
+    the left as simplex._ordered_sum does; Python >= 3.12's sum()
+    compensates, and pyproject allows 3.10.  The inverse's source and the
+    projection's (simplex._projection_lines) are inlined, so a step calls
+    only builtins, log's np.exp, a shift family's inverse and the two
+    fallbacks.  E comes as (T, m n) rows, each converted as its step
+    starts.  Each pool is stored in a numpy row as its step ends: a list
+    of the T pools as floats is 3 ms faster per 20,000 steps, but raised
+    learn_bulk's peak RSS at seed 23 from 84.5 to 91.7 MB.  Built at a
+    kernel's first run and kept, as collections.namedtuple builds its
+    class."""
     total = " + ".join
-    W, T, X, G = ([f"{a}{i}" for i in range(k)] for a, k in zip("wtxg", (m, n, n, m)))
-    rows = ", ".join("(" + ", ".join(f"e{i}_{j}" for j in range(n)) + ",)" for i in range(m))
+    W, Y, T, X, G = ([f"{a}{i}" for i in range(k)] for a, k in zip("wytxg", (m, m, n, n, m)))
+    step = ", ".join(f"e{i}_{j}" for i in range(m) for j in range(n))
     src = "\n".join([
         f"def kernel(rule, inverse, E, J, etas, {', '.join(W)}):",
         f"    pools, c, nans = np.empty((len(J), {n})), rule.param, ({'nan, ' * n})",
         "    steps = zip(map(np.ndarray.tolist, E), J.tolist(), etas.tolist())",
-        f"    for k, (({rows},), j, eta) in enumerate(steps):",
+        f"    for k, (({step}), j, eta) in enumerate(steps):",
         *(f"        t{j} = {total(f'w{i} * e{i}_{j}' for i in range(m))}" for j in range(n)),
         f"        mean = ({total(T)}) / {n}",
-        f"        t = [{', '.join(f'{v} - mean' for v in T)}]",
-        f"        {', '.join(X)}, = inverse(t, c) or nans",
+        f"        {', '.join(T)}, = {', '.join(f'{v} - mean' for v in T)},",
+        *(f"        {line}" for line in source.splitlines()),
         f"        s = {total(X)}",
         "        if 0.0 < s < inf:",
         f"            x = [{', '.join(f'{v} / s' for v in X)}]",
         "        else:  # a target the float inverse refuses",
-        "            x = _invert_rows(rule, np.array([t]))[0].tolist()",
+        f"            x = _invert_rows(rule, np.array([[{', '.join(T)}]]))[0].tolist()",
         "        pools[k] = x",
         "        x[j] -= 1.0  # x - e_j, the loss gradient's direction",
         f"        {', '.join(X)}, = x",
         *(f"        g{i} = {total(f'e{i}_{j} * x{j}' for j in range(n))}" for i in range(m)),
         f"        mean = ({total(G)}) / {m}",
-        f"        {', '.join(W)}, = _project_floats(["
-        f"{', '.join(f'w{i} - eta * (g{i} - mean)' for i in range(m))}])",
+        *(f"        y{i} = w{i} - eta * (g{i} - mean)" for i in range(m)),
+        *(f"        {line}" for line in _projection_lines(Y, W)),
         f"    return pools, [{', '.join(W)}]",
     ])
     return _compiled(src, f"ogd kernel m={m} n={n}", {
-        "np": np, "inf": math.inf, "nan": math.nan,
+        "np": np, "inf": math.inf, "nan": math.nan, "exp": np.exp,
         "_invert_rows": _invert_rows, "_project_floats": _project_floats,
     })
 
@@ -343,18 +362,23 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
     (rules._tangent_inverse): with B_t = E_t (I - pi_t 1^T)
     diag(d_t)^(1/2), it is (1/T) sum_t B_t B_t^T, exactly symmetric
     (_gram).
+    The mix and B take E expert-major, one C-contiguous (m, T, n) copy, so
+    that each expert's slice of the mix's fold is one block and B's rows
+    are expert i's terms with no transposing copy; the sums are the same.
     """
     T, m, _ = E.shape
     rows, inv_t = np.arange(T), 1.0 / T
+    Em = np.ascontiguousarray(E.transpose(1, 0, 2))
     X = losses = None  # the pools and losses at the last point value_grad was asked at
 
     # the per-step mean, so that the gap tolerance is T-independent
     def value_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
         nonlocal X, losses
-        X = _invert_rows(rule, _mix(E, w))
+        X = _invert_rows(rule, _mix(Em.transpose(1, 0, 2), w))
         D = X.copy()
         D[rows, J] -= 1.0
-        # einsum's own loop, not BLAS: any ordered form costs twice as much
+        # einsum's own loop, not BLAS: any ordered form costs twice as much;
+        # it gives other bits on Em
         grad = canonicalize(np.einsum("tmn,tn->m", E, D)) * inv_t
         losses = _losses(rule, X, J)
         return float(_ordered_sum(losses)) * inv_t, grad
@@ -363,9 +387,9 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
         d, pi = _tangent_inverse(rule, X)  # w is value_grad's last point
         # an overflowing Hessian is not finite, and the solve stalls on it
         with np.errstate(over="ignore", invalid="ignore"):
-            B = (E - _ordered_dot(E, pi[:, None, :])[..., None]) * np.sqrt(d)[:, None, :]
+            B = (Em - _ordered_dot(Em, pi)[..., None]) * np.sqrt(d)
             # expert i's terms, every step's outcomes
-            return _gram(B.transpose(1, 0, 2).reshape(m, -1)) * inv_t
+            return _gram(B.reshape(m, -1)) * inv_t
 
     w, _, gap = newton_simplex(value_grad, hess, uniform_point(m))
     return w, losses, gap

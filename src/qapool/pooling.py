@@ -37,7 +37,8 @@ any size, since both add every sum in order (see simplex).  Its
 iterations run in a kernel generated for the row length n and the
 exponent's kind (_shift_kernel).  The online learner's one row per step
 skips the numpy setup around that kernel as well: _float_inverse gives
-it the family's one-row float inverse, the closed form's twin or
+it the family's one-row float inverse as source, the closed form's
+template, inlined in the learner's kernel, or a call of
 _float_shift_inverse, which takes a row of Python floats through the
 family's float setup (rules._Family.float_shift), the kernel and the
 power-back, and leaves a row it cannot finish on floats to
@@ -313,11 +314,21 @@ def _float_shift_inverse(setup, t: list, c) -> list | None:
     return (np.array(z) ** q).tolist()
 
 
-def _float_inverse(rule: RuleSpec):
-    """The family's inverse of one target row of Python floats, for
-    learning's float loop: the closed form's twin (rules._Family.
-    float_inverse), or _float_shift_inverse on the family's float setup."""
-    return rule._impl.float_inverse or partial(_float_shift_inverse, rule._impl.float_shift)
+def _float_inverse(rule: RuleSpec, n: int):
+    """The family's inverse of one row of n centred targets t0.. on Python
+    floats, for learning's float loop: straight-line source that sets
+    x0.. up to scale, and the function that source calls as ``inverse``,
+    if any.  The closed form's source is its twin's template
+    (rules._Family.float_inverse), which calls none; every other family's
+    is one call of _float_shift_inverse on the family's float setup, which
+    sets every x to the kernel's ``nans`` where that returns None, so all
+    of them share one source per n."""
+    template = rule._impl.float_inverse
+    if template is not None:
+        return template(n), None
+    t, x = (", ".join(f"{a}{j}" for j in range(n)) for a in "tx")
+    return (f"{x}, = inverse([{t}], c) or nans",
+            partial(_float_shift_inverse, rule._impl.float_shift))
 
 
 # numpy's z**2 is z*z and its z**-1 is 1/z, which floats give; log and any

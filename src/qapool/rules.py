@@ -86,12 +86,17 @@ class _Family:
 
     Each inverse has a twin on one row of Python floats, for learning's
     float loop, which makes numpy's operations in numpy's order and so
-    gives the same bits: ``float_inverse`` beside the closed form, and
-    ``float_shift`` beside the shift, whose problem pooling's one-row
-    float solve (_float_shift_inverse) inverts.  pooling._float_inverse
-    picks a family's twin, so the learner reads no field here.  A twin
-    returns None for a row it leaves to the numpy path: one that no
-    forecast attains, and any other its docstring names.
+    gives the same bits.  Beside the closed form, ``float_inverse`` is a
+    source template: for n outcomes, straight-line statements on the
+    centred targets t0.. that set x0.. to the forecast up to scale, or
+    every x to NaN for a row they leave to the numpy path; they call only
+    builtins and numpy's exp (the scope's exp), so learning's generated
+    kernel runs them inline.  Beside the shift, ``float_shift`` sets up
+    the problem on one row, which pooling's one-row float solve
+    (_float_shift_inverse) inverts; it returns None for a row it leaves to
+    the numpy path: one that no forecast attains, and any other its
+    docstring names.  pooling._float_inverse hands the learner its
+    family's twin, so the learner reads no field here.
     """
 
     G: Callable
@@ -104,7 +109,7 @@ class _Family:
     norm_bound: Callable | None = None  # sup of ||grad G||_2 over the simplex
     convex_exposure: Callable = lambda c: True  # at n > 2; all have it at n = 2
     closed_form: Callable | None = None
-    float_inverse: Callable | None = None
+    float_inverse: Callable | None = None  # n -> source (see above)
     shift: Callable | None = None
     float_shift: Callable | None = None
 
@@ -125,16 +130,21 @@ def _log_inverse(T: np.ndarray, c) -> np.ndarray:
     return np.exp(X, out=X)
 
 
-def _quadratic_inverse_floats(t: list, c) -> list | None:
-    k = 1.0 / len(t)
-    x = [0.5 * v + k for v in t]
-    # 0.5 t_j + 1/n is never -0.0, so this clip is np.maximum's
-    return None if min(x) < -1e-12 else [0.0 if v < 0.0 else v for v in x]
+def _quadratic_inverse_src(n: int) -> str:
+    x = [f"x{j}" for j in range(n)]
+    return "\n".join([
+        f"{', '.join(x)}, = {', '.join(f'0.5 * t{j} + 1.0 / {n}' for j in range(n))},",
+        f"if min({', '.join(x)}) < -1e-12:",
+        f"    {' = '.join(x)} = nan",
+        # 0.5 t_j + 1/n is never -0.0, so this clip is np.maximum's; NaN stays
+        *(f"{v} = 0.0 if {v} < 0.0 else {v}" for v in x),
+    ])
 
 
-def _log_inverse_floats(t: list, c) -> list:
-    top = max(t)
-    return np.exp([v - top for v in t]).tolist()
+def _log_inverse_src(n: int) -> str:
+    t, x = ([f"{a}{j}" for j in range(n)] for a in "tx")
+    return (f"top = max({', '.join(t)})\n"
+            f"{', '.join(x)}, = exp([{', '.join(f'{v} - top' for v in t)}]).tolist()")
 
 
 def _below_max(T: np.ndarray) -> np.ndarray:
@@ -235,7 +245,7 @@ _FAMILIES = {
         hess=lambda p, c: np.full_like(p, 2.0),
         norm_bound=lambda c, n: 2.0,  # ||2p|| peaks at a vertex
         closed_form=_quadratic_inverse,
-        float_inverse=_quadratic_inverse_floats,
+        float_inverse=_quadratic_inverse_src,
     ),
     "log": _Family(
         G=lambda p, c: _ordered_dot(p, np.log(p)),
@@ -243,7 +253,7 @@ _FAMILIES = {
         hess=lambda p, c: 1.0 / p,
         open_domain=True,
         closed_form=_log_inverse,
-        float_inverse=_log_inverse_floats,
+        float_inverse=_log_inverse_src,
     ),
     "neglog": _Family(
         G=lambda p, c: -_ordered_sum(np.log(p)),

@@ -8,19 +8,25 @@ clip.  It is exact up to floating-point rounding, O(m log m).
 
 The projection runs on Python floats at every size: the online
 learner projects one m-vector per step, where numpy's per-call overhead
-costs more than the arithmetic, and its float loop calls _project_floats
-on its own lists.  It makes the operations of the numpy formulation
-(np.sort reversed, cumsum, np.maximum) in their order, so both give the
-same bits: the sort is descending; the running sum adds in order from
--0.0, as cumsum does at every length; the test u_k + (1 - css_k)/k > 0,
-tau and y_i + tau are the same IEEE double operations; and since tau is
-never -0.0, neither is y_i + tau, so clipping by comparison with 0.0
-gives np.maximum's result, sign of zero included.  Ties sort in either
-order at no cost, as equal values add to the same sums.  A non-finite
-input raises before any arithmetic warns.
-On a 2-core x86-64 VM (numpy 2.4, CPython 3.11) it costs what the numpy
-formulation costs at n = 50, the largest vector a benchmark workload
-projects, and about 2.4x and 9x as much at n = 100 and 1000.
+costs more than the arithmetic.  simplex owns its two forms.
+_project_floats is the loop, which project_simplex calls at any length;
+_projection_lines is the template of its body unrolled for m named
+values, straight-line source that the learner's generated kernel
+inlines, so that a step makes no call to project.  The template calls
+the loop on the same values only where no tau passes or the running sum
+is not finite, so the loop raises its error or gives its answer.  Both
+make the operations of the numpy formulation (np.sort reversed, cumsum,
+np.maximum) in their order, so all three give the same bits: the sort
+is descending; the running sum adds in order from -0.0, as cumsum does
+at every length; the test u_k + (1 - css_k)/k > 0, tau and y_i + tau
+are the same IEEE double operations; and since tau is never -0.0,
+neither is y_i + tau, so clipping by comparison with 0.0 gives
+np.maximum's result, sign of zero included.  Ties sort in either order
+at no cost, as equal values add to the same sums.  A non-finite input
+raises before any arithmetic warns.
+On a 2-core x86-64 VM (numpy 2.4, CPython 3.11) the loop costs what the
+numpy formulation costs at n = 50, the largest vector a benchmark
+workload projects, and about 2.4x and 9x as much at n = 100 and 1000.
 
 Every sum whose bits reach the output is _ordered_sum, the last slice of
 np.add.accumulate: numpy documents it as the running sum, so it adds
@@ -161,6 +167,27 @@ def _project_floats(v: list) -> list:
         raise _unprojectable(np.array(v))
     # y_i + tau is never -0.0 (tau is not), so this clip is np.maximum's
     return [x + tau if x + tau > 0.0 else 0.0 for x in v]
+
+
+def _projection_lines(y: list, w: list) -> list:
+    """_project_floats unrolled for the len(y) values named y: straight-line
+    source that sets the names w to their projection, for a generated
+    kernel whose scope has inf and _project_floats.  It makes the loop's
+    operations in its order, every threshold test included, so the last
+    passing k still wins; where no tau passes or the running sum is not
+    finite, it calls the loop on the same values, which raises the loop's
+    error or gives its answer.  Temporaries: u0.., css, cut and tau."""
+    ys = ", ".join(y)
+    lines = [f"{', '.join(f'u{k}' for k in range(len(y)))}, = sorted(({ys},), reverse=True)",
+             "tau, css = None, -0.0"]
+    for k in range(len(y)):
+        lines += [f"css += u{k}", f"cut = (1.0 - css) / {k + 1}", f"if u{k} + cut > 0.0: tau = cut"]
+    return lines + [
+        "if tau is None or not -inf < css < inf:",
+        f"    {', '.join(w)}, = _project_floats([{ys}])",
+        "else:",
+        *(f"    {b} = {a} + tau if {a} + tau > 0.0 else 0.0" for a, b in zip(y, w)),
+    ]
 
 
 def _unprojectable(y: np.ndarray) -> ValueError:

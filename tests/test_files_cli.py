@@ -702,6 +702,29 @@ class TestCmdLearn:
         assert done.stderr.startswith("qapool: error:")
         assert ("floor" if "--floor" in args else " M ") in done.stderr
 
+    def test_unprojectable_step_prints_one_error_line(self, tmp_path):
+        # with M = 1e-300 the first step's weights reach 2.55e299, where
+        # 1 - u_1 rounds to -u_1: the kernel's inlined projection hands them
+        # to the loop, which raises
+        path = tmp_path / "stream.json"
+        path.write_text(json.dumps({"steps": [
+            {"forecasts": [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]], "outcome": 1},
+            {"forecasts": [[0.1, 0.1, 0.8], [0.3, 0.3, 0.4]], "outcome": 3},
+        ]}))
+        env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "qapool.cli", "learn", "quadratic", str(path), "--M", "1e-300"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == (
+            "qapool: input error: cannot project onto the simplex: the threshold test fails "
+            "at every support size (largest |y_i| is 2.55e+299)\n"
+        )
+
     def test_deterministic_with_env_seed(self, stream_json, capsys, monkeypatch):
         monkeypatch.setenv("QAPOOL_SEED", "123")
         main(["learn", "quadratic", stream_json])

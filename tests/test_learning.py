@@ -1,5 +1,6 @@
 """Weight learning: gradients, projections, concavity, regret guarantees."""
 
+import ast
 import dataclasses
 import os
 import re
@@ -801,7 +802,8 @@ class TestBitForBitReference:
             monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", cap)
         E, w = np.array([E], dtype=float), np.array([0.5, 0.5])
         fallbacks = []
-        monkeypatch.setitem(learning._kernel(2, 3).__globals__, "_invert_rows",
+        kernel = learning._kernel(2, 3, pooling._float_inverse(rule, 3)[0])
+        monkeypatch.setitem(kernel.__globals__, "_invert_rows",
                             lambda *a: fallbacks.append(a) or _invert_rows(*a))
         numpy_step = self.printed(lambda: _step(rule, E[0], 0, w)[0])
         float_loop = self.printed(
@@ -810,6 +812,53 @@ class TestBitForBitReference:
         assert float_loop == numpy_step
         assert len(fallbacks) == refused
         assert message is None or message in str(numpy_step)
+
+    @pytest.mark.parametrize("n", range(2, _KERNEL_MAX + 1))
+    def test_quadratic_target_out_of_range_reaches_the_fallback(self, n, monkeypatch):
+        # the inlined closed form refuses the row, and _invert_rows raises
+        # the numpy step's error
+        E, w = np.full((1, 1, n), 3.0 / (n - 1)), np.array([1.0])
+        E[0, 0, 0] = -3.0
+        fallbacks = []
+        kernel = learning._kernel(1, n, pooling._float_inverse(QUAD, n)[0])
+        monkeypatch.setitem(kernel.__globals__, "_invert_rows",
+                            lambda *a: fallbacks.append(a) or _invert_rows(*a))
+        numpy_step = self.printed(lambda: _step(QUAD, E[0], 0, w)[0])
+        float_loop = self.printed(
+            lambda: _float_steps(QUAD, E, np.array([0]), np.array([1e-3]), w.tolist())[0][0]
+        )
+        assert float_loop == numpy_step and len(fallbacks) == 1
+        assert "outside the quadratic rule's range" in str(numpy_step)
+
+
+def step_loop(src: str) -> list[ast.stmt]:
+    """The statements of a generated kernel's step loop."""
+    loop, = [node for node in ast.walk(ast.parse(src)) if isinstance(node, ast.For)]
+    return loop.body
+
+
+def step_calls(statements: list[ast.stmt]) -> list[str]:
+    """The functions that statements call, by name.  The .tolist() that
+    turns a call's array into floats is part of that call, and the calls
+    that build _invert_rows' argument are part of that fallback."""
+    names = []
+
+    def visit(node):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "tolist":
+                inner = func.value.value if isinstance(func.value, ast.Subscript) else func.value
+                if isinstance(inner, ast.Call):
+                    return visit(inner)
+            names.append(ast.unparse(func))
+            if names[-1] == "_invert_rows":
+                return
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for statement in statements:
+        visit(statement)
+    return names
 
 
 class TestKernel:
@@ -862,7 +911,8 @@ class TestKernel:
         monkeypatch.setattr(learning, "_step", no_step)
         monkeypatch.setattr(learning, "_float_steps", lambda *a: runs.append(kernel_loop(*a)) or runs[-1])
         # the kernel's own fallback, not the hindsight solve's inversion
-        monkeypatch.setitem(learning._kernel(m, n).__globals__, "_invert_rows",
+        kernel = learning._kernel(m, n, pooling._float_inverse(rule, n)[0])
+        monkeypatch.setitem(kernel.__globals__, "_invert_rows",
                             lambda *a: fallbacks.append(a) or _invert_rows(*a))
         rng = np.random.default_rng([m, n, 40])
         # a small Dirichlet concentration puts quadratic pools on the boundary
@@ -875,6 +925,25 @@ class TestKernel:
         assert np.array(weights).tobytes() == final.tobytes()
         assert rep.per_step_loss.tobytes() == losses.tobytes()
         assert fallbacks == []
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (5, 3), (_KERNEL_MAX, _KERNEL_MAX)])
+    @pytest.mark.parametrize(
+        "rule", [QUAD, RuleSpec.logarithmic(), RuleSpec.neglog()], ids=["quadratic", "log", "neglog"]
+    )
+    def test_a_closed_form_step_calls_no_helper(self, rule, m, n, monkeypatch):
+        # quadratic and log run the step inline: builtins, log's np.exp and
+        # the two fallbacks, each only in a branch; a shift family's step
+        # calls its float inverse
+        sources, compiled = [], learning._compiled
+        monkeypatch.setattr(learning, "_compiled",
+                            lambda src, *a: sources.append(src) or compiled(src, *a))
+        learning._kernel.__wrapped__(m, n, pooling._float_inverse(rule, n)[0])
+        body = step_loop(sources[0])
+        fallbacks = {"_invert_rows", "_project_floats"}
+        assert set(step_calls(body)) == fallbacks | {"sorted"} | {
+            "quadratic": {"min"}, "log": {"max", "exp"}, "neglog": {"inverse"}
+        }[rule.family]
+        assert not fallbacks & set(step_calls([s for s in body if not isinstance(s, ast.If)]))
 
     def test_no_kernel_is_built_at_import(self):
         # the CLI's import and parser build no kernel, so setup time measures

@@ -1,5 +1,6 @@
 """Pooling: defining identity, classical correspondences, inversion paths."""
 
+import math
 import os
 import subprocess
 import sys
@@ -810,6 +811,52 @@ class TestFloatShift:
             monkeypatch.setattr(pooling, "_ROOT_MAX_ITER", cap)
             t = neglog - neglog.mean()
             assert _float_shift_inverse(RuleSpec.neglog()._impl.float_shift, t.tolist(), None) is None
+
+
+class TestClosedFormTemplate:
+    """The closed-form families' float inverse, the source template
+    (rules._Family.float_inverse) that the learner's kernel inlines,
+    compiled for every n the kernel is built for, against _inverse_rows bit
+    for bit: the same forecast once normalized as the kernel normalizes it,
+    and NaN exactly where _inverse_rows fails the row, a row the kernel
+    hands _invert_rows."""
+
+    RULES = [RuleSpec.quadratic(), RuleSpec.logarithmic()]
+
+    @staticmethod
+    def compiled(rule, n):
+        source, inverse = pooling._float_inverse(rule, n)
+        assert inverse is None  # it calls no function of its own
+        t, x = (", ".join(f"{a}{j}" for j in range(n)) for a in "tx")
+        src = "\n".join([f"def kernel({t}, c):", *(f"    {line}" for line in source.splitlines()),
+                         f"    return [{x}]"])
+        return pooling._compiled(src, f"{rule.label} inverse n={n}", {"nan": math.nan, "exp": np.exp})
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("rule", RULES, ids=[r.label for r in RULES])
+    def test_template_is_the_numpy_inverse(self, rule, n, rng):
+        # forecasts near and, for quadratic, on the boundary; targets far
+        # out, which quadratic refuses and log takes to exp's underflow;
+        # and a NaN coordinate at each position
+        smallest = (1e-3, 1e-12, 0.0) if rule.domain_kind == "closed" else (1e-3, 1e-12)
+        T = [kernel_targets(rng, rule, n, 20, s) for s in smallest]
+        T.append(rng.normal(size=(40, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(40, 1)))
+        T.append(np.where(np.eye(n, dtype=bool), np.nan, 0.0))
+        T = np.vstack(T)
+        T -= T.mean(axis=1, keepdims=True)
+        inverse = self.compiled(rule, n)
+        X, fail = _inverse_rows(rule, T)
+        refused = 0
+        for t, want, failed in zip(T, X, fail):
+            x = inverse(*t.tolist(), rule.param)
+            total = reduce(add, x)  # in order, as the learner's kernel sums
+            if 0.0 < total < math.inf:
+                assert not failed and np.array([v / total for v in x]).tobytes() == want.tobytes()
+            else:
+                assert failed
+                refused += 1
+        # the NaN rows, and for quadratic some far target
+        assert refused >= n + (rule.family == "quadratic")
 
 
 class TestOrderedMix:

@@ -119,3 +119,16 @@ def test_readme_quick_start(tmp_path, monkeypatch):
     (tmp_path / "stream.json").write_text(json.dumps({"steps": steps}))
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {"stream": stream})
+
+
+def test_paired_bench():
+    # one pair of the shortest workload, this checkout on both sides
+    root = SCRIPTS.parent
+    out = run_script("paired_bench.py", str(root), str(root), "--workload", "cli_mix",
+                     "--pairs", "1", "--seconds", "1")
+    doc = json.loads(out.splitlines()[-1])
+    assert doc["correct"] and doc["pairs"] == doc["compared"] == 1 and doc["workload"] == "cli_mix"
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(doc["metrics"]) == sorted(m["name"] for m in declared)
+    for m in doc["metrics"].values():
+        assert m["base_q1"] <= m["base_median"] <= m["base_q3"] and m["won"] in (0, 1)

@@ -1,5 +1,6 @@
 """Euclidean simplex projection against an exhaustive face-enumeration oracle."""
 
+import math
 import re
 import warnings
 
@@ -9,7 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qapool import project_to_simplex
-from qapool.simplex import _shell_points, project_simplex, random_simplex_point
+from qapool.learning import _KERNEL_MAX
+from qapool.pooling import _compiled
+from qapool.simplex import (
+    _project_floats, _projection_lines, _shell_points, project_simplex, random_simplex_point,
+)
 
 from oracles import numpy_project_simplex, project_simplex_faces, project_simplex_floor
 
@@ -109,6 +114,84 @@ class TestProjectSimplex:
         assert x.min() >= 0.0
         assert x.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.linalg.norm(x - y) <= np.linalg.norm(project_simplex_faces(y) - y) + 1e-9
+
+
+class TestProjectionTemplate:
+    """simplex._projection_lines, the unrolled projection the learner's kernel
+    inlines, compiled for every m the kernel is built for, against the loop
+    _project_floats bit for bit: its answer, or its error and no warning."""
+
+    @staticmethod
+    def compiled(m):
+        """The template as a function of m values, and the list of the
+        values it handed the loop."""
+        Y, W = [f"y{i}" for i in range(m)], [f"w{i}" for i in range(m)]
+        src = "\n".join([f"def kernel({', '.join(Y)}):",
+                         *(f"    {line}" for line in _projection_lines(Y, W)),
+                         f"    return [{', '.join(W)}]"])
+        handed = []
+        loop = lambda v: handed.append(v) or _project_floats(v)
+        return _compiled(src, f"projection m={m}", {"inf": math.inf, "_project_floats": loop}), handed
+
+    def check(self, compiled, y):
+        """Whether the loop projects y; the template agrees, and hands the
+        loop y only where no tau passes or the running sum is not finite."""
+        project, handed = compiled
+        handed.clear()
+        css = -0.0  # the loop's running sum
+        for u in sorted(y, reverse=True):
+            css += u
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = _project_floats(y)
+            except ValueError as e:
+                with pytest.raises(ValueError, match=re.escape(str(e))):
+                    project(*y)
+                assert handed == [y]
+                return False
+            assert np.array(project(*y)).tobytes() == np.array(want).tobytes(), y
+        assert handed == ([] if math.isfinite(css) else [y])
+        return True
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "signed_zero", "subnormal", "huge"])
+    @pytest.mark.parametrize("m", range(1, _KERNEL_MAX + 1))
+    def test_matches_the_loop_bit_for_bit(self, m, kind, rng):
+        project = self.compiled(m)
+        for _ in range(200):
+            if kind == "random":
+                y = rng.normal(size=m) * rng.uniform(0.01, 10.0) + 1.0 / m
+            elif kind == "tied":
+                y = rng.choice(rng.normal(size=2) / m, size=m)
+            elif kind == "signed_zero":
+                y = rng.choice([0.0, -0.0, 1.0 / m, -1.0 / m, 1.0], size=m)
+            elif kind == "subnormal":
+                y = rng.choice([5e-324, -5e-324, 1e-310, 0.0, -0.0, 1.0], size=m)
+            else:
+                y = rng.choice([1e300, -1e300, 0.5, -0.5, 1.7e308], size=m)
+            self.check(project, y.tolist())
+
+    @pytest.mark.parametrize("m", range(2, _KERNEL_MAX + 1))
+    def test_no_passing_support_size_calls_the_loop(self, m):
+        # 1 - u_1 rounds to -u_1, so no tau passes, and the loop raises
+        y = [-3.3e299] + [3.4e299 / (m - 1)] * (m - 1)
+        assert not self.check(self.compiled(m), y)
+
+    @pytest.mark.parametrize("m", range(3, _KERNEL_MAX + 1))
+    def test_overflowing_running_sum_takes_the_loops_answer(self, m):
+        # finite values whose running sum overflows to -inf: tau passes at
+        # k = 1 and again at the last k, and the loop answers, as the
+        # template does by handing it the values
+        assert self.check(self.compiled(m), [0.5] + [-1.7e308] * (m - 1))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("m", range(1, _KERNEL_MAX + 1))
+    def test_non_finite_input_raises_the_loops_error(self, m, bad):
+        project = self.compiled(m)
+        for i in range(m):
+            y = [1.0 / m] * m
+            y[i] = bad
+            assert not self.check(project, y)
 
 
 class TestProjectSimplexFloor:

@@ -155,5 +155,5 @@ def test_no_kernel_is_built_above_its_cut(monkeypatch):
     ogd_run(LearningConfig(rule=RuleSpec.neglog(), m=200, M=10.0, forecast_floor=0.01), sf)
     shift_cut = max(pooling._SCALAR_COLS, learning._KERNEL_MAX)  # the learner's kernel calls it too
     assert all(n <= shift_cut for name, (n, _) in built if name == "_shift_kernel")
-    assert all(max(shape) <= learning._KERNEL_MAX for name, shape in built if name == "_kernel")
+    assert all(max(shape[:2]) <= learning._KERNEL_MAX for name, shape in built if name == "_kernel")
     assert ("_shift_kernel", (3, "reciprocal")) in built  # the hindsight solve's 5 rows
