@@ -7,9 +7,12 @@ checkout goes first, each run in a new process.  For every end-to-end
 metric it prints the median of each side, the quartiles of the base
 side's runs, how many pairs the change won (by the metric's direction
 in the base checkout's BENCHMARK.json), and whether every run passed
-its output checks.  A run that gives no result line is not correct,
-and its pair is left out of the figures.  The last line, one JSON
-object, also lists every compared run's value in pair order:
+its output checks.  A run that gives no result line (one whose
+perfbench process died, say because its speed probe took no sample) is
+not correct, and its pair is left out of the figures; each side's count
+of such runs is printed and kept in the JSON as ``no_result``.  The last
+line, one JSON object, also lists every compared run's value in pair
+order:
 
   python3 scripts/paired_bench.py BASE CHANGE --workload learn_bulk \\
       --pairs 10 --seed 1 --seconds 10
@@ -89,9 +92,11 @@ def main(argv=None) -> int:
     # a pair is compared only when both of its runs gave a result
     kept = [(b, c) for b, c in zip(runs["base"], runs["change"]) if b and c]
     metrics = summary(*zip(*kept), better(sides["base"])) if kept else {}
+    no_result = {side: sum(run is None for run in done) for side, done in runs.items()}
 
     print(f"{args.workload} seed={args.seed} seconds={args.seconds}: {args.pairs} pairs, "
           f"{len(kept)} with both results, every run correct: {'yes' if correct else 'no'}")
+    print(f"  runs with no result: base {no_result['base']}, change {no_result['change']}")
     print(f"  {'metric':14s} {'unit':5s} {'base median':>12s} {'change median':>14s} "
           f"{'change':>8s} {'base q1':>12s} {'base q3':>12s} {'won':>7s}")
     for name, m in metrics.items():
@@ -100,8 +105,8 @@ def main(argv=None) -> int:
               f"{rel:+8.1%} {m['base_q1']:12.6g} {m['base_q3']:12.6g} "
               f"{m['won']:>3d}/{len(kept):<3d}")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-                      "pairs": args.pairs, "compared": len(kept), "correct": correct,
-                      "metrics": metrics}))
+                      "pairs": args.pairs, "compared": len(kept), "no_result": no_result,
+                      "correct": correct, "metrics": metrics}))
     return 0 if correct else 1
 
 

@@ -20,7 +20,11 @@ Stream files: JSON only, 1-based outcomes:
 
 A loaded stream is a ``StreamFile`` holding two read-only arrays: the
 (T, m, n) forecasts and the (T,) integer outcomes.  ``learning.ogd_run``
-takes it as it is.  The forecasts are flattened once into one list of
+takes it as it is.  The steps' forecasts and outcomes are taken out in
+one pass each, which a step that is no object with both keys fails; only
+then does a loop find that step to name it.  The outcomes' types are one
+set of types, and a loop names the first bad outcome only when that set
+is not {int}.  The forecasts are flattened once into one list of
 numbers, which the type check reads and one ``np.array`` call converts;
 a stream that is not T steps of m rows of n numbers goes to the
 step-by-step checks, which name the first bad step.
@@ -53,6 +57,7 @@ import gc
 import json
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -307,19 +312,19 @@ def _stream_from_json(doc) -> StreamFile:
     rows = doc["steps"]
     if not rows:
         raise ValueError("stream file lists no steps")
-    k = next(
-        (
+    try:  # a decoded step that is no object with both keys raises here
+        forecasts = list(map(itemgetter("forecasts"), rows))
+        outcomes = list(map(itemgetter("outcome"), rows))
+    except (TypeError, KeyError):
+        k = next(
             k
             for k, row in enumerate(rows)
             if not (isinstance(row, dict) and "forecasts" in row and "outcome" in row)
-        ),
-        None,
-    )
-    if k is not None:
-        raise ValueError(f"step {k}: expected an object with 'forecasts' and 'outcome'")
-    outcomes = [row["outcome"] for row in rows]
-    _check_outcomes(outcomes)
-    return StreamFile(_step_forecasts([row["forecasts"] for row in rows]), np.array(outcomes))
+        )
+        raise ValueError(f"step {k}: expected an object with 'forecasts' and 'outcome'") from None
+    if set(map(type, outcomes)) != {int}:
+        _check_outcomes(outcomes)
+    return StreamFile(_step_forecasts(forecasts), np.array(outcomes))
 
 
 def _step_forecasts(raw: list) -> np.ndarray:

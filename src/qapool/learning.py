@@ -27,7 +27,8 @@ or for the root-find families one call of the float shift solve, which
 runs the shift solve's generated kernel on the row directly.  The
 projection is simplex._projection_lines, the loop of
 simplex._project_floats unrolled for m weights.  So a quadratic step
-calls only min and sorted, and a log step max, sorted and one np.exp;
+calls only min and sorted, and a log step max, sorted and one np.exp,
+made in place in an n-value buffer the kernel allocates once per run;
 a root-find step also calls its inverse.  The fallbacks are called only
 for the rows and steps they must decide: a row the float inverse
 refuses (unattainable, unconverged, non-finite, or one the numpy setup
@@ -50,7 +51,9 @@ Hessian of the per-step mean loss, (1/T) sum_t E_t J_t E_t^T, where J_t,
 the derivative of step t's pool in its target, is diagonal plus low rank
 (rules._tangent_inverse), so the Hessian costs a few elementwise
 products and ordered sums over the stream, of its upper triangle only
-(_gram).  The answer is certified by
+(_gram), and a point whose tangent is bit for bit the last one's reuses
+the last Hessian (quadratic's tangent is the same at every point).
+The answer is certified by
 the Frank-Wolfe gap of the mean loss, at most optim.GAP_TOL = 1e-12,
 and RegretReport.hindsight_gap keeps it; a solve that cannot reach it
 raises SolverError naming the gap.
@@ -277,17 +280,22 @@ def _kernel(m: int, n: int, source: str):
     projection's (simplex._projection_lines) are inlined, so a step calls
     only builtins, log's np.exp, a shift family's inverse and the two
     fallbacks.  E comes as (T, m n) rows, each converted as its step
-    starts.  Each pool is stored in a numpy row as its step ends: a list
-    of the T pools as floats is 3 ms faster per 20,000 steps, but raised
-    learn_bulk's peak RSS at seed 23 from 84.5 to 91.7 MB.  Built at a
-    kernel's first run and kept, as collections.namedtuple builds its
-    class."""
+    starts.  Each pool is stored as its step ends, one float at a time
+    through memoryviews of the (T, n) pools array's columns, which numpy
+    stores as given: 1.6 ms per 20,000 rows at n = 3, where assigning
+    the list to a numpy row takes 5.3 ms (2-vCPU x86-64 VM, numpy 2.4,
+    CPython 3.11).  A list of the T pools as floats was 3 ms faster than
+    the row assignment, but raised learn_bulk's peak RSS at seed 23 from
+    84.5 to 91.7 MB.  buf is log's n-value buffer (rules._log_inverse_src).
+    Built at a kernel's first run and kept, as collections.namedtuple
+    builds its class."""
     total = " + ".join
-    W, Y, T, X, G = ([f"{a}{i}" for i in range(k)] for a, k in zip("wytxg", (m, m, n, n, m)))
+    W, Y, T, X, G, P = ([f"{a}{i}" for i in range(k)] for a, k in zip("wytxgp", (m, m, n, n, m, n)))
     step = ", ".join(f"e{i}_{j}" for i in range(m) for j in range(n))
     src = "\n".join([
         f"def kernel(rule, inverse, E, J, etas, {', '.join(W)}):",
         f"    pools, c, nans = np.empty((len(J), {n})), rule.param, ({'nan, ' * n})",
+        f"    buf, ({', '.join(P)},) = np.empty({n}), map(memoryview, pools.T)",
         "    steps = zip(map(np.ndarray.tolist, E), J.tolist(), etas.tolist())",
         f"    for k, (({step}), j, eta) in enumerate(steps):",
         *(f"        t{j} = {total(f'w{i} * e{i}_{j}' for i in range(m))}" for j in range(n)),
@@ -299,7 +307,7 @@ def _kernel(m: int, n: int, source: str):
         f"            x = [{', '.join(f'{v} / s' for v in X)}]",
         "        else:  # a target the float inverse refuses",
         f"            x = _invert_rows(rule, np.array([[{', '.join(T)}]]))[0].tolist()",
-        "        pools[k] = x",
+        f"        {', '.join(f'{v}[k]' for v in P)}, = x",
         "        x[j] -= 1.0  # x - e_j, the loss gradient's direction",
         f"        {', '.join(X)}, = x",
         *(f"        g{i} = {total(f'e{i}_{j} * x{j}' for j in range(n))}" for i in range(m)),
@@ -318,6 +326,7 @@ _KERNEL_MAX = 7  # the float loop's largest m and n (module docstring)
 # the hindsight Hessian adds B's columns in blocks of _HESS_BLOCK // m^2, the
 # full (m, m) square of a block being 1 MB of products; the blocks fix the order
 _HESS_BLOCK = 1 << 17
+_GRAM_ROWS = 1024  # _gram's cut on a block's columns (its docstring)
 
 
 @cache
@@ -336,14 +345,24 @@ def _gram(B: np.ndarray) -> np.ndarray:
     """B B^T of an (m, k) array B, each entry's k products added in order
     over blocks of _HESS_BLOCK // m^2 columns, block sums added in order.
     Only the upper triangle is summed: B_ic B_jc and B_jc B_ic are the same
-    product, so the lower triangle has the upper's bits."""
+    product, so the lower triangle has the upper's bits.  A block of
+    _GRAM_ROWS columns or more forms expert a's products against rows a..
+    (B[a] * B[a:]), the triangle's pairs in order; a narrower one gathers
+    the pairs' rows, two takes.  The bits are the same; the cut is for
+    speed (2-vCPU x86-64 VM, numpy 2.4): at m = 5, by rows against by
+    gathers, 3.7 against 4.4 ms in a solve on the (5, 60,000) B of a
+    20,000-step stream, but 15.9 against 6.5 us on the 30 columns of a
+    10-step one; they break even near 1000 columns."""
     m = B.shape[0]
     i, j, pair = _triangle(m)
     h = np.zeros(i.size)
     cols = max(1, _HESS_BLOCK // (m * m))
     for lo in range(0, B.shape[1], cols):
         Bc = B[:, lo:lo + cols]
-        h += _ordered_dot(Bc.take(i, 0), Bc.take(j, 0))
+        if Bc.shape[1] < _GRAM_ROWS:
+            h += _ordered_dot(Bc.take(i, 0), Bc.take(j, 0))
+        else:
+            h += np.concatenate([_ordered_dot(Bc[a], Bc[a:]) for a in range(m)])
     return h.take(pair)
 
 
@@ -365,11 +384,18 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
     The mix and B take E expert-major, one C-contiguous (m, T, n) copy, so
     that each expert's slice of the mix's fold is one block and B's rows
     are expert i's terms with no transposing copy; the sums are the same.
+    The Hessian is a function of (d_t, pi_t) alone, so hess keeps the last
+    one it built, read-only, and returns it again when _tangent_inverse
+    gives bytewise the same (d, pi): quadratic's h is 2 everywhere, so its
+    solve builds one Hessian, not one per Newton step: a 20,000-step
+    learn_bulk quadratic solve takes 12.2 ms, where building the Hessian at
+    each step took 18.6 (2-vCPU x86-64 VM, numpy 2.4).
     """
     T, m, _ = E.shape
     rows, inv_t = np.arange(T), 1.0 / T
     Em = np.ascontiguousarray(E.transpose(1, 0, 2))
     X = losses = None  # the pools and losses at the last point value_grad was asked at
+    last = None, None, None  # the last tangent (d, pi) hess was given, and its Hessian
 
     # the per-step mean, so that the gap tolerance is T-independent
     def value_grad(w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -384,12 +410,17 @@ def _solve_offline(rule: RuleSpec, E: np.ndarray, J: np.ndarray):
         return float(_ordered_sum(losses)) * inv_t, grad
 
     def hess(w: np.ndarray) -> np.ndarray:
+        nonlocal last
         d, pi = _tangent_inverse(rule, X)  # w is value_grad's last point
-        # an overflowing Hessian is not finite, and the solve stalls on it
-        with np.errstate(over="ignore", invalid="ignore"):
-            B = (Em - _ordered_dot(Em, pi)[..., None]) * np.sqrt(d)
-            # expert i's terms, every step's outcomes
-            return _gram(B.reshape(m, -1)) * inv_t
+        # the same bytes, not equal values: 0.0 == -0.0, and NaN != NaN
+        if last[0] is None or any(a.tobytes() != b.tobytes() for a, b in zip((d, pi), last)):
+            last = None, None, None  # the old tangent is freed before B is built
+            # an overflowing Hessian is not finite, and the solve stalls on it
+            with np.errstate(over="ignore", invalid="ignore"):
+                B = (Em - _ordered_dot(Em, pi)[..., None]) * np.sqrt(d)
+                # expert i's terms, every step's outcomes
+                last = d, pi, _read_only(_gram(B.reshape(m, -1)) * inv_t)
+        return last[2]
 
     w, _, gap = newton_simplex(value_grad, hess, uniform_point(m))
     return w, losses, gap

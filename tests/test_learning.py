@@ -620,6 +620,43 @@ class TestHindsightSums:
             assert H.tobytes() == np.ascontiguousarray(H.T).tobytes()  # exactly symmetric
             assert H.tobytes() == full_gram(B, cols).tobytes()
 
+    @pytest.mark.parametrize("m", [1, 2, 5, 7])
+    def test_gram_is_the_full_square_fold_at_every_width(self, m):
+        # narrow blocks gather the triangle's pairs, wide ones form expert
+        # a's products against rows a..; a wide B's last block may be narrow
+        cols = learning._HESS_BLOCK // (m * m)
+        assert cols >= learning._GRAM_ROWS
+        rng = np.random.default_rng(m)
+        for width in (30, cols, 2 * cols - 1, 3 * cols + 17):
+            B = rng.standard_normal((m, width)) * 10.0 ** rng.integers(-3, 3, (m, 1))
+            B[:, ::5] = -0.0
+            H = learning._gram(B)
+            assert H.tobytes() == full_gram(B, cols).tobytes(), width
+
+    @pytest.mark.parametrize("spec, floor", [("quadratic", None), ("log", 0.05)])
+    def test_a_hessian_is_built_once_per_tangent(self, spec, floor, monkeypatch):
+        # quadratic's tangent is the same at every point, so its solve builds
+        # one Hessian and reuses it, read-only; log's moves at each Newton
+        # step, so it builds one a step
+        grams, arcs, gram, arc = [], [], learning._gram, optim._newton_arc
+        monkeypatch.setattr(learning, "_gram", lambda B: grams.append(gram(B)) or grams[-1])
+        monkeypatch.setattr(optim, "_newton_arc", lambda x, g, H: arcs.append(H) or arc(x, g, H))
+        # learn_bulk's kind of stream: expert 1 tells the truth, the others
+        # are Dirichlet(1) noise, so the best weights lie on a face
+        rng = np.random.default_rng(20)
+        truth = rng.dirichlet(np.full(3, 5.0))
+        F = np.concatenate([np.broadcast_to(truth, (20_000, 1, 3)),
+                            rng.dirichlet(np.ones(3), size=(20_000, 4))], axis=1)
+        rule = parse_rule(spec)
+        P, J = _normalize_stream(StreamFile(F, 1 + rng.choice(3, size=20_000, p=truth)), floor)
+        _, _, gap = learning._solve_offline(rule, _exposures(rule, P), J - 1)
+        assert gap <= optim.GAP_TOL and len(arcs) >= 2
+        if spec == "quadratic":
+            assert len(grams) == 1 and all(H is arcs[0] for H in arcs)
+            assert not arcs[0].flags.writeable
+        else:
+            assert len(grams) == len(arcs) and len({id(H) for H in arcs}) == len(arcs)
+
     @pytest.mark.parametrize("spec", ["quadratic", "neglog"])
     def test_comparator_losses_are_those_of_the_best_weights(self, spec):
         rule, sf = parse_rule(spec), self.stream(10)

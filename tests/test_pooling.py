@@ -830,7 +830,9 @@ class TestClosedFormTemplate:
         t, x = (", ".join(f"{a}{j}" for j in range(n)) for a in "tx")
         src = "\n".join([f"def kernel({t}, c):", *(f"    {line}" for line in source.splitlines()),
                          f"    return [{x}]"])
-        return pooling._compiled(src, f"{rule.label} inverse n={n}", {"nan": math.nan, "exp": np.exp})
+        # the kernel's scope: log exponentiates in place in its n-value buffer
+        scope = {"nan": math.nan, "exp": np.exp, "buf": np.empty(n)}
+        return pooling._compiled(src, f"{rule.label} inverse n={n}", scope)
 
     @pytest.mark.parametrize("n", range(2, 8))
     @pytest.mark.parametrize("rule", RULES, ids=[r.label for r in RULES])

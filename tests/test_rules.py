@@ -439,3 +439,50 @@ class TestHessian:
                 want = np.array([[float(inverse[i, j]) for j in range(3)] for i in range(3)])
                 got = tangent_inverse_matrix(rule, p)
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestSphericalScaling:
+    """Spherical's G, gradient and h divide a row by its max p first where
+    sum p^c is zero, subnormal or infinite (rules._spherical_sum): such a
+    row gets the values of the homogeneous formulas, and every other row
+    keeps the bits of the unscaled formulas."""
+
+    @staticmethod
+    def unscaled(p, c):
+        s = np.sum(np.power(p, c), axis=-1, keepdims=True)  # two or three terms: in order
+        return (s[..., 0] ** (1.0 / c), s ** (1.0 / c - 1.0) * np.power(p, c - 1.0),
+                (c - 1.0) * s ** (1.0 / c - 1.0) * np.power(p, c - 2.0))
+
+    @pytest.mark.parametrize("c", [1.5, 2.0, 3.0, 50.0])
+    def test_rows_with_a_normal_sum_keep_their_bits(self, c, rng):
+        P = rng.dirichlet(np.ones(3), size=200)
+        impl = RuleSpec.spherical(c)._impl
+        for got, want in zip((impl.G(P, c), impl.grad(P, c), impl.hess(P, c)), self.unscaled(P, c)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("c", [1000.0, 2000.0, 1e6])
+    def test_underflowing_rows_match_mpmath(self, c):
+        import mpmath
+
+        P = np.array([[0.4, 0.35, 0.25], [0.34, 0.33, 0.33], [0.45, 0.3, 0.25]])
+        impl = RuleSpec.spherical(c)._impl
+        assert not np.any(np.power(P, c).sum(axis=-1))  # sum p^c underflows in every row
+        values = zip(impl.G(P, c)[:, None], impl.grad(P, c), impl.hess(P, c))
+        with mpmath.workdps(50):
+            for p, got in zip(P, values):
+                q, C = [mpmath.mpf(float(x)) for x in p], mpmath.mpf(c)
+                s = sum(x**C for x in q)
+                exact = ([s ** (1 / C)], [s ** (1 / C - 1) * x ** (C - 1) for x in q],
+                         [(C - 1) * s ** (1 / C - 1) * x ** (C - 2) for x in q])
+                for value, want in zip(got, exact):
+                    want = np.array([float(x) for x in want])
+                    assert np.all(np.abs(value - want) <= 1e-12 * np.abs(want).max())
+
+    def test_a_scaled_row_moves_no_other_row(self, rng):
+        c = 1000.0
+        P = rng.dirichlet(np.ones(3), size=50)
+        P[::7] = [0.4, 0.35, 0.25]  # sum p^c underflows in these rows
+        impl = RuleSpec.spherical(c)._impl
+        for f in (impl.G, impl.grad, impl.hess):
+            assert f(P, c).tobytes() == np.concatenate([f(p[None], c) for p in P]).tobytes()
+        assert np.isfinite(_exposures(RuleSpec.spherical(c), P)).all()

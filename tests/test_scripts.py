@@ -121,14 +121,37 @@ def test_readme_quick_start(tmp_path, monkeypatch):
     exec(compile(block, "README.md", "exec"), {"stream": stream})
 
 
-def test_paired_bench():
+def test_paired_bench(tmp_path):
     # one pair of the shortest workload, this checkout on both sides
     root = SCRIPTS.parent
     out = run_script("paired_bench.py", str(root), str(root), "--workload", "cli_mix",
                      "--pairs", "1", "--seconds", "1")
     doc = json.loads(out.splitlines()[-1])
     assert doc["correct"] and doc["pairs"] == doc["compared"] == 1 and doc["workload"] == "cli_mix"
+    assert doc["no_result"] == {"base": 0, "change": 0}
     declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
     assert sorted(doc["metrics"]) == sorted(m["name"] for m in declared)
     for m in doc["metrics"].values():
         assert m["base_q1"] <= m["base_median"] <= m["base_q3"] and m["won"] in (0, 1)
+
+    # stub checkouts: one whose run gives a result line, one whose run dies
+    # before printing one, as perfbench does when its speed probe takes no sample
+    line = {"correct": True, "metrics": {"run_s": {"value": 1.0, "unit": "s"}}}
+    sides = {"good": f"print({json.dumps(line)!r})",
+             "dead": 'raise SystemExit("speed probe took no sample")'}
+    for name, body in sides.items():
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text(body + "\n")
+        (tmp_path / name / "BENCHMARK.json").write_text('{"end_to_end": []}')
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "paired_bench.py"), str(tmp_path / "good"),
+         str(tmp_path / "dead"), "--workload", "learn_rootfind", "--pairs", "3", "--seconds", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1  # a run gave no result, so not every run was correct
+    lines = done.stdout.splitlines()
+    assert "  runs with no result: base 0, change 3" in lines
+    doc = json.loads(lines[-1])
+    assert doc["no_result"] == {"base": 0, "change": 3}
+    assert doc["compared"] == 0 and not doc["correct"] and doc["metrics"] == {}
+    assert done.stderr.count("gave no result") == 3 and "speed probe took no sample" in done.stderr

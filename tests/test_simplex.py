@@ -179,10 +179,10 @@ class TestProjectionTemplate:
 
     @pytest.mark.parametrize("m", range(3, _KERNEL_MAX + 1))
     def test_overflowing_running_sum_takes_the_loops_answer(self, m):
-        # finite values whose running sum overflows to -inf: tau passes at
-        # k = 1 and again at the last k, and the loop answers, as the
-        # template does by handing it the values
-        assert self.check(self.compiled(m), [0.5] + [-1.7e308] * (m - 1))
+        # finite values whose running sum overflows to -inf: the last k
+        # passes with tau = inf, which would make every weight inf, so the
+        # loop raises its error, as the template does by handing it the values
+        assert not self.check(self.compiled(m), [0.5] + [-1.7e308] * (m - 1))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("m", range(1, _KERNEL_MAX + 1))
