@@ -6,13 +6,16 @@ workload, seed and time budget, ``--pairs`` times, alternating which
 checkout goes first, each run in a new process.  For every end-to-end
 metric it prints the median of each side, the quartiles of the base
 side's runs, how many pairs the change won (by the metric's direction
-in the base checkout's BENCHMARK.json), and whether every run passed
-its output checks.  A run that gives no result line (one whose
-perfbench process died, say because its speed probe took no sample) is
-not correct, and its pair is left out of the figures; each side's count
-of such runs is printed and kept in the JSON as ``no_result``.  The last
-line, one JSON object, also lists every compared run's value in pair
-order:
+in the base checkout's BENCHMARK.json), the metric's bound there, and
+whether every run passed its output checks.  A metric whose change
+median is worse than the base median by more than bound x base median,
+in its direction, is flagged ``over_bound`` in the table and the JSON; a
+metric with no bound is never flagged, and no flag changes the exit
+status.  A run that gives no result line (one whose perfbench process
+died, say because its speed probe took no sample) is not correct, and
+its pair is left out of the figures; each side's count of such runs is
+printed and kept in the JSON as ``no_result``.  The last line, one JSON
+object, also lists every compared run's value in pair order:
 
   python3 scripts/paired_bench.py BASE CHANGE --workload learn_bulk \\
       --pairs 10 --seed 1 --seconds 10
@@ -47,27 +50,35 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
     return json.loads(lines[-1])
 
 
-def better(checkout: Path) -> dict:
-    """Each end-to-end metric's direction, "lower" or "higher"."""
-    declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
+def declared(checkout: Path) -> dict:
+    """Each end-to-end metric's declaration: its direction, "lower" or
+    "higher", and its bound, if it has one."""
+    doc = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {metric["name"]: metric for metric in doc["end_to_end"]}
 
 
-def summary(base: list, change: list, directions: dict) -> dict:
-    """Per metric: both medians, the base quartiles and the pairs won."""
+def summary(base: list, change: list, metrics: dict) -> dict:
+    """Per metric: both medians, the base quartiles, the pairs won, the
+    bound and whether the change median is worse than it allows."""
     out = {}
     for name in base[0]["metrics"]:
         b = np.array([run["metrics"][name]["value"] for run in base])
         c = np.array([run["metrics"][name]["value"] for run in change])
-        won = c < b if directions.get(name, "lower") == "lower" else c > b
+        lower = metrics.get(name, {}).get("better", "lower") == "lower"
+        won = c < b if lower else c > b
         q1, q3 = np.percentile(b, [25, 75])
+        base_median, change_median = float(np.median(b)), float(np.median(c))
+        worse_by = change_median - base_median if lower else base_median - change_median
+        bound = metrics.get(name, {}).get("bound")
         out[name] = {
             "unit": base[0]["metrics"][name]["unit"],
-            "base_median": float(np.median(b)),
-            "change_median": float(np.median(c)),
+            "base_median": base_median,
+            "change_median": change_median,
             "base_q1": float(q1),
             "base_q3": float(q3),
             "won": int(won.sum()),
+            "bound": bound,
+            "over_bound": bound is not None and worse_by > bound * base_median,
             "base_runs": b.tolist(),
             "change_runs": c.tolist(),
         }
@@ -91,19 +102,21 @@ def main(argv=None) -> int:
     correct = all(run is not None and run["correct"] for side in runs.values() for run in side)
     # a pair is compared only when both of its runs gave a result
     kept = [(b, c) for b, c in zip(runs["base"], runs["change"]) if b and c]
-    metrics = summary(*zip(*kept), better(sides["base"])) if kept else {}
+    metrics = summary(*zip(*kept), declared(sides["base"])) if kept else {}
     no_result = {side: sum(run is None for run in done) for side, done in runs.items()}
 
     print(f"{args.workload} seed={args.seed} seconds={args.seconds}: {args.pairs} pairs, "
           f"{len(kept)} with both results, every run correct: {'yes' if correct else 'no'}")
     print(f"  runs with no result: base {no_result['base']}, change {no_result['change']}")
     print(f"  {'metric':14s} {'unit':5s} {'base median':>12s} {'change median':>14s} "
-          f"{'change':>8s} {'base q1':>12s} {'base q3':>12s} {'won':>7s}")
+          f"{'change':>8s} {'base q1':>12s} {'base q3':>12s} {'won':>7s} {'bound':>6s}")
     for name, m in metrics.items():
         rel = m["change_median"] / m["base_median"] - 1.0 if m["base_median"] else float("nan")
+        bound = "-" if m["bound"] is None else f"{m['bound']:.0%}"
         print(f"  {name:14s} {m['unit']:5s} {m['base_median']:12.6g} {m['change_median']:14.6g} "
               f"{rel:+8.1%} {m['base_q1']:12.6g} {m['base_q3']:12.6g} "
-              f"{m['won']:>3d}/{len(kept):<3d}")
+              f"{m['won']:>3d}/{len(kept):<3d} {bound:>6s}"
+              + ("  over_bound" if m["over_bound"] else ""))
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                       "pairs": args.pairs, "compared": len(kept), "no_result": no_result,
                       "correct": correct, "metrics": metrics}))

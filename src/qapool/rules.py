@@ -235,7 +235,9 @@ def _spherical_sum(p: np.ndarray, c: float):
     gradient 0-homogeneous and h (-1)-homogeneous, so each is the scaled
     row's times scale, 1 and 1/scale; a scaled row's sum lies in [1, n]."""
     s, scale = _ordered_sum(np.power(p, c))[..., None], 1.0
-    if not (s.min() >= _TINY and s.max() < np.inf):
+    # every caller passes simplex rows, where sum p^c <= 1 at c > 1, so
+    # only the lower end is tested; the mask below keeps both
+    if not s.min() >= _TINY:
         scale = np.where((s >= _TINY) & (s < np.inf), 1.0, p.max(axis=-1, keepdims=True))
         p = p / scale
         s = _ordered_sum(np.power(p, c))[..., None]
@@ -639,15 +641,17 @@ def _exposures(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
     """
     _check_domain(rule, P)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused by _finite
-        return _finite(rule, canonicalize(_gradient(rule, P)))
+        return _finite(rule, canonicalize(_gradient(rule, P)), P)
 
 
-def _finite(rule: RuleSpec, v, what: str = "exposure"):
-    """v, unless some value in it is not finite: then a DomainError."""
+def _finite(rule: RuleSpec, v, P: np.ndarray, what: str = "exposure"):
+    """v, the values at forecasts P, unless one is not finite: then a
+    DomainError naming P's least probability and the parameter."""
     if not np.isfinite(v).all():
+        param = "" if rule.param is None else f", or the parameter {rule.param:g} is too extreme,"
         raise DomainError(
-            f"rule {rule.label}: a forecast lies too close to the simplex "
-            f"boundary for its {what} to be finite"
+            f"rule {rule.label}: a forecast whose least probability is {P.min():.3g} lies "
+            f"too close to the simplex boundary{param} for its {what} to be finite"
         )
     return v
 
@@ -678,7 +682,7 @@ def expected_reward(rule: RuleSpec, forecast) -> float:
     _check_domain(rule, p.probs)
     with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
         G = _expected(rule, p.probs)
-    return float(_finite(rule, G, "expected reward"))
+    return float(_finite(rule, G, p.probs, "expected reward"))
 
 
 def exposure(rule: RuleSpec, forecast) -> ExposureVector:
@@ -687,7 +691,7 @@ def exposure(rule: RuleSpec, forecast) -> ExposureVector:
     _check_domain(rule, p.probs)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused by _finite
         e = ExposureVector(_gradient(rule, p.probs))
-    _finite(rule, e.coords)
+    _finite(rule, e.coords, p.probs)
     return e
 
 

@@ -462,6 +462,17 @@ class TestCmdPool:
         if rule == "power:-1":
             assert code == 1 and "exposure to be finite" in err
 
+    def test_overflow_from_the_parameter_names_it(self, tmp_path, capsys):
+        # every probability is at least 0.1, but c p^(c-1) is about 1e1000
+        path = write_experts(tmp_path, [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]])
+        code = main(["pool", "power:-1000", path])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and err == (
+            "qapool: error: rule power:-1000: a forecast whose least probability is 0.1 lies "
+            "too close to the simplex boundary, or the parameter -1000 is too extreme, for "
+            "its exposure to be finite\n"
+        )
+
     def test_overflowing_kkt_residual_prints_one_stderr_line(self, tmp_path):
         # in a subprocess, since pytest would capture numpy's RuntimeWarning
         path = write_experts(tmp_path, [[1e-300, 0.5, 0.5], [0.2, 0.3, 0.5]])

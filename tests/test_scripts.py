@@ -155,3 +155,33 @@ def test_paired_bench(tmp_path):
     assert doc["no_result"] == {"base": 0, "change": 3}
     assert doc["compared"] == 0 and not doc["correct"] and doc["metrics"] == {}
     assert done.stderr.count("gave no result") == 3 and "speed probe took no sample" in done.stderr
+
+    # stub checkouts printing fixed metrics.  Against the base's bounds the
+    # change's run_s is 30% worse (bound 25%) and its steps_per_s 30% lower
+    # (bound 20%, higher is better): both over; cmd_p50_ms is 20% worse,
+    # within its 25%, and cmd_tail_ms far better.  A base BENCHMARK.json
+    # with no bounds flags nothing; the exit status stays 0 either way.
+    values = {"base": {"run_s": 1.0, "steps_per_s": 100.0, "cmd_p50_ms": 1.0, "cmd_tail_ms": 2.0},
+              "change": {"run_s": 1.3, "steps_per_s": 70.0, "cmd_p50_ms": 1.2, "cmd_tail_ms": 0.5}}
+    directions = {"run_s": "lower", "steps_per_s": "higher", "cmd_p50_ms": "lower",
+                  "cmd_tail_ms": "lower"}
+    bounds = {"run_s": 0.25, "steps_per_s": 0.2, "cmd_p50_ms": 0.25, "cmd_tail_ms": 0.25}
+    for base, bounded in (("bounded", True), ("unbounded", False)):
+        for name, side in ((base, "base"), (base + "_change", "change")):
+            line = {"correct": True,
+                    "metrics": {k: {"value": v, "unit": "s"} for k, v in values[side].items()}}
+            declared = [{"name": k, "better": d, **({"bound": bounds[k]} if bounded else {})}
+                        for k, d in directions.items()]
+            (tmp_path / name / "perfbench").mkdir(parents=True)
+            (tmp_path / name / "perfbench" / "run.py").write_text(f"print({json.dumps(line)!r})\n")
+            (tmp_path / name / "BENCHMARK.json").write_text(json.dumps({"end_to_end": declared}))
+        out = run_script("paired_bench.py", str(tmp_path / base), str(tmp_path / (base + "_change")),
+                         "--workload", "cli_mix", "--pairs", "2", "--seconds", "1")
+        doc = json.loads(out.splitlines()[-1])
+        over = {k for k, m in doc["metrics"].items() if m["over_bound"]}
+        rows = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+        assert over == ({"run_s", "steps_per_s"} if bounded else set())
+        assert {k for k, row in rows.items() if row.endswith("over_bound")} == over
+        for k, m in doc["metrics"].items():
+            assert m["bound"] == (bounds[k] if bounded else None)
+            assert rows[k].split()[8] == (f"{bounds[k]:.0%}" if bounded else "-")
