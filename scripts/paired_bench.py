@@ -10,7 +10,10 @@ in the base checkout's BENCHMARK.json), the metric's bound there, and
 whether every run passed its output checks.  A metric whose change
 median is worse than the base median by more than bound x base median,
 in its direction, is flagged ``over_bound`` in the table and the JSON; a
-metric with no bound is never flagged, and no flag changes the exit
+metric with no bound is never flagged.  A metric is flagged ``gain`` when
+the change won at least 9 of every 10 compared pairs and its median beats
+the base median by more than the base quartile spread (q3 - q1): only
+such a gain tells the change from noise.  No flag changes the exit
 status.  A run that gives no result line (one whose perfbench process
 died, say because its speed probe took no sample) is not correct, and
 its pair is left out of the figures; each side's count of such runs is
@@ -59,14 +62,15 @@ def declared(checkout: Path) -> dict:
 
 def summary(base: list, change: list, metrics: dict) -> dict:
     """Per metric: both medians, the base quartiles, the pairs won, the
-    bound and whether the change median is worse than it allows."""
+    bound, whether the change median is worse than it allows, and whether
+    the change is a gain (module docstring)."""
     out = {}
     for name in base[0]["metrics"]:
         b = np.array([run["metrics"][name]["value"] for run in base])
         c = np.array([run["metrics"][name]["value"] for run in change])
         lower = metrics.get(name, {}).get("better", "lower") == "lower"
         won = c < b if lower else c > b
-        q1, q3 = np.percentile(b, [25, 75])
+        q1, q3 = map(float, np.percentile(b, [25, 75]))
         base_median, change_median = float(np.median(b)), float(np.median(c))
         worse_by = change_median - base_median if lower else base_median - change_median
         bound = metrics.get(name, {}).get("bound")
@@ -74,11 +78,12 @@ def summary(base: list, change: list, metrics: dict) -> dict:
             "unit": base[0]["metrics"][name]["unit"],
             "base_median": base_median,
             "change_median": change_median,
-            "base_q1": float(q1),
-            "base_q3": float(q3),
+            "base_q1": q1,
+            "base_q3": q3,
             "won": int(won.sum()),
             "bound": bound,
             "over_bound": bound is not None and worse_by > bound * base_median,
+            "gain": 10 * int(won.sum()) >= 9 * len(b) and -worse_by > q3 - q1,
             "base_runs": b.tolist(),
             "change_runs": c.tolist(),
         }
@@ -116,7 +121,7 @@ def main(argv=None) -> int:
         print(f"  {name:14s} {m['unit']:5s} {m['base_median']:12.6g} {m['change_median']:14.6g} "
               f"{rel:+8.1%} {m['base_q1']:12.6g} {m['base_q3']:12.6g} "
               f"{m['won']:>3d}/{len(kept):<3d} {bound:>6s}"
-              + ("  over_bound" if m["over_bound"] else ""))
+              + "".join(f"  {flag}" for flag in ("over_bound", "gain") if m[flag]))
     print(json.dumps({"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
                       "pairs": args.pairs, "compared": len(kept), "no_result": no_result,
                       "correct": correct, "metrics": metrics}))

@@ -35,28 +35,48 @@ garbage collection that scans them all: a 20,000-step stream of m = 5,
 n = 3 (7 MB) started about 200, one or two of them full, for 22 to 37
 ms of a 200 ms load (2-core x86-64 VM, CPython 3.11).  None of them can
 find garbage, since a decoded document holds no cycles, so
-``load_stream_file`` pauses the collector until the document is dropped
-and then restores the caller's setting, also on an error (as
-Mercurial's ``util.nogc`` does around its parsers).  Pausing
-``json.loads`` alone would leave a full collection over the live
-document for the array building to start.
+``load_stream_file`` pauses the collector over the whole decode (every
+chunk below, and the fallback) until the document is dropped, and then
+restores the caller's setting, also on an error (as Mercurial's
+``util.nogc`` does around its parsers).  Pausing the decode alone would
+leave a full collection over the live document for the array building
+to start.
 
-Both JSON loaders decode through ``_load_json``.  A document of at most
+A forecast file decodes through ``_load_json``.  A document of at most
 ``_ORJSON_MAX`` (1 MiB) characters goes to orjson, which decodes a 20 x
 50 forecast file (22.9 KB) in 37 us where ``json.loads`` takes 251 us, so
 the file loads in 175 us, not 375 (2-core x86-64 VM, CPython 3.11,
-orjson 3.8.3; importing orjson costs about 4 ms); a longer one, such as
-a 20,000-step stream, goes to ``json.loads``, since orjson's parsed copy
-would raise the peak memory (see ``_ORJSON_MAX``).  The record loaded is
-json's bit for bit, since both decoders round every number correctly and
-``json.loads`` decodes again wherever the two could differ: when orjson
-refuses the text (NaN or Infinity literals, numbers beyond float range,
-lone surrogates, malformed JSON), when building the record from orjson's
-document fails, and when that document holds an id or label that is not
-a str or int (orjson reads an integer beyond 64 bits as the nearest
-float, which ``str`` would print) or a key the loader does not read
-(orjson decodes nesting of any depth, where json raises RecursionError
-near the recursion limit).  So every error is json's too.
+orjson 3.8.3; importing orjson costs about 4 ms); a longer one goes to
+``json.loads``.  The record loaded is json's bit for bit, since both
+decoders round every number correctly and ``json.loads`` decodes again
+wherever the two could differ: when orjson refuses the text (NaN or
+Infinity literals, numbers beyond float range, lone surrogates,
+malformed JSON), when building the record from orjson's document fails,
+and when that document holds an id or label that is not a str or int
+(orjson reads an integer beyond 64 bits as the nearest float, which
+``str`` would print) or a key the loader does not read (orjson decodes
+nesting of any depth, where json raises RecursionError near the
+recursion limit).  So every error is json's too.
+
+A stream file is read as bytes.  When it is framed as ``{"steps": [
+... ]}``, with only JSON whitespace (space, tab, LF, CR) in the framing,
+orjson decodes its steps one chunk at a time: each cut is at the first
+``}``, whitespace, ``,``, whitespace, ``{`` at or after the next
+``_CHUNK`` (64 KiB) mark, each piece is decoded as ``[piece]``, and the
+lists are joined in order.  A cut cannot split a value unseen: every
+piece starts at depth 0 and gets one ``[`` and one ``]``, so a cut
+inside a string or a nested value leaves its piece with an unclosed
+string or bracket, which orjson refuses.  So a short stream is one
+chunk, a 20,000-step one (7 MB) about 110, and the bytes are dropped
+before the record is built.  Whole-document orjson would hold its
+parsed copy beside the text and raise the peak memory; the chunks keep
+json's peak and decode in about a third of its time (see ``_CHUNK``).
+When orjson refuses a piece, when the build or ``_stream_exact`` fails
+(the same rules as above), or when the framing differs, the file is
+read again as text and decoded by ``json.loads``, so the record, the
+output and every error are json's.  JSON text is read as UTF-8 (RFC
+8259, section 8.1) whatever the locale, with universal newlines as
+before, so json's error positions do not move.
 
 Both records check and renormalize every forecast row in one call to
 ``rules._simplex_rows``, as ``Forecast`` does one row, so a loaded row
@@ -72,6 +92,7 @@ from __future__ import annotations
 import csv
 import gc
 import json
+import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -93,12 +114,25 @@ __all__ = [
 
 DEFAULT_WEIGHT = 1.0
 _FLOAT_MAX = float(np.finfo(float).max)
-# orjson decodes documents of at most this many characters, json longer
-# ones: orjson's parsed copy raises the peak.  Loading a 20,000-step stream
-# (7.0 MB) peaked 38.3 MB above its text with orjson, 32.2 MB with json; a
-# 2,900-step one (1.0 MB) 5.4 MB against 5.2 MB (peak RSS of one load in a
-# new process, 2-core x86-64 VM, CPython 3.11, orjson 3.8.3).
+# orjson decodes forecast files of at most this many characters, json
+# longer ones, since a whole-document orjson decode holds its parsed copy
+# beside the text: loading a 20,000-step stream (7.0 MB) that way peaked
+# 38.3 MB above its text, 32.2 MB with json; a 2,900-step one (1.0 MB)
+# 5.4 MB against 5.2 MB (peak RSS of one load in a new process, 2-core
+# x86-64 VM, CPython 3.11, orjson 3.8.3).  Streams are cut by _CHUNK instead.
 _ORJSON_MAX = 1 << 20
+# a stream's steps decode with orjson in chunks, each cut at the first step
+# boundary at or after _CHUNK bytes.  One decode of a 20,000-step stream
+# (7.0 MB) in a new process, its input already read, time and peak RSS
+# above the RSS before it: json.loads 108-170 ms and 24.4 MB; orjson on the
+# whole document 37-45 ms and 38.2 MB; orjson in 64 KiB chunks 31-47 ms and
+# 24.2 MB (24.8 MB at 256 KiB, 27.1 MB at 1 MiB).  Five processes each,
+# same VM and versions as above.
+_CHUNK = 1 << 16
+_WS = rb"[ \t\n\r]*"  # JSON's whitespace; \s would also take \f and \v
+_STEPS_HEAD = re.compile(_WS + rb'\{' + _WS + rb'"steps"' + _WS + rb":" + _WS + rb"\[")
+_STEPS_TAIL = re.compile(rb"\]" + _WS + rb"\}" + _WS)
+_STEP_CUT = re.compile(rb"\}" + _WS + rb"," + _WS + rb"\{")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +251,8 @@ class StreamFile:
 def load_forecast_file(path: str | Path) -> ForecastFile:
     path = Path(path)
     if path.suffix.lower() == ".json":
-        return _load_json(path.read_text(), _forecasts_from_json, _forecasts_exact)
+        return _load_json(path.read_text(encoding="utf-8"), _forecasts_from_json,
+                          _forecasts_exact)
     return _forecasts_from_csv(path)
 
 
@@ -227,13 +262,21 @@ def _load_json(text: str, build, exact):
     json.loads's otherwise (module docstring)."""
     if len(text) <= _ORJSON_MAX:
         try:
-            doc = orjson.loads(text)
-            built = build(doc)
-            if exact(doc):
-                return built
-        except (ValueError, RecursionError):
-            pass  # refused by orjson or a check (whose repr may recurse)
+            built = _built(orjson.loads(text), build, exact)
+        except orjson.JSONDecodeError:
+            built = None
+        if built is not None:
+            return built
     return build(json.loads(text))
+
+
+def _built(doc, build, exact):
+    """build(doc) when it raises no ValueError and exact(doc) holds, else None."""
+    try:
+        built = build(doc)
+        return built if exact(doc) else None
+    except (ValueError, RecursionError):
+        return None  # refused by a check (whose repr may recurse)
 
 
 def _forecasts_exact(doc: dict) -> bool:
@@ -249,8 +292,10 @@ def _forecasts_exact(doc: dict) -> bool:
 
 
 def _stream_exact(doc: dict) -> bool:
-    """Whether a built stream document has only keys the loader reads."""
-    return len(doc) == 1 and set(map(len, doc["steps"])) == {2}
+    """Whether every step of a built stream document has only keys the
+    loader reads (orjson's chunks come only from files whose one top-level
+    key is "steps")."""
+    return set(map(len, doc["steps"])) == {2}
 
 
 def _flatten(groups: list, depth: int):
@@ -351,15 +396,46 @@ def _forecasts_from_csv(path: Path) -> ForecastFile:
 
 
 def load_stream_file(path: str | Path) -> StreamFile:
+    """The stream in a JSON file.  orjson decodes its steps a chunk at a
+    time when the file is framed as {"steps": [...]}; otherwise, or when
+    orjson or the checks refuse them, the file is read again as text and
+    json.loads decodes it (module docstring)."""
+    path = Path(path)
     # the cyclic GC stays paused until the decoded document is dropped
     # (module docstring), and the caller's GC state is restored on error too
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load_json(Path(path).read_text(), _stream_from_json, _stream_exact)
+        steps = _orjson_steps(path.read_bytes())  # the bytes are dropped here
+        built = None if steps is None else _built({"steps": steps}, _stream_from_json,
+                                                   _stream_exact)
+        steps = None  # dropped before json decodes
+        if built is not None:
+            return built
+        return _stream_from_json(json.loads(path.read_text(encoding="utf-8")))
     finally:
         if enabled:
             gc.enable()
+
+
+def _orjson_steps(data: bytes) -> list | None:
+    """The steps of a stream file framed as {"steps": [...]}, decoded by
+    orjson one chunk of about _CHUNK bytes at a time, or None when the
+    framing differs or orjson refuses a chunk."""
+    head = _STEPS_HEAD.match(data)
+    end = data.rfind(b"]")
+    if head is None or end < head.end() or not _STEPS_TAIL.fullmatch(data, end):
+        return None
+    view, steps, start = memoryview(data), [], head.end()
+    while start < end:
+        cut = _STEP_CUT.search(data, start + _CHUNK, end)
+        stop = end if cut is None else cut.start() + 1
+        try:
+            steps += orjson.loads(b"".join((b"[", view[start:stop], b"]")))
+        except orjson.JSONDecodeError:
+            return None
+        start = end if cut is None else cut.end() - 1
+    return steps
 
 
 def _stream_from_json(doc) -> StreamFile:

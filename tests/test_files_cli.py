@@ -246,6 +246,27 @@ class TestForecastFiles:
         assert np.array_equal(ff.probs, back.probs)
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("score", {"experts": [{"id": "café", "probs": [0.2, 0.8]}]}),
+    # an unread key sends the stream to the json.loads path
+    ("learn", {"steps": [{"forecasts": [[0.2, 0.8]], "outcome": 1, "note": "café"}]}),
+])
+def test_json_reads_as_utf8_in_an_ascii_locale(tmp_path, command, doc):
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    # the C locale's encoding is ASCII once Python neither coerces it nor
+    # enters UTF-8 mode; set in the child process only
+    env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1]),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    done = subprocess.run(
+        [sys.executable, "-m", "qapool.cli", command, "quadratic", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    if command == "score":
+        assert json.loads(done.stdout)["experts"][0]["id"] == "café"
+
+
 GOOD = [[0.5, 0.5], [0.1, 0.9]]
 
 

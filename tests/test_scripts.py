@@ -185,3 +185,36 @@ def test_paired_bench(tmp_path):
         for k, m in doc["metrics"].items():
             assert m["bound"] == (bounds[k] if bounded else None)
             assert rows[k].split()[8] == (f"{bounds[k]:.0%}" if bounded else "-")
+
+    # the gain rule: the change wins at least 9 of every 10 pairs and its
+    # median beats the base median by more than the base quartile spread.
+    # Over 4 pairs, run_s and steps_per_s (higher is better) win every pair
+    # by far; cmd_p50_ms wins every pair but by 1.1 against a spread of 2;
+    # cmd_tail_ms has the better median but wins only 3 of 4 pairs.
+    counted = ("import json, pathlib\n"
+               "here = pathlib.Path(__file__).parent\n"
+               "runs = json.loads((here / 'runs.json').read_text())\n"
+               "k = len(list(here.glob('ran*')))\n"
+               "(here / f'ran{k}').touch()\n"
+               "print(json.dumps({'correct': True, 'metrics': {name: {'value': v[k], 'unit': 's'}"
+               " for name, v in runs.items()}}))\n")
+    runs = {"base": {"run_s": [1.0] * 4, "steps_per_s": [100.0] * 4,
+                     "cmd_p50_ms": [1.0, 1.0, 3.0, 3.0], "cmd_tail_ms": [2.0] * 4},
+            "change": {"run_s": [0.5] * 4, "steps_per_s": [130.0] * 4,
+                       "cmd_p50_ms": [0.9] * 4, "cmd_tail_ms": [0.5, 0.5, 0.5, 3.0]}}
+    declared = [{"name": k, "better": d} for k, d in directions.items()]
+    for side in runs:
+        (tmp_path / "gain" / side / "perfbench").mkdir(parents=True)
+        (tmp_path / "gain" / side / "perfbench" / "run.py").write_text(counted)
+        (tmp_path / "gain" / side / "perfbench" / "runs.json").write_text(json.dumps(runs[side]))
+        (tmp_path / "gain" / side / "BENCHMARK.json").write_text(json.dumps({"end_to_end": declared}))
+    out = run_script("paired_bench.py", str(tmp_path / "gain" / "base"),
+                     str(tmp_path / "gain" / "change"), "--workload", "cli_mix", "--pairs", "4",
+                     "--seconds", "1")
+    doc = json.loads(out.splitlines()[-1])
+    gains = {k for k, m in doc["metrics"].items() if m["gain"]}
+    rows = {line.split()[0]: line for line in out.splitlines() if line.startswith("  ")}
+    assert gains == {"run_s", "steps_per_s"}
+    assert {k for k, row in rows.items() if row.endswith("gain")} == gains
+    assert doc["metrics"]["cmd_p50_ms"]["won"] == 4 and doc["metrics"]["cmd_tail_ms"]["won"] == 3
+    assert all(m["change_runs"] == runs["change"][k] for k, m in doc["metrics"].items())
