@@ -76,7 +76,8 @@ When orjson refuses a piece, when the build or ``_stream_exact`` fails
 read again as text and decoded by ``json.loads``, so the record, the
 output and every error are json's.  JSON text is read as UTF-8 (RFC
 8259, section 8.1) whatever the locale, with universal newlines as
-before, so json's error positions do not move.
+before, so json's error positions do not move; CSV is read as UTF-8
+too, so a header label is decoded the same in every locale.
 
 Both records check and renormalize every forecast row in one call to
 ``rules._simplex_rows``, as ``Forecast`` does one row, so a loaded row
@@ -369,7 +370,7 @@ def _forecasts_from_json(doc) -> ForecastFile:
 
 
 def _forecasts_from_csv(path: Path) -> ForecastFile:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     if not rows:
         raise ValueError(f"{path}: empty CSV")

@@ -254,17 +254,30 @@ class TestForecastFiles:
 def test_json_reads_as_utf8_in_an_ascii_locale(tmp_path, command, doc):
     path = tmp_path / "utf8.json"
     path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
-    # the C locale's encoding is ASCII once Python neither coerces it nor
-    # enters UTF-8 mode; set in the child process only
-    env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1]),
-           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
-    done = subprocess.run(
-        [sys.executable, "-m", "qapool.cli", command, "quadratic", str(path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_in_ascii_locale(command, "quadratic", str(path))
     assert done.returncode == 0 and done.stderr == ""
     if command == "score":
         assert json.loads(done.stdout)["experts"][0]["id"] == "café"
+
+
+@pytest.mark.parametrize("command", ["score", "pool"])
+def test_csv_reads_as_utf8_in_an_ascii_locale(tmp_path, command):
+    path = tmp_path / "utf8.csv"
+    path.write_bytes("café,dry\n0.2,0.8\n".encode("utf-8"))
+    done = run_in_ascii_locale(command, "quadratic", str(path))
+    assert done.returncode == 0 and done.stderr == ""
+    if command == "pool":
+        assert '"labels": ["caf\\u00e9", "dry"]' in done.stdout
+
+
+def run_in_ascii_locale(*argv):
+    """The finished `python -m qapool.cli *argv` run in a child process whose
+    locale encoding is ASCII: the C locale, with Python neither coercing it
+    nor entering UTF-8 mode (set in the child's environment only)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(qapool.__file__).parents[1]),
+           "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    return subprocess.run([sys.executable, "-m", "qapool.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 GOOD = [[0.5, 0.5], [0.1, 0.9]]
