@@ -24,8 +24,14 @@ and then evaluates them batched:
   per-row failure reports;
 * the concavity probe inverts its three weight vectors, stacked, in one
   batch of pools per expert count;
-* the cyclical-monotonicity check makes one exposure array per cycle
-  length.
+* the cyclical-monotonicity check draws each cycle's length and block of
+  exponentials, cycle by cycle, and then, per cycle length, maps the
+  blocks to the shell, checks every pair of points for distance >= 1e-3
+  and sums the cycles from one exposure array.  A block with a closer
+  pair needs top-up draws, which shift every later cycle's draws, so on
+  any such block the generator is put back to its state before the
+  first cycle and the cycles are drawn one at a time
+  (_random_cycle_sums).
 
 A batch makes every check that the one-sample calls make, and its rows
 do not interact, so each verdict is bit for bit the one-sample value.
@@ -44,6 +50,7 @@ inequalities; the continuity check is sampling evidence, not a proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -364,8 +371,7 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
             )
         )
     else:
-        cycles = [_distinct_points(rng, n, rule, int(rng.integers(2, 6))) for _ in range(samples)]
-        totals = _cycle_sums(rule, cycles)
+        totals = _random_cycle_sums(rng, n, rule, samples)
         checks.append(
             AxiomCheck(
                 "cyclical_monotonicity",
@@ -403,6 +409,41 @@ def _distinct_points(rng: np.random.Generator, n: int, rule: RuleSpec, k: int) -
     return pts
 
 
+def _random_cycle_sums(
+    rng: np.random.Generator, n: int, rule: RuleSpec, samples: int
+) -> np.ndarray:
+    """_cycle_sums of ``samples`` cycles of 2 to 5 distinct sampled points,
+    bit for bit those of the loop
+    ``[_distinct_points(rng, n, rule, int(rng.integers(2, 6))) for _ in range(samples)]``,
+    and the generator ends where that loop leaves it.
+
+    Each cycle's length and block of exponentials are drawn first, in the
+    loop's order; then the blocks of each length are mapped to points,
+    checked pair by pair and summed in one batch.  A block with two points
+    closer than 1e-3 would need a top-up draw, which shifts every later
+    cycle's draws, so then the generator is put back and the loop is run.
+    """
+    state = rng.bit_generator.state
+    blocks = [rng.standard_exponential((int(rng.integers(2, 6)), n)) for _ in range(samples)]
+    stacks = []
+    for k, at in _by_length(blocks):
+        E = np.stack([blocks[i] for i in at])
+        P = _simplex_rows(_shell_points(E, _sampling_floor(rule)))
+        i, j = np.array(list(combinations(range(k), 2))).T
+        if not np.all(_row_norms(P[:, i] - P[:, j]) >= 1e-3):
+            rng.bit_generator.state = state
+            cycles = [
+                _distinct_points(rng, n, rule, int(rng.integers(2, 6))) for _ in range(samples)
+            ]
+            return _cycle_sums(rule, cycles)
+        stacks.append((at, P))
+    # exposures only once every block has passed, on the loop's points alone
+    totals = np.empty(samples)
+    for at, P in stacks:
+        totals[at] = _stacked_cycle_sums(rule, P)
+    return totals
+
+
 def _cycle_sums(rule: RuleSpec, cycles: list[np.ndarray]) -> np.ndarray:
     """sum_i <g(p_i), p_i - p_(i-1)> around each cycle of (k, n) points.
 
@@ -410,15 +451,22 @@ def _cycle_sums(rule: RuleSpec, cycles: list[np.ndarray]) -> np.ndarray:
     order, bitwise the in-order sum of the one-vector _ordered_dot values.
     """
     totals = np.empty(len(cycles))
-    lengths = np.array([len(c) for c in cycles])
-    # a set, not np.unique, whose first call imports numpy.ma
-    for k in sorted(set(lengths.tolist())):
-        at = np.flatnonzero(lengths == k)
-        P = np.stack([cycles[i] for i in at])
-        steps = P - np.roll(P, 1, axis=1)  # p_i - p_(i-1), cyclically
-        dots = _ordered_dot(_exposures(rule, P), steps)
-        totals[at] = _ordered_sum(dots)
+    for _, at in _by_length(cycles):
+        totals[at] = _stacked_cycle_sums(rule, np.stack([cycles[i] for i in at]))
     return totals
+
+
+def _by_length(arrays: list[np.ndarray]) -> list[tuple[int, np.ndarray]]:
+    # each length k, ascending, with the indices of the arrays of length k;
+    # a set, not np.unique, whose first call imports numpy.ma
+    lengths = np.array([len(a) for a in arrays])
+    return [(k, np.flatnonzero(lengths == k)) for k in sorted(set(lengths.tolist()))]
+
+
+def _stacked_cycle_sums(rule: RuleSpec, P: np.ndarray) -> np.ndarray:
+    # _cycle_sums of the cycles stacked in a (cycles, k, n) array
+    steps = P - np.concatenate([P[:, -1:], P[:, :-1]], axis=1)  # p_i - p_(i-1), cyclically
+    return _ordered_sum(_ordered_dot(_exposures(rule, P), steps))
 
 
 # --------------------------------------------------------------------------

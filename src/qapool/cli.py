@@ -258,7 +258,9 @@ def _cmd_score(args) -> int:
     outcomes = [args.outcome] if args.outcome is not None else list(range(1, ff.n + 1))
     if not all(1 <= j <= ff.n for j in outcomes):
         raise _UsageError(f"--outcome {args.outcome} out of range 1..{ff.n}")
-    S = _score_matrix(rule, ff.probs)[:, np.array(outcomes) - 1]
+    S = _score_matrix(rule, ff.probs)
+    if args.outcome is not None:  # all outcomes keep the rows C-contiguous for _emit
+        S = S[:, [args.outcome - 1]]
     doc = {
         "rule": rule.label,
         "outcomes": outcomes,

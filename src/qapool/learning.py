@@ -41,8 +41,8 @@ of inverse (quadratic, log, and one shared by the root-find families).
 The cut is for speed and compile cost: in a fresh process (2-vCPU
 x86-64 VM, numpy 2.4, CPython 3.11), ten quadratic steps at m = 8,
 n = 3 take 1.2 ms with the kernel's compilation and 0.4 ms on numpy
-(0.06 and 0.23 ms warm), and a 50 x 50 kernel compiles in 28 ms, where
-ten numpy steps take 0.7 ms (medians of seven processes).
+(0.06 and 0.23 ms warm), and a 50 x 50 kernel compiles in 41 ms, where
+ten numpy steps take 1.3 ms (medians of 15 processes).
 The hindsight comparator is batched: the offline solve inverts all T
 steps at once, once for each weight vector it asks about, and the
 comparator losses are the ones it scored at its answer.  It is projected

@@ -26,10 +26,12 @@ from qapool import (
     surplus_report,
     weight_score,
 )
+import qapool.analysis as analysis
 from qapool.analysis import (
     ExposureProbeReport,
     _cycle_sums,
     _distinct_points,
+    _random_cycle_sums,
     sample_forecast,
 )
 from qapool.rules import _exposures
@@ -290,6 +292,84 @@ class TestDistinctPoints:
         want = reference_distinct_points(b, 3, rule, 4)
         assert np.array_equal(got, want)
         assert a.used == b.used == 6
+
+
+_default_rng = np.random.default_rng  # unpatched, for the stand-in below
+
+
+class _CloseGenerator:
+    """A seeded Generator whose (k, n) exponential blocks are numbered from
+    0 in call order; a block whose number is in ``close`` repeats its first
+    row as its last, so two of its points coincide.  The count is part of
+    bit_generator.state, so putting a saved state back replays the blocks."""
+
+    def __init__(self, seed, close=()):
+        self.rng, self.close, self.blocks = _default_rng(seed), set(close), 0
+
+    def __getattr__(self, name):  # integers, uniform, ...
+        return getattr(self.rng, name)
+
+    @property
+    def bit_generator(self):
+        return self  # for its state
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state, self.blocks
+
+    @state.setter
+    def state(self, value):
+        self.rng.bit_generator.state, self.blocks = value
+
+    def standard_exponential(self, size):
+        out = self.rng.standard_exponential(size)
+        if not isinstance(size, int):
+            if self.blocks in self.close:
+                out[-1] = out[0]
+            self.blocks += 1
+        return out
+
+
+# a too-close pair in no cycle, the first, a middle one, the last (of 20)
+CLOSE = {"none": (), "first": (0,), "middle": (10,), "last": (19,)}
+
+
+class TestCycleFallback:
+    # the suite draws every cycle's block first and checks each length's
+    # blocks in one batch; a block with a too-close pair needs a top-up draw,
+    # which shifts every later cycle, so the suite puts the generator back
+    # and draws the cycles one at a time
+
+    @pytest.fixture
+    def one_at_a_time(self, monkeypatch):
+        """The number of cycles the suite drew through _distinct_points."""
+        calls = []
+        monkeypatch.setattr(
+            analysis, "_distinct_points", lambda *a: calls.append(a) or _distinct_points(*a)
+        )
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    @pytest.mark.parametrize("close", CLOSE.values(), ids=CLOSE.keys())
+    @pytest.mark.parametrize("rule", [QUAD, RuleSpec.logarithmic()], ids=lambda r: r.label)
+    def test_sums_and_end_state_are_the_loops(self, rule, close, n, one_at_a_time):
+        a, b = _CloseGenerator(3, close), _CloseGenerator(3, close)
+        got = _random_cycle_sums(a, n, rule, 20)
+        cycles = [_distinct_points(b, n, rule, int(b.integers(2, 6))) for _ in range(20)]
+        assert got.tobytes() == _cycle_sums(rule, cycles).tobytes()
+        assert a.bit_generator.state == b.bit_generator.state
+        assert a.random() == b.random()
+        # a forced block keeps fewer points than its length and is topped up
+        assert len(one_at_a_time) == (20 if close else 0)
+
+    @pytest.mark.parametrize("n", [3, 4, 50])
+    @pytest.mark.parametrize("close", CLOSE.values(), ids=CLOSE.keys())
+    def test_suite_gap_is_the_per_check_reference(self, close, n, monkeypatch, one_at_a_time):
+        rule = RuleSpec.logarithmic()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _CloseGenerator(seed, close))
+        got = axiom_suite(rule, n, 20, 11)
+        assert len(one_at_a_time) == (20 if close else 0)
+        assert _fields(got) == _fields(per_check_axiom_suite(rule, n, 20, 11))
 
 
 class TestExposureProbe:
@@ -575,6 +655,18 @@ class TestStackedBatchesMatchPerCheckReference:
                     axiom_suite(rule, n, 12, seed)
                 continue
             got, want = axiom_suite(rule, n, 12, seed), per_check_axiom_suite(rule, n, 12, seed)
+            assert _fields(got) == _fields(want)
+
+    # the benchmark's audit shapes: 20 samples at n = 3 and 4, and n = 50
+    @pytest.mark.parametrize(
+        "rule, n",
+        [(rule, n) for n in (3, 4) for rule in CONVEX_RULES]
+        + [(QUAD, 50), (RuleSpec.logarithmic(), 50)],
+        ids=lambda x: x.label if isinstance(x, RuleSpec) else f"n{x}",
+    )
+    def test_axiom_suite_at_audit_shapes(self, rule, n):
+        for seed in (1, 7):
+            got, want = axiom_suite(rule, n, 20, seed), per_check_axiom_suite(rule, n, 20, seed)
             assert _fields(got) == _fields(want)
 
     @pytest.mark.parametrize("n", [2, 3])

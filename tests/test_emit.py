@@ -228,6 +228,14 @@ def test_each_command_writes_json_bytes(name, inputs, rendered):
     assert bool(rendered) == reaches_orjson
 
 
+def test_all_outcome_scores_reach_orjson_as_views_of_one_matrix(inputs, rendered):
+    # without --outcome the score matrix is neither fancy-indexed nor its
+    # rows copied to C order: each row handed to orjson is a view
+    assert_runs_as_on_json(["score", "log", inputs["F"]])
+    assert len(rendered) == 20
+    assert all(a.base is not None and a.base is rendered[0].base for a in rendered)
+
+
 def test_ids_and_labels_that_spell_sentinels_write_json_bytes(tmp_path):
     sentinels = [f"\x00{k}\x00" for k in range(20)]
     path = write_forecasts(tmp_path / "f.json", 20, 20, 4, ids=sentinels, labels=sentinels)
