@@ -37,11 +37,37 @@ A batch makes every check that the one-sample calls make, and its rows
 do not interact, so each verdict is bit for bit the one-sample value.
 Every draw keeps its generator call and its place in the call order: a
 forecast interleaved with weight draws is one bare
-``rng.standard_exponential(n)`` call, consecutive points one block call,
-and all of a check's exponentials are mapped to the sampling shell in
-one bulk simplex._shell_points transform, bit for bit the points of
-one-point random_simplex_point draws.  A seed gives the same samples
+``rng.standard_exponential(out=row)`` call (the bits and generator state
+of ``rng.standard_exponential(n)``, written in place), consecutive points
+one block call, and all of a check's exponentials are mapped to the
+sampling shell in bulk by simplex._shell_points, bit for bit the points
+of one-point random_simplex_point draws.  A seed gives the same samples
 and verdicts either way.
+
+Each check is written once, as a generator (_probe_steps, _suite_steps,
+_concavity_steps) that makes its draws and then yields, step by step, a
+list of bulk requests (f, rows, *args), each asking for f(rule, rows,
+*args) of a row-wise f: the forecasts of exponentials (_points),
+exposures, a certified or an uncertified inversion
+(pooling._certified_inverse, so that every inversion passes through
+pooling._inverse_rows), losses, or a batch of pools (pooling._pool_steps).
+The one-check functions answer each request by its own call
+(pooling._run_steps).  ``qapool audit`` runs its three checks together
+(_audit): each check draws from its own generator, in the one-check
+order, and then the requests for one f made at one step, by all three
+checks, are answered by one call over their stacked rows (_together).
+That makes two bulk rounds.  Round 1 maps every forecast draw to the
+shell in one call, and takes one exposure call over the probe's draws,
+the suite's first batch and the concavity draws, one inversion of all
+their rows (the probe's and the suite's certified, the concavity rows
+left as _invert_rows leaves them) and one loss call for both concavity
+groups.  Round 2 pools the suite's second batch (associativity's outer
+pairs, idempotence and continuity); the cycle sums and the verdicts
+follow as in the one-check run.  Every f works row by row and sums in
+order, so each row keeps its bits.  Should any step of the merged run
+raise, the audit runs the three checks again one at a time, so that
+every exit code, message and first failed row is the one the checks
+raise in turn.
 
 "Strict" numerical claims use separation floors instead of raw
 inequalities; the continuity check is sampling evidence, not a proof.
@@ -49,8 +75,9 @@ inequalities; the continuity check is sampling evidence, not a proof.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -60,11 +87,12 @@ from .pooling import (
     _UNATTAINABLE,
     _certified_inverse,
     _check_weights,
-    _invert_rows,
     _mix,
-    _pool_rows,
+    _pool_steps,
     _prepare,
+    _raise_first,
     _row_norms,
+    _run_steps,
     invert_exposure,
     qa_pool,
 )
@@ -249,20 +277,21 @@ def _check_draws(n: int, samples: int) -> None:
 
 
 def _weighted_draws(
-    rng: np.random.Generator, n: int, rule: RuleSpec, count: int, per: int
+    rng: np.random.Generator, n: int, count: int, per: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """``count`` rows of ``per`` weighted forecasts, drawn forecast then
-    weight, in row order: (count, per, n) forecasts, (count, per) weights.
-
-    Each forecast is the one exponential call sample_forecast makes; all
-    of them are mapped to the sampling shell and renormalized in bulk.
-    """
+    weight, in row order: (count, per, n) exponentials, each the one call
+    sample_forecast makes for a forecast, and (count, per) weights."""
     E, W = np.empty((count * per, n)), np.empty(count * per)
     for i in range(count * per):
-        E[i] = rng.standard_exponential(n)
+        rng.standard_exponential(out=E[i])
         W[i] = rng.uniform(0.1, 2.0)
-    P = _shell_points(E.reshape(count, per, n), _sampling_floor(rule))
-    return _simplex_rows(P), W.reshape(count, per)
+    return E.reshape(count, per, n), W.reshape(count, per)
+
+
+def _points(rule: RuleSpec, E: np.ndarray) -> np.ndarray:
+    # the sampled forecasts of (..., n) exponential rows: a bulk request
+    return _simplex_rows(_shell_points(E, _sampling_floor(rule)))
 
 
 def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteReport:
@@ -277,6 +306,11 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
     associativity's inner pairs, then associativity's outer pairs,
     idempotence and continuity.
     """
+    return _run_steps(rule, _suite_steps(rule, n, samples, seed))
+
+
+def _suite_steps(rule: RuleSpec, n: int, samples: int, seed: int):
+    # axiom_suite as bulk requests (module docstring)
     _check_draws(n, samples)
     if not has_convex_exposure(rule, n):
         raise ConfigError(
@@ -288,7 +322,7 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
     def pool(*parts: tuple[np.ndarray, np.ndarray]):
         # (pools, total weights) of each of the equal-sized (forecasts,
         # weights) parts, all of them pooled in one certified batch
-        X, total, _, _ = _pool_rows(
+        X, total, _, _ = yield from _pool_steps(
             rule,
             np.concatenate([P for P, _ in parts]),
             np.concatenate([W for _, W in parts]),
@@ -298,24 +332,25 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
     # every draw first, check by check: additivity, commutativity,
     # associativity (a, b, c), idempotence (one forecast at two weights),
     # continuity
-    Pa, Wa = _weighted_draws(rng, n, rule, samples, 2)
-    Pc, Wc = _weighted_draws(rng, n, rule, samples, 2)
-    Ps, Ws = _weighted_draws(rng, n, rule, samples, 3)
-    E, Wi = np.empty((samples, 1, n)), np.empty((samples, 2))
+    Ea, Wa = _weighted_draws(rng, n, samples, 2)
+    Ec, Wc = _weighted_draws(rng, n, samples, 2)
+    Es, Ws = _weighted_draws(rng, n, samples, 3)
+    Ei, Wi = np.empty((samples, 1, n)), np.empty((samples, 2))
     for i in range(samples):
-        E[i, 0] = rng.standard_exponential(n)
+        rng.standard_exponential(out=Ei[i, 0])
         Wi[i] = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
-    Pi = _simplex_rows(_shell_points(E, _sampling_floor(rule))).repeat(2, axis=1)
-    Pk, Wk = _weighted_draws(rng, n, rule, samples, 2)
+    Ek, Wk = _weighted_draws(rng, n, samples, 2)
+    Pa, Pc, Ps, Pi, Pk = yield [(_points, E) for E in (Ea, Ec, Es, Ei, Ek)]
+    Pi = Pi.repeat(2, axis=1)
 
     # two batches, the second on the first's pools; each stacks its parts
     # in check order, so the first failed row raised is the one that
     # pooling check by check would raise
-    (_, total), (X, _), (Y, _), (ab, w_ab), (bc, w_bc) = pool(
+    (_, total), (X, _), (Y, _), (ab, w_ab), (bc, w_bc) = yield from pool(
         (Pa, Wa), (Pc, Wc), (Pc[:, ::-1], Wc[:, ::-1]),
         (Ps[:, :2], Ws[:, :2]), (Ps[:, 1:], Ws[:, 1:]),
     )
-    (L, w_l), (R, w_r), (I, _), (K0, _), (K1, _) = pool(
+    (L, w_l), (R, w_r), (I, _), (K0, _), (K1, _) = yield from pool(
         (np.stack([ab, Ps[:, 2]], axis=1), np.stack([w_ab, Ws[:, 2]], axis=1)),
         (np.stack([Ps[:, 0], bc], axis=1), np.stack([Ws[:, 0], w_bc], axis=1)),
         (Pi, Wi),
@@ -361,7 +396,7 @@ def axiom_suite(rule: RuleSpec, n: int, samples: int, seed: int) -> AxiomSuiteRe
         xs = np.linspace(0.01, 0.99, 101)
         P = np.repeat(np.array(pairs), xs.size, axis=0)
         W = np.tile(np.stack([xs, 1.0 - xs], axis=1), (len(pairs), 1))
-        ((X, _),) = pool((P, W))
+        ((X, _),) = yield from pool((P, W))
         diffs = np.diff(X[:, 0].reshape(len(pairs), xs.size), axis=1)
         checks.append(
             AxiomCheck(
@@ -484,15 +519,21 @@ def exposure_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> ExposureP
     unattainable targets as failures, unconverged, degenerate or
     uncertified inverses as solver failures.
     """
+    return _run_steps(rule, _probe_steps(rule, n, samples, seed))
+
+
+def _probe_steps(rule: RuleSpec, n: int, samples: int, seed: int):
+    # exposure_probe as bulk requests (module docstring)
     _check_draws(n, samples)
     rng = np.random.default_rng(seed)
     E, W = np.empty((samples, 2, n)), np.empty((samples, 2))
     for i in range(samples):
-        E[i] = rng.standard_exponential((2, n))
+        rng.standard_exponential(out=E[i])
         w = rng.uniform(0.05, 0.95)
         W[i] = w, 1.0 - w
-    P = _simplex_rows(_shell_points(E, _sampling_floor(rule)))
-    _, _, fail = _certified_inverse(rule, _mix(_exposures(rule, P), W))
+    (P,) = yield [(_points, E)]
+    (exposures,) = yield [(_exposures, P)]
+    ((_, _, fail),) = yield [(_certified_inverse, _mix(exposures, W), True)]
     failures = int(np.count_nonzero(fail == _UNATTAINABLE))
     solver_failures = int(np.count_nonzero(fail)) - failures
 
@@ -518,8 +559,14 @@ def concavity_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> Concavit
     sample order, and mapped to the simplex in bulk.  The samples with m
     experts then form one stream whose exposures, computed once and
     tripled, are pooled under the three weight vectors of each step and
-    scored in one batch (learning.weight_score on every row).
+    scored in one batch (learning.weight_score on every row).  Every pool
+    is inverted before any is scored.
     """
+    return _run_steps(rule, _concavity_steps(rule, n, samples, seed))
+
+
+def _concavity_steps(rule: RuleSpec, n: int, samples: int, seed: int):
+    # concavity_probe as bulk requests (module docstring)
     _check_draws(n, samples)
     rng = np.random.default_rng(seed)
     draws = []
@@ -530,15 +577,112 @@ def concavity_probe(rule: RuleSpec, n: int, samples: int, seed: int) -> Concavit
         c = rng.uniform()
         j = int(rng.integers(1, n + 1))
         draws.append((m, E, VW, c, j))
-    worst = np.inf
-    for m in sorted({d[0] for d in draws}):
-        _, E, VW, c, J = (np.array(x) for x in zip(*(d for d in draws if d[0] == m)))
-        P = _simplex_rows(_shell_points(E, _sampling_floor(rule)))
+    # (E, VW, c, J) of the samples with m experts, m ascending
+    groups = [
+        tuple(np.array(x) for x in zip(*(d[1:] for d in draws if d[0] == m)))
+        for m in sorted({d[0] for d in draws})
+    ]
+    forecasts = yield [(_points, E) for E, _, _, _ in groups]
+    exposures = yield [(_exposures, P) for P in forecasts]
+    targets = []
+    for (_, VW, c, _), E in zip(groups, exposures):
         V, W = _shell_points(VW).transpose(1, 0, 2)
         U = np.concatenate([c[:, None] * V + (1.0 - c[:, None]) * W, V, W])
-        tripled = np.concatenate([_exposures(rule, P)] * 3)
-        X = _invert_rows(rule, _mix(tripled, _weight_rows(U)))
-        mixed, at_v, at_w = -_losses(rule, X, np.tile(J - 1, 3)).reshape(3, J.size)
+        targets.append(_mix(np.concatenate([E] * 3), _weight_rows(U)))
+    pools = yield [(_certified_inverse, T, False) for T in targets]
+    for _, _, fail in pools:
+        _raise_first(rule, fail)  # as _invert_rows raises
+    losses = yield [
+        (_losses, X, np.tile(J - 1, 3)) for (X, _, _), (_, _, _, J) in zip(pools, groups)
+    ]
+    worst = np.inf
+    for loss, (_, _, c, J) in zip(losses, groups):
+        mixed, at_v, at_w = -loss.reshape(3, J.size)
         gap = mixed - c * at_v - (1.0 - c) * at_w
         worst = min(worst, float(gap.min()))
     return ConcavityReport(rule.label, n, samples, seed, worst)
+
+
+# --------------------------------------------------------------------------
+# the audit: the three checks together
+# --------------------------------------------------------------------------
+
+def _audit(
+    rule: RuleSpec, n: int, samples: int, seed: int
+) -> tuple[ExposureProbeReport, AxiomSuiteReport | None, ConcavityReport | None]:
+    """exposure_probe's, axiom_suite's and concavity_probe's reports (the
+    last two None where the rule lacks convex exposure at n), their bulk
+    requests answered together (_together).
+
+    Should any step raise, the checks are run again one at a time, so that
+    the error raised is the one that running them in turn raises first.
+    """
+    if not has_convex_exposure(rule, n):
+        return exposure_probe(rule, n, samples, seed), None, None
+    try:
+        return tuple(_together(rule, [
+            _probe_steps(rule, n, samples, seed),
+            _suite_steps(rule, n, samples, seed),
+            _concavity_steps(rule, n, samples, seed),
+        ]))
+    except Exception:  # any error: the one-at-a-time run raises its own
+        return (
+            exposure_probe(rule, n, samples, seed),
+            axiom_suite(rule, n, samples, seed),
+            concavity_probe(rule, n, samples, seed),
+        )
+
+
+def _together(rule: RuleSpec, checks: list) -> list:
+    """The values of generators of bulk requests, run side by side.
+
+    At each step every unfinished generator yields its list of requests
+    (f, rows, *args) for f(rule, rows, *args): rows of shape (..., n), and
+    each arg one value per row or one for all.  All requests for one f, of
+    every generator, are answered by one call over their rows stacked in
+    order (_answers), and each generator is sent the answers to its own.
+    """
+    values = [None] * len(checks)
+    answers = dict.fromkeys(range(len(checks)))
+    while answers:
+        asked = {}
+        for i, sent in answers.items():
+            try:
+                asked[i] = checks[i].send(sent)
+            except StopIteration as done:
+                values[i] = done.value
+        flat = iter(_answers(rule, [r for requests in asked.values() for r in requests]))
+        answers = {i: [next(flat) for _ in requests] for i, requests in asked.items()}
+    return values
+
+
+def _answers(rule: RuleSpec, requests: list) -> list:
+    """f(rule, rows, *args) for each request (f, rows, *args), by one call
+    of each f over the rows of all its requests; each answer is cut back
+    to its rows' leading shape.  Every f works row by row and sums in
+    order, so an answer has the bits of its request's own call."""
+    values = [None] * len(requests)
+    for f in dict.fromkeys(r[0] for r in requests):
+        at = [k for k, r in enumerate(requests) if r[0] is f]
+        if len(at) == 1:  # nothing to stack
+            values[at[0]] = f(rule, *requests[at[0]][1:])
+            continue
+        leads = [requests[k][1].shape[:-1] for k in at]
+        columns = zip(*(requests[k][1:] for k in at))
+        rows = np.concatenate([R.reshape(-1, R.shape[-1]) for R in next(columns)])
+        args = [
+            np.concatenate([np.broadcast_to(a, lead).ravel() for a, lead in zip(col, leads)])
+            for col in columns
+        ]
+        out = f(rule, rows, *args)
+        ends = list(accumulate(math.prod(lead) for lead in leads))
+
+        def cut(value):  # one piece per request, in its rows' leading shape
+            return [
+                value[start:end].reshape(lead + value.shape[1:])
+                for start, end, lead in zip([0, *ends], ends, leads)
+            ]
+
+        for k, value in zip(at, zip(*map(cut, out)) if isinstance(out, tuple) else cut(out)):
+            values[k] = value
+    return values

@@ -324,7 +324,7 @@ def _cmd_audit(args) -> int:
     checks: list[dict] = []
     doc: dict = {"rule": rule.label, "n": args.n, "seed": seed, "convex_exposure": convex}
 
-    probe = analysis.exposure_probe(rule, args.n, args.samples, seed)
+    probe, axioms, conc = analysis._audit(rule, args.n, args.samples, seed)
     doc["exposure_probe"] = {
         "failures": probe.failures,
         "failure_rate": probe.failure_rate,
@@ -335,7 +335,6 @@ def _cmd_audit(args) -> int:
     checks.append({"name": "exposure_probe", "passed": probe_ok, "note": probe_note})
 
     if convex:
-        axioms = analysis.axiom_suite(rule, args.n, args.samples, seed)
         doc["axioms"] = [
             {
                 "name": c.name,
@@ -346,7 +345,6 @@ def _cmd_audit(args) -> int:
             for c in axioms.checks
         ]
         checks.append({"name": "axiom_suite", "passed": axioms.all_passed})
-        conc = analysis.concavity_probe(rule, args.n, args.samples, seed)
         doc["concavity"] = {"worst_gap": conc.worst_gap, "tolerance": conc.tolerance}
         checks.append({"name": "concavity", "passed": conc.passed})
     else:

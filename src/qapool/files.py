@@ -351,7 +351,12 @@ def _forecasts_from_json(doc) -> ForecastFile:
             raise ValueError(f"expert {k} is missing 'probs'")
         if not isinstance(probs, list):
             raise ValueError(f"expert {k}: 'probs' must be a list of numbers")
-        if not (weight is None or _are_numbers([weight], 0)):
+        # _are_numbers' test on one value, inline: an exact float, or an
+        # exact int (never bool) that a float can hold
+        if not (
+            weight is None or type(weight) is float
+            or (type(weight) is int and abs(weight) <= _FLOAT_MAX)
+        ):
             raise ValueError(f"expert {k}: 'weight' must be a number, got {weight!r}")
     probs = [row["probs"] for row in rows]
     _check_numbers(probs, 1, "expert", "'probs' must be a list of numbers")

@@ -502,23 +502,56 @@ def _invert_rows(rule: RuleSpec, T: np.ndarray) -> np.ndarray:
 
 
 def _certified_inverse(
-    rule: RuleSpec, T: np.ndarray
+    rule: RuleSpec, T: np.ndarray, certify: bool | np.ndarray = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certified inverses of the rows of T: forecasts, residuals, failures.
 
     Each inverted row is checked and renormalized as ``Forecast`` does,
     and its defining-identity residual is measured against its row of T
     (NaN where the kernel failed); a row whose residual exceeds the
-    certificate res <= _scaled(1e-8, t) is marked _UNCERTIFIED.
+    certificate res <= _scaled(1e-8, t) is marked _UNCERTIFIED.  A row
+    outside the mask ``certify`` is left as _inverse_rows leaves it, with
+    residual NaN, as _invert_rows takes it.
     """
     X, fail = _inverse_rows(rule, T)
-    ok = fail == 0
+    ok = (fail == 0) & certify
     res = np.full(X.shape[0], np.nan)
     if ok.any():
         X[ok] = _simplex_rows(X[ok])
         res[ok] = _row_norms(_exposures(rule, X[ok]) - T[ok])
         fail[ok & ~(res <= _scaled(1e-8, T))] = _UNCERTIFIED
     return X, res, fail
+
+
+def _pool_steps(rule: RuleSpec, P: np.ndarray, W: np.ndarray):
+    """_pool_rows as bulk requests: a generator that yields its exposure
+    and its inversion request, each as a list [(f, rows, *args)] that
+    asks for f(rule, rows, *args), is sent the list of their values, and
+    returns _pool_rows' value.  _run_steps answers it alone; the audit
+    answers it together with its other checks' requests."""
+    total, kept, first, same = _check_weights(P, W)
+    X, res = first.copy(), np.zeros(P.shape[0])
+    rows = np.flatnonzero(~same)
+    if rows.size:
+        w = W[rows] / total[rows, None]
+        # a dropped forecast stands in as the first kept one, at weight 0
+        (E,) = yield [(_exposures, np.where(kept[rows, :, None], P[rows], first[rows, None]))]
+        ((Y, r, fail),) = yield [(_certified_inverse, _mix(E, w), True)]
+        _raise_first(rule, fail, r, "pooling under")
+        X[rows], res[rows] = Y, r
+    return X, total, res, same
+
+
+def _run_steps(rule: RuleSpec, steps):
+    """The value of a generator of bulk requests (_pool_steps), each
+    request (f, rows, *args) answered by its own call f(rule, rows, *args)."""
+    answers = None
+    while True:
+        try:
+            requests = steps.send(answers)
+        except StopIteration as done:
+            return done.value
+        answers = [f(rule, *args) for f, *args in requests]
 
 
 def _pool_rows(
@@ -534,19 +567,7 @@ def _pool_rows(
     whose kept forecasts were all equal (pooled to that forecast itself,
     with residual 0).
     """
-    total, kept, first, same = _check_weights(P, W)
-    X, res = first.copy(), np.zeros(P.shape[0])
-    rows = np.flatnonzero(~same)
-    if rows.size:
-        w = W[rows] / total[rows, None]
-        # a dropped forecast stands in as the first kept one, at weight 0
-        T = _mix(
-            _exposures(rule, np.where(kept[rows, :, None], P[rows], first[rows, None])), w
-        )
-        Y, r, fail = _certified_inverse(rule, T)
-        _raise_first(rule, fail, r, "pooling under")
-        X[rows], res[rows] = Y, r
-    return X, total, res, same
+    return _run_steps(rule, _pool_steps(rule, P, W))
 
 
 # --------------------------------------------------------------------------

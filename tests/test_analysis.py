@@ -1,6 +1,7 @@
 """Max-min optimality, axiom suite, and exposure probes."""
 
 import math
+import sys
 from functools import reduce
 from operator import add
 
@@ -9,6 +10,7 @@ import pytest
 
 from qapool import (
     ConfigError,
+    DomainError,
     ExposureRangeError,
     RuleSpec,
     SolverError,
@@ -321,9 +323,9 @@ class _CloseGenerator:
     def state(self, value):
         self.rng.bit_generator.state, self.blocks = value
 
-    def standard_exponential(self, size):
-        out = self.rng.standard_exponential(size)
-        if not isinstance(size, int):
+    def standard_exponential(self, size=None, out=None):
+        out = self.rng.standard_exponential(size, out=out)
+        if isinstance(size, tuple):
             if self.blocks in self.close:
                 out[-1] = out[0]
             self.blocks += 1
@@ -685,12 +687,17 @@ class TestStackedBatchesMatchPerCheckReference:
     @pytest.mark.parametrize("marked, error", [
         (("commutativity", "continuity"), SolverError),
         (("continuity",), ExposureRangeError),
+        (("continuity", "concavity"), ExposureRangeError),
+        (("concavity",), SolverError),
     ])
     @pytest.mark.parametrize("rule", [QUAD, RuleSpec.hs()], ids=lambda r: r.label)
     def test_first_failed_check_raises(self, rule, marked, error, monkeypatch):
-        # a stubbed kernel fails one row of commutativity (as unconverged)
-        # and one of continuity (as unattainable); the earlier check's
-        # error is raised, as pooling check by check raises it
+        # a stubbed kernel fails one row of commutativity (as unconverged),
+        # one of continuity (as unattainable) and one of the concavity
+        # probe's (as unconverged); the earliest check's error is raised, by
+        # the suite as pooling check by check raises it, and by the audit,
+        # which inverts the concavity rows before the suite's second batch,
+        # as running the checks in turn raises it
         import qapool.pooling as pooling
 
         real = pooling._inverse_rows
@@ -699,11 +706,14 @@ class TestStackedBatchesMatchPerCheckReference:
             pooling, "_inverse_rows", lambda r, T: targets.append(T.copy()) or real(r, T)
         )
         per_check_axiom_suite(rule, 3, 12, 5)
-        # the kernel calls of the reference: additivity, commutativity,
-        # associativity's two levels, continuity (idempotence needs none)
+        per_check_concavity_gap(rule, 3, 12, 5)
+        # the kernel calls of the references: additivity, commutativity,
+        # associativity's two levels, continuity (idempotence needs none),
+        # then the concavity probe's mixtures of its lesser expert count
         codes = {
             "commutativity": (targets[1][3], pooling._NOT_CONVERGED),
             "continuity": (targets[4][12 + 5], pooling._UNATTAINABLE),
+            "concavity": (targets[5][1], pooling._NOT_CONVERGED),
         }
 
         def stub(r, T):
@@ -714,9 +724,136 @@ class TestStackedBatchesMatchPerCheckReference:
             return X, fail
 
         monkeypatch.setattr(pooling, "_inverse_rows", stub)
-        raised = []
-        for suite in (axiom_suite, per_check_axiom_suite):
+
+        def raised(run):
             with pytest.raises(error) as info:
-                suite(rule, 3, 12, 5)
-            raised.append((type(info.value), str(info.value)))
-        assert raised[0] == raised[1] and raised[0][0] is error
+                run(rule, 3, 12, 5)
+            return type(info.value), str(info.value)
+
+        want = raised(_checks_in_turn)
+        assert raised(analysis._audit) == want
+        if "concavity" not in marked:
+            assert raised(axiom_suite) == raised(per_check_axiom_suite) == want
+
+
+def _checks_in_turn(rule, n, samples, seed):
+    """The audit's checks by their per-check references, in the audit's order."""
+    exposure_probe(rule, n, samples, seed)
+    if has_convex_exposure(rule, n):
+        per_check_axiom_suite(rule, n, samples, seed)
+        per_check_concavity_gap(rule, n, samples, seed)
+
+
+def _spy_everywhere(monkeypatch, name, owner, make):
+    """Replace ``name`` by make(real) in every qapool module that binds it
+    to owner's function; one object everywhere, as the audit groups by it."""
+    real = getattr(owner, name)
+    fake = make(real)
+    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "qapool"]:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, fake)
+
+
+# the audit's shapes: every suite rule at n = 2, 3 and 4, and n = 50
+AUDIT_CASES = [(rule, n) for n in (2, 3, 4) for rule in SUITE_RULES] + [
+    (QUAD, 50), (RuleSpec.logarithmic(), 50)
+]
+
+
+class TestAuditTogether:
+    # the audit answers its three checks' bulk requests together, in two
+    # rounds; every report field and every CLI byte must be the one-check
+    # functions' and the one-at-a-time run's
+
+    @pytest.mark.parametrize(
+        "rule, n", AUDIT_CASES, ids=[f"{r.label}-n{n}" for r, n in AUDIT_CASES]
+    )
+    def test_reports_are_the_one_check_reports(self, rule, n):
+        for seed in (1, 7):
+            want = (exposure_probe(rule, n, 20, seed), None, None)
+            if has_convex_exposure(rule, n):
+                want = (want[0], axiom_suite(rule, n, 20, seed), concavity_probe(rule, n, 20, seed))
+            # repr tells every float's bits apart, -0.0 and NaN included
+            assert repr(analysis._audit(rule, n, 20, seed)) == repr(want)
+
+    @pytest.mark.parametrize(
+        "rule, n", AUDIT_CASES, ids=[f"{r.label}-n{n}" for r, n in AUDIT_CASES]
+    )
+    def test_cli_bytes_are_the_one_at_a_time_bytes(self, rule, n, capsys, monkeypatch):
+        from qapool.cli import main
+
+        argv = ["audit", rule.label, "--n", str(n), "--samples", "20", "--seed", "7"]
+        code, together = main(argv), capsys.readouterr()
+
+        def refuse(*args):
+            raise RuntimeError("run the checks one at a time")
+
+        monkeypatch.setattr(analysis, "_together", refuse)
+        assert main(argv) == code
+        assert capsys.readouterr() == together
+
+    def test_an_exposure_error_on_concavity_draws_is_the_concavity_probe_error(
+        self, monkeypatch
+    ):
+        # the merged exposure call holds every check's forecasts, so its
+        # error would name the least probability of them all; the audit
+        # reruns the checks in turn, and the concavity probe names its own
+        import qapool.rules as rules
+
+        rule, seen = RuleSpec.logarithmic(), []
+        _spy_everywhere(
+            monkeypatch, "_exposures", rules,
+            lambda real: lambda r, P: seen.append(P.reshape(-1, P.shape[-1]).copy()) or real(r, P),
+        )
+        concavity_probe(rule, 3, 20, 5)
+        monkeypatch.undo()
+        # the first two calls: the forecasts of each expert count
+        marked = {row.tobytes() for row in np.concatenate(seen[:2])}
+
+        def make(real):
+            def stub(r, P):
+                if any(row.tobytes() in marked for row in P.reshape(-1, P.shape[-1])):
+                    raise DomainError(f"least probability {P.min()!r}")
+                return real(r, P)
+            return stub
+
+        _spy_everywhere(monkeypatch, "_exposures", rules, make)
+        with pytest.raises(DomainError) as want:
+            _checks_in_turn(rule, 3, 20, 5)
+        with pytest.raises(DomainError) as got:
+            analysis._audit(rule, 3, 20, 5)
+        assert str(got.value) == str(want.value)
+
+    def test_bulk_calls_per_audit(self, monkeypatch, capsys):
+        # audit neglog --n 3 --samples 20 made 5, 14, 15, 14 and 2 of these
+        # calls with its checks run one at a time
+        import qapool.learning as learning
+        import qapool.pooling as pooling
+        import qapool.rules as rules
+        import qapool.simplex as simplex
+        from qapool.cli import main
+
+        limits = {
+            (pooling, "_inverse_rows"): 2,
+            (simplex, "_shell_points"): 7,
+            (rules, "_simplex_rows"): 7,
+            (rules, "_exposures"): 9,
+            (learning, "_losses"): 1,
+        }
+        calls = dict.fromkeys(name for _, name in limits)
+
+        def counted(name):
+            calls[name] = 0
+
+            def make(real):
+                def count(*args, **kwargs):
+                    calls[name] += 1
+                    return real(*args, **kwargs)
+                return count
+            return make
+
+        for owner, name in limits:
+            _spy_everywhere(monkeypatch, name, owner, counted(name))
+        assert main(["audit", "neglog", "--n", "3", "--samples", "20", "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert all(calls[name] <= limit for (_, name), limit in limits.items()), calls

@@ -91,6 +91,8 @@ MALFORMED_FORECAST_FILES = {
     "n-not-an-integer": {"n": 2.7, "experts": ONE_EXPERT},
     "labels-not-a-list": {"labels": 5, "experts": ONE_EXPERT},
     "weight-not-a-number": {"experts": [{"probs": [0.5, 0.5], "weight": [1]}]},
+    "weight-bool": {"experts": ONE_EXPERT + [{"probs": [0.5, 0.5], "weight": True}]},
+    "weight-string": {"experts": ONE_EXPERT + [{"probs": [0.5, 0.5], "weight": "1.5"}]},
     "probs-not-a-list": {"experts": [{"probs": {"a": 1}}]},
     "probs-huge-integer": {"experts": [{"probs": [10**400, 0.5]}]},
     "probs-string": {"experts": ONE_EXPERT + [{"probs": ["0.5", 0.5]}]},
@@ -206,6 +208,20 @@ class TestForecastFiles:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(f"qapool: input error: expert {k}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("weight", [True, False, "1.5", [1.0], {"w": 1}, 10**400])
+    def test_weight_type_error_names_the_first_bad_expert(self, tmp_path, weight, capsys):
+        # expert 2 has the bad weight, expert 3 a bad weight and bad probs
+        experts = [{"probs": GOOD_ROW, "weight": w} for w in (1, 0.5)]
+        experts += [{"probs": GOOD_ROW, "weight": weight}, {"probs": ["x"], "weight": "y"}]
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"experts": experts}))
+        message = f"expert 2: 'weight' must be a number, got {weight!r}"
+        with pytest.raises(ValueError) as info:
+            load_forecast_file(path)
+        assert str(info.value) == message
+        assert main(["pool", "quadratic", str(path)]) == 1
+        assert capsys.readouterr().err == f"qapool: input error: {message}\n"
 
     def test_sum_error_prints_a_plain_float(self, tmp_path, capsys):
         path = write_experts(tmp_path, [[0.5, 0.4]])
